@@ -1,0 +1,10 @@
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+
+# `python -m pytest bench/tests` from the checkout root: import `bench`
+# from the checkout and `repro` from its src/.
+for path in (ROOT / "src", ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
