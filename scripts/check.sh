@@ -51,6 +51,10 @@ step "availability experiment (smoke, asserts trade-off monotonicity)" \
   env REPRO_SCALE=smoke python -m repro run availability
 step "bench-regression guard (bulk + availability runs/s vs history)" \
   python scripts/bench_guard.py
+step "DES pin gate (des-fig3a: one seed-0 pass against bench/pins.json)" \
+  python3 -m bench --workload des-fig3a --seconds 1
+step "DES pin gate (des-lazy: one seed-0 pass against bench/pins.json)" \
+  python3 -m bench --workload des-lazy --seconds 1
 step "bulk conformance suite (incl. slow CI-overlap tests)" \
   python -m pytest tests/test_bulk.py -q -m "slow or not slow"
 step "availability conformance suite (incl. slow lazy-policy brackets)" \

@@ -156,8 +156,8 @@ class ReliabilitySimulation:
         self._degraded = 0
         #: Lazy-recovery threshold (1 = eager, the bit-identical default).
         self._lazy_r = config.recovery_threshold
-        #: held rebuilds (lazy policy): (g, rep) -> (failed_at, origin).
-        self._held: dict[tuple[int, int], tuple[float, int]] = {}
+        #: held rebuilds (lazy policy): g -> {rep: (failed_at, origin)}.
+        self._held: dict[int, dict[int, tuple[float, int]]] = {}
         #: open per-group unavailability spans: g -> degraded-since.
         self._degraded_since: dict[int, float] = {}
         # Reject a rate-limited repair lane that cannot keep up with its
@@ -180,6 +180,7 @@ class ReliabilitySimulation:
         self.G = config.n_groups
         self.N0 = config.n_disks
         self.block_bytes = config.block_bytes
+        self.recovery_bandwidth = config.recovery_bandwidth
         self.capacity_blocks = int(
             config.vintage.capacity_bytes // self.block_bytes)
         self.duration = config.duration
@@ -319,10 +320,9 @@ class ReliabilitySimulation:
         """Yield (g, rep) of blocks currently on ``disk``."""
         if disk < self.N0:
             lo, hi = self._idx_start[disk], self._idx_start[disk + 1]
-            for b in self._idx_sorted[lo:hi]:
-                g, rep = divmod(int(b), self.n)
-                if self.group_disks[g, rep] == disk:
-                    yield g, rep
+            g, rep = np.divmod(self._idx_sorted[lo:hi], self.n)
+            here = self.group_disks[g, rep] == disk
+            yield from zip(g[here].tolist(), rep[here].tolist())
         for g, rep in self._dynamic.get(disk, ()):
             if self.group_disks[g, rep] == disk:
                 yield g, rep
@@ -365,10 +365,11 @@ class ReliabilitySimulation:
                 self.stats.domain_colocated_losses += 1
                 if tele is not None:
                     tele.domain_colocated_losses.inc()
-            self.failed_count[g] += 1
-            if self.failed_count[g] > self.tol:
+            count = int(self.failed_count[g]) + 1
+            self.failed_count[g] = count
+            if count > self.tol:
                 self.lost[g] = True
-                if self.failed_count[g] > 1:
+                if count > 1:
                     self._degraded -= 1    # was counted while degraded
                 self.groups_lost_ids.append(g)
                 self.stats.groups_lost += 1
@@ -376,14 +377,13 @@ class ReliabilitySimulation:
                 if self.stats.first_loss_time is None:
                     self.stats.first_loss_time = now
                 self._degraded_since.pop(g, None)
-                for key in [k for k in self._held if k[0] == g]:
-                    del self._held[key]
+                self._held.pop(g, None)
                 if tele is not None:
                     tele.group_lost(g)
                 for job in list(self._jobs_by_group.get(g, ())):
                     self._cancel(job)
             else:
-                if self.failed_count[g] == 1:
+                if count == 1:
                     self._degraded += 1
                     self._note_degraded(g, now)
                 losses.append((g, rep))
@@ -426,7 +426,7 @@ class ReliabilitySimulation:
         fresh: list[int] = []
         seen: set[int] = set()
         for g, rep in losses:
-            self._held[(g, rep)] = (now, origin)
+            self._held.setdefault(g, {})[rep] = (now, origin)
             if g not in seen:
                 seen.add(g)
                 fresh.append(g)
@@ -445,10 +445,9 @@ class ReliabilitySimulation:
 
     def _collect_held(self, g: int, queue: RepairPriorityQueue) -> None:
         surviving = max(0, self.tol - int(self.failed_count[g]))
-        for key in sorted(k for k in self._held if k[0] == g):
-            failed_at, origin = self._held.pop(key)
-            queue.push(RepairPriority(surviving, failed_at, g, key[1]),
-                       (key[1], failed_at, origin))
+        for rep, (failed_at, origin) in sorted(self._held.pop(g, {}).items()):
+            queue.push(RepairPriority(surviving, failed_at, g, rep),
+                       (rep, failed_at, origin))
 
     def _release_queue(self, queue: RepairPriorityQueue,
                        now: float) -> None:
@@ -493,7 +492,8 @@ class ReliabilitySimulation:
     # ------------------------------------------------------------------ #
     def _start_rebuild(self, g: int, rep: int, failed_at: float,
                        origin: int) -> None:
-        if self.lost[g] or self.group_disks[g, rep] != -1:
+        row = self.group_disks[g].tolist()
+        if self.lost[g] or row[rep] != -1:
             self._deferred.pop((g, rep), None)
             return
         now = self.sim.now
@@ -502,9 +502,9 @@ class ReliabilitySimulation:
             # Exclude targets of the group's other in-flight rebuilds so
             # two buddies never land on one disk.
             inflight = {j.target for j in self._jobs_by_group.get(g, ())}
-            target = self._pick_farm_target(g, now, inflight)
+            target = self._pick_farm_target(row, now, inflight)
         else:
-            target = self._pick_spare_target(g, origin, now)
+            target = self._pick_spare_target(row, origin, now)
         if target is None:
             # No admissible target right now (system full, or every
             # candidate vetoed by the domain cap): park for retry with
@@ -515,8 +515,8 @@ class ReliabilitySimulation:
             return
         self._deferred.pop((g, rep), None)
         duration = self.workload.time_to_transfer(
-            self.block_bytes, self.cfg.recovery_bandwidth, now)
-        start = max(now, self.free_at[target])
+            self.block_bytes, self.recovery_bandwidth, now)
+        start = max(now, self.free_at[target].item())
         completion = start + duration
         self.free_at[target] = completion
         job = _Job(g=g, rep=rep, target=target, failed_at=failed_at,
@@ -572,28 +572,29 @@ class ReliabilitySimulation:
             self.telemetry.rebuild_retries.inc()
         self._start_rebuild(g, rep, failed_at, origin)
 
-    def _admissible(self, d: int, g: int,
+    def _admissible(self, d: int, row: list[int],
                     exclude: set[int] = frozenset()) -> bool:
+        """May a block of the group whose disks are ``row`` (its
+        ``group_disks`` row as a list, read once per pick) go on ``d``?"""
         if (d in exclude
                 or not self.alive[d]
                 or self.used_blocks[d] >= self.capacity_blocks
-                or (self.group_disks[g] == d).any()):
+                or d in row):
             return False
         if self._domain_limit is not None \
-                and not self._domain_ok(d, g, exclude):
+                and not self._domain_ok(d, row, exclude):
             self._domain_blocked = True
             return False
         return True
 
-    def _domain_ok(self, d: int, g: int, exclude: set[int]) -> bool:
-        """Would placing a block of ``g`` on ``d`` stay within the
+    def _domain_ok(self, d: int, row: list[int], exclude: set[int]) -> bool:
+        """Would placing a block of the group on ``d`` stay within the
         per-rack cap?  Counts the group's live blocks plus in-flight
         rebuild targets (``exclude``) already in ``d``'s rack."""
         topo = self.topology
         rack = topo.rack_of(d)
         count = 0
-        for dd in self.group_disks[g]:
-            dd = int(dd)
+        for dd in row:
             if dd >= 0 and topo.rack_of(dd) == rack:
                 count += 1
         for dd in exclude:
@@ -604,22 +605,20 @@ class ReliabilitySimulation:
     def _live_in_rack(self, g: int, rack: int) -> bool:
         """Does group ``g`` still hold a live block in ``rack``?"""
         topo = self.topology
-        for dd in self.group_disks[g]:
-            dd = int(dd)
+        for dd in self.group_disks[g].tolist():
             if dd >= 0 and topo.rack_of(dd) == rack:
                 return True
         return False
 
-    def _pick_farm_target(self, g: int, now: float,
+    def _pick_farm_target(self, row: list[int], now: float,
                           exclude: set[int] = frozenset()) -> int | None:
         """Rejection-sample the candidate list: alive, space, no buddy;
         prefer recovery-idle disks, then relax (paper §2.3)."""
         rng = self._target_rng
-        probes = rng.integers(0, self.total_disks, size=24)
+        probes = rng.integers(0, self.total_disks, size=24).tolist()
         fallback = -1
         for d in probes:
-            d = int(d)
-            if not self._admissible(d, g, exclude):
+            if not self._admissible(d, row, exclude):
                 continue
             if self.free_at[d] <= now and not self._smart_suspect(d, now):
                 return d
@@ -628,7 +627,7 @@ class ReliabilitySimulation:
         if fallback >= 0:
             return fallback
         for d in range(self.total_disks):       # degenerate small systems
-            if self._admissible(d, g, exclude):
+            if self._admissible(d, row, exclude):
                 return d
         return None
 
@@ -649,7 +648,7 @@ class ReliabilitySimulation:
         return bool(hash_unit(self.seed, d, _SMART_SALT)
                     < cfg.smart_detection_probability)
 
-    def _pick_spare_target(self, g: int, origin: int,
+    def _pick_spare_target(self, row: list[int], origin: int,
                            now: float) -> int | None:
         """Traditional RAID: one dedicated spare per failed disk.
 
@@ -668,10 +667,10 @@ class ReliabilitySimulation:
             self._spare_for[origin] = spare
             if self.telemetry is not None:
                 self.telemetry.spares_provisioned.inc()
-        if (self.group_disks[g] == spare).any():
+        if spare in row:
             over = self._spare_for.get(~origin, -1)
             if over < 0 or not self.alive[over] or \
-                    not self._admissible(over, g):
+                    not self._admissible(over, row):
                 over = int(self._new_disks(1, now, slot=origin)[0])
                 self._spare_for[~origin] = over
                 if self.telemetry is not None:
@@ -697,7 +696,7 @@ class ReliabilitySimulation:
         self._jobs_by_target.get(job.target, set()).discard(job)
         self._jobs_by_group.get(job.g, set()).discard(job)
         if not self.alive[job.target] or \
-                (self.group_disks[job.g] == job.target).any():
+                job.target in self.group_disks[job.g].tolist():
             # Defensive: redirection/exclusion should have caught this.
             self.used_blocks[job.target] -= 1    # release the reservation
             self.stats.target_redirections += 1
@@ -709,8 +708,9 @@ class ReliabilitySimulation:
             return
         now = self.sim.now
         self.group_disks[job.g, job.rep] = job.target
-        self.failed_count[job.g] -= 1
-        if self.failed_count[job.g] == 0:
+        left = int(self.failed_count[job.g]) - 1
+        self.failed_count[job.g] = left
+        if left == 0:
             self._degraded -= 1
         # used_blocks[target] was already incremented at reservation time.
         self._dynamic.setdefault(job.target, []).append((job.g, job.rep))
@@ -722,7 +722,7 @@ class ReliabilitySimulation:
             self.telemetry.rebuilds_completed.inc()
             self.telemetry.block_rebuilt(job.g, job.rep, now)
             self._rebuild_writes[job.target] += 1
-        if self.failed_count[job.g] == 0:
+        if left == 0:
             self._note_repaired(job.g, now)
 
     # ------------------------------------------------------------------ #
@@ -948,7 +948,8 @@ class ReliabilitySimulation:
             deferred=sorted((g, rep, a)
                             for (g, rep), a in self._deferred.items()),
             lazy_held=sorted((g, rep, fa, o)
-                             for (g, rep), (fa, o) in self._held.items()),
+                             for g, reps in self._held.items()
+                             for rep, (fa, o) in reps.items()),
             degraded_since=sorted(self._degraded_since.items()))
 
     @classmethod
@@ -998,8 +999,9 @@ class ReliabilitySimulation:
         # Attempt counts survive the restore so a re-deferral on the clone
         # neither double-counts rebuilds_deferred nor resets the backoff.
         self._deferred = {(g, rep): a for g, rep, a in state.deferred}
-        self._held = {(g, rep): (fa, o)
-                      for g, rep, fa, o in state.lazy_held}
+        self._held = {}
+        for g, rep, fa, o in state.lazy_held:
+            self._held.setdefault(g, {})[rep] = (fa, o)
         self._degraded_since = dict(state.degraded_since)
         self._domain_blocked = False
         self._restored = True

@@ -61,7 +61,7 @@ class ForecastService:
                  registry: MetricRegistry | None = None,
                  refine: bool = True) -> None:
         self.cascade = cascade or ForecastCascade()
-        self.registry = registry or MetricRegistry()
+        self.registry = MetricRegistry() if registry is None else registry
         self.refine_enabled = refine
         self._server: asyncio.base_events.Server | None = None
         self._refine_task: asyncio.Task | None = None

@@ -94,8 +94,9 @@ class ForecastCascade:
             raise ValueError("live_runs must be >= 1")
         if not 0.0 < target_ci_width < 1.0:
             raise ValueError("target_ci_width must be in (0, 1)")
-        self.cache = cache or ForecastCache()
-        self.grids = grids or GridStore()
+        # ``is None``, not ``or``: an empty cache or grid store is falsy.
+        self.cache = ForecastCache() if cache is None else cache
+        self.grids = GridStore() if grids is None else grids
         self.runner = runner or SweepRunner()
         self.live_runs = live_runs
         self.target_ci_width = target_ci_width

@@ -3,7 +3,7 @@
 The paper ran its experiments on PARSEC, a C discrete-event simulation tool.
 This module is the Python substitute: a deterministic, timestamp-ordered
 event loop.  It is intentionally simple — a binary heap of
-:class:`~repro.sim.events.Event` objects and a clock — because the
+:class:`~repro.sim.events.Event` entries and a clock — because the
 reliability simulations schedule at most a few hundred thousand events per
 run and the costly work (failure-time sampling, placement) is vectorized
 outside the loop.
@@ -25,9 +25,14 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from typing import Any, Callable, Iterator
 
-from .events import PRIORITY_NORMAL, Event
+from .events import PRIORITY_NORMAL, Event, next_seq
+
+
+#: The latest finite time; events after it (at ``inf``) never fire.
+_LATEST = sys.float_info.max
 
 
 class SimulationError(RuntimeError):
@@ -36,6 +41,11 @@ class SimulationError(RuntimeError):
 
 class Simulator:
     """A deterministic discrete-event simulator.
+
+    The heap holds ``(time, priority, seq, event)`` tuples: ``seq`` is
+    unique, so ordering never reaches the event and runs as C tuple
+    comparison.  Cancelled events keep their heap entry and are skipped
+    when they surface.
 
     Parameters
     ----------
@@ -49,7 +59,7 @@ class Simulator:
     def __init__(self, start_time: float = 0.0,
                  trace: Callable[[Event], None] | None = None) -> None:
         self._now = float(start_time)
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._trace = trace
         self._running = False
         self._events_fired = 0
@@ -69,17 +79,18 @@ class Simulator:
 
     def __len__(self) -> int:
         """Number of pending (non-cancelled) events."""
-        return sum(1 for ev in self._heap if not ev.cancelled)
+        return sum(1 for entry in self._heap if not entry[3].cancelled)
 
     def pending(self) -> Iterator[Event]:
         """Iterate over pending events in arbitrary (heap) order."""
-        return (ev for ev in self._heap if not ev.cancelled)
+        return (entry[3] for entry in self._heap if not entry[3].cancelled)
 
     def peek(self) -> float:
         """Time of the next pending event, or ``inf`` if none."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else math.inf
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else math.inf
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -88,21 +99,25 @@ class Simulator:
                  *args: Any, priority: int = PRIORITY_NORMAL,
                  name: str = "") -> Event:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
-        return self.schedule_at(self._now + delay, callback, *args,
-                                priority=priority, name=name)
+        return self._push(self._now + delay, priority, callback, args, name)
 
     def schedule_at(self, time: float, callback: Callable[..., Any],
                     *args: Any, priority: int = PRIORITY_NORMAL,
                     name: str = "") -> Event:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
+        return self._push(time, priority, callback, args, name)
+
+    def _push(self, time: float, priority: int,
+              callback: Callable[..., Any], args: tuple, name: str) -> Event:
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} < now={self._now}")
         if math.isnan(time):
             raise SimulationError("cannot schedule at NaN time")
-        ev = Event(time=float(time), priority=priority,
-                   callback=callback, args=args, name=name)
-        heapq.heappush(self._heap, ev)
+        time = float(time)
+        seq = next_seq()
+        ev = Event(time, priority, seq, callback, args, False, name)
+        heapq.heappush(self._heap, (time, priority, seq, ev))
         return ev
 
     # ------------------------------------------------------------------ #
@@ -111,7 +126,7 @@ class Simulator:
     def step(self) -> Event | None:
         """Execute the next pending event; return it (or None if drained)."""
         while self._heap:
-            ev = heapq.heappop(self._heap)
+            ev = heapq.heappop(self._heap)[3]
             if ev.cancelled:
                 continue
             self._now = ev.time
@@ -138,18 +153,30 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
+        heap = self._heap
+        pop = heapq.heappop
+        trace = self._trace
+        # An event at t=inf never fires: it means "never".
+        horizon = _LATEST if until is None else min(until, _LATEST)
+        budget = math.inf if max_events is None else max_events
         fired = 0
         try:
-            while True:
-                nxt = self.peek()
-                if nxt is math.inf:
+            while heap:
+                time, _, _, ev = heap[0]
+                if ev.cancelled:
+                    pop(heap)
+                    continue
+                if time > horizon:
                     break
-                if until is not None and nxt > until:
-                    break
-                if max_events is not None and fired >= max_events:
+                if fired >= budget:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; runaway model?")
-                self.step()
+                pop(heap)
+                self._now = time
+                if trace is not None:
+                    trace(ev)
+                ev.fire()
+                self._events_fired += 1
                 fired += 1
             if until is not None and until > self._now:
                 self._now = float(until)

@@ -21,10 +21,11 @@ PRIORITY_HIGH = -10
 #: timestamp (e.g. invariant checks).
 PRIORITY_LOW = 10
 
-_seq_counter = itertools.count()
+#: Next sequence number (process-wide, strictly increasing).
+next_seq = itertools.count().__next__
 
 
-@dataclass(order=True)
+@dataclass(order=True, slots=True)
 class Event:
     """A single scheduled occurrence in simulated time.
 
@@ -34,7 +35,7 @@ class Event:
 
     time: float
     priority: int = PRIORITY_NORMAL
-    seq: int = field(default_factory=lambda: next(_seq_counter))
+    seq: int = field(default_factory=next_seq)
     callback: Callable[..., Any] | None = field(default=None, compare=False)
     args: tuple = field(default=(), compare=False)
     cancelled: bool = field(default=False, compare=False)

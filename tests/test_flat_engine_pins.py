@@ -1,0 +1,369 @@
+"""Bit-identity pins for the flat DES engine's per-event path.
+
+Each case pins ``events_fired`` and the full ``asdict(RecoveryStats)`` of
+one smoke-size ``(config, seed)`` lifetime on
+:class:`~repro.reliability.simulation.ReliabilitySimulation`.  Together
+they cover the paths the event loop spends its time in: FARM target
+selection (with and without the failure-domain cap, SMART vetoes and
+replacement churn), the traditional spare and overflow-spare branches,
+and the lazy held queue (release, loss cleanup, and a splitting
+round trip through ``SplitState.lazy_held``).
+
+A changed event order, RNG draw or statistic fails here.  Re-pin only
+for an intentional behaviour change, and say so in the commit message.
+"""
+
+from dataclasses import asdict
+
+import pytest
+
+from repro.config import SystemConfig
+from repro.disks.failure import BathtubFailureModel, RatePeriod
+from repro.disks.vintage import DiskVintage
+from repro.redundancy import ECC_4_6, MIRROR_3
+from repro.reliability import ReliabilitySimulation
+from repro.units import GB, TB, YEAR
+
+
+def flat_vintage(pct_per_1000h: float) -> DiskVintage:
+    return DiskVintage(failure_model=BathtubFailureModel(
+        (RatePeriod(0.0, float("inf"), pct_per_1000h),)))
+
+
+def lazy_cfg(**kw) -> SystemConfig:
+    defaults = dict(total_user_bytes=10 * TB, group_user_bytes=10 * GB,
+                    scheme=MIRROR_3, vintage=flat_vintage(2.0),
+                    duration=2 * YEAR, recovery_threshold=2,
+                    repair_bandwidth_fraction=0.05)
+    defaults.update(kw)
+    return SystemConfig(**defaults)
+
+
+#: name -> (config, seed) of one full lifetime.
+LIFETIMES = {
+    "farm": (SystemConfig(total_user_bytes=20 * TB,
+                          group_user_bytes=10 * GB), 123),
+    # The des-fig3a shape: zero detection latency, a 4-of-6 code.
+    "farm-ecc-no-latency": (SystemConfig(
+        total_user_bytes=20 * TB, group_user_bytes=10 * GB,
+        scheme=ECC_4_6, detection_latency=0.0), 0),
+    # Capacity runs out: deferrals, backoff retries and the full-scan
+    # fallback of target selection.
+    "farm-ecc-exhausted": (SystemConfig(
+        total_user_bytes=5 * TB, group_user_bytes=10 * GB, scheme=ECC_4_6,
+        vintage=flat_vintage(6.0), duration=2 * YEAR,
+        detection_latency=0.0), 0),
+    # Rack cap, SMART vetoes, replacement batches with migration, and a
+    # redirected rebuild under a slow repair lane.
+    "farm-domains-smart-churn": (SystemConfig(
+        total_user_bytes=10 * TB, group_user_bytes=10 * GB,
+        scheme=MIRROR_3, vintage=flat_vintage(10.0), duration=2 * YEAR,
+        racks=3, machines_per_rack=2, max_chunks_per_domain=1,
+        use_smart=True, replacement_threshold=0.05,
+        repair_bandwidth_fraction=0.05), 1),
+    "traditional": (SystemConfig(
+        total_user_bytes=20 * TB, group_user_bytes=10 * GB, use_farm=False,
+        vintage=flat_vintage(10.0), duration=2 * YEAR,
+        repair_bandwidth_fraction=0.05), 0),
+    "lazy-r2-bw0.05": (lazy_cfg(), 1),
+    # Losses while other groups hold rebuilds: the loss path clears a
+    # group's held entries out of a non-empty held map.
+    "lazy-loss-while-holding": (lazy_cfg(total_user_bytes=5 * TB,
+                                         vintage=flat_vintage(10.0)), 2),
+}
+
+
+def run_lifetime(name: str) -> tuple[int, dict]:
+    config, seed = LIFETIMES[name]
+    sim = ReliabilitySimulation(config, seed=seed)
+    stats = sim.run()
+    return sim.sim.events_fired, asdict(stats)
+
+
+def run_overflow_spare() -> tuple[list[int], int, dict]:
+    """Force the traditional overflow-spare branch, then finish the run.
+
+    Group ``g`` loses its first block while the spare of that block's
+    disk already holds one of ``g``'s buddies, so the rebuild goes to a
+    freshly provisioned overflow spare; a second group in the same
+    position reuses that overflow spare.
+    """
+    config = SystemConfig(total_user_bytes=20 * TB, group_user_bytes=10 * GB,
+                          use_farm=False)
+    sim = ReliabilitySimulation(config, seed=5)
+    g = 0
+    origin, buddy = (int(d) for d in sim.group_disks[g, :2])
+    h = next(hg for hg, _ in sim._blocks_on(buddy) if hg != g)
+    h_rep = next(r for r, d in enumerate(sim.group_disks[h].tolist())
+                 if d != buddy)
+    sim._spare_for[origin] = buddy
+    targets = []
+    for grp, rep in ((g, 0), (h, h_rep)):
+        sim.group_disks[grp, rep] = -1
+        sim.failed_count[grp] = 1
+        sim._degraded += 1
+        sim._note_degraded(grp, 0.0)
+        sim._start_rebuild(grp, rep, 0.0, origin)
+        [job] = sim._jobs_by_group[grp]
+        targets.append(job.target)
+    stats = sim.run()
+    return targets, sim.sim.events_fired, asdict(stats)
+
+
+def run_split_round_trip() -> tuple[int, list, int, dict]:
+    """Capture a lazy trajectory at splitting level 2, restore a clone
+    from the snapshot, and run the clone to the horizon."""
+    config = lazy_cfg(repair_bandwidth_fraction=None)
+    sim = ReliabilitySimulation(config, seed=3)
+    state = sim.run_to_level(2)
+    clone = ReliabilitySimulation.from_split_state(config, state,
+                                                   clone_seed=99)
+    stats = clone.run()
+    return (len(state.lazy_held), state.lazy_held[:3],
+            clone.sim.events_fired, asdict(stats))
+
+
+#: Expected results of the ``run_*`` helpers, by case name.
+PINS = {'farm': (557,
+          {'rebuilds_started': 275,
+           'rebuilds_completed': 275,
+           'target_redirections': 0,
+           'source_redirections': 0,
+           'groups_lost': 0,
+           'bytes_lost': 0.0,
+           'first_loss_time': None,
+           'disk_failures': 7,
+           'window_total': 180125.0,
+           'window_max': 655.0,
+           'replacement_batches': 0,
+           'blocks_migrated': 0,
+           'rebuilds_deferred': 0,
+           'rebuilds_deferred_constraint': 0,
+           'domain_colocated_losses': 0,
+           'retries': 0,
+           'latent_errors_discovered': 0,
+           'latent_window_total': 0.0,
+           'transient_outages': 0,
+           'unavail_group_seconds': 180125.0,
+           'unavail_spans': 275,
+           'unavail_max': 655.0,
+           'rebuilds_held': 0,
+           'log_weight': 0.0}),
+ 'farm-domains-smart-churn': (10170,
+                              {'rebuilds_started': 5023,
+                               'rebuilds_completed': 5022,
+                               'target_redirections': 1,
+                               'source_redirections': 0,
+                               'groups_lost': 0,
+                               'bytes_lost': 0.0,
+                               'first_loss_time': None,
+                               'disk_failures': 125,
+                               'window_total': 22308090.655187473,
+                               'window_max': 22530.0,
+                               'replacement_batches': 31,
+                               'blocks_migrated': 1662,
+                               'rebuilds_deferred': 0,
+                               'rebuilds_deferred_constraint': 0,
+                               'domain_colocated_losses': 1,
+                               'retries': 0,
+                               'latent_errors_discovered': 0,
+                               'latent_window_total': 0.0,
+                               'transient_outages': 0,
+                               'unavail_group_seconds': 22304612.676461972,
+                               'unavail_spans': 5021,
+                               'unavail_max': 22530.0,
+                               'rebuilds_held': 0,
+                               'log_weight': 0.0}),
+ 'farm-ecc-exhausted': (20658,
+                        {'rebuilds_started': 2701,
+                         'rebuilds_completed': 2701,
+                         'target_redirections': 0,
+                         'source_redirections': 0,
+                         'groups_lost': 89,
+                         'bytes_lost': 890000000000.0,
+                         'first_loss_time': 56847457.80487475,
+                         'disk_failures': 14,
+                         'window_total': 5349843.75,
+                         'window_max': 8750.0,
+                         'replacement_batches': 0,
+                         'blocks_migrated': 0,
+                         'rebuilds_deferred': 911,
+                         'rebuilds_deferred_constraint': 0,
+                         'domain_colocated_losses': 0,
+                         'retries': 14153,
+                         'latent_errors_discovered': 0,
+                         'latent_window_total': 0.0,
+                         'transient_outages': 0,
+                         'unavail_group_seconds': 2945791105.206324,
+                         'unavail_spans': 3112,
+                         'unavail_max': 9170507.706537217,
+                         'rebuilds_held': 0,
+                         'log_weight': 0.0}),
+ 'farm-ecc-no-latency': (1749,
+                         {'rebuilds_started': 872,
+                          'rebuilds_completed': 872,
+                          'target_redirections': 0,
+                          'source_redirections': 0,
+                          'groups_lost': 0,
+                          'bytes_lost': 0.0,
+                          'first_loss_time': None,
+                          'disk_failures': 5,
+                          'window_total': 279687.5,
+                          'window_max': 1250.0,
+                          'replacement_batches': 0,
+                          'blocks_migrated': 0,
+                          'rebuilds_deferred': 0,
+                          'rebuilds_deferred_constraint': 0,
+                          'domain_colocated_losses': 0,
+                          'retries': 0,
+                          'latent_errors_discovered': 0,
+                          'latent_window_total': 0.0,
+                          'transient_outages': 0,
+                          'unavail_group_seconds': 279687.5,
+                          'unavail_spans': 872,
+                          'unavail_max': 1250.0,
+                          'rebuilds_held': 0,
+                          'log_weight': 0.0}),
+ 'lazy-loss-while-holding': (10713,
+                             {'rebuilds_started': 1103,
+                              'rebuilds_completed': 1103,
+                              'target_redirections': 0,
+                              'source_redirections': 0,
+                              'groups_lost': 27,
+                              'bytes_lost': 270000000000.0,
+                              'first_loss_time': 52220607.37781016,
+                              'disk_failures': 30,
+                              'window_total': 5912377578.921087,
+                              'window_max': 37686646.66916668,
+                              'replacement_batches': 0,
+                              'blocks_migrated': 0,
+                              'rebuilds_deferred': 466,
+                              'rebuilds_deferred_constraint': 0,
+                              'domain_colocated_losses': 0,
+                              'retries': 7957,
+                              'latent_errors_discovered': 0,
+                              'latent_window_total': 0.0,
+                              'transient_outages': 0,
+                              'unavail_group_seconds': 17536934887.08943,
+                              'unavail_spans': 961,
+                              'unavail_max': 61372161.49887779,
+                              'rebuilds_held': 988,
+                              'log_weight': 0.0}),
+ 'lazy-r2-bw0.05': (576,
+                    {'rebuilds_started': 280,
+                     'rebuilds_completed': 280,
+                     'target_redirections': 0,
+                     'source_redirections': 0,
+                     'groups_lost': 0,
+                     'bytes_lost': 0.0,
+                     'first_loss_time': None,
+                     'disk_failures': 16,
+                     'window_total': 2585784747.931304,
+                     'window_max': 50886153.806889646,
+                     'replacement_batches': 0,
+                     'blocks_migrated': 0,
+                     'rebuilds_deferred': 0,
+                     'rebuilds_deferred_constraint': 0,
+                     'domain_colocated_losses': 0,
+                     'retries': 0,
+                     'latent_errors_discovered': 0,
+                     'latent_window_total': 0.0,
+                     'transient_outages': 0,
+                     'unavail_group_seconds': 17067251630.189404,
+                     'unavail_spans': 570,
+                     'unavail_max': 59518220.378860004,
+                     'rebuilds_held': 570,
+                     'log_weight': 0.0}),
+ 'traditional': (13581,
+                 {'rebuilds_started': 6716,
+                  'rebuilds_completed': 6697,
+                  'target_redirections': 9,
+                  'source_redirections': 0,
+                  'groups_lost': 10,
+                  'bytes_lost': 100000000000.0,
+                  'first_loss_time': 22210382.05212881,
+                  'disk_failures': 168,
+                  'window_total': 352640084.38315415,
+                  'window_max': 145030.0,
+                  'replacement_batches': 0,
+                  'blocks_migrated': 0,
+                  'rebuilds_deferred': 0,
+                  'rebuilds_deferred_constraint': 0,
+                  'domain_colocated_losses': 0,
+                  'retries': 0,
+                  'latent_errors_discovered': 0,
+                  'latent_window_total': 0.0,
+                  'transient_outages': 0,
+                  'unavail_group_seconds': 352640084.38315415,
+                  'unavail_spans': 6697,
+                  'unavail_max': 145030.0,
+                  'rebuilds_held': 0,
+                  'log_weight': 0.0}),
+ 'traditional-overflow-spare': ([100, 100],
+                                842,
+                                {'rebuilds_started': 417,
+                                 'rebuilds_completed': 417,
+                                 'target_redirections': 0,
+                                 'source_redirections': 0,
+                                 'groups_lost': 0,
+                                 'bytes_lost': 0.0,
+                                 'first_loss_time': None,
+                                 'disk_failures': 10,
+                                 'window_total': 5605575.0,
+                                 'window_max': 31905.0,
+                                 'replacement_batches': 0,
+                                 'blocks_migrated': 0,
+                                 'rebuilds_deferred': 0,
+                                 'rebuilds_deferred_constraint': 0,
+                                 'domain_colocated_losses': 0,
+                                 'retries': 0,
+                                 'latent_errors_discovered': 0,
+                                 'latent_window_total': 0.0,
+                                 'transient_outages': 0,
+                                 'unavail_group_seconds': 5605575.0,
+                                 'unavail_spans': 417,
+                                 'unavail_max': 31905.0,
+                                 'rebuilds_held': 0,
+                                 'log_weight': 0.0}),
+ 'lazy-split-round-trip': (38,
+                           [(27, 0, 2695378.183455215, 44),
+                            (66, 0, 2695378.183455215, 44),
+                            (75, 2, 2695378.183455215, 44)],
+                           974,
+                           {'rebuilds_started': 476,
+                            'rebuilds_completed': 476,
+                            'target_redirections': 0,
+                            'source_redirections': 0,
+                            'groups_lost': 0,
+                            'bytes_lost': 0.0,
+                            'first_loss_time': None,
+                            'disk_failures': 23,
+                            'window_total': 4757666324.5014515,
+                            'window_max': 55773591.791633785,
+                            'replacement_batches': 0,
+                            'blocks_migrated': 0,
+                            'rebuilds_deferred': 0,
+                            'rebuilds_deferred_constraint': 0,
+                            'domain_colocated_losses': 0,
+                            'retries': 0,
+                            'latent_errors_discovered': 0,
+                            'latent_window_total': 0.0,
+                            'transient_outages': 0,
+                            'unavail_group_seconds': 18947339568.569317,
+                            'unavail_spans': 755,
+                            'unavail_max': 60419821.816544786,
+                            'rebuilds_held': 755,
+                            'log_weight': 0.0})}
+
+
+@pytest.mark.parametrize("name", sorted(LIFETIMES))
+def test_lifetime_pin(name):
+    assert run_lifetime(name) == PINS[name]
+
+
+def test_overflow_spare_pin():
+    assert run_overflow_spare() == PINS["traditional-overflow-spare"]
+
+
+def test_split_round_trip_pin():
+    assert run_split_round_trip() == PINS["lazy-split-round-trip"]

@@ -33,6 +33,7 @@ from repro.service.cascade import (TIER_ANALYTIC, TIER_LIVE_BULK,
                                    TIER_LIVE_DES, TIER_MARKOV,
                                    TIER_SURROGATE)
 from repro.reliability.stats import Proportion
+from repro.telemetry.metrics import MetricRegistry
 from repro.units import GB, TB, YEAR
 
 
@@ -343,6 +344,21 @@ class TestCascade:
         b = asyncio.run(_cascade(tmp_path / "b").forecast(LIVE_CFG))
         assert a.p_loss.successes == b.p_loss.successes
         assert a.p_loss.trials == b.p_loss.trials
+
+    def test_empty_cache_grids_and_registry_are_kept(self, tmp_path):
+        """An empty cache, grid store or registry is falsy (``__len__``
+        is 0); the objects passed in must still be the ones used, so a
+        cache on a new journal file records the first live answer."""
+        cache = ForecastCache(tmp_path / "j.jsonl")
+        grids = GridStore()
+        cascade = ForecastCascade(cache=cache, grids=grids,
+                                  runner=_runner(), live_runs=8)
+        assert cascade.cache is cache and cascade.grids is grids
+        asyncio.run(cascade.forecast(LIVE_CFG))
+        assert len((tmp_path / "j.jsonl").read_text().splitlines()) == 1
+        registry = MetricRegistry()
+        assert ForecastService(cascade, registry=registry).registry \
+            is registry
 
     def test_refine_once_tightens_widest_entry(self, tmp_path):
         cascade = _cascade(tmp_path, target_ci_width=0.01)

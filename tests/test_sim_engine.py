@@ -1,11 +1,12 @@
 """Tests for the discrete-event engine (repro.sim.engine / events)."""
 
 import math
+import random
 
 import pytest
 
-from repro.sim import (PRIORITY_HIGH, PRIORITY_LOW, Event, SimulationError,
-                       Simulator)
+from repro.sim import (PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL, Event,
+                       SimulationError, Simulator)
 
 
 @pytest.fixture
@@ -133,6 +134,13 @@ class TestRunControl:
         sim.schedule(5.0, out.append, "edge")
         sim.run(until=5.0)
         assert out == ["edge"]
+
+    def test_event_at_infinity_never_fires(self, sim):
+        out = []
+        sim.schedule_at(math.inf, out.append, "never")
+        sim.schedule(1.0, out.append, "once")
+        sim.run()
+        assert out == ["once"] and sim.now == 1.0 and len(sim) == 1
 
     def test_empty_run_advances_to_until(self, sim):
         sim.run(until=42.0)
@@ -323,3 +331,119 @@ class TestPeriodicCadence:
             return order
 
         assert run(False) == run(True) == ["a", "b", "c"]
+
+
+class _RandomModel:
+    """A random schedule and its reference order.
+
+    Times lie on a coarse grid and priorities take three values, so keys
+    tie often.  Callbacks schedule children and cancel random events,
+    fired or not.  Every child's key ``(time, priority, insertion
+    order)`` exceeds its parent's, so the engine must fire exactly the
+    uncancelled events sorted by that key.
+    """
+
+    PRIORITIES = (PRIORITY_HIGH, PRIORITY_NORMAL, PRIORITY_LOW)
+    LIMIT = 400
+
+    def __init__(self, seed: int, trace=None) -> None:
+        self.rnd = random.Random(seed)
+        self.sim = Simulator(trace=trace)
+        self.keys: list[tuple[float, int, int]] = []
+        self.events: list[Event] = []
+        self.cancelled: set[int] = set()
+        self.fired: list[int] = []
+        for _ in range(60):
+            self.add(self.rnd.randrange(11) / 2,
+                     self.rnd.choice(self.PRIORITIES))
+        for _ in range(10):
+            self.cancel(self.rnd.randrange(len(self.keys)))
+
+    def add(self, time: float, priority: int) -> None:
+        order = len(self.keys)
+        self.keys.append((time, priority, order))
+        self.events.append(self.sim.schedule_at(time, self.fire, order,
+                                                priority=priority))
+
+    def cancel(self, order: int) -> None:
+        if order not in self.fired:
+            self.cancelled.add(order)
+        self.events[order].cancel()
+
+    def fire(self, order: int) -> None:
+        self.fired.append(order)
+        rnd, now = self.rnd, self.sim.now
+        if len(self.keys) < self.LIMIT and rnd.random() < 0.6:
+            self.add(now + rnd.choice((0.5, 1.0, 2.0)),
+                     rnd.choice(self.PRIORITIES))
+            # Same instant: only at or after the parent's priority.
+            parent = self.keys[order][1]
+            self.add(now, rnd.choice([p for p in self.PRIORITIES
+                                      if p >= parent]))
+        if rnd.random() < 0.2:
+            self.cancel(rnd.randrange(len(self.keys)))
+
+    def reference(self, until: float = math.inf) -> list[int]:
+        return [order for time, _, order in sorted(self.keys)
+                if order not in self.cancelled and time <= until]
+
+    def pending_orders(self) -> set[int]:
+        return {ev.args[0] for ev in self.sim.pending()}
+
+
+class TestRandomizedSchedules:
+    """The run loop against a reference sort, with ties, cancellations
+    (also from callbacks) and events scheduled from callbacks."""
+
+    SEEDS = range(8)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_fire_order_matches_reference_sort(self, seed):
+        model = _RandomModel(seed)
+        live = set(range(len(model.keys))) - model.cancelled
+        assert len(model.sim) == len(live)
+        assert model.pending_orders() == live
+        model.sim.run()
+        assert model.fired == model.reference()
+        assert model.sim.events_fired == len(model.fired)
+        assert len(model.sim) == 0 and not model.pending_orders()
+        assert model.cancelled          # the schedule did cancel events
+        assert len(model.keys) > 60     # and callbacks added children
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_trace_sees_each_fired_event_once(self, seed):
+        traced: list[Event] = []
+        model = _RandomModel(seed, trace=traced.append)
+        model.sim.run()
+        assert [ev.args[0] for ev in traced] == model.fired
+        assert len({id(ev) for ev in traced}) == len(traced)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_until_stops_at_horizon_then_resumes(self, seed):
+        horizon = 2.0                   # a grid time: ties at the edge
+        model = _RandomModel(seed)
+        model.sim.run(until=horizon)
+        assert model.fired == model.reference(until=horizon)
+        assert model.sim.now == horizon
+        later = {order for time, _, order in model.keys
+                 if time > horizon and order not in model.cancelled}
+        assert model.pending_orders() == later
+        assert len(model.sim) == len(later)
+        model.sim.run()
+        assert model.fired == model.reference()
+        assert model.sim.events_fired == len(model.fired)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_max_events_boundary(self, seed):
+        full = _RandomModel(seed)
+        full.sim.run()
+        total = len(full.fired)
+        exact = _RandomModel(seed)
+        exact.sim.run(max_events=total)         # exactly enough: no raise
+        assert exact.fired == full.fired
+        short = _RandomModel(seed)
+        with pytest.raises(SimulationError, match="max_events"):
+            short.sim.run(max_events=total - 1)
+        assert short.sim.events_fired == len(short.fired) == total - 1
+        short.sim.run()
+        assert short.fired == full.fired == short.reference()
