@@ -1,26 +1,36 @@
 #!/usr/bin/env python
 """Bench-regression guard: fail on recorded performance regressions.
 
-Two guarded series, both read from the bounded perf history at
-``results/BENCH_sweep.json``: bulk-engine Monte-Carlo throughput
-(``bulk-sweep`` records, floor at :data:`TOLERANCE` of the best prior
-run) and forecast-service p99 request latency (``service-bench``
-records, ceiling at :data:`SERVICE_LATENCY_TOLERANCE` times the best
-prior run).
+Three guarded series, all read from the bounded perf history at
+``results/BENCH_sweep.json``:
 
-The bulk-sweep benchmark (``python -m repro run bulk``) appends one
-record per run to the bounded ``results/BENCH_sweep.json`` history, each
-carrying the bulk engine's measured ``runs_per_s``.  This guard compares
-the *latest* bulk-sweep record against the best previously recorded one
-and fails when throughput drops below :data:`TOLERANCE` of that
-baseline — catching the class of regression the >= 100x speedup assert
-cannot: a slowdown that still clears the absolute bar.
+* bulk-engine Monte-Carlo throughput (``bulk-sweep`` records from
+  ``python -m repro run bulk``, ``runs_per_s``), floor at
+  :data:`TOLERANCE` of the best comparable prior run;
+* forecast-service p99 request latency (``service-bench`` records from
+  ``benchmarks/bench_service.py``, ``p99_s``), ceiling at
+  :data:`SERVICE_LATENCY_TOLERANCE` times the best comparable prior run;
+* fast-DES availability-sweep throughput (``availability`` records from
+  ``python -m repro run availability``, ``runs_per_s``), floor at
+  :data:`TOLERANCE` of the best comparable prior run.  This series
+  tracks the lazy-recovery hot path (held queue, span accounting) that
+  the bulk engine cannot cover.
+
+Each series' *latest* record is compared only with earlier records of
+the same workload (:func:`workload_key`): the same sweep, grid size and
+run count, the same ``scale`` and, for DES sweeps, the same
+``events_fired``, which is exact for a fixed (config, seed) set.  A
+smoke-scale record is never the baseline of a small-scale one, and a
+record that fired different events ran different behaviour, not the
+same work faster or slower.  With no comparable earlier record the
+series passes.  This catches the class of regression the >= 100x
+speedup assert cannot: a slowdown that still clears the absolute bar.
 
 Ratio-of-recorded-runs, not absolute numbers: the history lives in the
 repository, so records may come from different machines.  A 30% drop
-against the best-ever run on comparable hardware is a loud signal; the
-threshold is deliberately loose so machine-to-machine variance does not
-produce false alarms.
+against the best comparable run is a loud signal; the threshold is
+deliberately loose so machine-to-machine variance does not produce
+false alarms.
 
 Stdlib only (the guard must run on the bare reproduction image).
 
@@ -28,8 +38,8 @@ Usage::
 
     python scripts/bench_guard.py [path/to/BENCH_sweep.json]
 
-Exit status: 0 = no regression (or fewer than two bulk-sweep records to
-compare); 1 = regression; 2 = unreadable history.
+Exit status: 0 = no regression (or nothing comparable to compare);
+1 = regression; 2 = unreadable history.
 """
 
 from __future__ import annotations
@@ -37,10 +47,17 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
-#: Latest bulk runs/s must be at least this fraction of the best
-#: previously recorded bulk runs/s.
+#: Latest runs/s must be at least this fraction of the best comparable
+#: previously recorded runs/s.
 TOLERANCE = 0.7
+
+#: Latest service p99 request latency may be at most this multiple of
+#: the best comparable previously recorded p99.  Looser than the
+#: throughput bound: sub-millisecond latencies are far noisier across
+#: machines than a minute of aggregate Monte-Carlo throughput.
+SERVICE_LATENCY_TOLERANCE = 3.0
 
 #: The sweep name the bulk benchmark records under.
 SWEEP_NAME = "bulk-sweep"
@@ -49,18 +66,47 @@ SWEEP_NAME = "bulk-sweep"
 #: (benchmarks/bench_service.py: per-tier HTTP request latency).
 SERVICE_SWEEP_NAME = "service-bench"
 
-#: Latest service p99 request latency may be at most this multiple of
-#: the best previously recorded p99.  Looser than the throughput bound:
-#: sub-millisecond latencies are far noisier across machines than a
-#: minute of aggregate Monte-Carlo throughput.
-SERVICE_LATENCY_TOLERANCE = 3.0
-
 #: The sweep name the availability experiment records under
 #: (``python -m repro run availability``: the lazy-recovery /
 #: repair-bandwidth trade-off grid on the fast DES engine).
 AVAILABILITY_SWEEP_NAME = "availability"
 
+#: Record fields naming the workload a record measured.  A missing field
+#: reads as ``None``, so it matches only records that lack it too.
+WORKLOAD_FIELDS = ("sweep", "n_points", "n_runs_per_point", "scale",
+                   "events_fired")
+
 DEFAULT_PATH = Path("results") / "BENCH_sweep.json"
+
+
+class Series(NamedTuple):
+    """One guarded series of the bench history."""
+
+    sweep: str
+    field: str
+    #: True: a larger value is better (floor); False: a ceiling.
+    higher_is_better: bool
+    #: floor (fraction of the best prior) or ceiling (multiple of it)
+    tolerance: float
+    label: str
+    unit: str
+    #: display multiplier and format for values of ``field``
+    factor: float
+    fmt: str
+    #: the command that re-records a baseline
+    rerecord: str
+
+
+SERIES = (
+    Series(SWEEP_NAME, "runs_per_s", True, TOLERANCE, "bulk", "runs/s",
+           1.0, ",.0f", "python -m repro run bulk"),
+    Series(SERVICE_SWEEP_NAME, "p99_s", False, SERVICE_LATENCY_TOLERANCE,
+           "service p99", "ms", 1e3, ",.2f",
+           "pytest benchmarks/bench_service.py --benchmark-only"),
+    Series(AVAILABILITY_SWEEP_NAME, "runs_per_s", True, TOLERANCE,
+           "availability", "runs/s", 1.0, ",.1f",
+           "python -m repro run availability"),
+)
 
 
 def _named_records(path: Path, sweep: str, field: str) -> list[dict]:
@@ -73,65 +119,50 @@ def _named_records(path: Path, sweep: str, field: str) -> list[dict]:
             and isinstance(r.get(field), (int, float))]
 
 
-def bulk_records(path: Path) -> list[dict]:
-    """The bulk-sweep records of the bench history, oldest first."""
-    return _named_records(path, SWEEP_NAME, "runs_per_s")
+def workload_key(record: dict) -> tuple:
+    """What a record measured; only equal keys are compared."""
+    return tuple(record.get(name) for name in WORKLOAD_FIELDS)
 
 
-def service_guard(path: Path) -> int:
-    """Guard the forecast service's p99 request latency (0 ok, 1 fail)."""
-    records = _named_records(path, SERVICE_SWEEP_NAME, "p99_s")
-    if len(records) < 2:
-        print(f"bench_guard: {len(records)} service-bench record(s) in "
-              f"{path}; need 2+ to compare — ok")
+def comparable_prior(records: list[dict]) -> list[dict]:
+    """The records before the latest one that ran the same workload."""
+    key = workload_key(records[-1])
+    return [r for r in records[:-1] if workload_key(r) == key]
+
+
+def guard(path: Path, series: Series) -> int:
+    """Guard one series of the history (0 ok, 1 regression)."""
+    records = _named_records(path, series.sweep, series.field)
+    prior = comparable_prior(records) if records else []
+    if not prior:
+        print(f"bench_guard: {series.label}: no earlier {series.sweep} "
+              f"record of the latest one's workload among "
+              f"{len(records)} in {path}; nothing to compare — ok")
         return 0
     latest = records[-1]
-    baseline = min(r["p99_s"] for r in records[:-1])
-    current = latest["p99_s"]
-    ceiling = SERVICE_LATENCY_TOLERANCE * baseline
-    verdict = "ok" if current <= ceiling else "REGRESSION"
-    print(f"bench_guard: service p99 {current * 1e3:,.2f} ms vs best "
-          f"prior {baseline * 1e3:,.2f} (ceiling {ceiling * 1e3:,.2f} = "
-          f"{SERVICE_LATENCY_TOLERANCE:g}x) over {len(records)} records "
-          f"— {verdict}")
-    if current > ceiling:
-        print(f"bench_guard: latest service-bench record "
-              f"(run_id={latest.get('run_id', '?')}) regressed; if the "
-              f"hardware changed, re-record a baseline with "
-              f"'pytest benchmarks/bench_service.py --benchmark-only'",
-              file=sys.stderr)
-        return 1
-    return 0
+    current = latest[series.field]
+    values = [r[series.field] for r in prior]
+    higher = series.higher_is_better
+    baseline = max(values) if higher else min(values)
+    limit = series.tolerance * baseline
+    ok = current >= limit if higher else current <= limit
+    bound = "floor" if higher else "ceiling"
 
+    def show(value: float) -> str:
+        return format(value * series.factor, series.fmt)
 
-def availability_guard(path: Path) -> int:
-    """Guard the availability sweep's DES throughput (0 ok, 1 fail).
-
-    Same shape as the bulk guard: latest ``runs_per_s`` of an
-    ``availability`` record must clear :data:`TOLERANCE` of the best
-    prior one.  This series tracks the lazy-recovery hot path (held
-    queue, span accounting) that the bulk engine cannot cover.
-    """
-    records = _named_records(path, AVAILABILITY_SWEEP_NAME, "runs_per_s")
-    if len(records) < 2:
-        print(f"bench_guard: {len(records)} availability record(s) in "
-              f"{path}; need 2+ to compare — ok")
+    print(f"bench_guard: {series.label} {show(current)} {series.unit} vs "
+          f"best prior {show(baseline)} ({bound} {show(limit)} = "
+          f"{series.tolerance:g}x) over {len(prior)} comparable of "
+          f"{len(records)} records — {'ok' if ok else 'REGRESSION'}")
+    if ok:
         return 0
-    latest = records[-1]
-    baseline = max(r["runs_per_s"] for r in records[:-1])
-    current = latest["runs_per_s"]
-    floor = TOLERANCE * baseline
-    verdict = "ok" if current >= floor else "REGRESSION"
-    print(f"bench_guard: availability {current:,.1f} runs/s vs best "
-          f"prior {baseline:,.1f} (floor {floor:,.1f} = {TOLERANCE:g}x) "
-          f"over {len(records)} records — {verdict}")
-    if current < floor:
-        print(f"bench_guard: latest availability record "
-              f"(run_id={latest.get('run_id', '?')}) regressed; if the "
-              f"hardware changed, re-record a baseline with "
-              f"'python -m repro run availability'", file=sys.stderr)
-        return 1
-    return 0
+    print(f"bench_guard: latest {series.sweep} record "
+          f"(run_id={latest.get('run_id', '?')}, "
+          f"scale={latest.get('scale', '?')}) regressed; if the "
+          f"hardware changed, re-record a baseline with "
+          f"'{series.rerecord}'", file=sys.stderr)
+    return 1
 
 
 def main(argv: list[str]) -> int:
@@ -141,31 +172,10 @@ def main(argv: list[str]) -> int:
               f"(run 'python -m repro run bulk' to record a baseline)")
         return 0
     try:
-        records = bulk_records(path)
+        return max(guard(path, series) for series in SERIES)
     except (json.JSONDecodeError, OSError) as exc:
         print(f"bench_guard: cannot read {path}: {exc}", file=sys.stderr)
         return 2
-    if len(records) < 2:
-        print(f"bench_guard: {len(records)} bulk-sweep record(s) in "
-              f"{path}; need 2+ to compare — ok")
-        return max(service_guard(path), availability_guard(path))
-    latest = records[-1]
-    baseline = max(r["runs_per_s"] for r in records[:-1])
-    current = latest["runs_per_s"]
-    floor = TOLERANCE * baseline
-    verdict = "ok" if current >= floor else "REGRESSION"
-    print(f"bench_guard: bulk {current:,.0f} runs/s vs best prior "
-          f"{baseline:,.0f} (floor {floor:,.0f} = {TOLERANCE:g}x) "
-          f"over {len(records)} records — {verdict}")
-    bulk_status = 0
-    if current < floor:
-        print(f"bench_guard: latest record "
-              f"(run_id={latest.get('run_id', '?')}, "
-              f"scale={latest.get('scale', '?')}) regressed; if the "
-              f"hardware changed, re-record a baseline with "
-              f"'python -m repro run bulk'", file=sys.stderr)
-        bulk_status = 1
-    return max(bulk_status, service_guard(path), availability_guard(path))
 
 
 if __name__ == "__main__":

@@ -18,13 +18,15 @@ higher one.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class RepairPriority:
-    """Sort key of one held rebuild; smaller sorts (and repairs) first."""
+class RepairPriority(NamedTuple):
+    """Sort key of one held rebuild; smaller sorts (and repairs) first.
+
+    A named tuple: ordering and equality are tuple comparison in field
+    order, run in C, and instances are immutable.
+    """
 
     #: Further block losses the group survives (tolerance - missing).
     surviving: int

@@ -45,6 +45,72 @@ from ..units import MINUTE
 _SMART_SALT = 0x51AC
 #: Salt for the deterministic per-disk SMART false-positive coin.
 _SMART_FP_SALT = 0x51AD
+#: Candidate disks probed per FARM target pick.
+_PROBES = 24
+#: Raw 32-bit words the probe sampler draws from its stream at a time.
+_PROBE_BLOCK = 4096
+
+
+class _TargetProbes:
+    """FARM target probes drawn in blocks from the ``targets`` stream.
+
+    Each :meth:`draw` returns what ``rng.integers(0, n, size=24).tolist()``
+    would, and consumes the same stream words.  NumPy draws
+    ``integers(0, n)`` (``n <= 2**32``) one ``next_uint32`` word ``u`` at a
+    time by Lemire's method: ``u`` is dropped when ``(u * n) mod 2**32 <
+    (2**32 - n) mod n``, and otherwise ``(u * n) >> 32`` is returned.
+    ``integers(0, 2**32, dtype=uint64)`` returns those words unchanged, so
+    applying the rule to a block of them gives every probe exactly, for
+    one NumPy call per block instead of one per pick.
+
+    Words drawn ahead stay buffered here.  Nothing else reads the stream
+    and :class:`SplitState` holds no generator state, so the buffering
+    cannot be observed.  When ``n`` changes (spares, replacement batches)
+    the words not yet consumed are mapped again under the new bound.
+    Consumption ends at the last accepted word handed out: words NumPy
+    rejected after it belong to the next draw.
+    """
+
+    __slots__ = ("_rng", "_n", "_words", "_ends", "_values", "_next")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._n = 0                 # the bound _values were mapped for
+        self._words = np.empty(0, dtype=np.uint64)
+        #: one past the index in _words of each accepted word
+        self._ends = np.empty(0, dtype=np.int64)
+        self._values: list[int] = []
+        self._next = 0              # values handed out since the mapping
+
+    def draw(self, n: int) -> list[int]:
+        """The next pick's probes, uniform over ``range(n)``."""
+        if n == 1:
+            return [0] * _PROBES    # NumPy consumes no word here either
+        k = self._next
+        if n != self._n or k + _PROBES > len(self._values):
+            self._remap(n)
+            k = 0
+        self._next = k + _PROBES
+        return self._values[k:k + _PROBES]
+
+    def _remap(self, n: int) -> None:
+        """Drop the consumed words and map the rest under bound ``n``,
+        drawing blocks until one whole pick is accepted."""
+        used = int(self._ends[self._next - 1]) if self._next else 0
+        words = self._words[used:]
+        threshold = ((1 << 32) - n) % n
+        while True:
+            scaled = words * np.uint64(n)
+            ends = np.flatnonzero((scaled & 0xFFFFFFFF) >= threshold) + 1
+            if ends.size >= _PROBES:
+                break
+            words = np.concatenate([words, self._rng.integers(
+                0, 1 << 32, size=_PROBE_BLOCK, dtype=np.uint64)])
+        self._n = n
+        self._words = words
+        self._ends = ends
+        self._values = (scaled[ends - 1] >> 32).tolist()
+        self._next = 0
 
 
 @dataclass(eq=False)
@@ -225,15 +291,17 @@ class ReliabilitySimulation:
         #: disk -> blocks that moved there after t=0 (rebuilds, migration).
         self._dynamic: dict[int, list[tuple[int, int]]] = {}
 
-        # Disk arrays (with headroom for spares / replacement batches).
+        # Per-disk state (with headroom for spares / replacement batches).
+        # The event handlers read alive/free_at/used_blocks one disk at a
+        # time, so those are Python lists (a list read costs a fraction
+        # of a NumPy scalar read); vectorized readers convert at entry.
         cap = self.N0 + max(64, self.N0 // 4)
         self._cap = cap
-        self.alive = np.zeros(cap, dtype=bool)
-        self.alive[:self.N0] = True
+        pad = cap - self.N0
+        self.alive = [True] * self.N0 + [False] * pad
         self.fail_time = np.full(cap, np.inf)
-        self.free_at = np.zeros(cap)
-        self.used_blocks = np.zeros(cap, dtype=np.int64)
-        self.used_blocks[:self.N0] = counts
+        self.free_at = [0.0] * cap
+        self.used_blocks = counts.tolist() + [0] * pad
         self.deploy_time = np.zeros(cap)
         #: completed rebuild writes per disk (imbalance probe); allocated
         #: only when telemetry is enabled so the hot path stays untouched.
@@ -250,7 +318,7 @@ class ReliabilitySimulation:
         self._jobs_by_group: dict[int, set[_Job]] = {}
         self._spare_for: dict[int, int] = {}
         self._unreplaced = 0
-        self._target_rng = self.streams.get("targets")
+        self._probes = _TargetProbes(self.streams.get("targets"))
         self.groups_lost_ids: list[int] = []
         #: deferred-rebuild queue: (g, rep) -> retry attempts so far.
         self._deferred: dict[tuple[int, int], int] = {}
@@ -280,10 +348,10 @@ class ReliabilitySimulation:
         def _extend(arr: np.ndarray, fill: float | bool | int) -> np.ndarray:
             return np.concatenate([arr, np.full(pad, fill, dtype=arr.dtype)])
 
-        self.alive = _extend(self.alive, False)
+        self.alive.extend([False] * pad)
         self.fail_time = _extend(self.fail_time, np.inf)
-        self.free_at = _extend(self.free_at, 0.0)
-        self.used_blocks = _extend(self.used_blocks, 0)
+        self.free_at.extend([0.0] * pad)
+        self.used_blocks.extend([0] * pad)
         self.deploy_time = _extend(self.deploy_time, 0.0)
         if self._rebuild_writes is not None:
             self._rebuild_writes = _extend(self._rebuild_writes, 0)
@@ -297,11 +365,12 @@ class ReliabilitySimulation:
         (spares inherit its failure domain); batches tile round-robin.
         """
         self._grow(count)
-        ids = np.arange(self.total_disks, self.total_disks + count)
+        lo = self.total_disks
+        ids = np.arange(lo, lo + count)
         self.total_disks += count
         for _ in range(count):
             self.topology.add_disk(slot_of=slot)
-        self.alive[ids] = True
+        self.alive[lo:lo + count] = [True] * count
         self.deploy_time[ids] = now
         rng = self.streams.get("disk-failures")
         ages = self._sample_failure_ages(
@@ -516,7 +585,7 @@ class ReliabilitySimulation:
         self._deferred.pop((g, rep), None)
         duration = self.workload.time_to_transfer(
             self.block_bytes, self.recovery_bandwidth, now)
-        start = max(now, self.free_at[target].item())
+        start = max(now, self.free_at[target])
         completion = start + duration
         self.free_at[target] = completion
         job = _Job(g=g, rep=rep, target=target, failed_at=failed_at,
@@ -614,10 +683,8 @@ class ReliabilitySimulation:
                           exclude: set[int] = frozenset()) -> int | None:
         """Rejection-sample the candidate list: alive, space, no buddy;
         prefer recovery-idle disks, then relax (paper §2.3)."""
-        rng = self._target_rng
-        probes = rng.integers(0, self.total_disks, size=24).tolist()
         fallback = -1
-        for d in probes:
+        for d in self._probes.draw(self.total_disks):
             if not self._admissible(d, row, exclude):
                 continue
             if self.free_at[d] <= now and not self._smart_suspect(d, now):
@@ -744,7 +811,7 @@ class ReliabilitySimulation:
     def _migrate(self, new_ids: np.ndarray, now: float) -> None:
         """Rebalance a fair share of live blocks onto the new batch."""
         rng = self.streams.get("migration")
-        live_disks = int(self.alive[:self.total_disks].sum())
+        live_disks = self.alive[:self.total_disks].count(True)
         share = len(new_ids) / max(1, live_disks)
         movable = self.group_disks >= 0
         move = movable & (rng.random(self.group_disks.shape) < share)
@@ -802,7 +869,8 @@ class ReliabilitySimulation:
             [[0], np.flatnonzero(np.diff(sorted_t)) + 1])
         sizes = np.diff(np.concatenate([starts, [sorted_t.size]]))
         rank_in_target = np.arange(sorted_t.size) - np.repeat(starts, sizes)
-        room = self.capacity_blocks - self.used_blocks[sorted_t]
+        used = np.array(self.used_blocks, dtype=np.int64)
+        room = self.capacity_blocks - used[sorted_t]
         fits = np.zeros(targets.size, dtype=bool)
         fits[order] = rank_in_target < room
         rows, cols, targets = rows[fits], cols[fits], targets[fits]
@@ -813,8 +881,9 @@ class ReliabilitySimulation:
         # Utilization bookkeeping.
         dec = np.bincount(old, minlength=self._cap)
         inc = np.bincount(targets, minlength=self._cap)
-        self.used_blocks -= dec[:self._cap]
-        self.used_blocks += inc[:self._cap]
+        used -= dec[:self._cap]
+        used += inc[:self._cap]
+        self.used_blocks = used.tolist()
         for r, c, t in zip(rows.tolist(), cols.tolist(), targets.tolist()):
             self._dynamic.setdefault(t, []).append((r, c))
         self.stats.blocks_migrated += rows.size
@@ -827,9 +896,9 @@ class ReliabilitySimulation:
     def _telemetry_sample(self) -> ProbeSample:
         now = self.sim.now
         total = self.total_disks
-        alive = self.alive[:total]
+        alive = np.array(self.alive[:total], dtype=bool)
         n_alive = int(alive.sum())
-        busy_mask = alive & (self.free_at[:total] > now)
+        busy_mask = alive & (np.array(self.free_at[:total]) > now)
         busy = int(np.count_nonzero(busy_mask))
         cap = self.cfg.recovery_bandwidth
         by_rack: dict[str, float] = {}
@@ -929,9 +998,9 @@ class ReliabilitySimulation:
             lost_hit=self.stats.groups_lost > 0,
             level=self._split_level,
             total_disks=total,
-            alive=self.alive[:total].copy(),
-            free_at=self.free_at[:total].copy(),
-            used_blocks=self.used_blocks[:total].copy(),
+            alive=np.array(self.alive[:total], dtype=bool),
+            free_at=np.array(self.free_at[:total], dtype=np.float64),
+            used_blocks=np.array(self.used_blocks[:total], dtype=np.int64),
             deploy_time=self.deploy_time[:total].copy(),
             group_disks=self.group_disks.copy(),
             failed_count=self.failed_count.copy(),
@@ -974,13 +1043,11 @@ class ReliabilitySimulation:
         if need > self._cap:
             self._grow(need - self.total_disks)
         self.total_disks = need
-        self.alive[:] = False
-        self.alive[:need] = state.alive
+        pad = self._cap - need
+        self.alive = state.alive.tolist() + [False] * pad
         self.fail_time[:] = np.inf
-        self.free_at[:] = 0.0
-        self.free_at[:need] = state.free_at
-        self.used_blocks[:] = 0
-        self.used_blocks[:need] = state.used_blocks
+        self.free_at = state.free_at.tolist() + [0.0] * pad
+        self.used_blocks = state.used_blocks.tolist() + [0] * pad
         self.deploy_time[:] = 0.0
         self.deploy_time[:need] = state.deploy_time
         self.group_disks = state.group_disks.copy()
@@ -1009,11 +1076,11 @@ class ReliabilitySimulation:
         # Future randomness comes from the clone's stream set; the root
         # seed (placement, SMART coins) stays the ancestor's.
         self.streams = RandomStreams(clone_seed)
-        self._target_rng = self.streams.get("targets")
+        self._probes = _TargetProbes(self.streams.get("targets"))
 
         # Markov regeneration: redraw every live drive's failure time from
         # the residual-life distribution given its current age.
-        idx = np.flatnonzero(self.alive[:need])
+        idx = np.flatnonzero(state.alive)
         if idx.size:
             ages_now = np.maximum(0.0, state.now - self.deploy_time[idx])
             redraw = self.cfg.vintage.failure_model.sample_failure_age(

@@ -22,8 +22,8 @@ class TestConstruction:
     def test_geometry_arrays(self):
         sim = ReliabilitySimulation(cfg(), seed=0)
         assert sim.group_disks.shape == (4000, 2)
-        assert sim.alive[:sim.N0].all()
-        assert sim.used_blocks[:sim.N0].sum() == 8000
+        assert np.asarray(sim.alive)[:sim.N0].all()
+        assert np.asarray(sim.used_blocks)[:sim.N0].sum() == 8000
 
     def test_group_disks_distinct(self):
         sim = ReliabilitySimulation(cfg(scheme=ECC_4_6), seed=0)
@@ -102,8 +102,9 @@ class TestRunOutcomes:
         sim = ReliabilitySimulation(cfg(), seed=4)
         sim.run()
         live_blocks = (sim.group_disks >= 0).sum()
-        alive_mask = sim.alive[:sim.total_disks]
-        counted = sim.used_blocks[:sim.total_disks][alive_mask].sum()
+        alive_mask = np.asarray(sim.alive)[:sim.total_disks]
+        counted = np.asarray(sim.used_blocks)[:sim.total_disks][
+            alive_mask].sum()
         # used_blocks on dead disks is stale by design; live counts match
         expected = sum(
             1 for d in range(sim.total_disks) if alive_mask[d]
@@ -166,23 +167,27 @@ class TestMigrationCapacity:
         assert sim.capacity_blocks == 2
         new_ids = sim._new_disks(40, now=0.0)
         # Saturate the batch (as in-flight rebuild reservations would).
-        sim.used_blocks[new_ids] = sim.capacity_blocks
+        for d in new_ids:
+            sim.used_blocks[d] = sim.capacity_blocks
         sim._migrate(new_ids, 0.0)
         assert sim.stats.blocks_migrated == 0
-        assert (sim.used_blocks[new_ids] == sim.capacity_blocks).all()
+        assert (np.asarray(sim.used_blocks)[new_ids]
+                == sim.capacity_blocks).all()
 
     def test_partial_room_is_respected(self):
         c = self.small_disk_cfg()
         sim = ReliabilitySimulation(c, seed=1)
         new_ids = sim._new_disks(60, now=0.0)
-        sim.used_blocks[new_ids] = sim.capacity_blocks - 1
+        for d in new_ids:
+            sim.used_blocks[d] = sim.capacity_blocks - 1
         sim._migrate(new_ids, 0.0)
         assert sim.stats.blocks_migrated > 0
         # Each target had room for exactly one more block.  (Original
         # disks are excluded: the random *initial* placement ignores
         # per-disk capacity, which only matters in this shrunken
         # geometry.)
-        assert (sim.used_blocks[new_ids] <= sim.capacity_blocks).all()
+        assert (np.asarray(sim.used_blocks)[new_ids]
+                <= sim.capacity_blocks).all()
 
     def test_lifetime_with_batches_never_overfills(self):
         c = self.small_disk_cfg(
@@ -196,7 +201,7 @@ class TestMigrationCapacity:
         # Every drive added after t=0 (spares and batches) gained blocks
         # only through capacity-checked paths: rebuild targeting and
         # migration.  None may exceed the physical capacity.
-        assert (sim.used_blocks[sim.N0:sim.total_disks]
+        assert (np.asarray(sim.used_blocks)[sim.N0:sim.total_disks]
                 <= sim.capacity_blocks).all()
 
 
