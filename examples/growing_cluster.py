@@ -11,15 +11,15 @@ and measures, at each step:
 * where the moved blocks landed (should be ~100% on the new batch);
 * the balance of the resulting load (coefficient of variation).
 
-It then runs the object-level engine with batch replacement enabled to
-show the cohort effect bookkeeping end to end.
+It then runs the DES engine with batch replacement enabled to show the
+cohort effect bookkeeping end to end.
 
 Run:  python examples/growing_cluster.py
 """
 
 import numpy as np
 
-from repro import RushPlacement, SystemConfig, simulate_run
+from repro import ReliabilitySimulation, RushPlacement, SystemConfig
 from repro.placement import analyze, disk_loads
 from repro.units import GB, TB
 
@@ -46,10 +46,10 @@ def main() -> None:
     print("\nsix-year lifetime with batch replacement at 4% lost:")
     cfg = SystemConfig(total_user_bytes=100 * TB, group_user_bytes=10 * GB,
                        placement="rush", replacement_threshold=0.04)
-    result = simulate_run(cfg, seed=5, keep_system=True)
-    s = result.stats
+    engine = ReliabilitySimulation(cfg, seed=5)
+    s = engine.run()
     print(f"  disks: {cfg.n_disks} initial, "
-          f"{result.system.n_disks - cfg.n_disks} added in "
+          f"{engine.total_disks - cfg.n_disks} added in "
           f"{s.replacement_batches} batches")
     print(f"  {s.disk_failures} failures, {s.rebuilds_completed} blocks "
           f"rebuilt, {s.blocks_migrated} blocks migrated, "

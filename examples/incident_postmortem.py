@@ -22,7 +22,7 @@ INCIDENT_T1 = 2 * HOUR + 700    # shelf failure, ~12 minutes later
 SHELF_SIZE = 3
 
 def replay(cfg: SystemConfig) -> None:
-    out = (Scenario(cfg, seed=42)
+    out = (Scenario(cfg, seed=43)
            .fail(disk=0, at=INCIDENT_T0)
            .fail_partners_of(0, at=INCIDENT_T1, count=SHELF_SIZE)
            .run(horizon=24 * HOUR))
@@ -30,8 +30,7 @@ def replay(cfg: SystemConfig) -> None:
 
     # Reconstruct the timeline from the event trace.
     detections = out.trace.counts()
-    rebuild_events = [r for r in out.trace
-                      if r.name in ("farm-rebuild", "raid-rebuild")]
+    rebuild_events = out.trace.named("rebuild")
     if rebuild_events:
         first = min(r.time for r in rebuild_events)
         last = max(r.time for r in rebuild_events)

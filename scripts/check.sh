@@ -45,6 +45,8 @@ step "forecast service smoke (tier routing, cache hit, /metrics)" \
   python -m repro serve --smoke --runs 16
 step "topology experiment (smoke)" \
   env REPRO_SCALE=smoke python -m repro run topology
+step "faults experiment (smoke)" \
+  env REPRO_SCALE=smoke python -m repro run faults
 step "bulk engine benchmark (smoke, asserts >= 100x over DES baseline)" \
   env REPRO_SCALE=smoke python -m repro run bulk
 step "availability experiment (smoke, asserts trade-off monotonicity)" \

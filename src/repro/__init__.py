@@ -5,16 +5,17 @@ Storage Systems* (Qin Xin, Ethan L. Miller, Thomas J. E. Schwarz —
 HPDC 2004), built as a reusable Python library:
 
 * :mod:`repro.sim` — discrete-event simulation engine (PARSEC substitute);
-* :mod:`repro.redundancy` — (m, n) schemes, redundancy groups, and real
+* :mod:`repro.redundancy` — (m, n) and mixed schemes, and real
   Reed–Solomon / XOR erasure codecs over GF(2^8);
 * :mod:`repro.disks` — drive model with bathtub failure rates (Table 1);
 * :mod:`repro.placement` — RUSH-style decentralized placement with
   candidate lists, plus a vectorized statistical equivalent;
-* :mod:`repro.cluster` — storage-system model, failure detection,
-  batch replacement, workload;
-* :mod:`repro.core` — **FARM** and the traditional-RAID baseline;
-* :mod:`repro.reliability` — fast Monte-Carlo engine, Markov/analytic
-  cross-checks;
+* :mod:`repro.cluster` — failure-domain topology, failure detection,
+  workload;
+* :mod:`repro.reliability` — the DES engine (**FARM** and the
+  traditional-RAID baseline), Monte-Carlo sweeps, scripted scenarios,
+  Markov/analytic cross-checks;
+* :mod:`repro.faults` — latent errors, outages, bursts, stragglers;
 * :mod:`repro.experiments` — regenerates every table and figure of the
   paper's evaluation.
 
@@ -29,27 +30,24 @@ Quickstart::
 """
 
 from .config import PAPER_BASE, SystemConfig
-from .core import (FarmRecovery, PolicyConfig, RecoveryStats,
-                   TraditionalRecovery, simulate_run)
-from .disks import BathtubFailureModel, Disk, DiskVintage
+from .disks import BathtubFailureModel, DiskVintage
 from .placement import RandomPlacement, RushPlacement
-from .redundancy import (PAPER_SCHEMES, RedundancyGroup, RedundancyScheme,
-                         ReedSolomon, XorParity)
-from .reliability import (MonteCarloResult, ReliabilitySimulation,
-                          estimate_p_loss, wilson_interval)
+from .redundancy import (PAPER_SCHEMES, RedundancyScheme, ReedSolomon,
+                         XorParity)
+from .reliability import (MonteCarloResult, PolicyConfig, RecoveryStats,
+                          ReliabilitySimulation, Scenario, estimate_p_loss,
+                          wilson_interval)
 from .sim import RandomStreams, Simulator
 
 __version__ = "1.0.0"
 
 __all__ = [
     "SystemConfig", "PAPER_BASE",
-    "FarmRecovery", "TraditionalRecovery", "PolicyConfig", "RecoveryStats",
-    "simulate_run",
-    "ReliabilitySimulation", "estimate_p_loss", "MonteCarloResult",
-    "wilson_interval",
-    "RedundancyScheme", "PAPER_SCHEMES", "RedundancyGroup",
+    "ReliabilitySimulation", "RecoveryStats", "PolicyConfig", "Scenario",
+    "estimate_p_loss", "MonteCarloResult", "wilson_interval",
+    "RedundancyScheme", "PAPER_SCHEMES",
     "ReedSolomon", "XorParity",
-    "Disk", "DiskVintage", "BathtubFailureModel",
+    "DiskVintage", "BathtubFailureModel",
     "RushPlacement", "RandomPlacement",
     "Simulator", "RandomStreams",
     "__version__",

@@ -181,7 +181,7 @@ def cmd_sweep_check(args: argparse.Namespace) -> int:
         "farm": tiny,
         "traditional": tiny.with_(use_farm=False),
         "slow-detect": tiny.with_(detection_latency=600.0),
-        # Non-flat topology with the domain cap active: the fast engine's
+        # Non-flat topology with the domain cap active: the engine's
         # constraint/deferral paths must also be serial/parallel
         # bit-identical.
         "topology": tiny.with_(racks=4, machines_per_rack=2,

@@ -6,11 +6,10 @@ instead of convention-checked:
 * **Per-file rules** (``RPR001``–``RPR012``, in :data:`RULES`): AST
   visitors over one module — determinism, unit hygiene, simulation
   discipline, robustness, parameterization, weight discipline.
-* **Whole-program rules** (``RPR101``–``RPR104``, in
+* **Whole-program rules** (``RPR101``, ``RPR102`` and ``RPR104``, in
   :data:`PROJECT_RULES`): checks over the aggregated project facts —
-  unit flow across calls and fields, RNG stream ownership, fast/process
-  engine parity for every ``SystemConfig`` field, and dead or shadowed
-  config knobs.
+  unit flow across calls and fields, RNG stream ownership, and dead or
+  shadowed config knobs.
 
 The full rule catalog, the baseline workflow, and the SARIF output
 format are documented in ``docs/ANALYSIS.md``.  Run the analyzer as

@@ -2,8 +2,8 @@
 
 Default mode runs the per-file rules (RPR001–RPR012), exactly as the
 historical linter did.  ``--strict`` adds the whole-program pass
-(RPR101–RPR104: unit flow, stream ownership, engine parity, dead
-config) with an incremental content-hash cache.
+(RPR101, RPR102, RPR104: unit flow, stream ownership, dead config)
+with an incremental content-hash cache.
 
 Exit status: 0 clean, 1 findings, 2 internal analyzer error (the
 offending file is named on stderr — never a bare traceback).
@@ -33,8 +33,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description="Static analyzer: per-file invariant rules "
                     "(RPR001-RPR012) plus, with --strict, whole-program "
-                    "unit-flow / stream-ownership / engine-parity "
-                    "checks (RPR101-RPR104).")
+                    "unit-flow / stream-ownership / dead-config "
+                    "checks (RPR101, RPR102, RPR104).")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to analyze "
                              "(default: src)")

@@ -242,9 +242,9 @@ class ProjectGraph:
         """Per-property transitive ``self.X`` reads for one class.
 
         A property whose body reads another property is expanded until
-        only non-property attribute names remain — exactly what RPR103
-        needs to credit an engine that reads ``cfg.recovery_bandwidth``
-        with a read of ``recovery_bandwidth_bps``.
+        only non-property attribute names remain — exactly what RPR104
+        needs to credit code that reads ``cfg.recovery_bandwidth`` with a
+        read of ``recovery_bandwidth_bps``.
         """
         facts = self.modules.get(module)
         if facts is None:

@@ -14,7 +14,7 @@ from .base import FileContext, Rule, register
 
 #: Float literal -> the configuration parameter it shadows.  Curated by
 #: hand: only values that are (a) actual defaults of
-#: ``SystemConfig``/``SmartMonitor`` knobs and (b) distinctive enough not
+#: ``SystemConfig`` knobs and (b) distinctive enough not
 #: to collide with unrelated constants.
 KNOWN_PARAMETER_DEFAULTS: dict[float, str] = {
     0.4: ("SystemConfig.smart_detection_probability (or "

@@ -23,8 +23,7 @@ from .base import Violation
 from .cache import AnalysisCache, source_digest
 from .callgraph import ProjectGraph, build_graph
 from .configflow import (DEADCONF_RULE_ID, DEADCONF_RULE_SUMMARY,
-                         PARITY_RULE_ID, PARITY_RULE_SUMMARY,
-                         check_dead_config, check_engine_parity)
+                         check_dead_config)
 from .runner import iter_python_files, lint_source
 from .streams import check_streams
 from .streams import RULE_ID as STREAMS_RULE_ID
@@ -51,7 +50,6 @@ class ProjectRuleInfo:
 PROJECT_RULES: tuple[ProjectRuleInfo, ...] = (
     ProjectRuleInfo(UNITFLOW_RULE_ID, UNITFLOW_RULE_SUMMARY),
     ProjectRuleInfo(STREAMS_RULE_ID, STREAMS_RULE_SUMMARY),
-    ProjectRuleInfo(PARITY_RULE_ID, PARITY_RULE_SUMMARY),
     ProjectRuleInfo(DEADCONF_RULE_ID, DEADCONF_RULE_SUMMARY),
 )
 
@@ -168,7 +166,6 @@ def analyze_paths(paths: Sequence[str | Path], *,
         try:
             result.violations.extend(check_units(graph))
             result.violations.extend(check_streams(graph))
-            result.violations.extend(check_engine_parity(graph))
             result.violations.extend(check_dead_config(graph))
         except Exception as exc:
             result.errors.append(AnalysisError(

@@ -69,14 +69,9 @@ class StreamPolicy:
 #: allowlist entry names *why* the cross-subsystem consumption is sound.
 REPRO_STREAM_POLICY = StreamPolicy(
     owners={
-        # The disk-failure process is embodied twice — flat-array engine
-        # and object model — and both must consume the *same* stream for
-        # cross-engine parity (tests/test_engine_equivalence.py).
-        "disk-failures": ("repro.reliability.simulation",
-                          "repro.cluster.system"),
+        "disk-failures": ("repro.reliability.simulation",),
         "targets": ("repro.reliability.simulation",),
-        "migration": ("repro.reliability.simulation", "repro.core.farm"),
-        "smart": ("repro.cluster.system",),
+        "migration": ("repro.reliability.simulation",),
         "table3-sample": ("repro.experiments.table3",),
         # Failure-domain injectors (golden-pinned streams; the faults-
         # prefix rule would cover them, the exact entries make the

@@ -1,10 +1,9 @@
 """Per-module fact extraction for the whole-program analyzer.
 
-The RPR100-series rules (unit flow, stream ownership, engine parity,
-dead config) cannot be checked one file at a time: they relate a
-``SystemConfig`` field defined in ``config.py`` to attribute reads in two
-engines, or a stream literal in ``faults/`` to a consumer in
-``reliability/``.  This module is the *collect* half of the two-pass
+The RPR100-series rules (unit flow, stream ownership, dead config)
+cannot be checked one file at a time: they relate a ``SystemConfig``
+field defined in ``config.py`` to attribute reads elsewhere, or a stream
+literal in ``faults/`` to a consumer in ``reliability/``.  This module is the *collect* half of the two-pass
 design: one AST walk per file produces a :class:`ModuleFacts` record —
 plain JSON-serializable data — and the *check* half
 (:mod:`repro.analysis.project` and friends) runs over the aggregated

@@ -13,12 +13,13 @@ while they are, and how repair scheduling trades bandwidth against risk:
   forecast service (HTTP 422);
 * :mod:`repro.availability.metrics` — availability fractions, "nines",
   and degraded-read cost derived from the per-group unavailability
-  spans the engines account on :class:`~repro.core.recovery.RecoveryStats`
+  spans the engine accounts on
+  :class:`~repro.reliability.simulation.RecoveryStats`
   and the ``repro_group_unavailability_seconds`` span tracker.
 
 The policy knobs live on :class:`~repro.config.SystemConfig`
 (``recovery_threshold``, ``repair_bandwidth_fraction``); their defaults
-keep both engines bit-identical to the pre-policy golden pins —
+keep the DES bit-identical to the pre-policy golden pins —
 asserted by ``tests/test_availability.py``.  Semantics are documented
 in docs/AVAILABILITY.md.
 """

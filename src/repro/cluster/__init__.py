@@ -1,19 +1,13 @@
-"""Cluster substrate: system model, detection, replacement, workload."""
+"""Cluster substrate: failure-domain topology, detection, workload."""
 
 from .detection import (ConstantDetection, DetectionModel, HeartbeatDetection,
                         UniformDetection)
-from .monitoring import DetectionEvent, HeartbeatMonitor
-from .replacement import BatchReplacementPolicy, plan_migration
-from .system import StorageSystem
 from .topology import Topology, enforce_domain_constraint
 from .workload import ConstantWorkload, DiurnalWorkload
 
 __all__ = [
-    "StorageSystem",
     "Topology", "enforce_domain_constraint",
     "DetectionModel", "ConstantDetection", "UniformDetection",
     "HeartbeatDetection",
-    "BatchReplacementPolicy", "plan_migration",
     "DiurnalWorkload", "ConstantWorkload",
-    "HeartbeatMonitor", "DetectionEvent",
 ]

@@ -153,7 +153,7 @@ def enforce_domain_constraint(matrix: np.ndarray, topology: Topology,
                               placement: PlacementAlgorithm) -> np.ndarray:
     """Repair an initial placement matrix to honour the rack constraint.
 
-    ``matrix`` is the (G, n) group->disks table both engines build from
+    ``matrix`` is the (G, n) group->disks table the engines build from
     ``placement.place_many``.  Rows where some rack holds more than
     ``limit`` blocks are re-placed by walking the group's own candidate
     sequence (prefix-stable, no RNG consumed) and keeping the first n

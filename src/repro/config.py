@@ -153,7 +153,7 @@ class SystemConfig:
 
         The rate-limited repair lane (``repair_bandwidth_fraction``)
         takes precedence: it carves the lane out of the vintage's *full*
-        disk bandwidth, so every consumer — both engines' transfer
+        disk bandwidth, so every consumer — the engines' transfer
         times, ``disk_rebuild_seconds``, and the Luby feasibility rail —
         sees the cap through this single property.
         """

@@ -1,13 +1,9 @@
-"""Disk substrate: drive model, vintages, bathtub failure process, SMART."""
+"""Disk substrate: vintages and the bathtub failure process."""
 
-from .disk import Disk, DiskState
 from .failure import ELERATH_TABLE1, BathtubFailureModel, RatePeriod
-from .smart import SmartMonitor
 from .vintage import PAPER_VINTAGE, DiskVintage
 
 __all__ = [
-    "Disk", "DiskState",
     "BathtubFailureModel", "RatePeriod", "ELERATH_TABLE1",
     "DiskVintage", "PAPER_VINTAGE",
-    "SmartMonitor",
 ]

@@ -18,9 +18,12 @@ implicitly:
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..config import SystemConfig
 from ..disks.failure import BathtubFailureModel, RatePeriod
 from ..reliability.montecarlo import estimate_p_loss
+from ..reliability.simulation import PolicyConfig, ReliabilitySimulation
 from ..units import GB, HOUR
 from .base import ExperimentResult, Scale, current_scale
 from .report import render_proportion
@@ -58,6 +61,12 @@ def run_placement(scale: Scale | None = None,
     return result
 
 
+def buddy_violations(group_disks: np.ndarray) -> int:
+    """Live blocks sharing a disk with another block of their group."""
+    rows = np.sort(group_disks, axis=1)
+    return int(((rows[:, 1:] == rows[:, :-1]) & (rows[:, 1:] >= 0)).sum())
+
+
 def run_policy(scale: Scale | None = None,
                base_seed: int = 0) -> ExperimentResult:
     """Target-selection constraints on a small, nearly-full system.
@@ -67,8 +76,6 @@ def run_policy(scale: Scale | None = None,
     utilization and reports mechanism-level outcomes: do any groups end up
     with co-located blocks (buddy violations), and how do windows stretch?
     """
-    from ..core.policy import PolicyConfig
-    from ..core.runner import simulate_run
     from ..units import TB
 
     scale = scale or current_scale()
@@ -92,17 +99,14 @@ def run_policy(scale: Scale | None = None,
         violations = rebuilds = losses = 0
         window_total = completed = 0
         for i in range(n_runs):
-            run_out = simulate_run(cfg, seed=base_seed + i, policy=policy,
-                                   keep_system=True)
-            s = run_out.stats
+            engine = ReliabilitySimulation(cfg, seed=base_seed + i,
+                                           policy=policy)
+            s = engine.run()
             rebuilds += s.rebuilds_completed
             losses += s.groups_lost
             window_total += s.window_total
             completed += s.rebuilds_completed
-            for group in run_out.system.groups:
-                live = [d for r, d in enumerate(group.disks)
-                        if r not in group.failed]
-                violations += len(live) - len(set(live))
+            violations += buddy_violations(engine.group_disks)
         result.add(policy=label, buddy_violations=violations,
                    mean_window_s=window_total / completed if completed else 0,
                    rebuilds=rebuilds, losses=losses)
@@ -143,10 +147,9 @@ def run_mixed_scheme(scale: Scale | None = None,
     Loss for a composite scheme depends on *which* blocks die, so the
     informative comparison is exact: exhaustively enumerate k-failure
     patterns per scheme and report the survivable fraction, alongside the
-    storage efficiency and a single object-engine lifetime (the flat-array
-    engine is threshold-only) confirming the scheme runs end to end.
+    storage efficiency and a single DES lifetime confirming the scheme
+    runs end to end.
     """
-    from ..core.runner import simulate_run
     from ..redundancy import ECC_4_6, MIRROR_2, MIRROR_3
     from ..redundancy.composite import (MirroredParity,
                                         exhaustive_tolerance,
@@ -166,8 +169,9 @@ def run_mixed_scheme(scale: Scale | None = None,
     vintage = base.vintage.with_rate_multiplier(5.0)
     for scheme in (MIRROR_2, MIRROR_3, ECC_4_6, MirroredParity(4)):
         assert exhaustive_tolerance(scheme) == scheme.tolerance
-        stats = simulate_run(base.with_(scheme=scheme, vintage=vintage),
-                             seed=base_seed).stats
+        stats = ReliabilitySimulation(
+            base.with_(scheme=scheme, vintage=vintage),
+            seed=base_seed).run()
         result.add(scheme=str(scheme),
                    efficiency=scheme.storage_efficiency,
                    tolerance=scheme.tolerance,

@@ -6,7 +6,7 @@ of the fleet's story.  It sweeps the two availability-policy knobs of
 system and reports, per (``recovery_threshold``, lazy vs eager ×
 ``repair_bandwidth_fraction``) grid point:
 
-* *measured*, from Monte-Carlo lifetimes on the fast engine: P(loss),
+* *measured*, from Monte-Carlo lifetimes on the DES engine: P(loss),
   the unavailability fraction and its "nines", and the excess physical
   reads served while groups sat degraded
   (:func:`repro.performance.degraded.degraded_read_cost`);

@@ -9,7 +9,7 @@ corruption.
 
 This experiment sweeps the scrub interval and reports, per interval:
 
-* *measured*, from a seeded scenario on the object engine armed with
+* *measured*, from a seeded scenario on the DES engine armed with
   :class:`~repro.faults.latent.LatentSectorErrors` and a
   :class:`~repro.faults.scrub.Scrubber`: latent errors discovered, their
   mean undiscovered lifetime, and rebuild health (deferred/retried);
@@ -43,7 +43,7 @@ HORIZON = 64 * DAY
 
 
 def _measured_config() -> SystemConfig:
-    """A small object-engine system (20 disks, 400 groups); the analytic
+    """A small scenario system (20 disks, 400 groups); the analytic
     column uses the paper geometry, so system size only affects the
     *measured* columns and stays deliberately scenario-sized."""
     return SystemConfig(total_user_bytes=4 * TB, group_user_bytes=10 * GB)
@@ -113,7 +113,7 @@ def run(scale: Scale | None = None, base_seed: int = 0) -> ExperimentResult:
         "the scrub interval shrinks because the undiscovered lifetime "
         "(~interval/2) dominates the latent repair window.")
     result.notes.append(
-        f"measured columns: one seeded object-engine run per interval, "
+        f"measured columns: one seeded scenario run per interval, "
         f"latent rate 1/{2 * DAY / HOUR:g} h per disk, horizon "
         f"{HORIZON / DAY:g} d.")
     return result

@@ -8,18 +8,17 @@ utilization grows (surviving disks absorb the redistributed redundancy of
 failed ones), smaller redundancy groups keep the standard deviation lower,
 and failed disks carry no load.
 
-This experiment runs the object-level engine with the RUSH placement (the
-balance property under test is the placement's).
+This experiment runs the DES engine with the RUSH placement (the balance
+property under test is the placement's) and reads the finished engine's
+per-disk state.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..cluster.system import StorageSystem
 from ..config import SystemConfig
-from ..core.runner import build_manager
-from ..sim.engine import Simulator
+from ..reliability.simulation import ReliabilitySimulation
 from ..sim.rng import RandomStreams
 from ..units import GB, TB
 from .base import ExperimentResult, Scale, current_scale
@@ -52,28 +51,21 @@ def run(scale: Scale | None = None, base_seed: int = 0,
     )
     for size in sizes:
         cfg = _config_for(size, n_disks)
-        streams = RandomStreams(base_seed)
-        system = StorageSystem(cfg, streams)
-        sample = streams.get("table3-sample").choice(
+        engine = ReliabilitySimulation(cfg, seed=base_seed)
+        sample = RandomStreams(base_seed).get("table3-sample").choice(
             n_disks, size=SAMPLED_DISKS, replace=False)
         sample.sort()
 
-        initial = system.utilization_bytes()[:n_disks]
+        initial = _utilization_bytes(engine, n_disks)
         result.add(group_gb=size / GB, when="initial",
                    mean_gb=float(initial.mean()) / GB,
                    std_gb=float(initial.std()) / GB,
                    failed_disks=0,
                    sample_gb=_fmt_sample(initial[sample]))
 
-        sim = Simulator()
-        manager = build_manager(system, sim)
-        for disk_id, t in enumerate(system.failure_times):
-            if t <= cfg.duration:
-                sim.schedule_at(t, manager.on_disk_failure, disk_id)
-        sim.run(until=cfg.duration)
-
-        final = system.utilization_bytes()[:n_disks]
-        online = np.array([d.online for d in system.disks[:n_disks]])
+        engine.run()
+        final = _utilization_bytes(engine, n_disks)
+        online = np.array(engine.alive[:n_disks])
         result.add(group_gb=size / GB, when="after 6y",
                    mean_gb=float(final[online].mean()) / GB,
                    std_gb=float(final[online].std()) / GB,
@@ -84,6 +76,14 @@ def run(scale: Scale | None = None, base_seed: int = 0,
         "data; smaller groups give a lower standard deviation; failed "
         "sampled disks show zero load (Figure 6).")
     return result
+
+
+def _utilization_bytes(engine: ReliabilitySimulation,
+                       n_disks: int) -> np.ndarray:
+    """Used bytes of the first ``n_disks`` disks (0 for failed disks,
+    matching Figure 6)."""
+    used = np.array(engine.used_blocks[:n_disks], dtype=float)
+    return np.where(engine.alive[:n_disks], used * engine.block_bytes, 0.0)
 
 
 def _fmt_sample(values: np.ndarray) -> str:

@@ -6,7 +6,7 @@ optimal; under *correlated* domain failures it is the worst case — a
 mirror group whose two blocks share a rack dies the instant that rack
 does.  This experiment makes the trade-off measurable: a grid of rack
 counts x placement policies x rack-burst rates, each cell a set of
-seeded object-engine scenarios armed with
+seeded scenarios armed with
 :class:`~repro.faults.domains.DomainBurst` at rack level.
 
 Policies compared at equal redundancy (mirroring):
@@ -25,8 +25,6 @@ constrained policy at the same rate.
 """
 
 from __future__ import annotations
-
-import pathlib
 
 from ..config import SystemConfig
 from ..faults.domains import DomainBurst
@@ -54,7 +52,7 @@ POLICIES: tuple[tuple[str, dict], ...] = (
 
 
 def _cell_config(racks: int, overrides: dict) -> SystemConfig:
-    """A small object-engine system (32 disks, 400 mirror groups).
+    """A small scenario system (32 disks, 400 mirror groups).
 
     Utilization is kept low (25%) and the replacement threshold
     aggressive (10%) so that after a burst kills a whole rack, the
@@ -125,7 +123,4 @@ def run(scale: Scale | None = None, base_seed: int = 0) -> ExperimentResult:
         "no compliant target (deferred_cap); a replacement batch rearms "
         "them, so groups return to rack-disjoint layout before the next "
         "burst.")
-    out_dir = pathlib.Path("results")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "topology-sweep.txt").write_text(result.render() + "\n")
     return result

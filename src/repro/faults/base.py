@@ -6,8 +6,8 @@ read), *transient outages* (a disk vanishes and returns with its data),
 *correlated bursts* (a shelf or batch dying together) and *stragglers*
 (healthy disks with degraded bandwidth).  Each of those is a small,
 composable :class:`FaultInjector`; a scenario arms any subset against one
-simulated system and the recovery engines degrade gracefully (see
-:mod:`repro.core.recovery`).
+simulated system and the engine degrades gracefully through its fault
+hooks (see :class:`~repro.reliability.simulation.ReliabilitySimulation`).
 
 All stochastic choices draw from dedicated named streams
 (``faults-latent``, ``faults-outages``, ...) so adding an injector never
@@ -20,9 +20,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-if TYPE_CHECKING:       # import cycle: core.recovery imports nothing from
-    from ..cluster.system import StorageSystem        # here, but managers
-    from ..core.recovery import RecoveryManager       # appear in the ctx.
+# Type-only imports: repro.reliability imports Scenario, which imports
+# this module.
+if TYPE_CHECKING:
+    from ..reliability.simulation import ReliabilitySimulation
     from ..sim.engine import Simulator
     from ..sim.rng import RandomStreams
     from ..telemetry.handle import Telemetry
@@ -52,26 +53,36 @@ class FaultStats:
 class FaultContext:
     """Everything an injector needs to act on one simulated system."""
 
-    system: "StorageSystem"
-    sim: "Simulator"
-    manager: "RecoveryManager"
-    streams: "RandomStreams"
+    engine: "ReliabilitySimulation"
     horizon: float
     stats: FaultStats = field(default_factory=FaultStats)
-    #: nullable observability handle (usually ``manager.telemetry``);
-    #: injectors report through it when present.
+    #: nullable observability handle; injectors report through it when
+    #: present.
     telemetry: "Telemetry | None" = None
+
+    @property
+    def sim(self) -> "Simulator":
+        """The engine's event loop (read at call time: it may be swapped
+        after construction, as :class:`Scenario` does for tracing)."""
+        return self.engine.sim
+
+    @property
+    def streams(self) -> "RandomStreams":
+        return self.engine.streams
+
+    def is_dead(self, disk: int) -> bool:
+        """Permanently failed (unreachable, and not in an outage)."""
+        return not self.engine.alive[disk] and disk not in self.engine.offline
 
 
 class FaultInjector(ABC):
     """One composable fault process.
 
     Subclasses implement :meth:`arm`, which installs the injector's events
-    and timers on ``ctx.sim``.  Injectors report through
-    ``ctx.stats`` (their own bookkeeping) and act through
-    ``ctx.manager`` / ``ctx.system`` so the recovery engine sees every
-    fault through its normal callbacks — never by mutating group state
-    behind its back.
+    and timers on ``ctx.sim``.  Injectors report through ``ctx.stats``
+    (their own bookkeeping) and act through ``ctx.engine``'s fault hooks,
+    so the engine sees every fault through its normal callbacks — never
+    by mutating group state behind its back.
     """
 
     #: short identifier used in trace-event names and reports.

@@ -5,8 +5,9 @@ A stochastic generalization of the scripted batch-failure scenarios in
 each one picks a shelf (a run of ``shelf_size`` consecutive disk ids —
 disks sharing power, cooling and a vibration domain) and kills every
 still-alive disk in it within a short spread.  Failures are delivered via
-the recovery manager's ordinary
-:meth:`~repro.core.recovery.RecoveryManager.on_disk_failure` callback.
+the engine's ordinary
+:meth:`~repro.reliability.simulation.ReliabilitySimulation.on_disk_failure`
+callback.
 """
 
 from __future__ import annotations
@@ -58,20 +59,21 @@ class CorrelatedFailures(FaultInjector):
                             name="shelf-burst")
 
     def _burst(self, ctx: FaultContext, rng: np.random.Generator) -> None:
-        n_shelves = max(ctx.system.initial_population // self.shelf_size, 1)
+        engine = ctx.engine
+        n_shelves = max(engine.N0 // self.shelf_size, 1)
         shelf = int(rng.integers(n_shelves))
         ctx.stats.bursts += 1
         # Shelf membership wraps modulo the shelf count, so replacement
         # disks (ids past the initial population) land in a real shelf —
         # the slot their predecessor vacated shares its power/cooling —
         # instead of being structurally burst-immune.
-        for disk in ctx.system.disks:
-            if (disk.disk_id // self.shelf_size) % n_shelves != shelf:
+        for disk in range(engine.total_disks):
+            if (disk // self.shelf_size) % n_shelves != shelf:
                 continue
-            if disk.dead:
+            if ctx.is_dead(disk):
                 continue
             delay = float(rng.random()) * self.spread_s
-            ctx.sim.schedule(delay, ctx.manager.on_disk_failure,
-                             disk.disk_id, name="burst-failure")
+            ctx.sim.schedule(delay, engine.on_disk_failure, disk,
+                             name="burst-failure")
             ctx.stats.burst_failures += 1
         self._arm_next(ctx, rng)

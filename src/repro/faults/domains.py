@@ -5,7 +5,7 @@ run of consecutive disk ids.  These injectors act on the *topology*
 (:class:`~repro.cluster.topology.Topology`): a whole rack losing power, a
 machine rebooting and taking all its disks offline together, a machine
 with a saturated uplink throttling every disk behind it.  Domain
-membership comes from ``ctx.system.topology``, so replacement disks that
+membership comes from ``ctx.engine.topology``, so replacement disks that
 inherited a failed slot's bay are hit alongside their domain — no disk is
 structurally immune.
 
@@ -22,7 +22,7 @@ from .base import FaultContext, FaultInjector
 
 
 def _domain_of(ctx: FaultContext, level: str, domain: int) -> list[int]:
-    return ctx.system.topology.domain_disks(level, domain)
+    return ctx.engine.topology.domain_disks(level, domain)
 
 
 class DomainBurst(FaultInjector):
@@ -67,14 +67,14 @@ class DomainBurst(FaultInjector):
                             name="domain-burst")
 
     def _burst(self, ctx: FaultContext, rng: np.random.Generator) -> None:
-        topo = ctx.system.topology
+        topo = ctx.engine.topology
         domain = int(rng.integers(topo.n_domains(self.level)))
         ctx.stats.domain_bursts += 1
         for disk_id in _domain_of(ctx, self.level, domain):
-            if ctx.system.disks[disk_id].dead:
+            if ctx.is_dead(disk_id):
                 continue
             delay = float(rng.random()) * self.spread_s
-            ctx.sim.schedule(delay, ctx.manager.on_disk_failure, disk_id,
+            ctx.sim.schedule(delay, ctx.engine.on_disk_failure, disk_id,
                              name="domain-burst-failure")
             ctx.stats.domain_burst_failures += 1
         self._arm_next(ctx, rng)
@@ -84,7 +84,7 @@ class DomainOutages(FaultInjector):
     """Whole-domain transient outages: a machine reboots, its disks
     vanish together and return together with their data.
 
-    Both edges go through the recovery manager's ordinary
+    Both edges go through the engine's ordinary
     ``on_disk_offline`` / ``on_disk_online`` callbacks, so rebuilds whose
     sources went dark land in the deferred-rebuild queue and drain when
     the domain returns.
@@ -113,7 +113,7 @@ class DomainOutages(FaultInjector):
 
     def arm(self, ctx: FaultContext) -> None:
         rng = ctx.streams.get("faults-domain-outages")
-        for domain in range(ctx.system.topology.n_domains(self.level)):
+        for domain in range(ctx.engine.topology.n_domains(self.level)):
             self._arm_domain(ctx, rng, domain, after=0.0)
 
     # ------------------------------------------------------------------ #
@@ -130,12 +130,11 @@ class DomainOutages(FaultInjector):
                domain: int) -> None:
         duration = float(rng.exponential(self.mean_duration_s))
         affected = [d for d in _domain_of(ctx, self.level, domain)
-                    if not ctx.system.disks[d].dead
-                    and ctx.system.disks[d].online]
+                    if ctx.engine.alive[d]]
         if affected:
             ctx.stats.domain_outages_started += 1
             for disk_id in affected:
-                ctx.manager.on_disk_offline(disk_id)
+                ctx.engine.on_disk_offline(disk_id)
             ctx.sim.schedule(duration, self._end, ctx, affected,
                              name="domain-outage-end")
         # The next outage cannot begin before this one would have ended.
@@ -144,7 +143,7 @@ class DomainOutages(FaultInjector):
     def _end(self, ctx: FaultContext, affected: list[int]) -> None:
         ctx.stats.domain_outages_ended += 1
         for disk_id in affected:
-            ctx.manager.on_disk_online(disk_id)     # stale-guarded if dead
+            ctx.engine.on_disk_online(disk_id)      # stale-guarded if dead
 
 
 class DomainStragglers(FaultInjector):
@@ -184,7 +183,7 @@ class DomainStragglers(FaultInjector):
 
     def arm(self, ctx: FaultContext) -> None:
         rng = ctx.streams.get("faults-domain-stragglers")
-        n = ctx.system.topology.n_domains(self.level)
+        n = ctx.engine.topology.n_domains(self.level)
         count = int(round(self.fraction * n))
         if count <= 0:
             return
@@ -193,7 +192,7 @@ class DomainStragglers(FaultInjector):
         factors = rng.uniform(lo, hi, size=count)
         for domain, factor in zip(chosen, factors):
             for disk_id in _domain_of(ctx, self.level, int(domain)):
-                disk = ctx.system.disks[disk_id]
-                disk.bandwidth_factor = min(disk.bandwidth_factor,
-                                            float(factor))
+                current = ctx.engine.bandwidth_factor.get(disk_id, 1.0)
+                ctx.engine.set_bandwidth_factor(disk_id,
+                                                min(current, float(factor)))
             ctx.stats.domain_stragglers += 1

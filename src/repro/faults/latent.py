@@ -2,7 +2,8 @@
 
 Each disk accrues latent errors as an independent Poisson process.  An
 injection silently corrupts one uniformly-chosen live block on the disk
-(:meth:`~repro.cluster.system.StorageSystem.inject_latent_error`); nothing
+(:meth:`~repro.reliability.simulation.ReliabilitySimulation.corrupt_block`);
+nothing
 in the system notices until a :class:`~repro.faults.scrub.Scrubber` pass
 or a rebuild read of that block discovers it — at which point the block is
 failed and rebuilt like any other loss, or, if the group had no redundancy
@@ -34,8 +35,8 @@ class LatentSectorErrors(FaultInjector):
 
     def arm(self, ctx: FaultContext) -> None:
         rng = ctx.streams.get("faults-latent")
-        for disk in ctx.system.disks:
-            self._arm_disk(ctx, rng, disk.disk_id)
+        for disk in range(ctx.engine.total_disks):
+            self._arm_disk(ctx, rng, disk)
 
     # ------------------------------------------------------------------ #
     def _arm_disk(self, ctx: FaultContext, rng: np.random.Generator,
@@ -48,11 +49,10 @@ class LatentSectorErrors(FaultInjector):
 
     def _inject(self, ctx: FaultContext, rng: np.random.Generator,
                 disk_id: int) -> None:
-        disk = ctx.system.disks[disk_id]
-        if disk.dead:
+        if ctx.is_dead(disk_id):
             return      # a dead disk accrues no further errors
-        if disk.online:     # an offline disk is unwritable *and* unreadable
-            hit = ctx.system.inject_latent_error(disk_id, rng, ctx.sim.now)
-            if hit is not None:
-                ctx.stats.latent_injected += 1
+        # An offline disk is unwritable *and* unreadable: corrupt_block
+        # leaves it alone.
+        if ctx.engine.corrupt_block(disk_id, rng) is not None:
+            ctx.stats.latent_injected += 1
         self._arm_disk(ctx, rng, disk_id)

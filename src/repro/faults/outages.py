@@ -2,17 +2,16 @@
 
 Distinct from permanent death: an outage makes a disk unreachable (its
 blocks can be neither read as rebuild sources nor written as targets) but
-the data survives and returns when the outage ends.  The recovery manager
-treats both edges as redirection events, never as losses
-(:meth:`~repro.core.recovery.RecoveryManager.on_disk_offline` /
-:meth:`~repro.core.recovery.RecoveryManager.on_disk_online`).
+the data survives and returns when the outage ends.  The engine treats
+both edges as redirection events, never as losses
+(:meth:`~repro.reliability.simulation.ReliabilitySimulation.on_disk_offline`
+/ :meth:`~repro.reliability.simulation.ReliabilitySimulation.on_disk_online`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..disks.disk import DiskState
 from .base import FaultContext, FaultInjector
 
 
@@ -38,8 +37,8 @@ class TransientOutages(FaultInjector):
 
     def arm(self, ctx: FaultContext) -> None:
         rng = ctx.streams.get("faults-outages")
-        for disk in ctx.system.disks:
-            self._arm_disk(ctx, rng, disk.disk_id, after=0.0)
+        for disk in range(ctx.engine.total_disks):
+            self._arm_disk(ctx, rng, disk, after=0.0)
 
     # ------------------------------------------------------------------ #
     def _arm_disk(self, ctx: FaultContext, rng: np.random.Generator,
@@ -53,19 +52,18 @@ class TransientOutages(FaultInjector):
 
     def _begin(self, ctx: FaultContext, rng: np.random.Generator,
                disk_id: int) -> None:
-        disk = ctx.system.disks[disk_id]
-        if disk.dead:
+        if ctx.is_dead(disk_id):
             return
         duration = float(rng.exponential(self.mean_duration_s))
-        if disk.online:
+        if ctx.engine.alive[disk_id]:
             ctx.stats.outages_started += 1
-            ctx.manager.on_disk_offline(disk_id)
+            ctx.engine.on_disk_offline(disk_id)
             ctx.sim.schedule(duration, self._end, ctx, disk_id,
                              name="outage-end")
         # The next outage cannot begin before this one would have ended.
         self._arm_disk(ctx, rng, disk_id, after=duration)
 
     def _end(self, ctx: FaultContext, disk_id: int) -> None:
-        if ctx.system.disks[disk_id].state is DiskState.OFFLINE:
+        if disk_id in ctx.engine.offline:
             ctx.stats.outages_ended += 1
-        ctx.manager.on_disk_online(disk_id)     # stale-guarded if it died
+        ctx.engine.on_disk_online(disk_id)      # stale-guarded if it died

@@ -3,7 +3,8 @@
 A scrubber reads every disk once per ``interval_s``, spreading the work
 round-robin so one disk is verified every ``interval_s / population``
 seconds.  Scrubbing an online disk surfaces all of its latent errors via
-:meth:`~repro.core.recovery.RecoveryManager.discover_latent`, which fails
+:meth:`~repro.reliability.simulation.ReliabilitySimulation.discover_latent`,
+which fails
 the corrupt blocks and enqueues ordinary rebuilds.  Shrinking the interval
 therefore shrinks the mean undiscovered lifetime of a latent error (about
 ``interval_s / 2``) and with it the window in which a second fault can
@@ -38,7 +39,8 @@ class Scrubber(FaultInjector):
         cursor = [0]    # round-robin position, private to this arming
 
         def period() -> float:
-            alive = sum(1 for d in ctx.system.disks if not d.dead)
+            alive = sum(1 for d in range(ctx.engine.total_disks)
+                        if not ctx.is_dead(d))
             return self.interval_s / max(alive, 1)
 
         ctx.sim.every(period, self._tick, ctx, cursor, until=ctx.horizon,
@@ -46,12 +48,12 @@ class Scrubber(FaultInjector):
 
     # ------------------------------------------------------------------ #
     def _tick(self, ctx: FaultContext, cursor: list[int]) -> None:
-        disks = ctx.system.disks
-        n = len(disks)
+        engine = ctx.engine
+        n = engine.total_disks
         for _ in range(n):      # next surviving disk in id order
-            disk = disks[cursor[0] % n]
+            disk = cursor[0] % n
             cursor[0] += 1
-            if not disk.dead:
+            if not ctx.is_dead(disk):
                 break
         else:
             return      # everything is dead; nothing to verify
@@ -59,10 +61,10 @@ class Scrubber(FaultInjector):
         tele = ctx.telemetry
         if tele is not None:
             tele.scrubs.inc()
-        if not disk.online:
+        if not engine.alive[disk]:
             return      # offline: unreadable now; its turn comes again
-        for grp_id, rep_id in sorted(disk.latent_blocks):
-            if ctx.manager.discover_latent(disk.disk_id, grp_id, rep_id):
+        for grp_id, rep_id in sorted(engine.latent.get(disk, ())):
+            if engine.discover_latent(disk, grp_id, rep_id):
                 ctx.stats.scrub_discoveries += 1
                 if tele is not None:
                     tele.scrub_discoveries.inc()

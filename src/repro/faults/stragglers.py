@@ -1,10 +1,10 @@
 """Stragglers: healthy disks with persistently degraded bandwidth.
 
-A sampled fraction of the population gets a ``bandwidth_factor`` below
-1.0; every rebuild that reads from or writes to a straggler is bounded by
-the slowest participant
-(:meth:`~repro.core.recovery.RecoveryManager._bandwidth_factor`), which
-stretches its window of vulnerability without changing any failure.
+A sampled fraction of the population gets a bandwidth factor below 1.0
+(the engine's ``set_bandwidth_factor`` hook); every rebuild that reads
+from or writes to a straggler runs at the rate of its slowest
+participant, which stretches its window of vulnerability without
+changing any failure.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class Stragglers(FaultInjector):
 
     def arm(self, ctx: FaultContext) -> None:
         rng = ctx.streams.get("faults-stragglers")
-        n = len(ctx.system.disks)
+        n = ctx.engine.total_disks
         count = int(round(self.fraction * n))
         if count <= 0:
             return
@@ -46,5 +46,5 @@ class Stragglers(FaultInjector):
         lo, hi = self.factor_range
         factors = rng.uniform(lo, hi, size=count)
         for disk_id, factor in zip(chosen, factors):
-            ctx.system.disks[int(disk_id)].bandwidth_factor = float(factor)
+            ctx.engine.set_bandwidth_factor(int(disk_id), float(factor))
             ctx.stats.stragglers += 1

@@ -1,7 +1,6 @@
-"""Redundancy substrate: schemes, groups, and real erasure codecs."""
+"""Redundancy substrate: schemes and real erasure codecs."""
 
 from .composite import MirroredParity, is_threshold_scheme
-from .group import BlockId, GroupState, RedundancyGroup
 from .reedsolomon import DecodeError, ReedSolomon
 from .schemes import (ECC_4_6, ECC_8_10, MIRROR_2, MIRROR_3, PAPER_SCHEMES,
                       RAID5_2_3, RAID5_4_5, RedundancyScheme, SchemeKind)
@@ -11,6 +10,5 @@ __all__ = [
     "RedundancyScheme", "SchemeKind", "PAPER_SCHEMES",
     "MIRROR_2", "MIRROR_3", "RAID5_2_3", "RAID5_4_5", "ECC_4_6", "ECC_8_10",
     "ReedSolomon", "DecodeError", "XorParity",
-    "RedundancyGroup", "BlockId", "GroupState",
     "MirroredParity", "is_threshold_scheme",
 ]

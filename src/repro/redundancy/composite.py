@@ -16,9 +16,10 @@ set-based survival predicate — plus the paper's mixed scheme:
     (any three block losses kill at most one position), and many 4-loss
     patterns survive too — at a storage efficiency of ``m / (2(m+1))``.
 
-Composite schemes run on the object engine (whose redundancy groups track
-the exact failed set); the flat-array Monte-Carlo engine is threshold-only
-and rejects them explicitly.
+The DES engine runs composite schemes: once a group's failure count passes
+the guaranteed tolerance it asks :meth:`MirroredParity.is_lost` about the
+exact failed set.  The bulk, analytic and Markov estimators are
+threshold-only and exclude them.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def survival_fraction(scheme: SchemeLike, k: int) -> float:
 def is_threshold_scheme(scheme: SchemeLike) -> bool:
     """Whether loss depends only on the number of failed blocks.
 
-    Threshold schemes (all plain m/n codes) work on both engines; schemes
-    with a custom set-based ``is_lost`` need the object engine.
+    Threshold schemes (all plain m/n codes) work on every estimator;
+    schemes with a custom set-based ``is_lost`` run on the DES only.
     """
     return not hasattr(scheme, "is_lost")

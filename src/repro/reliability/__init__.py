@@ -1,4 +1,4 @@
-"""Reliability analysis: fast Monte-Carlo engine, analytic cross-checks."""
+"""Reliability analysis: the DES engine, sweeps, analytic cross-checks."""
 
 from .analytic import (WindowModel, expected_disk_failures, mean_window,
                        p_loss, p_loss_window_model)
@@ -10,17 +10,18 @@ from .rare import (SplittingResult, TiltedFailureDraw, estimate_p_loss_is,
 from .runner import (PointOutcome, PointSpec, RunningMoments,
                      StatsAggregate, SweepRunner, default_bench_path,
                      seed_schedule, shutdown_pool)
-from .scenarios import Injection, Scenario, ScenarioOutcome
+from .scenarios import (Injection, Scenario, ScenarioOutcome,
+                        ScriptedFailures)
 from .sensitivity import (SensitivityRow, elasticity, render_tornado,
                           tornado)
-from .simulation import ReliabilitySimulation
+from .simulation import PolicyConfig, RecoveryStats, ReliabilitySimulation
 from .stats import (ExactSum, Proportion, WeightedAggregate,
                     bootstrap_mean, empty_proportion,
                     weighted_clt_interval, weighted_wilson_interval,
                     wilson_interval)
 
 __all__ = [
-    "ReliabilitySimulation",
+    "ReliabilitySimulation", "RecoveryStats", "PolicyConfig",
     "MonteCarloResult", "estimate_p_loss", "sweep",
     "loss_probability_series", "run_seed",
     "SweepRunner", "PointSpec", "PointOutcome", "StatsAggregate",
@@ -34,6 +35,6 @@ __all__ = [
     "p_loss", "p_loss_window_model", "WindowModel",
     "mean_window", "expected_disk_failures",
     "p_group_loss", "p_system_loss", "mttdl", "group_generator",
-    "Scenario", "ScenarioOutcome", "Injection",
+    "Scenario", "ScenarioOutcome", "Injection", "ScriptedFailures",
     "elasticity", "tornado", "render_tornado", "SensitivityRow",
 ]

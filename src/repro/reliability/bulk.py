@@ -62,8 +62,8 @@ import numpy as np
 
 from ..cluster.topology import Topology
 from ..config import SystemConfig
-from ..core.recovery import RecoveryStats
 from ..sim.rng import RandomStreams
+from .simulation import RecoveryStats
 
 #: Rejection-sampling ceiling for the distinct-membership redraw.  The
 #: per-row collision probability is <= n^2 / (2 N) (and the cramped-pool

@@ -10,7 +10,7 @@ one persistent process pool across *all* of its points and aggregates
 per-run statistics streamingly, so parallel (``n_jobs``) and serial runs
 produce bit-identical results and memory stays flat however many runs a
 point has.  Pass ``keep_run_stats=True`` to also retain the raw per-run
-:class:`~repro.core.recovery.RecoveryStats` objects.
+:class:`~repro.reliability.simulation.RecoveryStats` objects.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..config import SystemConfig
-from ..core.recovery import RecoveryStats
 from ..telemetry.handle import TelemetryConfig
 from .runner import (PointOutcome, PointSpec, StatsAggregate, SweepRunner,
                      default_bench_path)
-from .simulation import ReliabilitySimulation
+from .simulation import RecoveryStats, ReliabilitySimulation
 from .stats import (Proportion, empty_proportion, weighted_clt_interval,
                     wilson_interval)
 
@@ -104,7 +103,7 @@ class MonteCarloResult:
 
 
 def run_seed(config: SystemConfig, seed: int) -> RecoveryStats:
-    """One lifetime on the fast engine (module-level for pickling)."""
+    """One DES lifetime (module-level for pickling)."""
     return ReliabilitySimulation(config, seed=seed).run()
 
 

@@ -39,6 +39,7 @@ import math
 import os
 import threading
 import time
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -46,12 +47,11 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 from ..config import SystemConfig
-from ..core.recovery import RecoveryStats
 from ..sim.rng import stable_hash64
 from ..telemetry.export import append_jsonl, default_telemetry_path
 from ..telemetry.handle import Telemetry, TelemetryConfig
 from ..telemetry.metrics import empty_snapshot, merge_into
-from .simulation import ReliabilitySimulation
+from .simulation import RecoveryStats, ReliabilitySimulation
 from .stats import WeightedAggregate
 
 #: Injectable host-performance clocks (never simulated time; RPR004 keeps
@@ -73,7 +73,8 @@ BENCH_SCHEMA = "repro.bench-sweep.v1"
 #: last.  A legacy bare-v1 file is absorbed as the first history entry.
 BENCH_LOG_SCHEMA = "repro.bench-sweep-log.v1"
 
-#: How many records the on-disk history retains (oldest dropped first).
+#: How many records the on-disk history retains (past it, the oldest
+#: record of the largest ``sweep`` series is dropped).
 BENCH_HISTORY_LIMIT = 200
 
 #: Cap on queued-but-unsubmitted task batching: every task is submitted
@@ -186,11 +187,21 @@ def latest_bench_record(path: str | Path,
 
 def append_bench_record(path: str | Path, record: dict,
                         limit: int = BENCH_HISTORY_LIMIT) -> None:
-    """Append ``record`` to the bounded on-disk perf history."""
+    """Append ``record`` to the bounded on-disk perf history.
+
+    Past ``limit`` records the oldest record of the ``sweep`` series
+    holding the most records is dropped, so a flood of one series never
+    evicts the few records of another (the regression guard compares
+    each series only with itself).
+    """
     path = Path(path)
     records = read_bench_records(path)
     records.append(record)
-    del records[:-limit]
+    while len(records) > limit:
+        counts = Counter(r.get("sweep") for r in records)
+        largest = max(counts, key=counts.__getitem__)
+        del records[next(i for i, r in enumerate(records)
+                         if r.get("sweep") == largest)]
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
         json.dumps({"schema": BENCH_LOG_SCHEMA, "records": records},

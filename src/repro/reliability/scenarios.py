@@ -6,9 +6,10 @@ operator *script* them — "disk 17 dies at t=100 s, its recovery target dies
 how FARM (or the traditional baseline) responds: windows, redirections,
 which groups were lost and when.
 
-Scenarios run on the object engine so the full timeline is inspectable, and
-random background failures are disabled (every failure is injected), which
-makes the outcome exactly reproducible.
+Scenarios run on the flat engine with stochastic failures turned off —
+every failure is injected, even for spares provisioned mid-run — which
+makes the outcome exactly reproducible.  The finished engine is the
+outcome's read-only state view.
 
 Beyond whole-disk deaths a scenario can script *transient outages*
 (:meth:`Scenario.outage`) and *latent sector errors*
@@ -22,15 +23,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cluster.system import StorageSystem
+import numpy as np
+
 from ..config import SystemConfig
-from ..core.policy import PolicyConfig
-from ..core.runner import build_manager
 from ..faults.base import FaultContext, FaultInjector, FaultStats, arm_all
 from ..sim.engine import Simulator
-from ..sim.rng import RandomStreams
 from ..sim.trace import TraceRecorder
 from ..telemetry.handle import Telemetry
+from .simulation import PolicyConfig, RecoveryStats, ReliabilitySimulation
+
+
+class ScriptedFailures:
+    """Failure draw of a scripted run: no drive ever fails on its own.
+
+    Installed through the engine's ``failure_draw`` hook, it returns an
+    infinite age for every drive, spares and batch drives included, and
+    consumes no uniforms.
+    """
+
+    log_weight = 0.0
+
+    def sample(self, rng: np.random.Generator, size: int,
+               current_age: np.ndarray | float = 0.0,
+               horizon_age: float = float("inf")) -> np.ndarray:
+        return np.full(size, np.inf)
 
 
 @dataclass(frozen=True)
@@ -47,8 +63,9 @@ class ScenarioOutcome:
 
     config: SystemConfig
     injections: list[Injection]
-    stats: object                       # RecoveryStats
-    system: StorageSystem
+    stats: RecoveryStats
+    #: the finished engine: its read-only state view.
+    system: ReliabilitySimulation
     trace: TraceRecorder
     lost_groups: list[int]
     fault_stats: FaultStats = field(default_factory=FaultStats)
@@ -123,15 +140,24 @@ class Scenario:
         self._injectors: list[FaultInjector] = []
 
     # -- scripting ------------------------------------------------------- #
+    def _check_disk(self, disk: int) -> int:
+        if not 0 <= disk < self.config.n_disks:
+            raise ValueError(f"no such disk {disk}: the system has disks "
+                             f"0..{self.config.n_disks - 1}")
+        return disk
+
     def fail(self, disk: int, at: float) -> "Scenario":
         """Schedule disk ``disk`` to fail at time ``at`` (seconds)."""
         if at < 0:
             raise ValueError("injection time must be non-negative")
-        self._injections.append(Injection(time=float(at), disk_id=disk))
+        self._injections.append(Injection(time=float(at),
+                                          disk_id=self._check_disk(disk)))
         return self
 
     def fail_batch(self, disks: list[int], at: float) -> "Scenario":
         """A correlated failure (shelf / rack / cooling-zone loss)."""
+        for d in disks:
+            self._check_disk(d)
         for d in disks:
             self.fail(d, at)
         return self
@@ -148,7 +174,8 @@ class Scenario:
             raise ValueError("count must be >= 1")
         if at < 0:
             raise ValueError("injection time must be non-negative")
-        self._partner_injections.append((float(at), disk, count))
+        self._partner_injections.append((float(at), self._check_disk(disk),
+                                         count))
         return self
 
     def outage(self, disk: int, at: float, duration: float) -> "Scenario":
@@ -156,7 +183,8 @@ class Scenario:
         ``duration`` seconds — a transient outage, not a failure."""
         if at < 0 or duration <= 0:
             raise ValueError("outage needs at >= 0 and duration > 0")
-        self._outages.append((float(at), disk, float(duration)))
+        self._outages.append((float(at), self._check_disk(disk),
+                              float(duration)))
         return self
 
     def latent(self, disk: int, at: float) -> "Scenario":
@@ -164,7 +192,7 @@ class Scenario:
         notices until a scrub or rebuild read discovers it."""
         if at < 0:
             raise ValueError("injection time must be non-negative")
-        self._latents.append((float(at), disk))
+        self._latents.append((float(at), self._check_disk(disk)))
         return self
 
     def inject_faults(self, *injectors: FaultInjector) -> "Scenario":
@@ -175,30 +203,22 @@ class Scenario:
     # -- execution -------------------------------------------------------- #
     def run(self, horizon: float | None = None) -> ScenarioOutcome:
         """Build the system, inject the script, simulate to the horizon."""
-        # Scenario runs are fully scripted: no stochastic failures, not
-        # even for spares provisioned mid-run.
-        streams = RandomStreams(self.seed)
-        system = StorageSystem(self.config, streams,
-                               deterministic_failures=True)
-
-        trace = TraceRecorder()
-        sim = Simulator(trace=trace)
-        manager = build_manager(system, sim, policy=self.policy,
-                                telemetry=self.telemetry)
         end = horizon if horizon is not None else self.config.duration
-        if self.telemetry is not None:
-            self.telemetry.attach_probes(sim, manager.telemetry_sample,
-                                         until=end)
-        ctx = FaultContext(system=system, sim=sim, manager=manager,
-                           streams=streams, horizon=end,
+        engine = ReliabilitySimulation(
+            self.config.with_(duration=end), seed=self.seed,
+            telemetry=self.telemetry, failure_draw=ScriptedFailures(),
+            policy=self.policy)
+        trace = TraceRecorder()
+        sim = engine.sim = Simulator(trace=trace)
+        ctx = FaultContext(engine=engine, horizon=end,
                            telemetry=self.telemetry)
         arm_all(self._injectors, ctx)
 
         resolved: list[Injection] = list(self._injections)
         for at, disk, count in self._partner_injections:
             partners: list[int] = []
-            for group in system.groups_on_disk(disk):
-                for d in group.disks:
+            for g, _ in engine.blocks_on(disk):
+                for d in engine.group_disks[g].tolist():
                     if d != disk and d not in partners:
                         partners.append(d)
                 if len(partners) >= count:
@@ -208,39 +228,30 @@ class Scenario:
         resolved.sort(key=lambda i: i.time)
 
         for inj in resolved:
-            if inj.disk_id >= len(system.disks):
-                raise ValueError(f"no such disk {inj.disk_id}")
-            sim.schedule_at(inj.time, manager.on_disk_failure, inj.disk_id,
+            sim.schedule_at(inj.time, engine.on_disk_failure, inj.disk_id,
                             name="injected-failure")
         for at, disk, duration in self._outages:
-            if disk >= len(system.disks):
-                raise ValueError(f"no such disk {disk}")
-            sim.schedule_at(at, manager.on_disk_offline, disk,
+            sim.schedule_at(at, engine.on_disk_offline, disk,
                             name="injected-outage")
-            sim.schedule_at(at + duration, manager.on_disk_online, disk,
+            sim.schedule_at(at + duration, engine.on_disk_online, disk,
                             name="injected-restore")
-        latent_rng = streams.get("faults-latent") if self._latents else None
+        latent_rng = (engine.streams.get("faults-latent")
+                      if self._latents else None)
         for at, disk in sorted(self._latents):
-            if disk >= len(system.disks):
-                raise ValueError(f"no such disk {disk}")
             sim.schedule_at(at, self._inject_latent, ctx, latent_rng, disk,
                             name="injected-latent")
-        sim.run(until=end)
-        manager.finalize(end)
-
-        lost = [g.grp_id for g in system.groups if g.lost]
+        stats = engine.run()
+        lost = np.flatnonzero(engine.lost).tolist()
         return ScenarioOutcome(config=self.config, injections=resolved,
-                               stats=manager.stats, system=system,
-                               trace=trace, lost_groups=lost,
-                               fault_stats=ctx.stats,
-                               deferred_outstanding=(
-                                   manager.deferred_outstanding),
-                               held_outstanding=manager.held_outstanding)
+                               stats=stats, system=engine, trace=trace,
+                               lost_groups=lost, fault_stats=ctx.stats,
+                               deferred_outstanding=len(engine._deferred),
+                               held_outstanding=sum(
+                                   map(len, engine._held.values())))
 
     @staticmethod
-    def _inject_latent(ctx: FaultContext, rng, disk: int) -> None:
-        disk_obj = ctx.system.disks[disk]
-        if disk_obj.dead or not disk_obj.online:
-            return      # can't corrupt what can't be written
-        if ctx.system.inject_latent_error(disk, rng, ctx.sim.now):
+    def _inject_latent(ctx: FaultContext, rng: np.random.Generator,
+                       disk: int) -> None:
+        # An unreachable disk can be neither written nor corrupted.
+        if ctx.engine.corrupt_block(disk, rng) is not None:
             ctx.stats.latent_injected += 1

@@ -1,13 +1,10 @@
-"""Flat-array reliability simulation (the Monte-Carlo workhorse).
+"""Flat-array reliability simulation: the repository's one DES engine.
 
-Semantically this engine matches the object-level reference in
-:mod:`repro.core` — same failure process, same recovery scheduling, same
-loss condition — but group state lives in NumPy arrays and recovery targets
-are drawn by rejection sampling instead of walking an explicit candidate
-list (the candidate list entries are uniform hashes, so the distributions
-are identical; the equivalence is asserted by
-``tests/test_engine_equivalence.py``).  This brings a full 2 PB / 6-year
-trajectory with hundreds of thousands of groups down to seconds.
+Group state lives in NumPy arrays and recovery targets are drawn by
+rejection sampling (the candidate-list entries of a hash placement are
+uniform, so probing uniformly is the same distribution).  This brings a
+full 2 PB / 6-year trajectory with hundreds of thousands of groups down to
+seconds.
 
 Mechanics per run:
 
@@ -15,11 +12,23 @@ Mechanics per run:
 2. Sample every drive's failure time from the bathtub hazard.
 3. Drive a discrete-event loop of failures, detections, rebuild
    completions, redirections, and replacement batches.
-4. A group with more than ``n - m`` concurrently-missing blocks is lost.
+4. A group with more than ``n - m`` concurrently-missing blocks is lost
+   (a set-based scheme such as ``MirroredParity`` then also asks its
+   survival predicate which blocks died).
+
+Beyond the stochastic lifetime, the engine exposes a narrow hook surface
+that is off by default: scripted disk deaths (:meth:`on_disk_failure`),
+transient outages (:meth:`on_disk_offline` / :meth:`on_disk_online`),
+latent sector errors (:meth:`corrupt_block` / :meth:`discover_latent`) and
+stragglers (:meth:`set_bandwidth_factor`).  :mod:`repro.faults` and
+:class:`~repro.reliability.scenarios.Scenario` drive them.  Until a hook is
+used, a rebuild start pays one flag test for them and target selection
+none at all.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Protocol
 
@@ -30,12 +39,13 @@ from ..availability.queue import RepairPriority, RepairPriorityQueue
 from ..cluster.topology import Topology, enforce_domain_constraint
 from ..cluster.workload import ConstantWorkload, DiurnalWorkload
 from ..config import SystemConfig
-from ..core.recovery import RecoveryStats
 from ..placement.copyset import CopysetPlacement
 from ..placement.hashing import hash_unit
 from ..placement.random_placement import RandomPlacement
 from ..placement.rush import RushPlacement
+from ..redundancy.composite import is_threshold_scheme
 from ..sim.engine import Simulator
+from ..sim.events import Event
 from ..sim.rng import RandomStreams
 from ..telemetry.handle import Telemetry
 from ..telemetry.probes import ProbeSample
@@ -49,6 +59,115 @@ _SMART_FP_SALT = 0x51AD
 _PROBES = 24
 #: Raw 32-bit words the probe sampler draws from its stream at a time.
 _PROBE_BLOCK = 4096
+#: Floor on a straggling rebuild's bandwidth multiplier.
+_MIN_BANDWIDTH_FACTOR = 1e-3
+
+
+@dataclass
+class RecoveryStats:
+    """Aggregate outcome of one simulated system lifetime."""
+
+    rebuilds_started: int = 0
+    rebuilds_completed: int = 0
+    target_redirections: int = 0
+    #: Rebuilds that swapped a source gone offline for a readable one.
+    source_redirections: int = 0
+    groups_lost: int = 0
+    bytes_lost: float = 0.0
+    first_loss_time: float | None = None
+    disk_failures: int = 0
+    window_total: float = 0.0     # sum of (rebuild completion - failure time)
+    window_max: float = 0.0
+    replacement_batches: int = 0
+    blocks_migrated: int = 0
+    #: Rebuilds that could not start (no target / no readable source) and
+    #: were parked in the deferred-rebuild queue instead of being dropped.
+    rebuilds_deferred: int = 0
+    #: Subset of ``rebuilds_deferred`` parked because every otherwise
+    #: admissible target was vetoed by the failure-domain placement cap
+    #: (``max_chunks_per_domain``): the policy defers, never violates.
+    rebuilds_deferred_constraint: int = 0
+    #: Block losses where the group still held another live block in the
+    #: failing disk's *rack* — placement left the group co-vulnerable to
+    #: that domain.  Only counted under a non-flat topology.
+    domain_colocated_losses: int = 0
+    #: Deferred-rebuild retry attempts (backoff or re-arm firings).
+    retries: int = 0
+    #: Latent sector errors surfaced by a scrub or a rebuild read.
+    latent_errors_discovered: int = 0
+    #: Sum over discoveries of (discovery time - corruption time).
+    latent_window_total: float = 0.0
+    #: Transient outages processed (disk went offline and work redirected).
+    transient_outages: int = 0
+    #: Seconds of per-group *unavailability*: summed over closed degraded
+    #: spans (first block failure -> full redundancy restored).  Spans
+    #: still open at the horizon are closed when the run ends; spans
+    #: ended by data loss are dropped — loss belongs to durability's
+    #: ledger, not availability's (the telemetry span tracker aborts the
+    #: same spans, keeping ``*_sum_total`` exactly equal to this field).
+    unavail_group_seconds: float = 0.0
+    #: Closed unavailability spans (horizon closures included).
+    unavail_spans: int = 0
+    #: Longest single unavailability span.
+    unavail_max: float = 0.0
+    #: Rebuilds parked by the lazy-recovery trigger
+    #: (``recovery_threshold`` > 1), awaiting further failures.
+    rebuilds_held: int = 0
+    #: Log likelihood-ratio weight of this run under an importance-sampled
+    #: estimator (0.0 — i.e. weight 1 — for ordinary runs).  Weights are
+    #: only ever *applied* through
+    #: :class:`repro.reliability.stats.WeightedAggregate`; lint rule
+    #: RPR012 rejects ad-hoc weight arithmetic in experiment code.
+    log_weight: float = 0.0
+
+    @property
+    def weight(self) -> float:
+        """The run's likelihood-ratio weight, exp(log_weight)."""
+        return math.exp(self.log_weight)
+
+    @property
+    def any_loss(self) -> bool:
+        return self.groups_lost > 0
+
+    @property
+    def mean_window(self) -> float:
+        """Mean window of vulnerability over completed rebuilds."""
+        if self.rebuilds_completed == 0:
+            return 0.0
+        return self.window_total / self.rebuilds_completed
+
+    @property
+    def mean_latent_window(self) -> float:
+        """Mean time a latent error stayed undiscovered (0 if none found)."""
+        if self.latent_errors_discovered == 0:
+            return 0.0
+        return self.latent_window_total / self.latent_errors_discovered
+
+    def availability(self, n_groups: int, duration: float) -> float:
+        """Fraction of group-seconds spent fully redundant, in [0, 1]."""
+        from ..availability.metrics import availability_fraction
+        return availability_fraction(self.unavail_group_seconds, n_groups,
+                                     duration)
+
+    def nines(self, n_groups: int, duration: float) -> float:
+        """The run's availability as "nines" (inf for a clean run)."""
+        from ..availability.metrics import availability_nines
+        return availability_nines(self.availability(n_groups, duration))
+
+
+@dataclass(frozen=True)
+class PolicyConfig:
+    """FARM target-selection constraints (paper §2.3), for ablations.
+
+    The defaults are the paper's policy; relaxing either one swaps in
+    :meth:`ReliabilitySimulation._pick_policy_target`, so the default
+    target pick stays untouched.
+    """
+
+    #: constraint (b): never put two blocks of one group on a disk.
+    forbid_buddy: bool = True
+    #: soft preference for targets with no recovery write queued.
+    prefer_idle: bool = True
 
 
 class _TargetProbes:
@@ -197,11 +316,23 @@ class SplitState:
 
 
 class ReliabilitySimulation:
-    """One system lifetime on the flat-array engine."""
+    """One system lifetime on the flat-array engine.
+
+    Read-only state view (for experiments, scenarios and injectors):
+    ``alive[d]`` — disk ``d`` is reachable (neither dead nor in a
+    transient outage); ``offline`` — disks in a transient outage;
+    ``used_blocks[d]`` — blocks stored or reserved on ``d``;
+    ``group_disks[g, rep]`` — the disk holding block ``rep`` of group
+    ``g`` (-1 while failed); ``failed_count`` and ``lost`` per group;
+    ``topology``; ``latent[d]`` — undiscovered latent errors on ``d``,
+    ``(g, rep) -> corruption time``; ``bandwidth_factor[d]`` — straggler
+    multipliers; and :meth:`blocks_on`, the disk -> blocks index.
+    """
 
     def __init__(self, config: SystemConfig, seed: int = 0,
                  telemetry: Telemetry | None = None,
-                 failure_draw: FailureDraw | None = None) -> None:
+                 failure_draw: FailureDraw | None = None,
+                 policy: PolicyConfig | None = None) -> None:
         self.cfg = config
         self.seed = seed
         self.streams = RandomStreams(seed)
@@ -233,16 +364,27 @@ class ReliabilitySimulation:
         self._split_level: int | None = None
         self._split_state: SplitState | None = None
         self._restored = False
+        self.policy = policy or PolicyConfig()
+        if self.policy != PolicyConfig():
+            self._pick_farm_target = self._pick_policy_target
+
+        # Fault hooks (see the module docstring): empty until used.
+        #: disks in a transient outage (``alive`` is False meanwhile).
+        self.offline: set[int] = set()
+        #: disk -> {(g, rep): corruption time} of undiscovered errors.
+        self.latent: dict[int, dict[tuple[int, int], float]] = {}
+        #: disk -> straggler bandwidth multiplier (absent means 1.0).
+        self.bandwidth_factor: dict[int, float] = {}
+        #: set once any fault hook is used; a rebuild start tests it once.
+        self._hooked = False
 
         scheme = config.scheme
-        from ..redundancy.composite import is_threshold_scheme
-        if not is_threshold_scheme(scheme):
-            raise NotImplementedError(
-                f"scheme {scheme} has a set-based survival predicate; the "
-                f"flat-array engine is threshold-only — use the object "
-                f"engine (repro.core.simulate_run)")
         self.n = scheme.n
+        self.m = scheme.m
         self.tol = scheme.tolerance
+        #: set-based survival predicate, consulted only past ``tol``.
+        self._is_lost = (None if is_threshold_scheme(scheme)
+                         else scheme.is_lost)
         self.G = config.n_groups
         self.N0 = config.n_disks
         self.block_bytes = config.block_bytes
@@ -322,6 +464,8 @@ class ReliabilitySimulation:
         self.groups_lost_ids: list[int] = []
         #: deferred-rebuild queue: (g, rep) -> retry attempts so far.
         self._deferred: dict[tuple[int, int], int] = {}
+        #: each parked rebuild's pending retry event.
+        self._retry_events: dict[tuple[int, int], Event] = {}
         #: Whether the most recent admissibility sweep rejected at least
         #: one target solely on the failure-domain cap (so a resulting
         #: deferral is counted as constraint-caused).
@@ -378,7 +522,7 @@ class ReliabilitySimulation:
         self.fail_time[ids] = now + ages
         for d, t in zip(ids, self.fail_time[ids]):
             if t <= self.duration:
-                self.sim.schedule_at(float(t), self._on_disk_failure, int(d),
+                self.sim.schedule_at(float(t), self.on_disk_failure, int(d),
                                      name="disk-failure")
         return ids
 
@@ -399,11 +543,20 @@ class ReliabilitySimulation:
     # ------------------------------------------------------------------ #
     # Failure handling
     # ------------------------------------------------------------------ #
-    def _on_disk_failure(self, disk: int) -> None:
+    def blocks_on(self, disk: int) -> list[tuple[int, int]]:
+        """(g, rep) of every block currently on ``disk``."""
+        return list(self._blocks_on(disk))
+
+    def on_disk_failure(self, disk: int) -> None:
+        """DES callback: ``disk`` dies now (stochastic or scripted)."""
         if not self.alive[disk]:
-            return
+            if disk not in self.offline:
+                return          # already dead (stale or repeated event)
+            self.offline.discard(disk)      # dies during its outage
         now = self.sim.now
         self.alive[disk] = False
+        if self.latent:
+            self.latent.pop(disk, None)     # superseded by the death
         self.stats.disk_failures += 1
         tele = self.telemetry
         if tele is not None:
@@ -436,21 +589,9 @@ class ReliabilitySimulation:
                     tele.domain_colocated_losses.inc()
             count = int(self.failed_count[g]) + 1
             self.failed_count[g] = count
-            if count > self.tol:
-                self.lost[g] = True
-                if count > 1:
-                    self._degraded -= 1    # was counted while degraded
-                self.groups_lost_ids.append(g)
-                self.stats.groups_lost += 1
-                self.stats.bytes_lost += self.cfg.group_user_bytes
-                if self.stats.first_loss_time is None:
-                    self.stats.first_loss_time = now
-                self._degraded_since.pop(g, None)
-                self._held.pop(g, None)
-                if tele is not None:
-                    tele.group_lost(g)
-                for job in list(self._jobs_by_group.get(g, ())):
-                    self._cancel(job)
+            if count > self.tol and (self._is_lost is None
+                                     or self._group_set_lost(g)):
+                self._lose_group(g, count, now)
             else:
                 if count == 1:
                     self._degraded += 1
@@ -480,6 +621,28 @@ class ReliabilitySimulation:
             self._split_state = self._capture_split()
             self.sim.clear()
 
+    def _group_set_lost(self, g: int) -> bool:
+        """A set-based scheme's verdict on group ``g``'s failed blocks."""
+        row = self.group_disks[g].tolist()
+        return self._is_lost({rep for rep, d in enumerate(row) if d < 0})
+
+    def _lose_group(self, g: int, count: int, now: float) -> None:
+        """Group ``g`` just lost data with ``count`` blocks missing."""
+        self.lost[g] = True
+        if count > 1:
+            self._degraded -= 1    # was counted while degraded
+        self.groups_lost_ids.append(g)
+        self.stats.groups_lost += 1
+        self.stats.bytes_lost += self.cfg.group_user_bytes
+        if self.stats.first_loss_time is None:
+            self.stats.first_loss_time = now
+        self._degraded_since.pop(g, None)
+        self._held.pop(g, None)
+        if self.telemetry is not None:
+            self.telemetry.group_lost(g)
+        for job in list(self._jobs_by_group.get(g, ())):
+            self._cancel(job)
+
     # ------------------------------------------------------------------ #
     # Lazy recovery (recovery_threshold > 1) and unavailability spans
     # ------------------------------------------------------------------ #
@@ -488,9 +651,8 @@ class ReliabilitySimulation:
         """Hold new losses until their group reaches the threshold, then
         release every held rebuild of the group most-at-risk-first.
 
-        Mirrors ``RecoveryManager._dispatch_rebuilds`` on the object
-        engine; the fast engine has no transient outages, so the trigger
-        count is exactly ``failed_count``.
+        The trigger counts a group's failed blocks plus its replicas on
+        disks in a transient outage (:meth:`_missing`).
         """
         fresh: list[int] = []
         seen: set[int] = set()
@@ -501,8 +663,12 @@ class ReliabilitySimulation:
                 fresh.append(g)
         queue: RepairPriorityQueue = RepairPriorityQueue()
         released: set[int] = set()
+        offline = self.offline
         for g in fresh:
-            if int(self.failed_count[g]) >= self._lazy_r:
+            missing = int(self.failed_count[g])
+            if offline:
+                missing = self._missing(g)
+            if missing >= self._lazy_r:
                 released.add(g)
                 self._collect_held(g, queue)
         n_held = sum(1 for g, _ in losses if g not in released)
@@ -512,8 +678,18 @@ class ReliabilitySimulation:
                 self.telemetry.rebuilds_held.inc(n_held)
         self._release_queue(queue, now)
 
+    def _missing(self, g: int) -> int:
+        """Blocks of ``g`` without a reachable replica: failed ones plus
+        live ones on disks in a transient outage."""
+        offline = self.offline
+        return int(self.failed_count[g]) + sum(
+            1 for d in self.group_disks[g].tolist() if d in offline)
+
     def _collect_held(self, g: int, queue: RepairPriorityQueue) -> None:
-        surviving = max(0, self.tol - int(self.failed_count[g]))
+        missing = int(self.failed_count[g])
+        if self.offline:
+            missing = self._missing(g)
+        surviving = max(0, self.tol - missing)
         for rep, (failed_at, origin) in sorted(self._held.pop(g, {}).items()):
             queue.push(RepairPriority(surviving, failed_at, g, rep),
                        (rep, failed_at, origin))
@@ -550,9 +726,8 @@ class ReliabilitySimulation:
             self.telemetry.group_restored(g, now)
 
     def _finalize(self, now: float) -> None:
-        """Close spans still open at the horizon, ascending group id —
-        the same order the object engine's ``finalize`` uses, keeping
-        span totals float-exact across engines."""
+        """Close spans still open at the horizon, in ascending group id
+        (a fixed order keeps span totals deterministic)."""
         for g in sorted(self._degraded_since):
             self._note_repaired(g, now)
 
@@ -582,9 +757,19 @@ class ReliabilitySimulation:
                 self.telemetry.rebuilds_unplaced.inc()
             self._defer_rebuild(g, rep, failed_at, origin)
             return
+        bandwidth = self.recovery_bandwidth
+        if self._hooked:
+            bandwidth = self._read_bandwidth(g, target, bandwidth)
+            if bandwidth is None:
+                if self.lost[g]:
+                    self._deferred.pop((g, rep), None)
+                else:       # no readable source until an outage ends
+                    self._domain_blocked = False
+                    self._defer_rebuild(g, rep, failed_at, origin)
+                return
         self._deferred.pop((g, rep), None)
         duration = self.workload.time_to_transfer(
-            self.block_bytes, self.recovery_bandwidth, now)
+            self.block_bytes, bandwidth, now)
         start = max(now, self.free_at[target])
         completion = start + duration
         self.free_at[target] = completion
@@ -602,17 +787,44 @@ class ReliabilitySimulation:
         if self.telemetry is not None:
             self.telemetry.rebuilds_started.inc()
 
+    def _read_bandwidth(self, g: int, target: int,
+                        bandwidth: float) -> float | None:
+        """The hooked part of a rebuild start of a block of group ``g``.
+
+        Reading the group's other live blocks surfaces their latent
+        errors.  The rebuild then needs ``m`` readable sources (the first
+        ``m`` reachable replicas) and runs at the rate of its slowest
+        participant, target or source.  Returns the bandwidth, or None
+        when the rebuild cannot run now: the group was lost to a
+        discovered error, or too few replicas are reachable.
+        """
+        if self.latent:
+            for rep, d in enumerate(self.group_disks[g].tolist()):
+                if (g, rep) in self.latent.get(d, ()):
+                    self.discover_latent(d, g, rep)
+            if self.lost[g]:
+                return None
+        sources = self._sources(g)
+        if len(sources) < self.m:
+            return None
+        factors = self.bandwidth_factor
+        if factors:
+            slowest = min(factors.get(d, 1.0) for d in sources + [target])
+            bandwidth *= max(slowest, _MIN_BANDWIDTH_FACTOR)
+        return bandwidth
+
     def _defer_rebuild(self, g: int, rep: int, failed_at: float,
                        origin: int) -> None:
         """Park a rebuild with no admissible target; retry with backoff.
 
-        Mirrors the object engine's deferred queue: counted once per
-        parked block (``rebuilds_deferred``; plus the constraint counter
-        when the domain cap caused it), each attempt counted as a retry.
+        Counted once per parked block (``rebuilds_deferred``; plus the
+        constraint counter when the domain cap caused it), each attempt
+        counted as a retry.
         """
         key = (g, rep)
-        attempts = self._deferred.get(key, 0)
-        if attempts == 0:
+        attempts = self._deferred.get(key)
+        if attempts is None:
+            attempts = 0
             self.stats.rebuilds_deferred += 1
             if self._domain_blocked:
                 self.stats.rebuilds_deferred_constraint += 1
@@ -621,13 +833,38 @@ class ReliabilitySimulation:
                 if self._domain_blocked:
                     self.telemetry.rebuilds_deferred_constraint.inc()
         self._deferred[key] = attempts + 1
-        # Same backoff law as RecoveryManager._arm_retry: pure doubling
-        # with the exponent clamped (~45 days at 16), so thousands of
-        # hopelessly parked blocks on a full shrinking system cannot
-        # dominate the event loop with periodic retries.
+        # Pure doubling with the exponent clamped (~45 days at 16), so
+        # thousands of hopelessly parked blocks on a full shrinking system
+        # cannot dominate the event loop with periodic retries; a batch or
+        # a returning disk re-arms them promptly (_rearm_deferred).
         delay = MINUTE * 2.0 ** min(attempts, 16)
-        self.sim.schedule(delay, self._retry_rebuild, g, rep, failed_at,
-                          origin, name="rebuild-retry")
+        self._retry_events[key] = self.sim.schedule(
+            delay, self._retry_rebuild, g, rep, failed_at, origin,
+            name="rebuild-retry")
+
+    def _rearm_deferred(self) -> None:
+        """Retry every parked rebuild now, with a fresh backoff.
+
+        Called when the world changed in recovery's favour: a replacement
+        batch arrived, or a disk returned from a transient outage.  Lazy
+        policies re-arm most-at-risk-first (the release queue's order),
+        the eager path in parking order.
+        """
+        # (a restored splitting clone's parked rebuilds wait on detect
+        # events instead; those retry on their own)
+        pending = [ev for ev in map(self._retry_events.get, self._deferred)
+                   if ev is not None]
+        if self._lazy_r > 1:
+            pending.sort(key=lambda ev: (
+                max(0, self.tol - self._missing(ev.args[0])),
+                ev.args[2], ev.args[0], ev.args[1]))
+        for ev in pending:
+            ev.cancel()
+            g, rep, failed_at, origin = ev.args
+            self._deferred[(g, rep)] = 0
+            self._retry_events[(g, rep)] = self.sim.schedule(
+                0.0, self._retry_rebuild, g, rep, failed_at, origin,
+                name="rebuild-retry")
 
     def _retry_rebuild(self, g: int, rep: int, failed_at: float,
                        origin: int) -> None:
@@ -698,12 +935,47 @@ class ReliabilitySimulation:
                 return d
         return None
 
+    def _pick_policy_target(self, row: list[int], now: float,
+                            exclude: set[int] = frozenset()) -> int | None:
+        """:meth:`_pick_farm_target` under a relaxed :class:`PolicyConfig`
+        (installed in its place by the constructor)."""
+        policy = self.policy
+        fallback = -1
+        for d in self._probes.draw(self.total_disks):
+            if not self._policy_admissible(d, row, exclude):
+                continue
+            if (not policy.prefer_idle or self.free_at[d] <= now) \
+                    and not self._smart_suspect(d, now):
+                return d
+            if fallback < 0:
+                fallback = d
+        if fallback >= 0:
+            return fallback
+        for d in range(self.total_disks):
+            if self._policy_admissible(d, row, exclude):
+                return d
+        return None
+
+    def _policy_admissible(self, d: int, row: list[int],
+                           exclude: set[int]) -> bool:
+        if self.policy.forbid_buddy:
+            return self._admissible(d, row, exclude)
+        # Buddy check off: only liveness, space and the domain cap.
+        if d in exclude or not self.alive[d] \
+                or self.used_blocks[d] >= self.capacity_blocks:
+            return False
+        if self._domain_limit is not None \
+                and not self._domain_ok(d, row, exclude):
+            self._domain_blocked = True
+            return False
+        return True
+
     def _smart_suspect(self, d: int, now: float) -> bool:
-        """SMART veto, mirroring :class:`~repro.disks.smart.SmartMonitor`:
-        a drive is flagged spuriously with the false-positive rate (decided
-        once per disk), and flagged for real — with the detection
-        probability — inside the warning horizon of its actual failure.
-        Both coins are deterministic per ``(seed, disk)``."""
+        """SMART veto: a drive is flagged spuriously with the
+        false-positive rate (decided once per disk), and flagged for real
+        — with the detection probability — inside the warning horizon of
+        its actual failure.  Both coins are deterministic per
+        ``(seed, disk)``."""
         cfg = self.cfg
         if not cfg.use_smart:
             return False
@@ -762,8 +1034,9 @@ class ReliabilitySimulation:
             return
         self._jobs_by_target.get(job.target, set()).discard(job)
         self._jobs_by_group.get(job.g, set()).discard(job)
-        if not self.alive[job.target] or \
-                job.target in self.group_disks[job.g].tolist():
+        if not self.alive[job.target] or (
+                job.target in self.group_disks[job.g].tolist()
+                and self.policy.forbid_buddy):
             # Defensive: redirection/exclusion should have caught this.
             self.used_blocks[job.target] -= 1    # release the reservation
             self.stats.target_redirections += 1
@@ -807,6 +1080,9 @@ class ReliabilitySimulation:
         if self.telemetry is not None:
             self.telemetry.replacement_batches.inc()
         self._migrate(new_ids, now)
+        if self._deferred:
+            # Fresh capacity: parked rebuilds need not wait out backoff.
+            self._rearm_deferred()
 
     def _migrate(self, new_ids: np.ndarray, now: float) -> None:
         """Rebalance a fair share of live blocks onto the new batch."""
@@ -814,6 +1090,9 @@ class ReliabilitySimulation:
         live_disks = self.alive[:self.total_disks].count(True)
         share = len(new_ids) / max(1, live_disks)
         movable = self.group_disks >= 0
+        if self.offline:
+            # Transiently unreachable blocks cannot be read to move.
+            movable &= ~np.isin(self.group_disks, list(self.offline))
         move = movable & (rng.random(self.group_disks.shape) < share)
         if not move.any():
             return
@@ -860,9 +1139,11 @@ class ReliabilitySimulation:
                                    targets[fit_domain])
             if rows.size == 0:
                 return
-        # Physical capacity: a batch drive only takes what fits.  Admit
-        # moves in row order until each target is full (``used_blocks``
-        # already counts in-flight rebuild reservations).
+        # Capacity: a batch drive only takes what fits, and rebalancing
+        # is placement, so it leaves the spare reserve (paper §3.1, in
+        # whole blocks) to recovery.  Admit moves in row order until each
+        # target is full (``used_blocks`` already counts in-flight
+        # rebuild reservations).
         order = np.argsort(targets, kind="stable")
         sorted_t = targets[order]
         starts = np.concatenate(
@@ -870,7 +1151,8 @@ class ReliabilitySimulation:
         sizes = np.diff(np.concatenate([starts, [sorted_t.size]]))
         rank_in_target = np.arange(sorted_t.size) - np.repeat(starts, sizes)
         used = np.array(self.used_blocks, dtype=np.int64)
-        room = self.capacity_blocks - used[sorted_t]
+        reserve = int(self.capacity_blocks * self.cfg.spare_reserve_fraction)
+        room = self.capacity_blocks - reserve - used[sorted_t]
         fits = np.zeros(targets.size, dtype=bool)
         fits[order] = rank_in_target < room
         rows, cols, targets = rows[fits], cols[fits], targets[fits]
@@ -878,6 +1160,15 @@ class ReliabilitySimulation:
             return
         old = gd[rows, cols]
         gd[rows, cols] = targets
+        if self.latent:
+            # A moved block is rewritten from a clean replica: a latent
+            # error in the abandoned copy dies with it.
+            for r, c, d in zip(rows.tolist(), cols.tolist(), old.tolist()):
+                errors = self.latent.get(d)
+                if errors is not None:
+                    errors.pop((r, c), None)
+                    if not errors:
+                        del self.latent[d]
         # Utilization bookkeeping.
         dec = np.bincount(old, minlength=self._cap)
         inc = np.bincount(targets, minlength=self._cap)
@@ -921,19 +1212,190 @@ class ReliabilitySimulation:
             bandwidth_in_use_bps=busy * cap,
             disk_bandwidth_max_bps=cap if busy else 0.0,
             bandwidth_cap_bps=cap,
-            disks_by_state={"online": n_alive, "failed": total - n_alive},
+            disks_by_state=self._disk_states(n_alive, total),
             degraded_groups=degraded,
             deferred_rebuilds=len(self._deferred),
             rebuild_load_max=load_max,
             rebuild_load_mean=load_mean,
             bandwidth_by_rack=by_rack)
 
+    def _disk_states(self, n_alive: int, total: int) -> dict[str, int]:
+        if not self.offline:
+            return {"online": n_alive, "failed": total - n_alive}
+        n_off = len(self.offline)
+        return {"online": n_alive, "offline": n_off,
+                "failed": total - n_alive - n_off}
+
+    # ------------------------------------------------------------------ #
+    # Fault hooks (repro.faults, Scenario).  Each enters the same handlers
+    # the stochastic lifetime uses; none is called on the default path.
+    # ------------------------------------------------------------------ #
+    def on_disk_offline(self, disk: int) -> None:
+        """DES callback: ``disk`` becomes temporarily unreachable.
+
+        No data is lost.  Rebuilds writing to the disk restart elsewhere
+        (a target redirection); rebuilds reading from it swap to another
+        readable replica (a source redirection), or park in the deferred
+        queue when fewer than ``m`` readable replicas remain.
+        """
+        if not self.alive[disk]:
+            return          # already offline or dead (stale event)
+        self._hooked = True
+        now = self.sim.now
+        tele = self.telemetry
+        # Readers first, while the disk still counts as readable.
+        readers: dict[int, list[_Job]] = {}
+        for g, _ in self._blocks_on(disk):
+            jobs = self._jobs_by_group.get(g)
+            if jobs and g not in readers and not self.lost[g] \
+                    and disk in self._sources(g):
+                readers[g] = sorted(jobs, key=lambda j: j.rep)
+        self.alive[disk] = False
+        self.offline.add(disk)
+        self.stats.transient_outages += 1
+        if tele is not None:
+            tele.transient_outages.inc()
+
+        for job in list(self._jobs_by_target.get(disk, ())):
+            self._cancel(job)
+            if self.lost[job.g]:
+                continue
+            self.stats.target_redirections += 1
+            if tele is not None:
+                tele.target_redirections.inc()
+            self.sim.schedule(self.cfg.detection_latency, self._start_rebuild,
+                              job.g, job.rep, job.failed_at, job.target,
+                              name="redirect")
+
+        self._domain_blocked = False
+        for g, jobs in readers.items():
+            readable = len(self._sources(g)) >= self.m
+            for job in jobs:
+                if job.cancelled:
+                    continue
+                if readable:
+                    self.stats.source_redirections += 1
+                    if tele is not None:
+                        tele.source_redirections.inc()
+                else:
+                    self._cancel(job)
+                    self._defer_rebuild(g, job.rep, job.failed_at,
+                                        self._origin_of(job))
+
+        # Unreachable replicas count toward the lazy trigger: a group
+        # whose held rebuilds plus offline replicas reach the threshold
+        # releases now (its rebuilds may still park until a source
+        # returns — the deferred queue drains them).
+        if self._lazy_r > 1 and self._held:
+            queue: RepairPriorityQueue = RepairPriorityQueue()
+            for g in sorted(self._held):
+                if self._missing(g) >= self._lazy_r:
+                    self._collect_held(g, queue)
+            self._release_queue(queue, now)
+
+    def on_disk_online(self, disk: int) -> None:
+        """DES callback: a transient outage ends and the disk's data is
+        back.  Stale if the disk died meanwhile.  Parked rebuilds are
+        re-armed: the disk may hold the only readable source, or be an
+        acceptable target again."""
+        if disk not in self.offline:
+            return
+        self.offline.discard(disk)
+        self.alive[disk] = True
+        if self._deferred:
+            self._rearm_deferred()
+
+    def corrupt_block(self, disk: int,
+                      rng: np.random.Generator) -> tuple[int, int] | None:
+        """Silently corrupt one live, not-yet-corrupt block on ``disk``,
+        chosen uniformly with ``rng``.
+
+        Returns the corrupted ``(g, rep)``, or None when ``disk`` is not
+        reachable or holds no such block.  Nothing observes the error
+        until a scrub or a rebuild read calls :meth:`discover_latent`.
+        """
+        if not self.alive[disk]:
+            return None
+        errors = self.latent.get(disk, {})
+        candidates = [b for b in self._blocks_on(disk) if b not in errors]
+        if not candidates:
+            return None
+        self._hooked = True
+        hit = candidates[int(rng.integers(len(candidates)))]
+        errors[hit] = self.sim.now
+        self.latent[disk] = errors
+        if self.telemetry is not None:
+            self.telemetry.latent_injected.inc()
+        return hit
+
+    def discover_latent(self, disk: int, g: int, rep: int) -> bool:
+        """A scrub or rebuild read found the latent error of block
+        ``(g, rep)`` on ``disk``: fail the block and dispatch an ordinary
+        rebuild (through the lazy trigger).  Returns True when the call
+        discovered a still-relevant error."""
+        errors = self.latent.get(disk)
+        corrupted_at = errors.pop((g, rep), None) if errors else None
+        if corrupted_at is None:
+            return False
+        if not errors:
+            del self.latent[disk]
+        if self.lost[g] or self.group_disks[g, rep] != disk:
+            return False        # superseded (moved away or lost)
+        now = self.sim.now
+        tele = self.telemetry
+        self.group_disks[g, rep] = -1
+        self.used_blocks[disk] -= 1
+        self.stats.latent_errors_discovered += 1
+        self.stats.latent_window_total += now - corrupted_at
+        if tele is not None:
+            tele.latent_discovered.inc()
+            tele.latent_window_seconds.inc(now - corrupted_at)
+        count = int(self.failed_count[g]) + 1
+        self.failed_count[g] = count
+        if count > self.tol and (self._is_lost is None
+                                 or self._group_set_lost(g)):
+            self._lose_group(g, count, now)     # no redundancy was left
+            return True
+        if count == 1:
+            self._degraded += 1
+            self._note_degraded(g, now)
+        if tele is not None:
+            tele.block_failed(g, rep, now, self.n)
+        if self._lazy_r > 1:
+            self._lazy_dispatch([(g, rep)], now, disk)
+        else:
+            self.sim.schedule(self.cfg.detection_latency, self._start_rebuild,
+                              g, rep, now, disk, name="detect")
+        return True
+
+    def set_bandwidth_factor(self, disk: int, factor: float) -> None:
+        """Make ``disk`` a straggler: rebuilds it takes part in run at
+        ``factor`` times the recovery bandwidth (slowest participant)."""
+        self._hooked = True
+        self.bandwidth_factor[disk] = factor
+
+    def _sources(self, g: int) -> list[int]:
+        """The disks a rebuild of group ``g`` reads: its first ``m``
+        reachable replicas."""
+        alive = self.alive
+        return [d for d in self.group_disks[g].tolist()
+                if d >= 0 and alive[d]][:self.m]
+
+    def _origin_of(self, job: _Job) -> int:
+        """The failed disk whose spare ``job`` writes to (traditional
+        recovery queues each disk's rebuilds on one spare); FARM ignores
+        the origin."""
+        for origin, spare in self._spare_for.items():
+            if spare == job.target:
+                return origin if origin >= 0 else ~origin
+        return job.target
+
     # ------------------------------------------------------------------ #
     def _schedule_initial_failures(self) -> None:
         for d in range(self.N0):
             t = self.fail_time[d]
             if t <= self.duration:
-                self.sim.schedule_at(float(t), self._on_disk_failure, d,
+                self.sim.schedule_at(float(t), self.on_disk_failure, d,
                                      name="disk-failure")
 
     def run(self) -> RecoveryStats:
@@ -1090,7 +1552,7 @@ class ReliabilitySimulation:
             for d in idx:
                 t = self.fail_time[d]
                 if t <= self.duration:
-                    self.sim.schedule_at(float(t), self._on_disk_failure,
+                    self.sim.schedule_at(float(t), self.on_disk_failure,
                                          int(d), name="disk-failure")
 
         # Recreate in-flight rebuilds (reservations are already inside the

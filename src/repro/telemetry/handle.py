@@ -39,8 +39,8 @@ _COUNTER_SPECS: tuple[tuple[str, str, str], ...] = (
     ("rebuild_retries", "repro_rebuild_retries_total",
      "deferred-rebuild retry attempts"),
     ("rebuilds_unplaced", "repro_rebuilds_unplaced_total",
-     "rebuilds with no admissible target right now (fast engine; "
-     "parked in the deferred queue for retry)"),
+     "rebuilds with no admissible target right now (parked in the "
+     "deferred queue for retry)"),
     ("rebuilds_deferred_constraint",
      "repro_rebuilds_deferred_constraint_total",
      "rebuilds deferred because the failure-domain placement cap vetoed "
@@ -65,8 +65,6 @@ _COUNTER_SPECS: tuple[tuple[str, str, str], ...] = (
      "blocks rebalanced onto replacement batches"),
     ("spares_provisioned", "repro_spares_provisioned_total",
      "dedicated spares provisioned (traditional recovery)"),
-    ("index_entries_compacted", "repro_index_entries_compacted_total",
-     "stale disk->group index entries swept by compaction"),
     ("rebuilds_held", "repro_rebuilds_held_total",
      "rebuilds held back by the lazy recovery_threshold trigger"),
     ("held_released", "repro_held_released_total",
@@ -85,19 +83,10 @@ class TelemetryConfig:
     window_bucket_lo_s: float = SECOND
     window_bucket_hi_s: float = MONTH
     window_buckets_per_decade: int = 4
-    #: Heartbeat detection-latency histogram bucket range (seconds).
-    detection_bucket_lo_s: float = SECOND
-    detection_bucket_hi_s: float = DAY
-    detection_buckets_per_decade: int = 4
 
     def window_bounds(self) -> tuple[float, ...]:
         return log_bounds(self.window_bucket_lo_s, self.window_bucket_hi_s,
                           self.window_buckets_per_decade)
-
-    def detection_bounds(self) -> tuple[float, ...]:
-        return log_bounds(self.detection_bucket_lo_s,
-                          self.detection_bucket_hi_s,
-                          self.detection_buckets_per_decade)
 
 
 class Telemetry:
@@ -122,14 +111,6 @@ class Telemetry:
             help="per-group degraded (unavailable) span: first block "
                  "failure to full redundancy restored (seconds), bucketed "
                  "by redundancy-group size n")
-        # Fixed bounds from the config (never from the data), so parallel
-        # sweep snapshots merge element-wise exactly like the span
-        # histograms, in run-index order.
-        self.detection_latencies = self.registry.histogram(
-            "repro_detection_latency_seconds",
-            bounds=self.config.detection_bounds(),
-            help="heartbeat failure-detection latency per declared disk "
-                 "(seconds)")
         self.probes = ClusterProbes(self)
 
     # -- span convenience hooks (names match the engine call sites) ------ #
@@ -156,10 +137,6 @@ class Telemetry:
         self.groups_lost.inc()
         self.windows.abort_group(grp_id)
         self.group_unavailability.abort_group(grp_id)
-
-    def detection_latency(self, latency_s: float) -> None:
-        """A heartbeat monitor declared a disk failed after ``latency_s``."""
-        self.detection_latencies.observe(latency_s)
 
     # -- probes ---------------------------------------------------------- #
     def attach_probes(self, sim: "Simulator",

@@ -2,8 +2,8 @@
 
 A :class:`ClusterProbes` instance owns the gauges for the time-varying
 quantities the paper reasons about — recovery bandwidth in use vs. the
-configured cap (the 20%-of-80 MB/s rule), disk counts by
-:class:`~repro.disks.disk.DiskState`, degraded-group count, the
+configured cap (the 20%-of-80 MB/s rule), disk counts by state
+(online, offline, failed), degraded-group count, the
 deferred-rebuild queue depth, and per-disk rebuild-load imbalance — and
 samples them on a :class:`~repro.sim.engine.PeriodicTimer`
 (``sim.every``), so a probe at interval ``T`` over horizon ``H`` observes
@@ -38,7 +38,7 @@ class ProbeSample:
     disk_bandwidth_max_bps: float
     #: The configured per-disk recovery cap, bytes/second.
     bandwidth_cap_bps: float
-    #: Disk population by DiskState name ("online", "failed", ...).
+    #: Disk population by state ("online", "offline", "failed").
     disks_by_state: dict[str, int] = field(default_factory=dict)
     #: Groups currently missing at least one block (and not lost).
     degraded_groups: int = 0

@@ -1,4 +1,4 @@
-"""Fast engine stand-in: reads both config fields."""
+"""Engine stand-in: reads both config fields."""
 
 
 def run_fast(config):

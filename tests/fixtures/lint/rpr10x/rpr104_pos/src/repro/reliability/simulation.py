@@ -1,4 +1,4 @@
-"""Fast engine stand-in: reads the live config field."""
+"""Engine stand-in: reads the live config field."""
 
 
 def run_fast(config):

@@ -31,17 +31,15 @@ from repro.availability import (InfeasibleConfig, RepairPriority,
                                 unavailability_fraction)
 from repro.availability.luby import check_repair_lane
 from repro.config import SystemConfig
-from repro.core import simulate_run
 from repro.disks.failure import BathtubFailureModel, RatePeriod
 from repro.disks.vintage import DiskVintage
 from repro.redundancy import ECC_4_6, MIRROR_2, MIRROR_3
 from repro.reliability import ReliabilitySimulation
 from repro.reliability.scenarios import Scenario
-from repro.sim.rng import RandomStreams
 from repro.telemetry import Telemetry
 from repro.units import DAY, GB, HOUR, TB, YEAR
 
-from tests.test_golden_regression import PIN_FAST, PIN_OBJECT
+from tests.test_golden_regression import PIN_FAST
 from tests.test_golden_regression import cfg as golden_cfg
 
 
@@ -243,7 +241,7 @@ class TestLubyRail:
         with pytest.raises(InfeasibleConfig):
             ReliabilitySimulation(cfg, seed=0)
         with pytest.raises(InfeasibleConfig):
-            simulate_run(cfg, seed=0)
+            Scenario(cfg).run(horizon=DAY)
 
     def test_service_rail_is_the_same_exception(self):
         """Engines and service share one InfeasibleConfig — a config the
@@ -346,9 +344,9 @@ class TestConfigValidation:
 # Default policy: bit-identity with the golden pins
 # --------------------------------------------------------------------- #
 class TestDefaultPolicyBitIdentity:
-    """Archetype contract: threshold=1 / no cap keeps both engines on
-    their pinned trajectories, so the lazy machinery is provably inert
-    by default."""
+    """Archetype contract: threshold=1 / no cap keeps the engine on its
+    pinned trajectory, so the lazy machinery is provably inert by
+    default."""
 
     def snapshot(self, stats):
         return (stats.disk_failures, stats.rebuilds_started,
@@ -360,12 +358,6 @@ class TestDefaultPolicyBitIdentity:
         stats = ReliabilitySimulation(cfg, seed=123).run()
         assert self.snapshot(stats) == PIN_FAST
 
-    def test_object_engine_explicit_defaults_match_pin(self):
-        cfg = golden_cfg().with_(recovery_threshold=1,
-                                 repair_bandwidth_fraction=None)
-        stats = simulate_run(cfg, seed=123).stats
-        assert self.snapshot(stats) == PIN_OBJECT
-
     def test_equivalent_fraction_cap_is_a_pure_refactor(self):
         """A capped lane at the vintage's own 20% recovery share yields
         the *same* recovery bandwidth, so trajectories must stay on the
@@ -376,29 +368,25 @@ class TestDefaultPolicyBitIdentity:
         assert capped.recovery_bandwidth == base.recovery_bandwidth
         assert self.snapshot(
             ReliabilitySimulation(capped, seed=123).run()) == PIN_FAST
-        assert self.snapshot(
-            simulate_run(capped, seed=123).stats) == PIN_OBJECT
 
     def test_default_policy_holds_no_rebuilds(self):
-        for stats in (ReliabilitySimulation(golden_cfg(), seed=123).run(),
-                      simulate_run(golden_cfg(), seed=123).stats):
-            assert stats.rebuilds_held == 0
+        stats = ReliabilitySimulation(golden_cfg(), seed=123).run()
+        assert stats.rebuilds_held == 0
 
     def test_span_accounting_is_pure_observation(self):
         """Unavailability spans are recorded on the default path too —
         but recording must not perturb the trajectory (no events, no RNG
         draws), which the pins above already prove.  Here: the recorded
-        spans are self-consistent on both engines."""
-        for stats in (ReliabilitySimulation(golden_cfg(), seed=123).run(),
-                      simulate_run(golden_cfg(), seed=123).stats):
-            assert stats.unavail_spans > 0
-            assert 0 < stats.unavail_group_seconds \
-                <= stats.unavail_spans * golden_cfg().duration
-            assert 0 < stats.unavail_max <= golden_cfg().duration
+        spans are self-consistent."""
+        stats = ReliabilitySimulation(golden_cfg(), seed=123).run()
+        assert stats.unavail_spans > 0
+        assert 0 < stats.unavail_group_seconds \
+            <= stats.unavail_spans * golden_cfg().duration
+        assert 0 < stats.unavail_max <= golden_cfg().duration
 
 
 # --------------------------------------------------------------------- #
-# Lazy recovery on the object engine (scripted scenarios)
+# Lazy recovery in scripted scenarios
 # --------------------------------------------------------------------- #
 def scenario_cfg(**kw) -> SystemConfig:
     """12-disk MIRROR_3 system for scripted lazy-policy studies."""
@@ -411,10 +399,9 @@ def scenario_cfg(**kw) -> SystemConfig:
 def partner_of(cfg: SystemConfig, disk: int, seed: int = 0) -> int:
     """A disk sharing a redundancy group with ``disk`` (same placement
     the Scenario will build for this seed)."""
-    from repro.cluster.system import StorageSystem
-    system = StorageSystem(cfg, RandomStreams(seed))
-    group = system.groups_on_disk(disk)[0]
-    return next(d for d in group.disks if d != disk)
+    engine = ReliabilitySimulation(cfg, seed=seed)
+    g, _ = engine.blocks_on(disk)[0]
+    return next(d for d in engine.group_disks[g].tolist() if d != disk)
 
 
 class TestLazyScenarios:
@@ -758,7 +745,7 @@ class TestSpanTelemetry:
         released = m["repro_held_released_total"]["value"]
         assert 0 < released <= stats.rebuilds_held
 
-    def test_object_engine_span_sum_is_float_exact(self):
+    def test_scenario_span_sum_is_float_exact(self):
         tele = Telemetry()
         cfg = scenario_cfg()
         partner = partner_of(cfg, 0)
@@ -795,9 +782,9 @@ class TestSpanTelemetry:
 # --------------------------------------------------------------------- #
 class TestSpanAccountingUnderChurn:
     """Group membership can change *during* an open degradation span —
-    migration onto a replacement batch, ``compact_index`` sweeps.  The
-    audit contract: spans stay keyed by group id, never double-open,
-    never double-close, and remain float-exact against telemetry."""
+    migration onto a replacement batch.  The audit contract: spans stay
+    keyed by group id, never double-open, never double-close, and remain
+    float-exact against telemetry."""
 
     def churn_cfg(self, **kw):
         defaults = dict(total_user_bytes=10 * TB,
@@ -819,19 +806,6 @@ class TestSpanAccountingUnderChurn:
         assert m["repro_group_unavailability_seconds_spans_completed_total"
                  ]["value"] == stats.unavail_spans
 
-    @pytest.mark.parametrize("threshold", [1, 2])
-    def test_object_engine_exact_under_migration(self, threshold):
-        cfg = self.churn_cfg(recovery_threshold=threshold,
-                             total_user_bytes=4 * TB)
-        tele = Telemetry()
-        res = simulate_run(cfg, seed=5, telemetry=tele)
-        m = tele.snapshot()["metrics"]
-        assert res.stats.replacement_batches > 0
-        assert m["repro_group_unavailability_seconds_sum_total"]["value"] \
-            == res.stats.unavail_group_seconds
-        assert m["repro_group_unavailability_seconds_spans_completed_total"
-                 ]["value"] == res.stats.unavail_spans
-
     def test_no_overcount_against_exposure(self):
         """The hard invariant a double-count would break: total recorded
         unavailability can never exceed groups x horizon."""
@@ -841,14 +815,13 @@ class TestSpanAccountingUnderChurn:
             <= cfg.n_groups * cfg.duration
         assert stats.unavail_max <= cfg.duration
 
-    def test_spans_survive_compact_index_mid_degradation(self):
-        """A replacement batch (which triggers compact_index on the
-        object engine) while groups sit degraded must not close, reopen,
-        or drop their spans: the totals stay within exposure and held
-        entries still exist at the end."""
+    def test_spans_survive_batch_mid_degradation(self):
+        """A replacement batch (and its migration) while groups sit
+        degraded must not close, reopen, or drop their spans: the totals
+        stay within exposure and held entries still exist at the end."""
         cfg = self.churn_cfg(recovery_threshold=2,
                              total_user_bytes=4 * TB)
-        stats = simulate_run(cfg, seed=7).stats
+        stats = ReliabilitySimulation(cfg, seed=7).run()
         assert stats.replacement_batches > 0
         assert stats.rebuilds_held > 0
         assert stats.unavail_spans > 0

@@ -13,9 +13,9 @@ Four kinds of guarantee, matching docs/BULK_ENGINE.md:
   paths agree bit-for-bit.
 * **Model gating** (fast): every config feature the window-overlap
   model cannot express is rejected at construction, never approximated.
-* **Cross-engine conformance** (FARM fast; traditional and the object
-  engine slow, run from scripts/check.sh): 95% Wilson intervals from
-  the bulk engine and the DES engines overlap on the golden scenario.
+* **Cross-engine conformance** (FARM fast; traditional slow, run from
+  scripts/check.sh): 95% Wilson intervals from the bulk engine and the
+  DES overlap on the golden scenario.
   The engines share the loss *law*, not trajectories — bulk draws from
   its own pinned ``bulk-*`` streams (see tests/test_golden_regression).
 """
@@ -369,23 +369,6 @@ class TestEngineConformance:
         assert overlap(des.p_loss, bulk_ci), (
             f"bulk [{bulk_ci.lo:.4f}, {bulk_ci.hi:.4f}] does not overlap "
             f"DES [{des.p_loss.lo:.4f}, {des.p_loss.hi:.4f}]")
-
-    @pytest.mark.slow
-    def test_farm_ci_overlaps_object_engine(self):
-        """Same gate against the object (event-queue) engine, which has
-        its own independent implementation of the recovery model."""
-        from repro.core import simulate_run
-        from repro.reliability.runner import seed_schedule
-        cfg = gold_cfg()
-        losses = sum(
-            1 for s in seed_schedule(7, 120)
-            if simulate_run(cfg, seed=s).stats.groups_lost > 0)
-        obj_ci = wilson_interval(losses, 120, 0.95)
-        agg = bulk_aggregate(cfg, BULK_RUNS, base_seed=7)
-        bulk_ci = wilson_interval(agg.losses, agg.n_runs, 0.95)
-        assert overlap(obj_ci, bulk_ci), (
-            f"bulk [{bulk_ci.lo:.4f}, {bulk_ci.hi:.4f}] does not overlap "
-            f"object [{obj_ci.lo:.4f}, {obj_ci.hi:.4f}]")
 
     def test_farm_and_traditional_share_failure_draws(self):
         """Recovery mode must not perturb the failure process: the same

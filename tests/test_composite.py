@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import SystemConfig
-from repro.redundancy import (MIRROR_2, MIRROR_3, RedundancyGroup,
-                              is_threshold_scheme)
+from repro.redundancy import MIRROR_2, MIRROR_3, is_threshold_scheme
 from repro.redundancy.composite import (MirroredParity, exhaustive_tolerance,
                                         pattern_is_lost, survival_fraction)
 from repro.units import GB, TB
@@ -89,30 +88,33 @@ class TestSurvivalPredicate:
 
 class TestGroupIntegration:
     def test_group_uses_set_based_predicate(self, mp):
-        group = RedundancyGroup(grp_id=0, scheme=mp, user_bytes=10 * GB,
-                                disks=list(range(10)))
-        # three failures, including a fully-dead stripe index: not lost
-        group.fail_block(2, 1.0)
-        group.fail_block(7, 2.0)      # both copies of index 2
-        group.fail_block(0, 3.0)
-        assert not group.lost
-        # second fully-dead index -> lost
-        group.fail_block(5, 4.0)      # pairs with block 0 (index 0)
-        assert group.lost and group.loss_time == 4.0
-
-    def test_object_engine_lifetime_runs(self, mp):
-        from repro.core import simulate_run
+        from repro.reliability import ReliabilitySimulation, ScriptedFailures
         cfg = SystemConfig(total_user_bytes=10 * TB,
                            group_user_bytes=10 * GB, scheme=mp)
-        stats = simulate_run(cfg, seed=1).stats
-        assert stats.rebuilds_completed >= 0   # runs to completion
+        engine = ReliabilitySimulation(cfg, seed=0,
+                                       failure_draw=ScriptedFailures())
+        disks = engine.group_disks[0].tolist()
+        sim = engine.sim
 
-    def test_fast_engine_rejects(self, mp):
+        def fail_rep(rep, t):
+            sim.schedule_at(t, engine.on_disk_failure, disks[rep])
+            sim.run(until=t)
+
+        # three failures, including a fully-dead stripe index: not lost
+        fail_rep(2, 1.0)
+        fail_rep(7, 2.0)      # both copies of index 2
+        fail_rep(0, 3.0)
+        assert not engine.lost[0]
+        # second fully-dead index -> lost
+        fail_rep(5, 4.0)      # pairs with block 0 (index 0)
+        assert engine.lost[0] and engine.stats.first_loss_time == 4.0
+
+    def test_des_lifetime_runs(self, mp):
         from repro.reliability import ReliabilitySimulation
         cfg = SystemConfig(total_user_bytes=10 * TB,
                            group_user_bytes=10 * GB, scheme=mp)
-        with pytest.raises(NotImplementedError, match="threshold-only"):
-            ReliabilitySimulation(cfg, seed=0)
+        stats = ReliabilitySimulation(cfg, seed=1).run()
+        assert stats.rebuilds_completed >= 0   # runs to completion
 
 
 class TestPropertyBased:

@@ -1,9 +1,9 @@
-"""Tests for Disk and DiskVintage (repro.disks.disk / vintage)."""
+"""Tests for DiskVintage (repro.disks.vintage)."""
 
 import pytest
 
-from repro.disks import PAPER_VINTAGE, Disk, DiskState, DiskVintage
-from repro.units import GB, MB, TB, YEAR
+from repro.disks import PAPER_VINTAGE, DiskVintage
+from repro.units import MB, TB, YEAR
 
 
 class TestVintage:
@@ -36,70 +36,3 @@ class TestVintage:
             DiskVintage(recovery_bandwidth_fraction=0.0)
         with pytest.raises(ValueError):
             DiskVintage(weight=-1.0)
-
-
-class TestDiskState:
-    def test_new_disk_online_and_empty(self):
-        d = Disk(disk_id=0)
-        assert d.online and d.used_bytes == 0 and d.utilization == 0
-
-    def test_fail_transition(self):
-        d = Disk(disk_id=0)
-        d.fail(now=100.0)
-        assert d.state is DiskState.FAILED
-        assert d.failed_at == 100.0 and not d.online
-
-    def test_double_fail_rejected(self):
-        d = Disk(disk_id=0)
-        d.fail(1.0)
-        with pytest.raises(ValueError):
-            d.fail(2.0)
-
-    def test_retire(self):
-        d = Disk(disk_id=0)
-        d.retire()
-        assert d.state is DiskState.RETIRED
-        with pytest.raises(ValueError):
-            d.retire()
-
-    def test_age(self):
-        d = Disk(disk_id=0, deployed_at=50.0)
-        assert d.age(150.0) == 100.0
-        with pytest.raises(ValueError):
-            d.age(10.0)
-
-
-class TestAllocation:
-    def test_allocate_and_release(self):
-        d = Disk(disk_id=0)
-        d.allocate(400 * GB)
-        assert d.utilization == pytest.approx(0.4)
-        d.release(100 * GB)
-        assert d.used_bytes == pytest.approx(300 * GB)
-
-    def test_over_capacity_rejected(self):
-        d = Disk(disk_id=0)
-        with pytest.raises(ValueError):
-            d.allocate(2 * TB)
-
-    def test_initial_placement_respects_spare_reserve(self):
-        """Paper: ~4% of capacity reserved at initialization for recovered
-        data — initial placement must not dip into it, recovery may."""
-        d = Disk(disk_id=0, spare_reserve_fraction=0.04)
-        assert not d.can_accept(0.97 * TB, initial_placement=True)
-        assert d.can_accept(0.97 * TB, initial_placement=False)
-
-    def test_failed_disk_accepts_nothing(self):
-        d = Disk(disk_id=0)
-        d.fail(1.0)
-        assert not d.can_accept(1.0)
-
-    def test_release_more_than_used_rejected(self):
-        d = Disk(disk_id=0)
-        d.allocate(10 * GB)
-        with pytest.raises(ValueError):
-            d.release(20 * GB)
-
-    def test_negative_allocate_rejected(self):
-        with pytest.raises(ValueError):
-            Disk(disk_id=0).allocate(-5.0)

@@ -8,13 +8,9 @@ import pytest
 import repro.placement.balance
 import repro.reliability.scenarios
 import repro.sim.engine
-import repro.sim.process
-import repro.sim.resources
 
 MODULES = [
     repro.sim.engine,
-    repro.sim.process,
-    repro.sim.resources,
     repro.reliability.scenarios,
 ]
 

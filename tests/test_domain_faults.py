@@ -1,21 +1,17 @@
 """Failure-domain fault injectors (repro.faults.domains).
 
 Covers the acceptance scenario — a whole-machine outage defers rebuilds
-and the queue drains when the machine returns, on both recovery engines —
-plus injector determinism, non-perturbation of flat base runs, and the
-detection-latency histogram wired through the heartbeat monitor.
+and the queue drains when the machine returns, under FARM and traditional
+recovery — plus injector determinism and non-perturbation of base runs.
 """
 
 import pytest
 
-from repro.cluster import StorageSystem
-from repro.cluster.monitoring import HeartbeatMonitor
 from repro.config import SystemConfig
-from repro.core import FarmRecovery, TraditionalRecovery
 from repro.faults import DomainBurst, DomainOutages, DomainStragglers
+from repro.faults.base import FaultContext, FaultStats
+from repro.reliability import ReliabilitySimulation, ScriptedFailures
 from repro.reliability.scenarios import Scenario
-from repro.sim import RandomStreams, Simulator
-from repro.telemetry import Telemetry
 from repro.units import DAY, GB, HOUR, TB
 
 BOTH_ENGINES = pytest.mark.parametrize("use_farm", [True, False],
@@ -30,11 +26,14 @@ def cfg(**kw):
 
 
 def make_manager(config, seed=0):
-    system = StorageSystem(config, RandomStreams(seed),
-                           deterministic_failures=True)
-    sim = Simulator()
-    cls = FarmRecovery if config.use_farm else TraditionalRecovery
-    return system, sim, cls(system, sim)
+    engine = ReliabilitySimulation(config, seed=seed,
+                                   failure_draw=ScriptedFailures())
+    return engine, engine.sim
+
+
+def resolved(engine):
+    """Every group rebuilt or lost — none left degraded."""
+    return bool(((engine.failed_count == 0) | engine.lost).all())
 
 
 class TestMachineOutageDefersAndDrains:
@@ -45,11 +44,10 @@ class TestMachineOutageDefersAndDrains:
     @BOTH_ENGINES
     def test_whole_machine_outage(self, use_farm):
         config = cfg(use_farm=use_farm)
-        system, sim, manager = make_manager(config)
-        group = system.groups[0]
-        alive, victim = group.disks[0], group.disks[1]
-        machine = system.topology.machine_of(alive)
-        dark = system.topology.disks_in_machine(machine)
+        manager, sim = make_manager(config)
+        alive, victim = manager.group_disks[0].tolist()
+        machine = manager.topology.machine_of(alive)
+        dark = manager.topology.disks_in_machine(machine)
         assert victim not in dark
 
         for d in dark:
@@ -64,10 +62,9 @@ class TestMachineOutageDefersAndDrains:
         assert s.rebuilds_deferred >= 1
         assert s.retries >= s.rebuilds_deferred
         assert s.rebuilds_completed >= 1
-        assert manager.deferred_outstanding == 0
-        for g in system.groups:
-            assert g.lost or not g.failed
-        assert not group.lost and not group.failed
+        assert len(manager._deferred) == 0
+        assert resolved(manager)
+        assert not manager.lost[0] and manager.failed_count[0] == 0
 
     @BOTH_ENGINES
     def test_injected_machine_outages_drain(self, use_farm):
@@ -85,8 +82,7 @@ class TestMachineOutageDefersAndDrains:
         assert fs.domain_outages_ended == fs.domain_outages_started
         assert out.deferred_outstanding == 0
         assert out.stats.retries >= out.stats.rebuilds_deferred
-        for g in out.system.groups:
-            assert g.lost or not g.failed
+        assert resolved(out.system)
 
 
 class TestDomainBurst:
@@ -98,7 +94,7 @@ class TestDomainBurst:
         fs = out.fault_stats
         assert fs.domain_bursts >= 1
         # Every burst casualty is a real disk failure, and nothing else
-        # failed (deterministic_failures scenario).
+        # failed (a scripted scenario).
         assert out.stats.disk_failures == fs.domain_burst_failures
 
     def test_spread_delays_individual_deaths(self):
@@ -162,44 +158,19 @@ class TestNoBasePerturbation:
 class TestDomainStragglers:
     def test_whole_domain_shares_the_bottleneck(self):
         config = cfg()
-        system, _, _ = make_manager(config)
-        from repro.faults.base import FaultContext, FaultStats
-
-        class _Mgr:
-            def on_disk_failure(self, d):       # pragma: no cover
-                raise AssertionError("stragglers never fail disks")
-
-        ctx = FaultContext(sim=Simulator(), system=system, manager=_Mgr(),
-                           streams=RandomStreams(0), horizon=DAY,
-                           stats=FaultStats())
+        engine, _ = make_manager(config)
+        ctx = FaultContext(engine=engine, horizon=DAY, stats=FaultStats())
         DomainStragglers(0.5, factor_range=(0.2, 0.4),
                          level="machine").arm(ctx)
         assert ctx.stats.domain_stragglers == 2    # half of 4 machines
+        assert engine.stats.disk_failures == 0     # stragglers never kill
         slowed = 0
-        for m in range(system.topology.n_machines):
-            factors = {system.disks[d].bandwidth_factor
-                       for d in system.topology.disks_in_machine(m)}
+        for m in range(engine.topology.n_machines):
+            factors = {engine.bandwidth_factor.get(d, 1.0)
+                       for d in engine.topology.disks_in_machine(m)}
             assert len(factors) == 1               # shared bottleneck
             f = factors.pop()
             if f < 1.0:
                 slowed += 1
                 assert 0.2 <= f <= 0.4
         assert slowed == 2
-
-
-class TestDetectionLatencyHistogram:
-    def test_monitor_feeds_fixed_bound_histogram(self):
-        tele = Telemetry()
-        sim = Simulator()
-        fail_times = {0: 100.0, 1: 250.0, 2: 9_000.0}
-        mon = HeartbeatMonitor(sim, lambda d: sim.now < fail_times[d],
-                               disk_ids=[0, 1, 2], period=60.0,
-                               telemetry=tele)
-        for d, t in fail_times.items():
-            mon.note_failure(d, t)
-        sim.run(until=20_000.0)
-        hist = tele.detection_latencies
-        assert hist.count == len(mon.detections) == 3
-        assert hist.bounds == tele.config.detection_bounds()
-        for event in mon.detections:
-            assert event.latency <= hist.vmax

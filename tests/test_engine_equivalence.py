@@ -1,21 +1,24 @@
-"""Cross-validation: the flat-array engine must match the object engine.
+"""Cross-validation: a scripted replay must reproduce a stochastic lifetime.
 
-The Monte-Carlo sweeps use :mod:`repro.reliability.simulation` for speed;
-its claim to correctness is semantic equivalence with the explicit
-object-level engine in :mod:`repro.core`.  Both consume the same named RNG
-streams, so the *failure process* is bit-identical per seed; recovery target
-draws differ (candidate-list walk vs rejection sampling over the same
-uniform distribution), so downstream counts may drift by a few blocks.
+The engine admits disk deaths two ways: its own draw from the
+'disk-failures' stream (the Monte-Carlo sweeps), and the public
+``on_disk_failure`` hook with stochastic failures turned off by
+:class:`~repro.reliability.ScriptedFailures` (the path
+:class:`~repro.reliability.Scenario`, shelf and domain bursts and the
+fault injectors take).  Recording a stochastic run's deaths and replaying
+them through the hook must give the same lifetime: every other random
+draw (placement, recovery targets) comes from its own named stream, so
+the two paths agree exactly, not just in distribution.
 """
+
+import math
 
 import pytest
 
-from repro.cluster.system import StorageSystem
 from repro.config import SystemConfig
-from repro.core import simulate_run
-from repro.reliability import ReliabilitySimulation
-from repro.sim.rng import RandomStreams
-from repro.units import DAY, GB, TB, YEAR
+from repro.reliability import ReliabilitySimulation, ScriptedFailures
+from repro.sim.engine import Simulator
+from repro.units import GB, TB, YEAR
 
 
 def cfg(**kw):
@@ -24,142 +27,144 @@ def cfg(**kw):
     return SystemConfig(**defaults)
 
 
+def record(c, seed, failure_draw=None):
+    """One stochastic lifetime: its engine, stats and the fired deaths."""
+    deaths = []
+
+    def log(ev):
+        if ev.name == "disk-failure":
+            deaths.append((ev.time, ev.args[0]))
+
+    engine = ReliabilitySimulation(c, seed=seed, failure_draw=failure_draw)
+    engine.sim = Simulator(trace=log)
+    return engine, engine.run(), deaths
+
+
+def replay(c, seed, deaths):
+    """The same seed with every death scripted through the public hook."""
+    engine = ReliabilitySimulation(c, seed=seed,
+                                   failure_draw=ScriptedFailures())
+    for t, d in deaths:
+        engine.sim.schedule_at(t, engine.on_disk_failure, d,
+                               name="injected-failure")
+    return engine, engine.run()
+
+
+def both(c, seed, failure_draw=None):
+    """(stochastic engine, its stats, replay engine, its stats)."""
+    stoch, stoch_stats, deaths = record(c, seed, failure_draw)
+    scripted, scripted_stats = replay(c, seed, deaths)
+    return stoch, stoch_stats, scripted, scripted_stats
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_identical_failure_streams(seed):
-    obj = simulate_run(cfg(), seed=seed).stats
-    fast = ReliabilitySimulation(cfg(), seed=seed).run()
-    assert obj.disk_failures == fast.disk_failures
+    _, stoch, _, scripted = both(cfg(), seed)
+    assert stoch.disk_failures > 0
+    assert scripted.disk_failures == stoch.disk_failures
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_rebuild_volume_agrees(seed):
-    obj = simulate_run(cfg(), seed=seed).stats
-    fast = ReliabilitySimulation(cfg(), seed=seed).run()
-    assert fast.rebuilds_completed == pytest.approx(
-        obj.rebuilds_completed, rel=0.03)
+    _, stoch, _, scripted = both(cfg(), seed)
+    assert stoch.rebuilds_completed > 0
+    assert scripted.rebuilds_started == stoch.rebuilds_started
+    assert scripted.rebuilds_completed == stoch.rebuilds_completed
 
 
 @pytest.mark.parametrize("use_farm", [True, False])
 def test_windows_agree(use_farm):
-    c = cfg(use_farm=use_farm)
-    obj = simulate_run(c, seed=4).stats
-    fast = ReliabilitySimulation(c, seed=4).run()
-    assert fast.mean_window == pytest.approx(obj.mean_window, rel=0.05)
+    _, stoch, _, scripted = both(cfg(use_farm=use_farm), 4)
+    assert stoch.mean_window > 0
+    assert scripted.mean_window == stoch.mean_window
+    assert scripted.window_max == stoch.window_max
 
 
 def test_loss_rates_agree_under_stress():
-    """At 10x failure rates losses are frequent; the two engines must see
-    statistically indistinguishable loss volumes."""
+    """At 10x failure rates losses are frequent; the replay must lose the
+    same groups at the same times."""
     c = cfg(vintage=cfg().vintage.with_rate_multiplier(10.0),
             use_farm=False)
-    seeds = range(8)
-    obj_lost = sum(simulate_run(c, seed=s).stats.groups_lost for s in seeds)
-    fast_lost = sum(ReliabilitySimulation(c, seed=s).run().groups_lost
-                    for s in seeds)
-    assert obj_lost > 0 and fast_lost > 0
-    assert fast_lost == pytest.approx(obj_lost, rel=0.5)
+    stoch_lost = scripted_lost = 0
+    for s in range(8):
+        a, stoch, b, scripted = both(c, s)
+        assert b.groups_lost_ids == a.groups_lost_ids
+        assert scripted.first_loss_time == stoch.first_loss_time
+        stoch_lost += stoch.groups_lost
+        scripted_lost += scripted.groups_lost
+    assert stoch_lost > 0 and scripted_lost > 0
+    assert scripted_lost == stoch_lost
 
 
 class TestSmartParity:
-    """With ``use_smart`` on, both engines must consult the same config
-    knobs and produce matching suspect decisions."""
+    """With ``use_smart`` on, both paths consult the same config knobs.
 
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_deterministic_decisions_match_exactly(self, seed):
-        """detection=1, fp=0 removes every coin flip: a disk is suspect
-        iff ``now`` is within the warning horizon of its failure, so the
-        engines must agree disk by disk at every probe time."""
-        c = cfg(use_smart=True, smart_detection_probability=1.0,
-                smart_false_positive_rate=0.0,
-                smart_warning_horizon=30 * DAY)
-        obj = StorageSystem(c, RandomStreams(seed))
-        fast = ReliabilitySimulation(c, seed=seed)
-        assert obj.failure_times == pytest.approx(
-            list(fast.fail_time[:fast.N0]))
-        for t in (0.0, 0.5 * YEAR, 1 * YEAR, 3 * YEAR):
-            for d in range(c.n_disks):
-                assert obj.is_suspect(d, t) == fast._smart_suspect(d, t), \
-                    (d, t)
-
-    def test_detection_rate_matches_in_distribution(self):
-        """With every disk inside the horizon, the suspect fraction is the
-        detection probability in both engines."""
-        c = cfg(use_smart=True, smart_detection_probability=0.4,
-                smart_false_positive_rate=0.0,
-                smart_warning_horizon=100 * YEAR)
-        obj = StorageSystem(c, RandomStreams(11))
-        fast = ReliabilitySimulation(c, seed=11)
-        inside = [d for d in range(c.n_disks)
-                  if fast.fail_time[d] <= c.smart_warning_horizon]
-        n = len(inside)
-        assert n > 100    # the bathtub tail keeps some disks outside
-        obj_frac = sum(obj.is_suspect(d, 0.0) for d in inside) / n
-        fast_frac = sum(fast._smart_suspect(d, 0.0) for d in inside) / n
-        assert obj_frac == pytest.approx(0.4, abs=0.1)
-        assert fast_frac == pytest.approx(0.4, abs=0.1)
-        assert fast_frac == pytest.approx(obj_frac, abs=0.12)
+    The replay cannot warn ahead of a death it has not yet been told
+    about, so only the false-positive channel (a per-``(seed, disk)``
+    coin) is compared disk by disk; the detection channel is checked on
+    the stochastic engine alone in ``tests/test_smart.py``.
+    """
 
     def test_false_positive_rate_matches_in_distribution(self):
         """With a zero horizon and zero detection, only the spurious-flag
-        channel remains; its rate must match the knob in both engines."""
+        channel remains; its rate must match the knob on both paths."""
         c = cfg(use_smart=True, smart_detection_probability=0.0,
                 smart_false_positive_rate=0.3,
                 smart_warning_horizon=0.0)
-        obj = StorageSystem(c, RandomStreams(12))
-        fast = ReliabilitySimulation(c, seed=12)
+        stoch = ReliabilitySimulation(c, seed=12)
+        scripted = ReliabilitySimulation(c, seed=12,
+                                         failure_draw=ScriptedFailures())
         n = c.n_disks
-        obj_frac = sum(obj.is_suspect(d, 0.0) for d in range(n)) / n
-        fast_frac = sum(fast._smart_suspect(d, 0.0) for d in range(n)) / n
-        assert obj_frac == pytest.approx(0.3, abs=0.1)
-        assert fast_frac == pytest.approx(0.3, abs=0.1)
-        assert fast_frac == pytest.approx(obj_frac, abs=0.12)
+        stoch_flags = [stoch._smart_suspect(d, 0.0) for d in range(n)]
+        scripted_flags = [scripted._smart_suspect(d, 0.0)
+                          for d in range(n)]
+        assert sum(stoch_flags) / n == pytest.approx(0.3, abs=0.1)
+        assert sum(scripted_flags) / n == pytest.approx(0.3, abs=0.1)
+        assert scripted_flags == stoch_flags
 
     def test_smart_runs_complete_on_both_engines(self):
-        c = cfg(use_smart=True)
-        obj = simulate_run(c, seed=6).stats
-        fast = ReliabilitySimulation(c, seed=6).run()
-        assert obj.disk_failures == fast.disk_failures
+        """The veto may steer the stochastic run's targets away from a
+        soon-failing disk the replay cannot foresee, so only the failure
+        process is compared."""
+        _, stoch, _, scripted = both(cfg(use_smart=True), 6)
+        assert stoch.disk_failures > 0
+        assert scripted.disk_failures == stoch.disk_failures
 
 
 @pytest.mark.parametrize("seed", [0, 123])
 def test_tilted_failure_streams_agree(seed):
-    """Importance sampling tilts both engines identically.
+    """An importance-sampled trajectory replays like any other.
 
-    Both engines invert the same 'disk-failures' uniforms through the
-    same scaled hazard, so tilted failure counts match exactly; the
-    log-weights accumulate the same terms in a different order, so they
-    agree to float tolerance rather than bit-for-bit.
+    The tilted draw shapes which deaths happen; the replay scripts those
+    deaths and so follows the same trajectory, but it is a plain scripted
+    run and carries no likelihood ratio.
     """
-    import math
-
     from repro.reliability.rare import TiltedFailureDraw
 
     c = cfg()
-    tilt = math.log(3.0)
-    d_obj = TiltedFailureDraw(c.vintage.failure_model, tilt)
-    d_fast = TiltedFailureDraw(c.vintage.failure_model, tilt)
-    obj = simulate_run(c, seed=seed, failure_draw=d_obj).stats
-    fast = ReliabilitySimulation(c, seed=seed, failure_draw=d_fast).run()
-    assert obj.disk_failures == fast.disk_failures
-    assert obj.log_weight == pytest.approx(fast.log_weight, rel=1e-12)
-    assert obj.log_weight != 0.0
+    draw = TiltedFailureDraw(c.vintage.failure_model, math.log(3.0))
+    _, stoch, _, scripted = both(c, seed, failure_draw=draw)
+    assert scripted.disk_failures == stoch.disk_failures
+    assert scripted.rebuilds_completed == stoch.rebuilds_completed
+    assert stoch.log_weight != 0.0
+    assert scripted.log_weight == 0.0
 
 
 def test_traditional_spare_counts_agree():
+    """Traditional recovery provisions one spare per failed disk (plus
+    rare overflows) on both paths, and the spare ids line up, so the
+    replay's scripted deaths of spares land on deployed drives."""
     c = cfg(use_farm=False)
-    obj = simulate_run(c, seed=5)
-    fast = ReliabilitySimulation(c, seed=5)
-    fast_stats = fast.run()
-    # object engine: one spare per failed disk (plus rare overflows);
-    # fast engine: same provisioning rule
-    assert fast.total_disks - fast.N0 == pytest.approx(
-        obj.stats.disk_failures, abs=3)
+    a, stoch, b, scripted = both(c, 5)
+    assert b.total_disks == a.total_disks
+    assert b.total_disks - c.n_disks == pytest.approx(
+        scripted.disk_failures, abs=3)
+    assert scripted.disk_failures == stoch.disk_failures
 
 
 class TestLazyPolicyParity:
-    """Lazy recovery must mean the *same thing* on both engines: same
-    failure process (exact), same hold/release/span semantics (within
-    the placement-draw drift every recovery-side count carries)."""
+    """Lazy recovery must mean the *same thing* on both paths: same
+    failure process, same hold/release/span semantics."""
 
     def lazy_cfg(self, **kw):
         from repro.disks.failure import BathtubFailureModel, RatePeriod
@@ -176,52 +181,40 @@ class TestLazyPolicyParity:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_failure_and_loss_counts_exact(self, seed):
-        c = self.lazy_cfg()
-        obj = simulate_run(c, seed=seed).stats
-        fast = ReliabilitySimulation(c, seed=seed).run()
-        assert obj.disk_failures == fast.disk_failures
-        assert obj.groups_lost == fast.groups_lost
+        _, stoch, _, scripted = both(self.lazy_cfg(), seed)
+        assert scripted.disk_failures == stoch.disk_failures
+        assert scripted.groups_lost == stoch.groups_lost
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_held_and_span_accounting_agree(self, seed):
-        """Hold counts and unavailability spans carry the engines'
-        placement differences (which disk hosts which group), so they
-        agree to a few percent, never exactly."""
-        c = self.lazy_cfg()
-        obj = simulate_run(c, seed=seed).stats
-        fast = ReliabilitySimulation(c, seed=seed).run()
-        assert obj.rebuilds_held > 0
-        assert fast.rebuilds_held == pytest.approx(
-            obj.rebuilds_held, rel=0.05)
-        assert fast.unavail_spans == pytest.approx(
-            obj.unavail_spans, rel=0.05)
-        assert fast.unavail_group_seconds == pytest.approx(
-            obj.unavail_group_seconds, rel=0.05)
+        _, stoch, _, scripted = both(self.lazy_cfg(), seed)
+        assert stoch.rebuilds_held > 0
+        assert scripted.rebuilds_held == stoch.rebuilds_held
+        assert scripted.unavail_spans == stoch.unavail_spans
+        assert scripted.unavail_group_seconds == \
+            stoch.unavail_group_seconds
 
     def test_eager_spans_agree_too(self):
-        """Span accounting is engine-parallel on the default policy as
-        well — groups degrade for one rebuild's length on both sides."""
+        """Span accounting matches on the default policy as well —
+        groups degrade for one rebuild's length on both paths."""
         c = self.lazy_cfg(recovery_threshold=1,
                           repair_bandwidth_fraction=None)
-        obj = simulate_run(c, seed=0).stats
-        fast = ReliabilitySimulation(c, seed=0).run()
-        assert obj.unavail_spans > 0
-        assert fast.unavail_spans == pytest.approx(
-            obj.unavail_spans, rel=0.05)
-        assert fast.unavail_group_seconds == pytest.approx(
-            obj.unavail_group_seconds, rel=0.10)
+        _, stoch, _, scripted = both(c, 0)
+        assert stoch.unavail_spans > 0
+        assert scripted.unavail_spans == stoch.unavail_spans
+        assert scripted.unavail_group_seconds == \
+            stoch.unavail_group_seconds
 
     def test_lazy_shift_matches_across_engines(self):
         """The *policy effect* — extra degraded time when going lazy —
-        must have the same sign and magnitude on both engines."""
+        is the same on both paths."""
         eager_c = self.lazy_cfg(recovery_threshold=1)
         lazy_c = self.lazy_cfg()
-        obj_shift = (simulate_run(lazy_c, seed=1).stats.unavail_group_seconds
-                     - simulate_run(eager_c, seed=1).stats
-                     .unavail_group_seconds)
-        fast_shift = (ReliabilitySimulation(lazy_c, seed=1).run()
-                      .unavail_group_seconds
-                      - ReliabilitySimulation(eager_c, seed=1).run()
-                      .unavail_group_seconds)
-        assert obj_shift > 0 and fast_shift > 0
-        assert fast_shift == pytest.approx(obj_shift, rel=0.05)
+        _, stoch_lazy, _, scripted_lazy = both(lazy_c, 1)
+        _, stoch_eager, _, scripted_eager = both(eager_c, 1)
+        stoch_shift = (stoch_lazy.unavail_group_seconds
+                       - stoch_eager.unavail_group_seconds)
+        scripted_shift = (scripted_lazy.unavail_group_seconds
+                          - scripted_eager.unavail_group_seconds)
+        assert stoch_shift > 0 and scripted_shift > 0
+        assert scripted_shift == stoch_shift

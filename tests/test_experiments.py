@@ -10,7 +10,7 @@ import pytest
 from repro.experiments import (SCALES, ablations, current_scale,
                                faults_sweep, figure3, figure4, figure5,
                                figure7, figure8, redirection, table1,
-                               table3)
+                               table3, topology_sweep)
 from repro.experiments.base import Scale
 from repro.units import GB, MB, MINUTE, PB
 
@@ -147,6 +147,36 @@ class TestRedirectionAndAblations:
         result = ablations.run_policy(SMOKE)
         by_policy = {r["policy"]: r for r in result.rows}
         assert by_policy["full"]["buddy_violations"] == 0
+        # Only the buddy check keeps a group's blocks on distinct disks.
+        assert by_policy["no-idle-pref"]["buddy_violations"] == 0
+        assert by_policy["no-buddy-check"]["buddy_violations"] > 0
+
+
+class TestTopologySweep:
+    def test_constrained_placements_beat_random_in_every_cell(self):
+        result = topology_sweep.run(SMOKE)
+        cells = {}
+        for row in result.rows:
+            cells.setdefault((row["racks"], row["bursts_yr"]), {})[
+                row["policy"]] = row["p_loss"]
+        assert len(cells) == 4
+        for by_policy in cells.values():
+            assert by_policy["random+cap"] < by_policy["random"]
+            assert by_policy["copyset"] < by_policy["random"]
+
+    def test_run_writes_nothing_into_the_cwd(self, tmp_path, monkeypatch):
+        """The CLI's ``--out`` saves tables; the experiment itself must
+        not write ``results/`` wherever it happens to run."""
+        monkeypatch.setattr(topology_sweep, "RACK_COUNTS", (2,))
+        monkeypatch.setattr(topology_sweep, "BURST_RATES",
+                            topology_sweep.BURST_RATES[:1])
+        monkeypatch.setattr(topology_sweep, "POLICIES",
+                            topology_sweep.POLICIES[:1])
+        monkeypatch.chdir(tmp_path)
+        result = topology_sweep.run(SMOKE)
+        assert len(result.rows) == 1
+        assert not (tmp_path / "results").exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFaultsSweep:

@@ -1,12 +1,15 @@
-"""Behavioural tests for FARM recovery (repro.core.farm)."""
+"""Behavioural tests for FARM recovery on the DES engine.
+
+Each scripted test builds a system with stochastic failures off
+(:class:`~repro.reliability.scenarios.ScriptedFailures`) and drives the
+engine's public failure callback directly.
+"""
 
 import pytest
 
-from repro.cluster import StorageSystem
 from repro.config import SystemConfig
-from repro.core import FarmRecovery, simulate_run
-from repro.redundancy import ECC_4_6, GroupState
-from repro.sim import RandomStreams, Simulator
+from repro.redundancy import ECC_4_6
+from repro.reliability import ReliabilitySimulation, ScriptedFailures
 from repro.units import GB, TB, YEAR
 
 
@@ -17,16 +20,32 @@ def make(cfg_kw=None, seed=0):
                     detection_latency=30.0)
     defaults.update(cfg_kw or {})
     cfg = SystemConfig(**defaults)
-    system = StorageSystem(cfg, RandomStreams(seed))
-    sim = Simulator()
-    return cfg, system, sim, FarmRecovery(system, sim)
+    farm = ReliabilitySimulation(cfg, seed=seed,
+                                 failure_draw=ScriptedFailures())
+    return cfg, farm, farm.sim
+
+
+def healthy(farm, g):
+    return farm.failed_count[g] == 0 and not farm.lost[g]
+
+
+def utilization_bytes(farm):
+    """Bytes stored on live disks (failed disks hold nothing)."""
+    return sum(u for u, a in zip(farm.used_blocks, farm.alive)
+               if a) * farm.block_bytes
+
+
+def first_partner(farm, victim):
+    """A group with a block on ``victim``, and another of its disks."""
+    g, _ = farm.blocks_on(victim)[0]
+    return g, next(d for d in farm.group_disks[g].tolist() if d != victim)
 
 
 class TestSingleFailure:
     def test_all_blocks_rebuilt_in_parallel(self):
-        cfg, system, sim, farm = make()
+        cfg, farm, sim = make()
         victim = 0
-        n_blocks = len(system.groups_on_disk(victim))
+        n_blocks = len(farm.blocks_on(victim))
         assert n_blocks > 0
         sim.schedule_at(100.0, farm.on_disk_failure, victim)
         sim.run(until=1 * YEAR)
@@ -35,7 +54,7 @@ class TestSingleFailure:
 
     def test_window_is_detection_plus_one_block(self):
         """The defining FARM property: windows don't stack up."""
-        cfg, system, sim, farm = make()
+        cfg, farm, sim = make()
         sim.schedule_at(100.0, farm.on_disk_failure, 0)
         sim.run(until=1 * YEAR)
         expected = cfg.detection_latency + cfg.rebuild_seconds_per_block
@@ -43,7 +62,7 @@ class TestSingleFailure:
         assert farm.stats.window_max <= expected * 3
 
     def test_rebuilds_wait_for_detection(self):
-        cfg, system, sim, farm = make()
+        cfg, farm, sim = make()
         sim.schedule_at(100.0, farm.on_disk_failure, 0)
         sim.run(until=100.0 + cfg.detection_latency - 1.0)
         assert farm.stats.rebuilds_completed == 0
@@ -51,84 +70,77 @@ class TestSingleFailure:
         assert farm.stats.rebuilds_completed > 0
 
     def test_groups_healthy_after_recovery(self):
-        cfg, system, sim, farm = make()
-        affected = [g for g in system.groups_on_disk(0)]
+        cfg, farm, sim = make()
+        affected = [g for g, _ in farm.blocks_on(0)]
         sim.schedule_at(100.0, farm.on_disk_failure, 0)
         sim.run(until=1 * YEAR)
-        for group in affected:
-            assert group.state is GroupState.HEALTHY
+        for g in affected:
+            assert healthy(farm, g)
 
     def test_rebuilt_blocks_go_to_distinct_targets_mostly(self):
         """Declustering: new replicas spread over many disks, not one
         dedicated spare (the contrast with Figure 2(c))."""
-        cfg, system, sim, farm = make()
-        affected = system.groups_on_disk(0)
-        failed_reps = [(g, next(r for r, d in enumerate(g.disks)
-                                if d == 0)) for g in affected]
+        cfg, farm, sim = make()
+        failed_reps = farm.blocks_on(0)
         sim.schedule_at(100.0, farm.on_disk_failure, 0)
         sim.run(until=1 * YEAR)
-        targets = [g.disks[rep] for g, rep in failed_reps]
+        targets = [int(farm.group_disks[g, rep]) for g, rep in failed_reps]
         assert 0 not in targets
         assert len(set(targets)) > len(targets) * 0.6
 
     def test_utilization_accounting_after_rebuild(self):
-        cfg, system, sim, farm = make()
-        total_before = system.utilization_bytes().sum()
-        lost = system.disks[0].used_bytes
+        cfg, farm, sim = make()
+        total_before = utilization_bytes(farm)
         sim.schedule_at(100.0, farm.on_disk_failure, 0)
         sim.run(until=1 * YEAR)
-        total_after = system.utilization_bytes().sum()
+        total_after = utilization_bytes(farm)
         # the failed disk's bytes were re-created elsewhere
         assert total_after == pytest.approx(total_before, rel=0.01)
 
 
 class TestDataLoss:
     def test_mirror_partner_failure_during_window_loses_group(self):
-        cfg, system, sim, farm = make()
-        group = system.groups_on_disk(0)[0]
-        partner = next(d for d in group.disks if d != 0)
+        cfg, farm, sim = make()
+        g, partner = first_partner(farm, 0)
         sim.schedule_at(100.0, farm.on_disk_failure, 0)
         # partner dies within the detection window -> loss
         sim.schedule_at(110.0, farm.on_disk_failure, partner)
         sim.run(until=1 * YEAR)
-        assert group.lost
+        assert farm.lost[g]
         assert farm.stats.groups_lost >= 1
         assert farm.stats.first_loss_time == 110.0
 
     def test_partner_failure_after_rebuild_is_safe(self):
-        cfg, system, sim, farm = make()
-        group = system.groups_on_disk(0)[0]
-        partner = next(d for d in group.disks if d != 0)
+        cfg, farm, sim = make()
+        g, partner = first_partner(farm, 0)
         sim.schedule_at(100.0, farm.on_disk_failure, 0)
         sim.schedule_at(100.0 + 10 * 24 * 3600, farm.on_disk_failure,
                         partner)
         sim.run(until=1 * YEAR)
-        assert not group.lost
+        assert not farm.lost[g]
 
     def test_ecc_tolerates_overlapping_failure(self):
-        cfg, system, sim, farm = make(dict(scheme=ECC_4_6))
-        group = system.groups_on_disk(0)[0]
-        partner = next(d for d in group.disks if d != 0)
+        cfg, farm, sim = make(dict(scheme=ECC_4_6))
+        g, partner = first_partner(farm, 0)
         sim.schedule_at(100.0, farm.on_disk_failure, 0)
         sim.schedule_at(110.0, farm.on_disk_failure, partner)
         sim.run(until=1 * YEAR)
-        assert not group.lost      # tolerance 2
-        assert group.state is GroupState.HEALTHY
+        assert not farm.lost[g]      # tolerance 2
+        assert healthy(farm, g)
 
     def test_lost_group_rebuilds_cancelled(self):
-        cfg, system, sim, farm = make()
-        group = system.groups_on_disk(0)[0]
-        partner = next(d for d in group.disks if d != 0)
+        cfg, farm, sim = make()
+        g, partner = first_partner(farm, 0)
         sim.schedule_at(100.0, farm.on_disk_failure, 0)
         sim.schedule_at(110.0, farm.on_disk_failure, partner)
         sim.run(until=1 * YEAR)
         # no rebuild may "revive" a lost group
-        assert group.lost and len(group.failed) == 2
+        assert farm.lost[g] and farm.failed_count[g] == 2
 
 
 class TestRedirection:
     def test_target_failure_redirects_and_completes(self):
-        cfg, system, sim, farm = make()
+        cfg, farm, sim = make()
         sim.schedule_at(100.0, farm.on_disk_failure, 0)
         # find the chosen target right after jobs start, then kill it
         def kill_a_target():
@@ -141,17 +153,16 @@ class TestRedirection:
         assert farm.stats.target_redirections >= 1
         # every group ends resolved: fully rebuilt, or lost because the
         # second failure overlapped a window — never stuck degraded
-        for g in system.groups:
-            assert g.lost or not g.failed
+        assert ((farm.failed_count == 0) | farm.lost).all()
 
     def test_redirection_rare_in_normal_lifetime(self):
         """§2.3: fewer than 8% of systems see a redirection in 6 years."""
         hits = 0
         for seed in range(10):
-            result = simulate_run(SystemConfig(
+            stats = ReliabilitySimulation(SystemConfig(
                 total_user_bytes=20 * TB, group_user_bytes=10 * GB),
-                seed=seed)
-            hits += result.stats.target_redirections > 0
+                seed=seed).run()
+            hits += stats.target_redirections > 0
         assert hits <= 2
 
 
@@ -160,14 +171,15 @@ class TestReplacementIntegration:
         cfg = SystemConfig(total_user_bytes=20 * TB,
                            group_user_bytes=10 * GB,
                            replacement_threshold=0.02)
-        result = simulate_run(cfg, seed=3, keep_system=True)
-        assert result.stats.replacement_batches >= 1
-        assert result.stats.blocks_migrated > 0
-        assert result.system.n_disks > cfg.n_disks
+        farm = ReliabilitySimulation(cfg, seed=3)
+        stats = farm.run()
+        assert stats.replacement_batches >= 1
+        assert stats.blocks_migrated > 0
+        assert farm.total_disks > cfg.n_disks
 
     def test_run_determinism(self):
         cfg = SystemConfig(total_user_bytes=10 * TB,
                            group_user_bytes=10 * GB)
-        a = simulate_run(cfg, seed=11).stats
-        b = simulate_run(cfg, seed=11).stats
+        a = ReliabilitySimulation(cfg, seed=11).run()
+        b = ReliabilitySimulation(cfg, seed=11).run()
         assert a == b

@@ -1,15 +1,14 @@
-"""Unit tests for the fault-injection subsystem (repro.faults)."""
+"""Unit tests for the fault-injection subsystem (repro.faults) and the
+engine hooks it drives."""
 
 import pytest
 
-from repro.cluster import StorageSystem
 from repro.config import SystemConfig
-from repro.core.runner import build_manager
-from repro.disks.disk import DiskState
 from repro.faults import (CorrelatedFailures, FaultContext, FaultStats,
                           LatentSectorErrors, Scrubber, Stragglers,
                           TransientOutages, arm_all)
-from repro.sim import RandomStreams, Simulator, TraceRecorder
+from repro.reliability import ReliabilitySimulation, ScriptedFailures
+from repro.sim import Simulator, TraceRecorder
 from repro.units import DAY, GB, HOUR, TB
 
 HORIZON = 30 * DAY
@@ -22,74 +21,93 @@ def small_config(**kw):
 
 
 def make_ctx(seed=0, horizon=HORIZON, **kw):
-    streams = RandomStreams(seed)
-    system = StorageSystem(small_config(**kw), streams,
-                           deterministic_failures=True)
-    sim = Simulator(trace=TraceRecorder())
-    manager = build_manager(system, sim)
-    return FaultContext(system=system, sim=sim, manager=manager,
-                        streams=streams, horizon=horizon)
+    engine = ReliabilitySimulation(small_config(**kw), seed=seed,
+                                   failure_draw=ScriptedFailures())
+    engine.sim = Simulator(trace=TraceRecorder())
+    return FaultContext(engine=engine, horizon=horizon)
+
+
+def at(ctx, t, fn, *args):
+    """Run ``fn(*args)`` at simulated time ``t``."""
+    ctx.sim.schedule_at(t, fn, *args)
+    ctx.sim.run(until=t)
+
+
+def latent_count(engine):
+    return sum(len(errors) for errors in engine.latent.values())
 
 
 class TestDiskStateMachine:
     def test_offline_and_restore(self):
         ctx = make_ctx()
-        disk = ctx.system.disks[0]
-        disk.set_offline(100.0)
-        assert disk.state is DiskState.OFFLINE
-        assert not disk.online and not disk.dead
-        disk.restore(250.0)
-        assert disk.online
-        assert disk.offline_seconds == pytest.approx(150.0)
+        engine = ctx.engine
+        at(ctx, 100.0, engine.on_disk_offline, 0)
+        assert 0 in engine.offline
+        assert not engine.alive[0] and not ctx.is_dead(0)
+        at(ctx, 250.0, engine.on_disk_online, 0)
+        assert engine.alive[0] and 0 not in engine.offline
+        assert engine.stats.transient_outages == 1
 
     def test_fail_legal_from_offline(self):
         ctx = make_ctx()
-        disk = ctx.system.disks[0]
-        disk.set_offline(10.0)
-        disk.fail(40.0)
-        assert disk.dead
-        assert disk.offline_seconds == pytest.approx(30.0)
+        engine = ctx.engine
+        blocks = len(engine.blocks_on(0))
+        at(ctx, 10.0, engine.on_disk_offline, 0)
+        at(ctx, 40.0, engine.on_disk_failure, 0)
+        assert ctx.is_dead(0) and 0 not in engine.offline
+        assert engine.stats.disk_failures == 1
+        assert int(engine.failed_count.sum()) == blocks
 
     def test_offline_requires_online(self):
         ctx = make_ctx()
-        disk = ctx.system.disks[0]
-        disk.fail(5.0)
-        with pytest.raises(ValueError):
-            disk.set_offline(6.0)
+        engine = ctx.engine
+        at(ctx, 5.0, engine.on_disk_failure, 0)
+        at(ctx, 6.0, engine.on_disk_offline, 0)     # stale: a no-op
+        assert ctx.is_dead(0) and 0 not in engine.offline
+        assert engine.stats.transient_outages == 0
 
     def test_latent_bookkeeping(self):
         ctx = make_ctx()
-        disk = ctx.system.disks[0]
-        disk.add_latent_error(3, 1, now=7.0)
-        assert disk.has_latent_error(3, 1)
-        assert disk.clear_latent_error(3, 1) == 7.0
-        assert not disk.has_latent_error(3, 1)
-        assert disk.clear_latent_error(3, 1) is None
+        engine = ctx.engine
+        rng = ctx.streams.get("faults-latent")
+        ctx.sim.run(until=7.0)
+        g, rep = engine.corrupt_block(0, rng)
+        assert engine.latent[0] == {(g, rep): 7.0}
+        ctx.sim.run(until=9.0)
+        assert engine.discover_latent(0, g, rep)
+        assert 0 not in engine.latent
+        assert engine.stats.latent_window_total == pytest.approx(2.0)
+        assert not engine.discover_latent(0, g, rep)
 
 
 class TestSystemFaultSurface:
     def test_inject_latent_error_picks_live_block(self):
         ctx = make_ctx()
+        engine = ctx.engine
         rng = ctx.streams.get("faults-latent")
-        hit = ctx.system.inject_latent_error(4, rng, now=50.0)
+        hit = engine.corrupt_block(4, rng)
         assert hit is not None
         grp_id, rep_id = hit
-        assert ctx.system.groups[grp_id].disks[rep_id] == 4
-        assert ctx.system.has_latent_error(4, grp_id, rep_id)
-        assert ctx.system.latent_error_count() == 1
+        assert engine.group_disks[grp_id, rep_id] == 4
+        assert hit in engine.latent[4]
+        assert latent_count(engine) == 1
 
     def test_failure_supersedes_latent_errors(self):
         ctx = make_ctx()
+        engine = ctx.engine
         rng = ctx.streams.get("faults-latent")
-        ctx.system.inject_latent_error(4, rng, now=50.0)
-        ctx.system.fail_disk(4, now=60.0)
-        assert ctx.system.latent_error_count() == 0
+        at(ctx, 50.0, engine.corrupt_block, 4, rng)
+        at(ctx, 60.0, engine.on_disk_failure, 4)
+        assert latent_count(engine) == 0
+        assert engine.stats.latent_errors_discovered == 0
 
     def test_bring_online_stale_after_death(self):
         ctx = make_ctx()
-        ctx.system.take_offline(2, now=10.0)
-        ctx.system.disks[2].fail(20.0)
-        assert ctx.system.bring_online(2, now=30.0) is False
+        engine = ctx.engine
+        at(ctx, 10.0, engine.on_disk_offline, 2)
+        at(ctx, 20.0, engine.on_disk_failure, 2)
+        at(ctx, 30.0, engine.on_disk_online, 2)
+        assert ctx.is_dead(2)
 
 
 class TestInjectorValidation:
@@ -122,7 +140,7 @@ class TestLatentAndScrub:
         assert ctx.stats.latent_injected > 0
         assert ctx.stats.scrubs > 0
         assert ctx.stats.scrub_discoveries > 0
-        s = ctx.manager.stats
+        s = ctx.engine.stats
         assert s.latent_errors_discovered >= ctx.stats.scrub_discoveries
         # A full scrub cycle bounds the undiscovered lifetime (plus the
         # time to the first cycle; use a generous factor).
@@ -132,10 +150,10 @@ class TestLatentAndScrub:
         ctx = make_ctx()
         arm_all([LatentSectorErrors(1.0 / DAY), Scrubber(DAY)], ctx)
         ctx.sim.run(until=HORIZON)
-        s = ctx.manager.stats
+        s = ctx.engine.stats
         assert s.rebuilds_completed > 0
-        live_groups = [g for g in ctx.system.groups if not g.lost]
-        assert all(not g.failed for g in live_groups)
+        engine = ctx.engine
+        assert (engine.failed_count[~engine.lost] == 0).all()
 
     def test_shorter_interval_means_shorter_latency(self):
         latencies = []
@@ -144,7 +162,7 @@ class TestLatentAndScrub:
             arm_all([LatentSectorErrors(1.0 / DAY), Scrubber(interval)],
                     ctx)
             ctx.sim.run(until=HORIZON)
-            latencies.append(ctx.manager.stats.mean_latent_window)
+            latencies.append(ctx.engine.stats.mean_latent_window)
         assert latencies[1] < latencies[0]
 
 
@@ -155,18 +173,17 @@ class TestTransientOutages:
         ctx.sim.run(until=HORIZON)
         assert ctx.stats.outages_started > 0
         assert ctx.stats.outages_ended == ctx.stats.outages_started
-        assert ctx.manager.stats.transient_outages == \
+        assert ctx.engine.stats.transient_outages == \
             ctx.stats.outages_started
         # Every outage ended: nothing stays offline, nothing is lost.
-        assert all(d.state is not DiskState.OFFLINE
-                   for d in ctx.system.disks)
-        assert ctx.manager.stats.groups_lost == 0
+        assert not ctx.engine.offline
+        assert ctx.engine.stats.groups_lost == 0
 
     def test_outage_is_not_a_failure(self):
         ctx = make_ctx()
         arm_all([TransientOutages(1.0 / (4 * DAY), 2 * HOUR)], ctx)
         ctx.sim.run(until=HORIZON)
-        assert ctx.manager.stats.disk_failures == 0
+        assert ctx.engine.stats.disk_failures == 0
 
 
 class TestCorrelatedFailures:
@@ -177,9 +194,9 @@ class TestCorrelatedFailures:
         ctx.sim.run(until=HORIZON)
         assert ctx.stats.bursts > 0
         assert ctx.stats.burst_failures > 0
-        assert ctx.manager.stats.disk_failures == ctx.stats.burst_failures
+        assert ctx.engine.stats.disk_failures == ctx.stats.burst_failures
         # Failed disks form whole shelves of consecutive ids.
-        dead = sorted(d.disk_id for d in ctx.system.disks if d.dead)
+        dead = [d for d in range(ctx.engine.total_disks) if ctx.is_dead(d)]
         for disk_id in dead:
             assert disk_id // 4 in {d // 4 for d in dead}
 
@@ -188,25 +205,25 @@ class TestStragglers:
     def test_factors_sampled_in_range(self):
         ctx = make_ctx()
         Stragglers(0.25, factor_range=(0.1, 0.5)).arm(ctx)
-        degraded = [d for d in ctx.system.disks
-                    if d.bandwidth_factor < 1.0]
+        factors = ctx.engine.bandwidth_factor
+        degraded = [f for f in factors.values() if f < 1.0]
         assert len(degraded) == ctx.stats.stragglers == \
-            round(0.25 * len(ctx.system.disks))
-        assert all(0.1 <= d.bandwidth_factor <= 0.5 for d in degraded)
+            round(0.25 * ctx.engine.total_disks)
+        assert all(0.1 <= f <= 0.5 for f in degraded)
 
     def test_stragglers_slow_rebuilds(self):
         fast = make_ctx()
-        fast.manager.on_disk_failure(0)
+        fast.engine.on_disk_failure(0)
         fast.sim.run(until=DAY)
 
         slow = make_ctx()
         Stragglers(1.0, factor_range=(0.25, 0.25)).arm(slow)
-        slow.manager.on_disk_failure(0)
+        slow.engine.on_disk_failure(0)
         slow.sim.run(until=DAY)
 
-        assert slow.manager.stats.rebuilds_completed > 0
-        assert slow.manager.stats.mean_window > \
-            fast.manager.stats.mean_window
+        assert slow.engine.stats.rebuilds_completed > 0
+        assert slow.engine.stats.mean_window > \
+            fast.engine.stats.mean_window
 
 
 class TestDeterminism:
@@ -222,7 +239,7 @@ class TestDeterminism:
 
         a, b = run(), run()
         assert a.stats == b.stats
-        assert a.manager.stats == b.manager.stats
+        assert a.engine.stats == b.engine.stats
         assert a.sim.events_fired == b.sim.events_fired
 
     def test_fault_streams_do_not_perturb_base_run(self):
@@ -230,16 +247,16 @@ class TestDeterminism:
         stream: a no-fault run is bit-identical with or without the
         faults module imported and its streams created."""
         plain = make_ctx(seed=3)
-        plain.manager.on_disk_failure(0)
+        plain.engine.on_disk_failure(0)
         plain.sim.run(until=DAY)
 
         warmed = make_ctx(seed=3)
         warmed.streams.get("faults-latent")       # create, never draw
         warmed.streams.get("faults-outages")
-        warmed.manager.on_disk_failure(0)
+        warmed.engine.on_disk_failure(0)
         warmed.sim.run(until=DAY)
 
-        assert plain.manager.stats == warmed.manager.stats
+        assert plain.engine.stats == warmed.engine.stats
 
 
 class TestFaultStats:

@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.availability.luby import InfeasibleConfig
 from repro.config import SystemConfig
-from repro.redundancy.composite import MirroredParity
 from repro.reliability import estimate_p_loss, loss_probability_series, sweep
 from repro.reliability.runner import shutdown_pool
 from repro.units import GB, TB
+from tests.test_availability import infeasible_cfg
 
 
 def tiny():
@@ -14,11 +15,10 @@ def tiny():
 
 
 def unrunnable():
-    """A config the fast engine rejects (composite scheme) — every
-    lifetime raises ``NotImplementedError``, so ``on_error="skip"``
-    completes zero runs."""
-    return SystemConfig(total_user_bytes=10 * TB, group_user_bytes=10 * GB,
-                        scheme=MirroredParity(4))
+    """A config the engine rejects (a repair lane too narrow for its own
+    failure inflow) — every lifetime raises ``InfeasibleConfig``, so
+    ``on_error="skip"`` completes zero runs."""
+    return infeasible_cfg()
 
 
 class TestEstimate:
@@ -72,7 +72,7 @@ class TestZeroCompletedRuns:
     interval with ``trials == 0`` and counts the drops."""
 
     def test_raise_is_the_default(self):
-        with pytest.raises(NotImplementedError, match="threshold-only"):
+        with pytest.raises(InfeasibleConfig):
             estimate_p_loss(unrunnable(), n_runs=2)
 
     def test_skip_yields_empty_proportion_serial(self):

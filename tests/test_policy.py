@@ -1,18 +1,34 @@
-"""Tests for FARM target selection (repro.core.policy)."""
+"""Tests for FARM target selection on the DES engine (paper §2.3).
+
+Hard constraints — alive, no buddy, space — always hold; the bandwidth
+preference is soft.  :class:`~repro.reliability.simulation.PolicyConfig`
+relaxes either for the policy ablation.
+"""
 
 import pytest
 
-from repro.cluster import StorageSystem
 from repro.config import SystemConfig
-from repro.core import NoTargetError, PolicyConfig, TargetSelector
+from repro.reliability import PolicyConfig, ReliabilitySimulation
+from repro.reliability.simulation import _TargetProbes
 from repro.sim import RandomStreams
 from repro.units import GB, TB
 
 
-def build_system(**kw):
+def build_system(policy=None, **kw):
     defaults = dict(total_user_bytes=4 * TB, group_user_bytes=10 * GB)
     defaults.update(kw)
-    return StorageSystem(SystemConfig(**defaults), RandomStreams(0))
+    return ReliabilitySimulation(SystemConfig(**defaults), seed=0,
+                                 policy=policy)
+
+
+def pick(system, g, now=0.0):
+    return system._pick_farm_target(system.group_disks[g].tolist(), now)
+
+
+def replay(system):
+    """Rewind the target probes, so the next pick sees the same draws."""
+    system._probes = _TargetProbes(
+        RandomStreams(system.seed).get("targets"))
 
 
 @pytest.fixture
@@ -22,94 +38,71 @@ def system():
 
 class TestHardConstraints:
     def test_target_is_alive_no_buddy_and_fits(self, system):
-        selector = TargetSelector(system)
-        group = system.groups[0]
-        nbytes = system.config.block_bytes
-        target = selector.select(group, nbytes, now=0.0)
-        assert system.disks[target].online
-        assert not group.holds_buddy(target)
-        assert system.disks[target].free_bytes >= nbytes
+        target = pick(system, 0)
+        assert system.alive[target]
+        assert target not in system.group_disks[0].tolist()
+        assert system.used_blocks[target] < system.capacity_blocks
 
     def test_dead_candidates_skipped(self, system):
-        selector = TargetSelector(system)
-        group = system.groups[0]
-        nbytes = system.config.block_bytes
-        first = selector.select(group, nbytes, now=0.0)
-        system.fail_disk(first, now=1.0)
-        second = selector.select(group, nbytes, now=1.0)
-        assert second != first and system.disks[second].online
+        first = pick(system, 0)
+        system.on_disk_failure(first)
+        replay(system)
+        second = pick(system, 0)
+        assert second != first and system.alive[second]
 
     def test_buddy_disks_never_selected(self, system):
-        selector = TargetSelector(system)
-        nbytes = system.config.block_bytes
-        for group in system.groups[:50]:
-            target = selector.select(group, nbytes, now=0.0)
-            assert target not in group.disks
+        for g in range(50):
+            assert pick(system, g) not in system.group_disks[g].tolist()
 
     def test_full_disks_skipped(self, system):
-        selector = TargetSelector(system)
-        group = system.groups[0]
+        row = system.group_disks[0].tolist()
         # Fill every disk except one non-buddy disk.
-        keep = next(d.disk_id for d in system.disks
-                    if d.disk_id not in group.disks)
-        for disk in system.disks:
-            if disk.disk_id != keep:
-                disk.used_bytes = disk.capacity_bytes
-        target = selector.select(group, system.config.block_bytes, now=0.0)
-        assert target == keep
+        keep = next(d for d in range(system.total_disks) if d not in row)
+        for d in range(system.total_disks):
+            if d != keep:
+                system.used_blocks[d] = system.capacity_blocks
+        assert pick(system, 0) == keep
 
     def test_no_target_raises(self, system):
-        selector = TargetSelector(system)
-        group = system.groups[0]
-        for disk in system.disks:
-            disk.used_bytes = disk.capacity_bytes
-        with pytest.raises(NoTargetError):
-            selector.select(group, system.config.block_bytes, now=0.0)
+        for d in range(system.total_disks):
+            system.used_blocks[d] = system.capacity_blocks
+        assert pick(system, 0) is None
 
 
 class TestSoftConstraints:
     def test_prefers_idle_target(self, system):
-        selector = TargetSelector(system)
-        group = system.groups[0]
-        nbytes = system.config.block_bytes
-        preferred = selector.select(group, nbytes, now=0.0)
+        preferred = pick(system, 0)
         # Make the preferred candidate busy: selection must move on...
-        busy = {preferred: 100.0}
-        second = selector.select(group, nbytes, now=0.0,
-                                 busy_until=lambda d: busy.get(d, 0.0))
-        assert second != preferred
+        system.free_at[preferred] = 100.0
+        replay(system)
+        assert pick(system, 0) != preferred
 
     def test_sticks_with_busy_target_when_all_busy(self, system):
         """Paper: 'if there is no better alternative, we will stick to
         it' — soft constraints relax rather than fail."""
-        selector = TargetSelector(system)
-        group = system.groups[0]
-        nbytes = system.config.block_bytes
-        target = selector.select(group, nbytes, now=0.0,
-                                 busy_until=lambda d: 1e9)
-        assert system.disks[target].online
+        for d in range(system.total_disks):
+            system.free_at[d] = 1e9
+        target = pick(system, 0)
+        assert target is not None and system.alive[target]
 
-    def test_policy_flags_can_disable_constraints(self, system):
-        policy = PolicyConfig(forbid_buddy=False, require_space=False,
-                              prefer_idle=False, use_smart=False)
-        selector = TargetSelector(system, policy)
-        group = system.groups[0]
-        for disk in system.disks:
-            disk.used_bytes = disk.capacity_bytes
-        # With space checks off, a full disk is acceptable.
-        target = selector.select(group, system.config.block_bytes, now=0.0)
-        assert system.disks[target].online
+    def test_policy_flags_can_disable_constraints(self):
+        system = build_system(PolicyConfig(forbid_buddy=False,
+                                           prefer_idle=False))
+        row = system.group_disks[0].tolist()
+        for d in range(system.total_disks):
+            if d not in row:
+                system.used_blocks[d] = system.capacity_blocks
+            system.free_at[d] = 1e9
+        # With the buddy check off, a disk of the group is acceptable.
+        assert pick(system, 0) in row
 
 
 class TestCandidateOrigin:
     def test_targets_come_from_candidate_list_prefix(self, system):
-        """Selection walks the group's RUSH/hash candidate list, so with no
-        constraints binding, the chosen disk appears early in that list."""
-        selector = TargetSelector(system)
-        group = system.groups[5]
-        candidates = system.placement.candidates(
-            group.grp_id,
-            min(len(system.disks),
-                group.scheme.n + selector.policy.candidate_window))
-        target = selector.select(group, system.config.block_bytes, now=0.0)
-        assert target in candidates
+        """Selection walks the pick's probe list, so with no constraints
+        binding, the chosen disk is its first admissible probe."""
+        row = system.group_disks[5].tolist()
+        target = pick(system, 5)
+        replay(system)
+        probes = system._probes.draw(system.total_disks)
+        assert target == next(d for d in probes if d not in row)

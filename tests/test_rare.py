@@ -138,7 +138,7 @@ class TestResultEss:
 
     @staticmethod
     def _result(tilt, log_weights=None, n_runs=4):
-        from repro.core.recovery import RecoveryStats
+        from repro.reliability import RecoveryStats
         from repro.reliability.montecarlo import MonteCarloResult
         from repro.reliability.stats import wilson_interval
         run_stats = []

@@ -1,69 +1,95 @@
-"""Tests for batch replacement (repro.cluster.replacement)."""
+"""Tests for batch replacement and migration on the DES engine (§3.6).
+
+A batch arrives once ``replacement_threshold`` of the initial population
+has failed since the last one; it restores the population, and a fair
+share of live blocks migrates onto it.
+"""
 
 import numpy as np
 import pytest
 
-from repro.cluster import BatchReplacementPolicy, plan_migration
+from repro.config import SystemConfig
+from repro.reliability import ReliabilitySimulation, ScriptedFailures
+from repro.units import GB, TB
+
+
+def scripted(threshold=None, seed=0, **kw):
+    defaults = dict(total_user_bytes=200 * TB, group_user_bytes=10 * GB,
+                    replacement_threshold=threshold)
+    defaults.update(kw)
+    return ReliabilitySimulation(SystemConfig(**defaults), seed=seed,
+                                 failure_draw=ScriptedFailures())
+
+
+def fail(engine, disks):
+    """Fail ``disks`` one second apart, starting a second from now."""
+    start = engine.sim.now + 1.0
+    for i, d in enumerate(disks):
+        engine.sim.schedule_at(start + i, engine.on_disk_failure, d)
+    engine.sim.run(until=start + len(disks))
 
 
 class TestPolicy:
     def test_triggers_at_threshold(self):
-        pol = BatchReplacementPolicy(threshold=0.04)
-        assert not pol.should_trigger(39, 1000)
-        assert pol.should_trigger(40, 1000)
+        engine = scripted(threshold=0.04)
+        assert engine.N0 == 1000
+        fail(engine, range(39))
+        assert engine.stats.replacement_batches == 0
+        fail(engine, [39])
+        assert engine.stats.replacement_batches == 1
 
     def test_batch_restores_population(self):
-        pol = BatchReplacementPolicy(threshold=0.02)
-        assert pol.batch_size(23) == 23
-
-    def test_non_restoring_policy(self):
-        pol = BatchReplacementPolicy(threshold=0.02,
-                                     restore_population=False)
-        assert pol.batch_size(23) == 0
+        engine = scripted(threshold=0.02)
+        fail(engine, range(20))
+        assert engine.total_disks == engine.N0 + 20
+        assert sum(engine.alive[:engine.total_disks]) == engine.N0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            BatchReplacementPolicy(threshold=0.0)
+            scripted(threshold=0.0)
         with pytest.raises(ValueError):
-            BatchReplacementPolicy(threshold=0.5, weight=0.0)
+            scripted(threshold=1.0)
 
 
 class TestMigrationPlan:
-    def _setup(self, n_blocks=50_000, n_disks=1000, n_new=100, seed=0):
-        rng = np.random.default_rng(seed)
-        block_disks = rng.integers(0, n_disks, n_blocks)
-        live = np.ones(n_disks + n_new, dtype=bool)
-        new = np.arange(n_disks, n_disks + n_new)
-        live[new] = True
-        return rng, block_disks, live, new
+    def _setup(self, n_new=100, seed=0, **kw):
+        engine = scripted(seed=seed, **kw)
+        before = engine.group_disks.copy()
+        new = engine._new_disks(n_new, now=0.0)
+        return engine, before, new
 
     def test_fair_share_moves(self):
-        rng, blocks, live, new = self._setup()
-        out = plan_migration(rng, blocks, live, new)
-        moved = (out != blocks).mean()
+        engine, before, new = self._setup()
+        engine._migrate(new, now=0.0)
+        moved = (engine.group_disks != before).mean()
         assert moved == pytest.approx(100 / 1100, abs=0.01)
 
     def test_moves_land_on_new_disks(self):
-        rng, blocks, live, new = self._setup()
-        out = plan_migration(rng, blocks, live, new)
-        assert np.isin(out[out != blocks], new).all()
+        engine, before, new = self._setup()
+        engine._migrate(new, now=0.0)
+        after = engine.group_disks
+        assert np.isin(after[after != before], new).all()
 
     def test_dead_disk_blocks_not_moved(self):
-        rng, blocks, live, new = self._setup()
-        live[:500] = False        # half the old disks are dead
-        out = plan_migration(rng, blocks, live, new)
-        dead_blocks = ~live[blocks]
-        assert (out[dead_blocks] == blocks[dead_blocks]).all()
+        engine, before, new = self._setup()
+        fail(engine, range(500))    # half the old disks are dead
+        before = engine.group_disks.copy()
+        engine._migrate(new, now=engine.sim.now)
+        dead = before == -1
+        assert (engine.group_disks[dead] == -1).all()
 
     def test_empty_batch_is_identity(self):
-        rng, blocks, live, _ = self._setup()
-        out = plan_migration(rng, blocks, live, np.array([], dtype=int))
-        assert np.array_equal(out, blocks)
+        engine, before, _ = self._setup()
+        engine._migrate(np.array([], dtype=np.int64), now=0.0)
+        assert np.array_equal(engine.group_disks, before)
+        assert engine.stats.blocks_migrated == 0
 
     def test_new_disks_end_up_balanced(self):
-        rng, blocks, live, new = self._setup(n_blocks=200_000)
-        out = plan_migration(rng, blocks, live, new)
-        new_loads = np.bincount(out, minlength=1100)[1000:]
-        # each new disk should get roughly blocks/(live+new) ~ 182
-        assert new_loads.mean() == pytest.approx(200_000 / 1100, rel=0.1)
+        engine, _, new = self._setup(total_user_bytes=800 * TB)
+        engine._migrate(new, now=0.0)
+        loads = np.bincount(engine.group_disks.ravel(),
+                            minlength=engine.total_disks)
+        new_loads = loads[new]
+        # each new disk should get roughly the population average
+        assert new_loads.mean() == pytest.approx(loads.mean(), rel=0.1)
         assert new_loads.std() < 0.35 * new_loads.mean()

@@ -209,6 +209,29 @@ class TestBenchHistory:
         assert records[-1]["i"] == runner_mod.BENCH_HISTORY_LIMIT + 4
         assert records[0]["i"] == 5            # oldest dropped first
 
+    def test_history_retained_per_series(self, tmp_path):
+        """Past the limit the largest series gives up its oldest record;
+        the sparse series the guard compares are never evicted."""
+        path = tmp_path / "b.json"
+        sparse = ("bulk-sweep", "service-bench", "availability")
+        records = [{"schema": runner_mod.BENCH_SCHEMA, "sweep": "figure3a",
+                    "i": i} for i in range(197)]
+        records[50:50] = [{"schema": runner_mod.BENCH_SCHEMA, "sweep": s}
+                          for s in sparse]
+        path.write_text(json.dumps({"schema": runner_mod.BENCH_LOG_SCHEMA,
+                                    "records": records}))
+        assert len(records) == runner_mod.BENCH_HISTORY_LIMIT
+        for i in range(197, 197 + 60):
+            runner_mod.append_bench_record(
+                path, {"schema": runner_mod.BENCH_SCHEMA,
+                       "sweep": "figure3a", "i": i})
+        kept = runner_mod.read_bench_records(path)
+        assert len(kept) == runner_mod.BENCH_HISTORY_LIMIT
+        assert [r["sweep"] for r in kept if r["sweep"] in sparse] == \
+            list(sparse)
+        figure3a = [r["i"] for r in kept if r["sweep"] == "figure3a"]
+        assert figure3a == list(range(60, 257))    # oldest dropped first
+
     def test_absorbs_legacy_bare_record(self, tmp_path):
         """A pre-history file holding one bare v1 record becomes the
         first entry of the container instead of being clobbered."""

@@ -18,7 +18,8 @@ class TestScripting:
         out = Scenario(cfg()).fail(disk=0, at=100.0).run(horizon=24 * HOUR)
         assert out.data_survived
         assert out.stats.rebuilds_completed > 0
-        assert all(not g.failed for g in out.system.groups if not g.lost)
+        engine = out.system
+        assert (engine.failed_count[~engine.lost] == 0).all()
 
     def test_no_background_failures(self):
         """Scenario mode suppresses stochastic failures entirely."""
@@ -46,6 +47,41 @@ class TestScripting:
                .fail_batch([0, 1, 2], at=100.0)
                .run(horizon=24 * HOUR))
         assert out.stats.disk_failures == 3
+
+
+class TestDiskValidation:
+    """Every scripting method rejects a disk id outside
+    ``0 <= disk < n_disks`` when the script is written, not at run time
+    (a negative id used to index from the end of the disk list)."""
+
+    SCRIPTS = {
+        "fail": lambda sc, d: sc.fail(disk=d, at=1.0),
+        "fail_batch": lambda sc, d: sc.fail_batch([0, d], at=1.0),
+        "fail_partners_of": lambda sc, d: sc.fail_partners_of(d, at=1.0),
+        "outage": lambda sc, d: sc.outage(disk=d, at=1.0, duration=HOUR),
+        "latent": lambda sc, d: sc.latent(disk=d, at=1.0),
+    }
+
+    @pytest.mark.parametrize("method", sorted(SCRIPTS))
+    @pytest.mark.parametrize("where", ["negative", "n_disks"])
+    def test_out_of_range_disk_rejected_at_script_time(self, method,
+                                                        where):
+        config = cfg()
+        disk = -1 if where == "negative" else config.n_disks
+        scenario = Scenario(config)
+        with pytest.raises(ValueError, match="no such disk"):
+            self.SCRIPTS[method](scenario, disk)
+        # nothing was scripted: the scenario still runs clean
+        out = scenario.run(horizon=HOUR)
+        assert out.stats.disk_failures == 0
+        assert out.stats.transient_outages == 0
+
+    @pytest.mark.parametrize("method", sorted(SCRIPTS))
+    def test_last_disk_accepted(self, method):
+        config = cfg()
+        scenario = Scenario(config)
+        self.SCRIPTS[method](scenario, config.n_disks - 1)
+        scenario.run(horizon=HOUR)
 
 
 class TestAdversarialTiming:
@@ -105,4 +141,4 @@ class TestOutcome:
         out = Scenario(cfg()).fail(disk=0, at=100.0).run(horizon=24 * HOUR)
         counts = out.trace.counts()
         assert counts.get("injected-failure") == 1
-        assert counts.get("farm-rebuild", 0) > 0
+        assert counts.get("rebuild", 0) > 0

@@ -1,13 +1,12 @@
 """Stateful property-based tests (hypothesis.stateful).
 
-Two core state machines get model-based checking:
+Redundancy-group state on the DES engine gets model-based checking:
+arbitrary interleavings of scripted disk deaths, transient outages,
+latent errors, scrubs and repair time must preserve the group invariants
+(distinct live disks, failure counts match the failed blocks, loss iff
+survivors < m, loss is permanent).
 
-* :class:`RedundancyGroup` — arbitrary interleavings of block failures and
-  rebuilds must preserve the invariants (distinct live disks, loss iff
-  survivors < m, loss is permanent);
-* :class:`SerialServer` — checked against a brute-force reference queue.
-
-Plus whole-run properties of the fast engine over random configurations.
+Plus whole-run properties of the engine over random configurations.
 """
 
 import numpy as np
@@ -16,99 +15,107 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, rule)
 
 from repro.config import SystemConfig
-from repro.redundancy import RedundancyGroup, RedundancyScheme
-from repro.reliability import ReliabilitySimulation
-from repro.sim import SerialServer
-from repro.units import GB, TB
+from repro.redundancy import RedundancyScheme
+from repro.reliability import ReliabilitySimulation, ScriptedFailures
+from repro.units import DAY, GB, TB
 
 
-class RedundancyGroupMachine(RuleBasedStateMachine):
-    """Random failure/rebuild interleavings against the group invariants."""
+class GroupStateMachine(RuleBasedStateMachine):
+    """Random fault/repair interleavings against the group invariants."""
 
-    @initialize(m=st.integers(1, 4), k=st.integers(1, 3),
-                data=st.data())
-    def setup(self, m, k, data):
+    @initialize(m=st.integers(1, 3), k=st.integers(1, 2),
+                use_farm=st.booleans(), seed=st.integers(0, 1000))
+    def setup(self, m, k, use_farm, seed):
         self.scheme = RedundancyScheme(m, m + k)
-        self.n_disks = 50
-        disks = data.draw(st.lists(
-            st.integers(0, self.n_disks - 1), min_size=self.scheme.n,
-            max_size=self.scheme.n, unique=True))
-        self.group = RedundancyGroup(grp_id=0, scheme=self.scheme,
-                                     user_bytes=1.0, disks=list(disks))
-        self.clock = 0.0
-        self.was_lost = False
+        cfg = SystemConfig(total_user_bytes=2 * TB, group_user_bytes=10 * GB,
+                           scheme=self.scheme, use_farm=use_farm)
+        self.engine = ReliabilitySimulation(cfg, seed=seed,
+                                            failure_draw=ScriptedFailures())
+        self.rng = np.random.default_rng(seed)
+        self.was_lost = np.zeros(cfg.n_groups, dtype=bool)
 
-    def _live_disks(self):
-        return [d for r, d in enumerate(self.group.disks)
-                if r not in self.group.failed]
+    def _at_next_second(self, fn, *args):
+        sim = self.engine.sim
+        t = sim.now + 1.0
+        sim.schedule_at(t, fn, *args)
+        sim.run(until=t)
+
+    def _disks(self, alive):
+        e = self.engine
+        return [d for d in range(e.N0) if e.alive[d] == alive
+                and (alive or d in e.offline)]
 
     @rule(data=st.data())
     def fail_some_disk(self, data):
-        self.clock += 1.0
-        live = self._live_disks()
-        if not live:
-            return
-        disk = data.draw(st.sampled_from(live))
-        self.group.fail_disk(disk, now=self.clock)
+        e = self.engine
+        candidates = self._disks(True) + self._disks(False)
+        if candidates:
+            self._at_next_second(e.on_disk_failure,
+                                 data.draw(st.sampled_from(candidates)))
 
     @rule(data=st.data())
-    def rebuild_some_block(self, data):
-        if self.group.lost or not self.group.failed:
-            return
-        rep = data.draw(st.sampled_from(sorted(self.group.failed)))
-        candidates = [d for d in range(self.n_disks)
-                      if not self.group.holds_buddy(d)]
-        target = data.draw(st.sampled_from(candidates))
-        self.group.complete_rebuild(rep, target)
+    def take_some_disk_offline(self, data):
+        candidates = self._disks(True)
+        if candidates:
+            self._at_next_second(self.engine.on_disk_offline,
+                                 data.draw(st.sampled_from(candidates)))
+
+    @rule(data=st.data())
+    def bring_some_disk_back(self, data):
+        candidates = self._disks(False)
+        if candidates:
+            self._at_next_second(self.engine.on_disk_online,
+                                 data.draw(st.sampled_from(candidates)))
+
+    @rule(data=st.data())
+    def corrupt_some_block(self, data):
+        candidates = self._disks(True)
+        if candidates:
+            self._at_next_second(self.engine.corrupt_block,
+                                 data.draw(st.sampled_from(candidates)),
+                                 self.rng)
+
+    @rule(data=st.data())
+    def scrub_some_disk(self, data):
+        e = self.engine
+        if e.latent:
+            disk = data.draw(st.sampled_from(sorted(e.latent)))
+            for g, rep in sorted(e.latent[disk]):
+                e.discover_latent(disk, g, rep)
+
+    @rule(dt=st.sampled_from([60.0, 3600.0, DAY]))
+    def let_time_pass(self, dt):
+        sim = self.engine.sim
+        sim.run(until=sim.now + dt)
 
     @invariant()
     def live_blocks_on_distinct_disks(self):
-        live = self._live_disks()
-        assert len(live) == len(set(live))
+        gd = self.engine.group_disks
+        for row in gd[~self.engine.lost].tolist():
+            live = [d for d in row if d >= 0]
+            assert len(live) == len(set(live))
+
+    @invariant()
+    def failed_count_matches_failed_blocks(self):
+        e = self.engine
+        live = ~e.lost
+        assert np.array_equal(e.failed_count[live],
+                              (e.group_disks[live] < 0).sum(axis=1))
+        assert e._degraded == int(((e.failed_count > 0) & live).sum())
 
     @invariant()
     def loss_exactly_when_survivors_below_m(self):
-        if self.group.surviving < self.scheme.m:
-            assert self.group.lost
-        if not self.was_lost and self.group.lost:
-            self.was_lost = True
+        e = self.engine
+        survivors = self.scheme.n - e.failed_count
+        assert not (~e.lost & (survivors < self.scheme.m)).any()
         # loss is permanent
-        if self.was_lost:
-            assert self.group.lost
-
-    @invariant()
-    def failed_set_within_range(self):
-        assert all(0 <= r < self.scheme.n for r in self.group.failed)
+        assert not (self.was_lost & ~e.lost).any()
+        self.was_lost |= e.lost
 
 
-TestRedundancyGroupStateful = RedundancyGroupMachine.TestCase
-
-
-class SerialServerMachine(RuleBasedStateMachine):
-    """SerialServer against an explicit event-list reference."""
-
-    def __init__(self):
-        super().__init__()
-        self.server = SerialServer()
-        self.ref_free_at = 0.0
-        self.last_arrival = 0.0
-
-    @rule(gap=st.floats(0.0, 100.0), duration=st.floats(0.0, 50.0))
-    def submit(self, gap, duration):
-        arrival = self.last_arrival + gap
-        self.last_arrival = arrival
-        got = self.server.submit(arrival, duration)
-        # reference: single FCFS server
-        start = max(arrival, self.ref_free_at)
-        self.ref_free_at = start + duration
-        assert got == self.ref_free_at
-
-    @invariant()
-    def backlog_non_negative(self):
-        assert self.server.backlog(self.last_arrival) >= 0.0
-
-
-TestSerialServerStateful = SerialServerMachine.TestCase
+GroupStateMachine.TestCase.settings = settings(
+    max_examples=20, stateful_step_count=25, deadline=None)
+TestRedundancyGroupStateful = GroupStateMachine.TestCase
 
 
 class TestFastEngineProperties:

@@ -2,7 +2,7 @@
 
 This is the enforcement point for the repository's determinism,
 unit-safety, and simulation-discipline invariants (per-file rules
-RPR001–RPR012 and whole-program rules RPR101–RPR104, see
+RPR001–RPR012 and whole-program rules RPR101, RPR102 and RPR104, see
 ``docs/ANALYSIS.md``): any violation in the library tree fails the test
 suite, with the offending ``file:line`` in the assertion message.
 
@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 from repro.analysis import analyze_paths, lint_paths, render_text
-from repro.analysis.configflow import ParityPolicy, check_engine_parity
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -72,23 +71,6 @@ class TestWholeProgramFixtures:
     def test_rpr102_owner_and_allowlisted_consumers_are_clean(self):
         assert _analyze_tree("rpr102_neg").violations == []
         assert _analyze_tree("rpr102_allow").violations == []
-
-    def test_rpr103_catches_engine_parity_drift(self):
-        result = _analyze_tree("rpr103_pos")
-        assert [v.rule for v in result.violations] == ["RPR103"]
-        v = result.violations[0]
-        assert v.path.endswith("config.py")
-        assert "rebuild_bw_bps" in v.message
-        assert "process (object)" in v.message
-
-    def test_rpr103_negative_tree_is_clean(self):
-        assert _analyze_tree("rpr103_neg").violations == []
-
-    def test_rpr103_single_engine_allowlist_suppresses(self):
-        result = _analyze_tree("rpr103_pos")
-        policy = ParityPolicy(single_engine_fields={
-            "rebuild_bw_bps": "fixture: fast-engine-only by design"})
-        assert check_engine_parity(result.graph, policy) == []
 
     def test_rpr104_catches_unread_field_and_shadow_defaults(self):
         result = _analyze_tree("rpr104_pos")
@@ -177,5 +159,6 @@ class TestCli:
         assert proc.returncode == 0
         for n in range(1, 9):
             assert f"RPR00{n}" in proc.stdout
-        for n in (101, 102, 103, 104):
+        for n in (101, 102, 104):
             assert f"RPR{n}" in proc.stdout
+        assert "RPR103" not in proc.stdout      # retired

@@ -22,8 +22,8 @@ import math
 import pytest
 
 from repro.config import SystemConfig
-from repro.core.runner import simulate_run
-from repro.reliability import ReliabilitySimulation, sweep
+from repro.faults import LatentSectorErrors, Scrubber, TransientOutages
+from repro.reliability import ReliabilitySimulation, Scenario, sweep
 from repro.reliability.runner import shutdown_pool
 from repro.telemetry import (TELEMETRY_SCHEMA, ClusterProbes, Counter,
                              Gauge, Histogram, MetricRegistry, ProbeSample,
@@ -33,7 +33,7 @@ from repro.telemetry import (TELEMETRY_SCHEMA, ClusterProbes, Counter,
                              log_bounds, merge_into, merge_snapshots,
                              read_jsonl, render_summary, snapshot_record,
                              to_prometheus, write_csv)
-from repro.units import DAY, GB, TB, YEAR
+from repro.units import DAY, GB, HOUR, TB, YEAR
 
 
 def tiny():
@@ -438,7 +438,7 @@ class TestFastEngineIntegration:
     def test_base_scenario_bandwidth_never_exceeds_cap(self):
         """Acceptance: base 2 PB / 10 GB FARM scenario — the sampled
         per-disk recovery bandwidth stays within the configured cap in
-        every probe sample (equality allowed: SerialServer rebuilds at
+        every probe sample (equality allowed: a busy disk rebuilds at
         exactly the cap)."""
         cfg = SystemConfig()            # the paper's base FARM scenario
         assert cfg.total_user_bytes == 2e15 and cfg.use_farm
@@ -452,37 +452,50 @@ class TestFastEngineIntegration:
         assert stats.disk_failures > 0  # the run actually exercised it
 
 
-class TestObjectEngineIntegration:
+class TestScenarioIntegration:
+    """The fault hooks report through the same counters."""
+
+    def scenario(self, telemetry=None):
+        return (Scenario(tiny(), seed=2, telemetry=telemetry)
+                .fail_batch([0, 1], at=DAY)
+                .inject_faults(LatentSectorErrors(1.0 / (4 * DAY)),
+                               TransientOutages(1.0 / (10 * DAY), HOUR),
+                               Scrubber(2 * DAY))
+                .run(horizon=60 * DAY))
+
     def test_counters_and_spans_match_stats(self):
         tele = Telemetry(TelemetryConfig())
-        res = simulate_run(tiny(), seed=2, telemetry=tele)
-        stats, m = res.stats, tele.snapshot()["metrics"]
+        out = self.scenario(tele)
+        stats, m = out.stats, tele.snapshot()["metrics"]
         assert m["repro_disk_failures_total"]["value"] == stats.disk_failures
         assert m["repro_rebuilds_completed_total"]["value"] == \
             stats.rebuilds_completed
+        assert m["repro_transient_outages_total"]["value"] == \
+            stats.transient_outages > 0
+        assert m["repro_latent_discovered_total"]["value"] == \
+            stats.latent_errors_discovered > 0
+        assert m["repro_latent_injected_total"]["value"] == \
+            out.fault_stats.latent_injected
         span_sum = \
             m["repro_window_of_vulnerability_seconds_sum_total"]["value"]
         assert span_sum == stats.window_total          # exact, not approx
-        assert m["repro_probe_samples_total"]["value"] == \
-            math.floor(tiny().duration / DAY)
+        assert m["repro_probe_samples_total"]["value"] == 60
 
     def test_probes_are_read_only(self):
-        baseline = simulate_run(tiny(), seed=5).stats
-        observed = simulate_run(tiny(), seed=5,
-                                telemetry=Telemetry()).stats
-        assert observed.disk_failures == baseline.disk_failures
-        assert observed.window_total == baseline.window_total
-        assert observed.rebuilds_completed == baseline.rebuilds_completed
+        baseline = self.scenario().stats
+        observed = self.scenario(Telemetry()).stats
+        assert observed == baseline
 
     def test_traditional_engine_instrumented(self):
         tele = Telemetry()
-        res = simulate_run(tiny().with_(use_farm=False), seed=1,
-                           telemetry=tele)
+        stats = ReliabilitySimulation(tiny().with_(use_farm=False), seed=1,
+                                      telemetry=tele).run()
         m = tele.snapshot()["metrics"]
         assert m["repro_disk_failures_total"]["value"] == \
-            res.stats.disk_failures
+            stats.disk_failures
         assert m["repro_rebuilds_completed_total"]["value"] == \
-            res.stats.rebuilds_completed
+            stats.rebuilds_completed
+        assert m["repro_spares_provisioned_total"]["value"] > 0
 
 
 class TestParallelIdentity:

@@ -1,27 +1,21 @@
 """Failure-domain topology: tree model, placement constraint, copysets.
 
-Covers the hierarchy invariants (round-robin tiling, slot inheritance,
-stability across compaction), the ``max_chunks_per_domain`` feasibility
-validation and placement repair pass, rack-aware copyset placement, and
-the acceptance property: across random placements, migrations, and
-rebuilds on both engines, the per-rack cap is never violated and
-constraint-blocked rebuilds surface in ``RecoveryStats``.
+Covers the hierarchy invariants (round-robin tiling, slot inheritance),
+the ``max_chunks_per_domain`` feasibility validation and placement
+repair pass, rack-aware copyset placement, and the acceptance property:
+across random and copyset placements, migrations, and rebuilds, the
+per-rack cap is never violated and constraint-blocked rebuilds surface
+in ``RecoveryStats``.
 """
 
 import numpy as np
 import pytest
 
-from repro.cluster import StorageSystem, Topology, enforce_domain_constraint
+from repro.cluster import Topology, enforce_domain_constraint
 from repro.config import SystemConfig
-from repro.core import FarmRecovery, TraditionalRecovery, simulate_run
 from repro.placement import CopysetPlacement, RandomPlacement
-from repro.reliability import ReliabilitySimulation
-from repro.sim import RandomStreams, Simulator
+from repro.reliability import ReliabilitySimulation, ScriptedFailures
 from repro.units import DAY, GB, HOUR, TB
-
-BOTH_ENGINES = pytest.mark.parametrize("use_farm", [True, False],
-                                       ids=["farm", "traditional"])
-
 
 def rack_ok(topology, disk_ids, limit):
     """True when no rack holds more than ``limit`` of ``disk_ids``."""
@@ -183,13 +177,12 @@ def constrained_cfg(**kw):
     return SystemConfig(**defaults)
 
 
-def assert_system_compliant(system):
-    limit = system.config.max_chunks_per_domain
-    for g in system.groups:
-        live = [d for rep, d in enumerate(g.disks)
-                if rep not in g.failed and d >= 0]
-        assert rack_ok(system.topology, live, limit), (
-            f"group {g.grp_id}: rack cap violated: {live}")
+def assert_system_compliant(engine):
+    limit = engine.cfg.max_chunks_per_domain
+    for g, row in enumerate(engine.group_disks.tolist()):
+        live = [d for d in row if d >= 0]
+        assert rack_ok(engine.topology, live, limit), (
+            f"group {g}: rack cap violated: {live}")
 
 
 class TestDomainConstraintProperty:
@@ -198,15 +191,14 @@ class TestDomainConstraintProperty:
     rebuilds appear in ``RecoveryStats.rebuilds_deferred_constraint``."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("placement", ["random", "copyset"])
-    def test_object_engine_end_state_compliant(self, seed, placement):
+    def test_copyset_end_state_compliant(self, seed):
         # An aggressive replacement threshold forces batches + migration
         # mid-run, exercising every path that moves blocks.
-        cfg = constrained_cfg(placement=placement,
+        cfg = constrained_cfg(placement="copyset",
                               replacement_threshold=0.1)
-        result = simulate_run(cfg, seed=seed, keep_system=True)
-        assert_system_compliant(result.system)
-        s = result.stats
+        engine = ReliabilitySimulation(cfg, seed=seed)
+        s = engine.run()
+        assert_system_compliant(engine)
         assert s.rebuilds_deferred >= s.rebuilds_deferred_constraint
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -223,7 +215,7 @@ class TestDomainConstraintProperty:
 
     def test_flat_run_has_zero_domain_counters(self):
         cfg = SystemConfig(total_user_bytes=2 * TB, group_user_bytes=10 * GB)
-        s = simulate_run(cfg, seed=5).stats
+        s = ReliabilitySimulation(cfg, seed=5).run()
         assert s.rebuilds_deferred_constraint == 0
         assert s.domain_colocated_losses == 0
 
@@ -239,32 +231,34 @@ class TestConstrainedDeferral:
         # which is what marks the deferral as constraint-caused.
         cfg = constrained_cfg(racks=2, total_user_bytes=800 * GB,
                               use_farm=use_farm)
-        system = StorageSystem(cfg, RandomStreams(0),
-                               deterministic_failures=True)
-        sim = Simulator()
-        cls = FarmRecovery if use_farm else TraditionalRecovery
-        return system, sim, cls(system, sim)
+        engine = ReliabilitySimulation(cfg, seed=0,
+                                       failure_draw=ScriptedFailures())
+        return engine, engine.sim
 
     def test_farm_defers_then_drains_after_batch(self):
-        system, sim, farm = self._build(use_farm=True)
-        rack0 = system.topology.disks_in_rack(0)
+        farm, sim = self._build(use_farm=True)
+        rack0 = farm.topology.disks_in_rack(0)
         for i, d in enumerate(rack0):
             sim.schedule_at(100.0 + i, farm.on_disk_failure, d)
         sim.run(until=12 * HOUR)
         s = farm.stats
         assert s.rebuilds_deferred_constraint >= 1
-        assert farm.deferred_outstanding > 0
-        assert_system_compliant(system)
+        assert len(farm._deferred) > 0
+        assert_system_compliant(farm)
 
-        # A batch tiles round-robin, so half its disks land in rack 0.
-        system.add_batch(len(rack0) * 2, now=sim.now)
-        assert farm.rearm_deferred() > 0
+        # A batch tiles round-robin, so half its disks land in rack 0;
+        # its arrival re-arms the parked rebuilds.
+        new_ids = farm._new_disks(len(rack0) * 2, now=sim.now)
+        farm._migrate(new_ids, sim.now)
+        retries = s.retries
+        farm._rearm_deferred()
+        sim.run(until=sim.now + 1.0)
+        assert s.retries > retries          # retried now, not on backoff
         sim.run(until=sim.now + 7 * DAY)
-        assert farm.deferred_outstanding == 0
+        assert len(farm._deferred) == 0
         assert s.retries >= s.rebuilds_deferred
-        assert_system_compliant(system)
-        for g in system.groups:
-            assert not g.lost and not g.failed
+        assert_system_compliant(farm)
+        assert not farm.lost.any() and not farm.failed_count.any()
 
     def test_fast_engine_defers_then_drains(self):
         """Same stalemate on the flat-array engine: the rack-0 kill parks
@@ -276,7 +270,7 @@ class TestConstrainedDeferral:
         sim = ReliabilitySimulation(cfg, seed=0)
         rack0 = sim.topology.disks_in_rack(0)
         for i, d in enumerate(rack0):
-            sim.sim.schedule_at(100.0 + i, sim._on_disk_failure, d)
+            sim.sim.schedule_at(100.0 + i, sim.on_disk_failure, d)
         sim.sim.run(until=12 * HOUR)
         assert sim.stats.rebuilds_deferred_constraint >= 1
         assert len(sim._deferred) > 0
@@ -286,7 +280,7 @@ class TestConstrainedDeferral:
         # lost (their rack-0 halves were parked), the batch restores
         # rack-0 capacity, and every surviving group re-replicates.
         victim = sim.topology.disks_in_rack(1)[0]
-        sim.sim.schedule_at(sim.sim.now + 60.0, sim._on_disk_failure,
+        sim.sim.schedule_at(sim.sim.now + 60.0, sim.on_disk_failure,
                             victim)
         sim.sim.run(until=sim.sim.now + 14 * DAY)
         assert sim.stats.replacement_batches == 1
@@ -300,34 +294,16 @@ class TestConstrainedDeferral:
             assert (np.bincount(rack[live]) <= 1).all()
 
 
-class TestCompactionStability:
-    def test_domain_ids_survive_compact_index(self):
-        cfg = constrained_cfg(racks=2, total_user_bytes=200 * GB)
-        system = StorageSystem(cfg, RandomStreams(0),
-                               deterministic_failures=True)
-        sim = Simulator()
-        farm = FarmRecovery(system, sim)
-        before = {d.disk_id: system.topology.rack_of(d.disk_id)
-                  for d in system.disks}
-        sim.schedule_at(10.0, farm.on_disk_failure, 0)
-        sim.run(until=1 * DAY)
-        system.compact_index()
-        for disk in system.disks:
-            if disk.disk_id in before:
-                assert system.topology.rack_of(disk.disk_id) == \
-                    before[disk.disk_id]
-
+class TestSlotInheritance:
     def test_spare_inherits_failed_slot_rack(self):
         cfg = constrained_cfg(racks=2, total_user_bytes=200 * GB,
                               use_farm=False)
-        system = StorageSystem(cfg, RandomStreams(0),
-                               deterministic_failures=True)
-        sim = Simulator()
-        raid = TraditionalRecovery(system, sim)
-        victim_rack = system.topology.rack_of(0)
-        sim.schedule_at(10.0, raid.on_disk_failure, 0)
-        sim.run(until=7 * DAY)
-        assert raid.spares_provisioned >= 1
-        spare = system.disks[-1].disk_id
-        assert system.topology.rack_of(spare) == victim_rack
-        assert_system_compliant(system)
+        raid = ReliabilitySimulation(cfg, seed=0,
+                                     failure_draw=ScriptedFailures())
+        victim_rack = raid.topology.rack_of(0)
+        raid.sim.schedule_at(10.0, raid.on_disk_failure, 0)
+        raid.sim.run(until=7 * DAY)
+        assert raid.total_disks > raid.N0      # a spare was provisioned
+        spare = raid.total_disks - 1
+        assert raid.topology.rack_of(spare) == victim_rack
+        assert_system_compliant(raid)

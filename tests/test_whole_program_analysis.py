@@ -211,7 +211,7 @@ class TestStreamOwnership:
 # Incremental cache
 # --------------------------------------------------------------------- #
 def _write_tree(root: Path) -> None:
-    (root / "repro" / "core").mkdir(parents=True)
+    (root / "repro" / "cluster").mkdir(parents=True)
     (root / "repro" / "reliability").mkdir(parents=True)
     (root / "repro" / "config.py").write_text(textwrap.dedent("""\
         class SystemConfig:
@@ -221,7 +221,7 @@ def _write_tree(root: Path) -> None:
     (root / "repro" / "reliability" / "simulation.py").write_text(
         "def run_fast(config):\n    return config.duration_s\n",
         encoding="utf-8")
-    (root / "repro" / "core" / "farm.py").write_text(
+    (root / "repro" / "cluster" / "farm.py").write_text(
         "def run_process(config):\n    return config.duration_s\n",
         encoding="utf-8")
 
@@ -253,7 +253,7 @@ class TestIncrementalCache:
         cache_dir = tmp_path / "cache"
         analyze_paths([tree], roots=[tree],
                       cache=AnalysisCache(cache_dir))
-        victim = tree / "repro" / "core" / "farm.py"
+        victim = tree / "repro" / "cluster" / "farm.py"
         victim.write_text(
             "def run_process(config, duration_s=9.0):\n"
             "    return (config.duration_s, duration_s)\n",
@@ -280,7 +280,7 @@ class TestBaseline:
         assert violation_fingerprint(a) != violation_fingerprint(c)
 
     def test_roundtrip_suppresses_recorded_findings(self, tmp_path):
-        known = Violation("src/x.py", 10, 0, "RPR103", "field unread")
+        known = Violation("src/x.py", 10, 0, "RPR104", "field unread")
         fresh = Violation("src/y.py", 2, 0, "RPR102", "stray stream")
         baseline_file = tmp_path / "baseline.txt"
         baseline_file.write_text(render_baseline([known]),
