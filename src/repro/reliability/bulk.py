@@ -11,7 +11,9 @@ time) intervals.  This engine draws all of those quantities in batches
 with :class:`numpy.random.Generator` and resolves the predicate with array
 ops:
 
-1. one lifetime per disk from the bathtub hazard (``bulk-failures``);
+1. one lifetime per disk from the bathtub hazard (``bulk-failures``),
+   inverted only for the disks whose uniform can fail in-horizon
+   (:meth:`~repro.disks.failure.BathtubFailureModel.sample_failed_within`);
 2. the failed blocks of every group under uniform distinct-``n``
    placement (``bulk-placement``).  For flat placement this is sampled
    *sparsely*: per-group failed-block counts are hypergeometric given the
@@ -32,7 +34,10 @@ ops:
    length needs no dense membership either;
 4. group loss iff the per-group count of concurrently open
    ``[failure, repair)`` intervals ever exceeds the scheme tolerance
-   (:func:`group_loss_times`).
+   (:func:`group_loss_times`).  Groups holding at most ``tolerance``
+   failed blocks can never be lost, so their rebuilds are counted per
+   failed disk; only the traditional windows' float sum stays per
+   block, to keep its summation order.
 
 **Model vs DES** (docs/BULK_ENGINE.md derives the error terms): the engine
 is *first-generation* — blocks rebuilt onto a new disk are not re-failed
@@ -134,19 +139,23 @@ def group_loss_times(fail: np.ndarray, repair: np.ndarray,
     whose rebuild has not completed strictly before t).
 
     Returns ``(lost, when)``: a boolean loss mask over the leading axes
-    and the loss instant (``inf`` where not lost).
+    and the loss instant (``inf`` where not lost).  The blocks are moved
+    to a contiguous leading axis first, so block ``j`` is compared with
+    whole columns and the count adds up ``n`` rows (``n`` is at most a
+    dozen) instead of reducing a short, strided trailing axis.
     """
-    n = fail.shape[-1]
+    lead = tuple(range(fail.ndim - 1))
+    fails = fail.transpose(-1, *lead).copy()              # (n, ...)
+    repairs = repair.transpose(-1, *lead).copy()
     lost = np.zeros(fail.shape[:-1], dtype=bool)
     when = np.full(fail.shape[:-1], np.inf)
-    for j in range(n):
-        tj = fail[..., j:j + 1]
+    for tj in fails:
         # A never-failed block has tj = inf: `tj < repair` is then false
         # everywhere, so its count is 0 and it can never trigger a loss.
-        concurrent = ((fail <= tj) & (tj < repair)).sum(axis=-1)
+        concurrent = ((fails <= tj) & (tj < repairs)).sum(axis=0)
         hit = concurrent > tolerance
         lost |= hit
-        when = np.where(hit, np.minimum(when, fail[..., j]), when)
+        when = np.where(hit, np.minimum(when, tj), when)
     return lost, when
 
 
@@ -193,12 +202,14 @@ def distinct_uniform(rng: np.random.Generator, n_rows: int, k: int,
     """
     if k > n_vals:
         raise ValueError(f"cannot draw {k} distinct values from {n_vals}")
-    if k == 1:
-        return (rng.random((n_rows, 1)) * n_vals).astype(np.int64)
-    if n_vals <= 4 * k:
+    if k > 1 and n_vals <= 4 * k:
         keys = rng.random((n_rows, n_vals))
         return np.argpartition(keys, k - 1, axis=1)[:, :k].astype(np.int64)
-    m = (rng.random((n_rows, k)) * n_vals).astype(np.int64)
+    u = rng.random((n_rows, k))
+    u *= n_vals
+    m = u.astype(np.int64)
+    if k == 1:
+        return m
     bad = np.flatnonzero(~_distinct_rows(m))
     for _ in range(_MAX_REDRAWS):
         if bad.size == 0:
@@ -227,16 +238,12 @@ def sample_members_flat(rng: np.random.Generator, n_groups: int, n: int,
     return distinct_uniform(rng, n_groups, n, n_disks).astype(np.int32)
 
 
-def sample_members_capped(rng: np.random.Generator, n_groups: int, n: int,
-                          rack_of_disk: np.ndarray, cap: int) -> np.ndarray:
-    """Membership under the per-rack placement cap (topology case).
+def rack_tables(rack_of_disk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(padded, sizes)``: each rack's disk ids, padded with ``-1``.
 
-    Racks are expanded into a pool of ``racks * cap`` slots; each group
-    takes a uniform ``n``-subset of slots (so no rack is used more than
-    ``cap`` times — the constraint holds by construction, never by
-    repair), then a uniform disk within each chosen rack, redrawing
-    within-group disk collisions.  ``SystemConfig`` validation guarantees
-    the slot pool covers a group and every rack is populated.
+    Row ``r`` of ``padded`` lists rack ``r``'s disks in id order and
+    ``sizes[r]`` counts them.  A constant of the topology, so a caller
+    drawing many memberships builds it once.
     """
     n_racks = int(rack_of_disk.max()) + 1
     sizes = np.bincount(rack_of_disk, minlength=n_racks)
@@ -245,7 +252,24 @@ def sample_members_capped(rng: np.random.Generator, n_groups: int, n: int,
     padded = np.full((n_racks, int(sizes.max())), -1, dtype=np.int64)
     for r in range(n_racks):
         padded[r, :sizes[r]] = order[starts[r]:starts[r + 1]]
+    return padded, sizes
 
+
+def sample_members_capped(rng: np.random.Generator, n_groups: int, n: int,
+                          tables: tuple[np.ndarray, np.ndarray],
+                          cap: int) -> np.ndarray:
+    """Membership under the per-rack placement cap (topology case).
+
+    Racks are expanded into a pool of ``racks * cap`` slots; each group
+    takes a uniform ``n``-subset of slots (so no rack is used more than
+    ``cap`` times — the constraint holds by construction, never by
+    repair), then a uniform disk within each chosen rack, redrawing
+    within-group disk collisions.  ``tables`` is :func:`rack_tables` of
+    the per-disk rack ids.  ``SystemConfig`` validation guarantees the
+    slot pool covers a group and every rack is populated.
+    """
+    padded, sizes = tables
+    n_racks = sizes.size
     keys = rng.random((n_groups, n_racks * cap))
     slots = np.argpartition(keys, n - 1, axis=1)[:, :n]
     racks = slots // cap
@@ -308,37 +332,43 @@ class BulkLifetime:
         self.tol = config.scheme.tolerance
         self.G = config.n_groups
         self.N = config.n_disks
+        # Constants of the config, built once for every run.
+        self.model = config.vintage.failure_model
+        self._rack_tables = None
+        if config.max_chunks_per_domain is not None:
+            self._rack_tables = rack_tables(Topology(
+                config.racks, config.machines_per_rack, self.N).rack_array())
 
     # ------------------------------------------------------------------ #
     def _failed_block_sections(self, rng: np.random.Generator,
-                               ages: np.ndarray,
                                failed_ids: np.ndarray) -> list[np.ndarray]:
-        """Per-count sections of failed blocks, as *disk id* matrices.
+        """Per-count sections of failed blocks, in failed-disk indices.
 
-        Entry ``k - 1`` is a ``(K_k, k)`` matrix: the disk ids of the
-        failed blocks of every group holding exactly ``k`` of them.  Flat
-        placement samples the sections sparsely; the rack-capped topology
-        case (where the cap skews the count law) draws the dense
-        membership and regroups its failed blocks into the same shape.
+        Entry ``k - 1`` is a ``(K_k, k)`` matrix: for every group holding
+        exactly ``k`` failed blocks, the positions in ``failed_ids`` of
+        the disks those blocks sit on.  Flat placement samples the
+        sections sparsely; the rack-capped topology case (where the cap
+        skews the count law) draws the dense membership and regroups its
+        failed blocks into the same shape.
         """
-        cfg = self.cfg
-        if cfg.max_chunks_per_domain is None:
-            return [failed_ids[m] for m in sample_failed_block_sections(
-                rng, self.G, self.n, failed_ids.size, self.N)]
-        topology = Topology(cfg.racks, cfg.machines_per_rack, self.N)
+        if self._rack_tables is None:
+            return sample_failed_block_sections(
+                rng, self.G, self.n, failed_ids.size, self.N)
         members = sample_members_capped(rng, self.G, self.n,
-                                        topology.rack_array(),
-                                        cfg.max_chunks_per_domain)
-        hit = (ages <= cfg.duration)[members]
+                                        self._rack_tables,
+                                        self.cfg.max_chunks_per_domain)
+        index_of = np.full(self.N, -1, dtype=np.int64)
+        index_of[failed_ids] = np.arange(failed_ids.size)
+        failed_members = index_of[members]
+        hit = failed_members >= 0
         fcount = hit.sum(axis=1)
         sections = []
         for k in range(1, self.n + 1):
             rows_k = np.flatnonzero(fcount == k)
             # Row-major boolean pick: each selected row contributes
             # exactly k entries, in slot order.
-            sections.append(
-                members[rows_k][hit[rows_k]].reshape(rows_k.size, k)
-                .astype(np.int64))
+            sections.append(failed_members[rows_k][hit[rows_k]]
+                            .reshape(rows_k.size, k))
         return sections
 
     def _traditional_windows(self, rng: np.random.Generator,
@@ -354,24 +384,61 @@ class BulkLifetime:
         ``pos ~ Uniform{1..k}`` via ``floor(u * k) + 1``, which is
         exactly uniform for the tiny per-disk block counts and ~5x
         faster than a bounded ``integers`` draw with an array ``high``.
-        (FARM rebuilds in parallel, so its window is the constant
+        The arithmetic runs in place on the drawn array.  (FARM rebuilds
+        in parallel, so its window is the constant
         ``detection_latency + rebuild_seconds_per_block`` and never
         reaches this method — or the ``bulk-windows`` stream.)
         """
         cfg = self.cfg
-        pos = np.floor(rng.random(queue_len.shape) * queue_len) + 1.0
-        return cfg.detection_latency + pos * cfg.rebuild_seconds_per_block
+        window = rng.random(queue_len.shape)
+        window *= queue_len
+        np.floor(window, out=window)
+        window += 1.0
+        window *= cfg.rebuild_seconds_per_block
+        window += cfg.detection_latency
+        return window
+
+    def _lossy_section(self, fail_k: np.ndarray, repair_k: np.ndarray
+                       ) -> tuple[int, float, int, np.ndarray]:
+        """Outcome of the groups holding more than ``tolerance`` failed
+        blocks, one ``(K_k, k)`` section, per block.
+
+        Returns ``(lost, first_loss, started, completed)``: the groups
+        lost, the earliest loss instant, the rebuilds started and the
+        mask of completed rebuilds.  A rebuild starts at the *detect*
+        event (failure + detection latency) only if the group is not lost
+        by then — the loss-triggering block never starts one — and
+        completes unless cancelled by a later loss or censored by the
+        horizon, as in the DES.
+        """
+        cfg = self.cfg
+        lost_k, when_k = group_loss_times(fail_k, repair_k, self.tol)
+        n_lost = int(np.count_nonzero(lost_k))
+        first_loss = np.inf
+        loss_of: np.ndarray | float = np.inf
+        if n_lost:
+            first_loss = float(when_k[lost_k].min())
+            loss_of = np.where(lost_k, when_k, np.inf)[:, None]
+        detect_k = fail_k + cfg.detection_latency
+        started_k = (detect_k <= cfg.duration) & (detect_k < loss_of)
+        completed_k = (started_k & (repair_k < loss_of)
+                       & (repair_k <= cfg.duration))
+        return (n_lost, first_loss, int(np.count_nonzero(started_k)),
+                completed_k)
 
     # ------------------------------------------------------------------ #
     def run(self, seed: int | None = None) -> RecoveryStats:
         """Execute the lifetime; returns DES-shaped statistics.
 
-        The hot path is *sparse*: after the batched age draw, only the
-        blocks whose disk actually fails in-horizon (a few percent of
-        ``G * n``) are ever materialized, already grouped into dense
-        per-count sections, so the quadratic overlap predicate runs
-        pad-free on exactly the groups that hold more than ``tolerance``
-        failed blocks and no G- or N·n-length array is ever built.
+        The hot path is *sparse* and mostly per failed *disk*: the age
+        draw inverts the hazard only for disks that may fail in-horizon,
+        and only the blocks on failed disks (a few percent of ``G * n``)
+        are ever materialized, already grouped into dense per-count
+        sections.  Groups holding at most ``tolerance`` failed blocks can
+        never be lost, so their rebuilds are counted from per-disk masks;
+        the quadratic overlap predicate (:meth:`_lossy_section`) runs
+        per block, pad-free, on exactly the groups that hold more.  No
+        G- or N·n-length array is ever built.
 
         ``seed`` overrides the instance seed, so one validated instance
         can serve a whole batch of runs.
@@ -379,101 +446,102 @@ class BulkLifetime:
         cfg = self.cfg
         duration = cfg.duration
         latency = cfg.detection_latency
+        rebuild = cfg.rebuild_seconds_per_block
         streams = RandomStreams(self.seed if seed is None else seed)
 
-        ages = cfg.vintage.failure_model.sample_failure_age(
-            streams.bulk("failures"), self.N)
-        failed_ids = np.flatnonzero(ages <= duration)
-
+        failed_ids, fail_at = self.model.sample_failed_within(
+            streams.bulk("failures"), self.N, duration)
+        n_failed = failed_ids.size
         stats = RecoveryStats()
-        stats.disk_failures = failed_ids.size
-        if failed_ids.size == 0:
+        stats.disk_failures = n_failed
+        if n_failed == 0:
             return stats
 
-        sections = self._failed_block_sections(
-            streams.bulk("placement"), ages, failed_ids)
+        sections = self._failed_block_sections(streams.bulk("placement"),
+                                               failed_ids)
         if not any(m.size for m in sections):
             return stats
 
+        # Per failed disk: its blocks in each section, in the groups that
+        # can never be lost, and whether its rebuilds start in-horizon.
+        per_section = [np.bincount(m.ravel(), minlength=n_failed)
+                       for m in sections]
+        safe_blocks = sum(per_section[:self.tol],
+                          np.zeros(n_failed, dtype=np.intp))
+        started = fail_at + latency <= duration
+        n_started = int(safe_blocks[started].sum())
+        n_lost = 0
+        first_loss = np.inf
+
         if cfg.use_farm:
             # FARM rebuilds a dead disk's blocks in parallel across the
-            # fleet: every window is the same constant, kept scalar so it
-            # broadcasts for free (and the `bulk-windows` stream is never
-            # consumed — it only feeds the traditional queue draw).
-            farm_window = latency + cfg.rebuild_seconds_per_block
-            windows_flat = None
+            # fleet: every window is the same constant (and the
+            # `bulk-windows` stream is never consumed).
+            window = latency + rebuild
+            done = started & (fail_at + window <= duration)
+            n_completed = int(safe_blocks[done].sum())
+            for m in sections[self.tol:]:
+                if m.size:
+                    fail_k = fail_at[m]
+                    lost, first, n_st, completed_k = self._lossy_section(
+                        fail_k, fail_k + window)
+                    n_lost += lost
+                    first_loss = min(first_loss, first)
+                    n_started += n_st
+                    n_completed += int(np.count_nonzero(completed_k))
+            window_total = window * n_completed
+            window_max = window if n_completed else 0.0
         else:
             # A failed disk's rebuild queue is its hosted blocks — all
-            # of which failed with it, so the failed-block multiset
-            # determines the queue length exactly.  One flat draw in
-            # section order keeps stream consumption well-defined.
-            disk_flat = np.concatenate(
-                [m.ravel() for m in sections if m.size])
-            queue_flat = np.bincount(disk_flat,
-                                     minlength=self.N)[disk_flat]
-            windows_flat = self._traditional_windows(
-                streams.bulk("windows"), queue_flat)
-
-        n_started = 0
-        n_completed = 0
-        n_lost = 0
-        window_total = 0.0
-        window_max = 0.0
-        first_loss = np.inf
-        offset = 0
-        for k, m in enumerate(sections, start=1):
-            if m.size == 0:
-                continue
-            fail_k = ages[m]                              # (K_k, k)
-            if windows_flat is None:
-                repair_k = fail_k + farm_window
-            else:
-                win_k = windows_flat[offset:offset + m.size] \
-                    .reshape(m.shape)
-                offset += m.size
-                repair_k = fail_k + win_k
-
-            # Groups with <= tolerance failed blocks can never be lost;
-            # a scalar inf loss time broadcasts through the accounting.
-            loss_of: np.ndarray | float = np.inf
-            if k > self.tol:
-                lost_k, when_k = group_loss_times(fail_k, repair_k,
-                                                  self.tol)
-                if lost_k.any():
-                    n_lost += int(np.count_nonzero(lost_k))
-                    first_loss = min(first_loss,
-                                     float(when_k[lost_k].min()))
-                    loss_of = np.where(lost_k, when_k, np.inf)[:, None]
-
-            # Rebuild accounting mirrors the DES semantics: a rebuild
-            # starts at the *detect* event (failure + detection latency)
-            # and only if the group is not lost by then — the
-            # loss-triggering block never starts one; a started rebuild
-            # completes unless cancelled by a later loss or censored by
-            # the horizon.
-            detect_k = fail_k + latency
-            started_k = (detect_k <= duration) & (detect_k < loss_of)
-            completed_k = (started_k & (repair_k < loss_of)
-                           & (repair_k <= duration))
-            n_started += int(np.count_nonzero(started_k))
-            done = int(np.count_nonzero(completed_k))
-            n_completed += done
-            if windows_flat is not None and done:
-                done_windows = win_k[completed_k]
-                window_total += float(done_windows.sum())
-                window_max = max(window_max, float(done_windows.max()))
+            # of which failed with it, so the per-section counts give the
+            # queue length exactly.  The windows are drawn section by
+            # section, in order: the same stream words as one flat draw.
+            queue = sum(per_section, np.zeros(n_failed))
+            rng = streams.bulk("windows")
+            # A queue's tail finishes last, so a disk whose tail finishes
+            # in-horizon completes every rebuild.  When that holds for
+            # every disk with blocks in safe groups (most lifetimes), no
+            # safe window needs its own completion test.  (A window is
+            # at least the detection latency, so a rebuild that completes
+            # in-horizon also started in-horizon.)
+            whole = started & (fail_at + (latency + queue * rebuild)
+                               <= duration)
+            check_safe = bool(safe_blocks[~whole].any())
+            n_completed = 0
+            window_total = 0.0
+            window_max = 0.0
+            for k, m in enumerate(sections, start=1):
+                if m.size == 0:
+                    continue
+                blocks = m.ravel()
+                win = self._traditional_windows(rng, queue[blocks])
+                if k <= self.tol:
+                    if check_safe:
+                        win = win[fail_at[blocks] + win <= duration]
+                else:
+                    fail_k = fail_at[m]
+                    win_k = win.reshape(m.shape)
+                    lost, first, n_st, completed_k = self._lossy_section(
+                        fail_k, fail_k + win_k)
+                    n_lost += lost
+                    first_loss = min(first_loss, first)
+                    n_started += n_st
+                    win = win_k[completed_k]
+                # Completed windows are summed per block, section by
+                # section, so `window_total` keeps its bits.
+                n_completed += win.size
+                if win.size:
+                    window_total += float(win.sum())
+                    window_max = max(window_max, float(win.max()))
 
         stats.rebuilds_started = n_started
         stats.rebuilds_completed = n_completed
-        if windows_flat is None:
-            window_total = farm_window * n_completed
-            window_max = farm_window if n_completed else 0.0
         stats.window_total = window_total
         stats.window_max = window_max
         stats.groups_lost = n_lost
         stats.bytes_lost = n_lost * cfg.group_user_bytes
         if n_lost:
-            stats.first_loss_time = float(first_loss)
+            stats.first_loss_time = first_loss
         return stats
 
 

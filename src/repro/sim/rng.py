@@ -12,6 +12,7 @@ identical across processes and Python versions.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -70,6 +71,16 @@ def bulk_stream_name(kind: str) -> str:
     return f"bulk-{kind}"
 
 
+@functools.lru_cache(maxsize=64)
+def _stream_key(name: str) -> int:
+    """``stable_hash64(name)``, memoized per stream name.
+
+    The names are a small fixed set, while a bulk lifetime opens two or
+    three fresh streams, so each name is hashed once per process.
+    """
+    return stable_hash64(name)
+
+
 class RandomStreams:
     """Factory of independent named ``numpy.random.Generator`` streams."""
 
@@ -81,8 +92,8 @@ class RandomStreams:
         """Return the (cached) generator for ``name``."""
         gen = self._cache.get(name)
         if gen is None:
-            ss = np.random.SeedSequence(
-                entropy=self.seed, spawn_key=(stable_hash64(name),))
+            ss = np.random.SeedSequence(entropy=self.seed,
+                                        spawn_key=(_stream_key(name),))
             gen = np.random.Generator(np.random.PCG64(ss))
             self._cache[name] = gen
         return gen

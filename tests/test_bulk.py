@@ -30,7 +30,8 @@ from repro.redundancy.composite import MirroredParity
 from repro.reliability import shutdown_pool, sweep
 from repro.reliability.bulk import (BulkLifetime, bulk_aggregate,
                                     distinct_uniform, group_loss_times,
-                                    hypergeom_pmf, run_bulk_lifetime,
+                                    hypergeom_pmf, rack_tables,
+                                    run_bulk_lifetime,
                                     sample_failed_block_sections,
                                     sample_members_capped,
                                     sample_members_flat,
@@ -82,16 +83,20 @@ def sweep_line_loss(fail, repair, tolerance):
 
 @st.composite
 def interval_groups(draw):
-    """A (groups, n) batch of integer-valued fail/repair intervals.
+    """A ``(groups, n)`` or ``(a, b, n)`` batch of integer-valued
+    fail/repair intervals, ``n`` up to 10.
 
     Integer times on a small grid force the tie cases (simultaneous
     failures, a failure landing exactly on a repair) that distinguish
     open/closed interval conventions.
     """
-    n = draw(st.integers(1, 5))
-    n_groups = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        lead = (draw(st.integers(1, 6)),)
+    else:
+        lead = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
     fail, repair = [], []
-    for _ in range(n_groups * n):
+    for _ in range(int(np.prod(lead)) * n):
         if draw(st.booleans()):
             f = draw(st.integers(0, 10))
             fail.append(float(f))
@@ -99,7 +104,7 @@ def interval_groups(draw):
         else:                                  # never fails
             fail.append(np.inf)
             repair.append(np.inf)
-    shape = (n_groups, n)
+    shape = lead + (n,)
     return (np.array(fail).reshape(shape), np.array(repair).reshape(shape),
             draw(st.integers(0, n - 1)))
 
@@ -110,10 +115,32 @@ class TestGroupLossTimes:
     def test_matches_sweep_line_oracle(self, case):
         fail, repair, tol = case
         lost, when = group_loss_times(fail, repair, tol)
-        for g in range(fail.shape[0]):
+        assert lost.shape == when.shape == fail.shape[:-1]
+        for g in np.ndindex(fail.shape[:-1]):
             exp_lost, exp_when = sweep_line_loss(fail[g], repair[g], tol)
             assert bool(lost[g]) == exp_lost
             assert float(when[g]) == exp_when
+
+    def test_ties_and_never_failed_blocks_in_a_wide_group(self):
+        # n = 10 over leading axes (2, 1): three blocks fail together at
+        # t = 4 while a fourth is repaired exactly then; the rest never
+        # fail.  Tolerance 2 is exceeded at t = 4, tolerance 3 is not.
+        fail = np.full((2, 1, 10), np.inf)
+        repair = np.full((2, 1, 10), np.inf)
+        fail[0, 0, :4] = [1.0, 4.0, 4.0, 4.0]
+        repair[0, 0, :4] = [4.0, 9.0, 6.0, 5.0]
+        fail[1, 0, :2] = [2.0, 2.0]
+        repair[1, 0, :2] = [3.0, 3.0]
+        for tol in (2, 3):
+            lost, when = group_loss_times(fail, repair, tol)
+            for g in np.ndindex(2, 1):
+                exp_lost, exp_when = sweep_line_loss(fail[g], repair[g],
+                                                     tol)
+                assert bool(lost[g]) == exp_lost
+                assert float(when[g]) == exp_when
+        lost, when = group_loss_times(fail, repair, 2)
+        assert lost.tolist() == [[True], [False]]
+        assert when[0, 0] == 4.0
 
     def test_simultaneous_failures_are_concurrent(self):
         # Two blocks failing at the same instant: overlap of 2 at t=1.
@@ -229,7 +256,8 @@ class TestCappedSampler:
     def test_cap_and_distinctness_hold_by_construction(self):
         rack_of_disk = np.repeat(np.arange(4), 4)        # 4 racks x 4 disks
         members = sample_members_capped(
-            np.random.default_rng(7), 3000, 2, rack_of_disk, cap=1)
+            np.random.default_rng(7), 3000, 2, rack_tables(rack_of_disk),
+            cap=1)
         assert all(len(set(row)) == 2 for row in members.tolist())
         racks = rack_of_disk[members]
         assert (racks[:, 0] != racks[:, 1]).all()        # cap=1: all distinct

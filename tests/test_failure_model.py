@@ -95,6 +95,46 @@ class TestSampling:
         assert (ages >= current).all()
 
 
+class TestFailedOnlySampler:
+    """``sample_failed_within`` is ``sample_failure_age`` filtered to the
+    horizon, bit for bit, and consumes the same stream words."""
+
+    MODELS = {
+        "table1": BathtubFailureModel(),
+        "table1x2": BathtubFailureModel().scaled(2.0),
+        "flat": BathtubFailureModel((RatePeriod(0.0, float("inf"), 0.3),)),
+    }
+    #: 6 years, a period boundary of Table 1, and one second.
+    HORIZONS = {"6y": 6 * YEAR, "3mo": 3 * MONTH, "1s": 1.0}
+
+    @pytest.mark.parametrize("horizon", sorted(HORIZONS))
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_matches_filtered_full_draw(self, name, horizon):
+        model, h = self.MODELS[name], self.HORIZONS[horizon]
+        for seed in range(200):
+            full = np.random.default_rng(seed)
+            ages = model.sample_failure_age(full, 10_000)
+            ids = np.flatnonzero(ages <= h)
+            rng = np.random.default_rng(seed)
+            got_ids, got_ages = model.sample_failed_within(rng, 10_000, h)
+            assert np.array_equal(got_ids, ids)
+            assert np.array_equal(got_ages, ages[ids])
+            assert rng.random() == full.random()
+
+    def test_bound_brackets_the_exact_threshold(self, model):
+        h = 6 * YEAR
+        exact = 1.0 - float(model.survival(h))
+        bound = model._failure_uniform_bound(h)
+        assert exact < bound < exact * (1 + 1e-5)
+
+    def test_unbounded_horizon_keeps_every_drive(self, model):
+        ids, ages = model.sample_failed_within(
+            np.random.default_rng(0), 100, float("inf"))
+        assert np.array_equal(ids, np.arange(100))
+        assert np.array_equal(
+            ages, model.sample_failure_age(np.random.default_rng(0), 100))
+
+
 class TestRateMultiplier:
     def test_scaled_doubles_hazard(self, model):
         double = model.scaled(2.0)

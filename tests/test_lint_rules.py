@@ -25,6 +25,7 @@ EXPECTED = {
     "rpr007_print.py": ("RPR007", 5),
     "rpr008_clock_assign.py": ("RPR008", 6),
     "core/rpr009_silent_except.py": ("RPR009", 7),
+    "reliability/rpr009_silent_except.py": ("RPR009", 7),
     "core/rpr010_hardcoded_param.py": ("RPR010", 5),
     "cluster/rpr011_wall_clock.py": ("RPR011", 11),
     "service/rpr011_wall_clock.py": ("RPR011", 13),
@@ -54,6 +55,10 @@ class TestFixtures:
 
     def test_clean_fixture_is_silent(self):
         assert lint_file(FIXTURES / "clean.py") == []
+
+    def test_signal_value_fixture_in_reliability_is_silent(self):
+        path = FIXTURES / "reliability" / "rpr009_signal_value.py"
+        assert lint_file(path) == []
 
     def test_whole_fixture_dir_totals(self):
         violations = lint_paths([FIXTURES])
@@ -155,6 +160,11 @@ class TestRuleEdges:
     def test_silent_except_outside_guarded_dirs_is_fine(self):
         src = ("try:\n    f()\nexcept ValueError:\n    pass\n")
         assert lint_source(src, "experiments/harness.py") == []
+
+    def test_silent_except_in_reliability_flagged(self):
+        src = ("try:\n    f()\nexcept OSError:\n    pass\n")
+        violations = lint_source(src, "reliability/runner.py")
+        assert [v.rule for v in violations] == ["RPR009"]
 
     def test_silent_except_in_cluster_flagged(self):
         src = ("try:\n    f()\nexcept ValueError:\n    pass\n")

@@ -1,6 +1,7 @@
 """Tests for the persistent-pool sweep runner (repro.reliability.runner)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -265,6 +266,21 @@ class TestBenchHistory:
         assert runner_mod.bench_run_id() == "build-42"
         monkeypatch.setenv("REPRO_BENCH_TIMESTAMP", "1234.5")
         assert runner_mod.bench_timestamp() == 1234.5
+
+    def test_unreadable_git_gives_a_signal_run_id(self, tmp_path,
+                                                  monkeypatch):
+        (tmp_path / ".git").mkdir()
+        (tmp_path / ".git" / "HEAD").write_text("ref: refs/heads/main\n")
+
+        def unreadable(self, *args, **kwargs):
+            raise PermissionError(f"cannot read {self}")
+
+        monkeypatch.setattr(Path, "read_text", unreadable)
+        monkeypatch.delenv("REPRO_BENCH_ID", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert runner_mod._git_head_sha(tmp_path) == \
+            runner_mod.GIT_UNREADABLE
+        assert runner_mod.bench_run_id() == runner_mod.GIT_UNREADABLE
 
     def test_records_carry_identity_and_engines(self, tmp_path):
         path = tmp_path / "BENCH_sweep.json"
