@@ -37,7 +37,7 @@ optional_step() {
   fi
 }
 
-step "invariant analyzer (per-file + whole-program, incremental)" \
+step "invariant analyzer (per-file + whole-program)" \
   python -m repro.analysis --strict --timing src
 step "sweep parity (serial == parallel, incl. telemetry snapshots)" \
   python -m repro sweep-check --jobs 2
@@ -57,6 +57,8 @@ step "DES pin gate (des-fig3a: one seed-0 pass against bench/pins.json)" \
   python3 -m bench --workload des-fig3a --seconds 1
 step "DES pin gate (des-lazy: one seed-0 pass against bench/pins.json)" \
   python3 -m bench --workload des-lazy --seconds 1
+step "bulk pin gate (bulk-fig5: seed-0 losses and every point's signature)" \
+  python3 -m bench --workload bulk-fig5 --seconds 1
 step "bulk conformance suite (incl. slow CI-overlap tests)" \
   python -m pytest tests/test_bulk.py -q -m "slow or not slow"
 step "availability conformance suite (incl. slow lazy-policy brackets)" \

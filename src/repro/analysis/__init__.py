@@ -11,27 +11,23 @@ instead of convention-checked:
   unit flow across calls and fields, RNG stream ownership, and dead or
   shadowed config knobs.
 
-The full rule catalog, the baseline workflow, and the SARIF output
-format are documented in ``docs/ANALYSIS.md``.  Run the analyzer as
-``python -m repro.analysis [--strict] [paths]``; suppress a single line
-with ``# repro: noqa`` or ``# repro: noqa RPRxxx``.
-``tests/test_static_analysis.py`` gates the tree: tier-1 fails on any
-violation in ``src/``.
+One code path serves both: read each file, lint it, collect its facts,
+then check the facts set.  Every run analyzes every file.  The full
+rule catalog is documented in ``docs/ANALYSIS.md``.  Run the analyzer
+as ``python -m repro.analysis [--strict] [paths]`` (``--format json``
+for machine output); suppress a single line with ``# repro: noqa`` or
+``# repro: noqa RPRxxx``.  ``tests/test_static_analysis.py`` gates the
+tree: tier-1 fails on any violation in ``src/``.
 """
 
 from .base import RULES, FileContext, Rule, Violation
-from .baseline import (apply_baseline, load_baseline, render_baseline,
-                       violation_fingerprint)
-from .cache import AnalysisCache, analyzer_fingerprint, source_digest
 from .callgraph import ProjectGraph, build_graph
 from .determinism import SIM_DIRS, WALL_CLOCK_GUARDED_DIRS
 from .discipline import PRINT_SINKS
 from .parameters import KNOWN_PARAMETER_DEFAULTS, PARAM_GUARDED_DIRS
 from .project import (PROJECT_RULES, AnalysisError, AnalysisResult,
-                      ProjectRuleInfo, analyze_paths,
-                      restrict_to_changed)
-from .reporting import (render_json, render_rule_list, render_sarif,
-                        render_text)
+                      ProjectRuleInfo, analyze_paths)
+from .reporting import render_json, render_rule_list, render_text
 from .robustness import GUARDED_DIRS
 from .runner import iter_python_files, lint_file, lint_paths, lint_source
 from .symbols import ModuleFacts, collect_facts, module_name_for
@@ -39,7 +35,6 @@ from .units_rules import DEPRECATED_SUFFIXES, MAGIC_LITERALS
 from .weights import WEIGHT_ATTRS, WEIGHT_GUARDED_DIRS
 
 __all__ = [
-    "AnalysisCache",
     "AnalysisError",
     "AnalysisResult",
     "DEPRECATED_SUFFIXES",
@@ -61,22 +56,14 @@ __all__ = [
     "WEIGHT_ATTRS",
     "WEIGHT_GUARDED_DIRS",
     "analyze_paths",
-    "analyzer_fingerprint",
-    "apply_baseline",
     "build_graph",
     "collect_facts",
     "iter_python_files",
     "lint_file",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "module_name_for",
-    "render_baseline",
     "render_json",
     "render_rule_list",
-    "render_sarif",
     "render_text",
-    "restrict_to_changed",
-    "source_digest",
-    "violation_fingerprint",
 ]

@@ -67,15 +67,13 @@ class BuiltinHashCall(Rule):
 
 
 #: Directories whose code runs under the simulation clock.
-SIM_DIRS = frozenset({"sim", "core", "reliability", "placement"})
+SIM_DIRS = frozenset({"sim", "reliability", "placement"})
 
 #: Directories the wall-clock ban extends to beyond :data:`SIM_DIRS` —
 #: the model layer, the telemetry subsystem (whose metrics must be a
-#: pure function of simulated time), and the forecast service (``core``
-#: appears for documentation; it is already in :data:`SIM_DIRS`, so
-#: RPR004 owns it).
-WALL_CLOCK_GUARDED_DIRS = frozenset({"core", "cluster", "faults",
-                                     "telemetry", "service"})
+#: pure function of simulated time), and the forecast service.
+WALL_CLOCK_GUARDED_DIRS = frozenset({"cluster", "faults", "telemetry",
+                                     "service"})
 
 #: Guarded files *allowed* to read the wall clock, with the justification
 #: on record.  Keys are ``"<dir>/<basename>"`` path suffixes.  This is an
@@ -132,8 +130,8 @@ class WallClockInSimCode(Rule):
 class WallClockInObservedCode(Rule):
     """RPR011 — no wall-clock reads in model or telemetry code.
 
-    Directories :data:`SIM_DIRS` already guards (``core/`` is in both
-    sets) report under RPR004 only, so one call never fires two rules.
+    A file under a :data:`SIM_DIRS` directory reports under RPR004
+    only, so one call never fires two rules.
     Files in :data:`WALL_CLOCK_ALLOWLIST` are exempt with their
     justification on record next to the rule.
     """

@@ -25,7 +25,7 @@ KNOWN_PARAMETER_DEFAULTS: dict[float, str] = {
 }
 
 #: Directories where engine code consumes these parameters.
-PARAM_GUARDED_DIRS = frozenset({"core", "cluster", "reliability", "disks"})
+PARAM_GUARDED_DIRS = frozenset({"cluster", "reliability", "disks"})
 
 
 @register

@@ -1,10 +1,10 @@
 """Whole-program analysis driver: collect facts, then check globally.
 
 This is the *check* half of the two-pass design.  Pass one runs per
-file — the local RPR001–012 rules plus :func:`collect_facts` — and
-memoizes under the content-hash cache.  Pass two aggregates every
-module's facts into a :class:`~repro.analysis.callgraph.ProjectGraph`
-and runs the RPR100-series whole-program rules over it.
+file — the local RPR001–012 rules plus :func:`collect_facts`.  Pass two
+aggregates every module's facts into a
+:class:`~repro.analysis.callgraph.ProjectGraph` and runs the
+RPR100-series whole-program rules over it.  Every run reads every file.
 
 Internal analyzer failures never escape as tracebacks: any exception
 while processing a file becomes an :class:`AnalysisError` naming the
@@ -20,8 +20,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .base import Violation
-from .cache import AnalysisCache, source_digest
-from .callgraph import ProjectGraph, build_graph
+from .callgraph import build_graph
 from .configflow import (DEADCONF_RULE_ID, DEADCONF_RULE_SUMMARY,
                          check_dead_config)
 from .runner import iter_python_files, lint_source
@@ -71,11 +70,6 @@ class AnalysisResult:
 
     violations: list[Violation] = field(default_factory=list)
     errors: list[AnalysisError] = field(default_factory=list)
-    #: facts of every successfully collected module (project pass input).
-    graph: ProjectGraph | None = None
-    #: paths whose content changed since the cache was last written
-    #: (every path, on a cold run).
-    changed_paths: frozenset[str] = frozenset()
     stats: dict[str, Any] = field(default_factory=dict)
 
 
@@ -93,29 +87,15 @@ def package_root(path: Path) -> Path:
     return current
 
 
-def _analyze_file(path: Path, roots: Sequence[Path],
-                  collect: bool) -> tuple[list[Violation],
-                                          ModuleFacts | None]:
-    source = path.read_text(encoding="utf-8")
-    local = lint_source(source, path)
-    facts: ModuleFacts | None = None
-    if collect and not any(v.rule == "RPR000" for v in local):
-        facts = collect_facts(source, path, roots)
-    return local, facts
-
-
 def analyze_paths(paths: Sequence[str | Path], *,
                   roots: Sequence[str | Path] | None = None,
-                  cache: AnalysisCache | None = None,
                   project_checks: bool = True) -> AnalysisResult:
     """Run the full analysis (local rules + whole-program rules).
 
     ``roots`` defaults to the package root of each input path; pass it
-    explicitly when analyzing fixture trees.  With a ``cache``,
-    unchanged files are served from it — findings are identical to a
-    cold run because the whole-program pass only ever consumes the
-    (cached or fresh) facts.  With ``project_checks=False`` only the
-    per-file rules run, matching the historical linter behavior.
+    explicitly when analyzing fixture trees.  With
+    ``project_checks=False`` only the per-file rules run, matching the
+    historical linter behavior.
     """
     start = time.perf_counter()
     result = AnalysisResult()
@@ -124,7 +104,6 @@ def analyze_paths(paths: Sequence[str | Path], *,
     else:
         root_paths = [Path(r) for r in roots]
     facts_list: list[ModuleFacts] = []
-    changed: set[str] = set()
     n_files = 0
     for path in iter_python_files(paths):
         n_files += 1
@@ -134,35 +113,20 @@ def analyze_paths(paths: Sequence[str | Path], *,
         except OSError as exc:
             result.errors.append(AnalysisError(key, f"unreadable: {exc}"))
             continue
-        digest = source_digest(source)
-        entry = cache.lookup(key, digest) if cache is not None else None
-        if entry is not None:
-            local = [Violation(**v) for v in entry["violations"]]
-            raw_facts = entry.get("facts")
-            facts = (ModuleFacts.from_dict(raw_facts)
-                     if raw_facts is not None else None)
-        else:
-            changed.add(key)
-            try:
-                local, facts = _analyze_file(path, root_paths,
-                                             collect=project_checks)
-            except Exception as exc:
-                result.errors.append(AnalysisError(
-                    key, f"{type(exc).__name__}: {exc}"))
-                continue
-            if cache is not None:
-                cache.store(key, digest,
-                            facts.to_dict() if facts is not None
-                            else None,
-                            [v.to_dict() for v in local])
+        try:
+            local = lint_source(source, path)
+            if project_checks and not any(v.rule == "RPR000"
+                                          for v in local):
+                facts_list.append(collect_facts(source, path, root_paths))
+        except Exception as exc:
+            result.errors.append(AnalysisError(
+                key, f"{type(exc).__name__}: {exc}"))
+            continue
         result.violations.extend(local)
-        if facts is not None:
-            facts_list.append(facts)
     collect_elapsed = time.perf_counter() - start
     check_start = time.perf_counter()
     if project_checks:
         graph = build_graph(facts_list)
-        result.graph = graph
         try:
             result.violations.extend(check_units(graph))
             result.violations.extend(check_streams(graph))
@@ -170,27 +134,10 @@ def analyze_paths(paths: Sequence[str | Path], *,
         except Exception as exc:
             result.errors.append(AnalysisError(
                 "<project-checks>", f"{type(exc).__name__}: {exc}"))
-    if cache is not None:
-        cache.save()
     result.violations.sort()
-    result.changed_paths = frozenset(changed)
     result.stats = {
         "files": n_files,
-        "cache_hits": cache.hits if cache is not None else 0,
-        "cache_misses": cache.misses if cache is not None else n_files,
         "collect_s": collect_elapsed,
         "check_s": time.perf_counter() - check_start,
     }
     return result
-
-
-def restrict_to_changed(result: AnalysisResult) -> list[Violation]:
-    """Findings anchored in files changed since the last cached run.
-
-    The whole-program pass still ran over *all* facts (a stream misuse
-    in an unchanged file relating to a changed owner is global
-    information), but reporting narrows to the changed files — the
-    ``--changed-only`` pre-commit mode.
-    """
-    return [v for v in result.violations
-            if v.path in result.changed_paths]

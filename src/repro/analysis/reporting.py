@@ -1,18 +1,12 @@
-"""Violation reporters: plain text, JSON, and SARIF 2.1.0."""
+"""Violation reporters: plain text and JSON."""
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 from typing import Sequence
 
 from .base import RULES, Violation
-from .baseline import violation_fingerprint
 from .project import PROJECT_RULES
-
-_SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
-_SARIF_VERSION = "2.1.0"
-_TOOL_NAME = "repro-analysis"
 
 
 def render_text(violations: Sequence[Violation]) -> str:
@@ -30,60 +24,16 @@ def render_json(violations: Sequence[Violation]) -> str:
                       indent=2)
 
 
-def _rule_catalog() -> list[tuple[str, str]]:
-    """(id, summary) of every rule — per-file and whole-program."""
-    catalog = [(rule.id, rule.summary) for rule in RULES]
-    catalog.extend((info.id, info.summary) for info in PROJECT_RULES)
-    return sorted(catalog)
-
-
-def render_sarif(violations: Sequence[Violation]) -> str:
-    """A SARIF 2.1.0 log — one run, one result per violation.
-
-    Each result carries the same line-independent fingerprint the
-    baseline mechanism uses, so SARIF consumers (code-scanning UIs)
-    track a finding across reflows exactly as ``--baseline`` does.
-    SARIF regions are 1-based; our columns are 0-based, hence the +1.
-    """
-    rules = [{"id": rule_id,
-              "shortDescription": {"text": summary}}
-             for rule_id, summary in _rule_catalog()]
-    results = []
-    for v in violations:
-        results.append({
-            "ruleId": v.rule,
-            "level": "error",
-            "message": {"text": v.message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {
-                        "uri": Path(v.path).as_posix()},
-                    "region": {"startLine": max(v.line, 1),
-                               "startColumn": v.col + 1},
-                },
-            }],
-            "fingerprints": {"reproAnalysis/v1":
-                             violation_fingerprint(v)},
-        })
-    doc = {
-        "$schema": _SARIF_SCHEMA,
-        "version": _SARIF_VERSION,
-        "runs": [{
-            "tool": {"driver": {"name": _TOOL_NAME, "rules": rules}},
-            "results": results,
-        }],
-    }
-    return json.dumps(doc, indent=2)
-
-
 def render_rule_list() -> str:
     """Human-readable table of every rule, per-file and whole-program.
 
     Detailed per-rule prose lives in ``docs/ANALYSIS.md``; this listing
     is the one-line catalog.
     """
+    catalog = [(rule.id, rule.summary) for rule in RULES]
+    catalog.extend((info.id, info.summary) for info in PROJECT_RULES)
     lines = [f"{rule_id}  {summary}"
-             for rule_id, summary in _rule_catalog()]
+             for rule_id, summary in sorted(catalog)]
     lines.append("")
     lines.append("Details: docs/ANALYSIS.md.  Whole-program rules "
                  "(RPR101+) run with --strict.")

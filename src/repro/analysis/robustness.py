@@ -11,7 +11,7 @@ import ast
 from .base import FileContext, Rule, dotted_name, register
 
 #: Directories where a swallowed exception can hide a degraded group.
-GUARDED_DIRS = frozenset({"core", "cluster", "reliability"})
+GUARDED_DIRS = frozenset({"cluster", "reliability"})
 
 #: A call whose dotted name contains one of these accounts for the event.
 ACCOUNTING_TOKENS = ("stats", "trace", "record", "defer", "log", "warn",
@@ -20,8 +20,8 @@ ACCOUNTING_TOKENS = ("stats", "trace", "record", "defer", "log", "warn",
 
 @register
 class SilentExceptionSwallow(Rule):
-    """RPR009 — no silent exception swallows in ``core/``, ``cluster/``
-    or ``reliability/``."""
+    """RPR009 — no silent exception swallows in ``cluster/`` or
+    ``reliability/``."""
 
     id = "RPR009"
     summary = ("silent exception swallow in recovery code; count, trace, "

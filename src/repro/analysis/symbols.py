@@ -3,21 +3,19 @@
 The RPR100-series rules (unit flow, stream ownership, dead config)
 cannot be checked one file at a time: they relate a ``SystemConfig``
 field defined in ``config.py`` to attribute reads elsewhere, or a stream
-literal in ``faults/`` to a consumer in ``reliability/``.  This module is the *collect* half of the two-pass
-design: one AST walk per file produces a :class:`ModuleFacts` record —
-plain JSON-serializable data — and the *check* half
+literal in ``faults/`` to a consumer in ``reliability/``.  This module
+is the *collect* half of the two-pass design: one AST walk per file
+produces a :class:`ModuleFacts` record, and the *check* half
 (:mod:`repro.analysis.project` and friends) runs over the aggregated
-facts without ever re-reading a file.  Because facts depend only on one
-file's content, they memoize perfectly under the content-hash cache
-(:mod:`repro.analysis.cache`).
+facts without ever re-reading a file.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from .base import dotted_name, suppressed_rules
 
@@ -63,8 +61,8 @@ def name_dim(name: str) -> tuple[int, int] | None:
 # --------------------------------------------------------------------- #
 # Dimension terms
 # --------------------------------------------------------------------- #
-# A *term* is the symbolic dimension of an expression, serialized as a
-# small JSON tree:
+# A *term* is the symbolic dimension of an expression, as a small dict
+# tree:
 #   {"k": "dim",  "e": [b, s]}          -- known exponents
 #   {"k": "call", "n": "dotted.name"}   -- return dim of a call, resolved
 #                                          against the global env later
@@ -123,8 +121,6 @@ class ModuleFacts:
 
     module: str
     path: str
-    #: resolved imported module names (import graph edges).
-    imports: list[str] = field(default_factory=list)
     #: symbol bindings introduced by imports:
     #: local name -> "module" or "module:attr".
     import_bindings: dict[str, str] = field(default_factory=dict)
@@ -138,34 +134,9 @@ class ModuleFacts:
     stream_uses: list[list[Any]] = field(default_factory=list)
     #: unit-flow constraint records (see :mod:`.unitflow`).
     unit_constraints: list[dict[str, Any]] = field(default_factory=list)
-    #: call edges: [caller qualname ("" = module level), callee dotted
-    #: name, line].
-    calls: list[list[Any]] = field(default_factory=list)
     #: lines carrying a ``# repro: noqa`` directive:
     #: line -> sorted rule ids ("*" alone = suppress everything).
     noqa: dict[str, list[str]] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ModuleFacts":
-        facts = cls(module=data["module"], path=data["path"])
-        facts.imports = list(data.get("imports", []))
-        facts.import_bindings = dict(data.get("import_bindings", {}))
-        facts.aliases = dict(data.get("aliases", {}))
-        facts.functions = {
-            q: FunctionFacts(**f) for q, f in data.get("functions",
-                                                       {}).items()}
-        facts.classes = {
-            n: ClassFacts(**c) for n, c in data.get("classes", {}).items()}
-        facts.attr_reads = {k: int(v)
-                            for k, v in data.get("attr_reads", {}).items()}
-        facts.stream_uses = [list(u) for u in data.get("stream_uses", [])]
-        facts.unit_constraints = list(data.get("unit_constraints", []))
-        facts.calls = [list(c) for c in data.get("calls", [])]
-        facts.noqa = {k: list(v) for k, v in data.get("noqa", {}).items()}
-        return facts
 
     def suppressed(self, line: int, rule: str) -> bool:
         """Whether ``rule`` is noqa-suppressed on ``line``."""
@@ -250,7 +221,6 @@ class _Collector(ast.NodeVisitor):
     # -- imports ------------------------------------------------------- #
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
-            self.facts.imports.append(alias.name)
             local = alias.asname or alias.name.split(".")[0]
             self.facts.import_bindings[local] = \
                 alias.name if alias.asname else alias.name.split(".")[0]
@@ -265,7 +235,6 @@ class _Collector(ast.NodeVisitor):
         target = resolve_relative_import(base_module, node.module,
                                          node.level)
         if target is not None:
-            self.facts.imports.append(target)
             for alias in node.names:
                 if alias.name == "*":
                     continue
@@ -370,9 +339,6 @@ class _Collector(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
-        callee = dotted_name(node.func)
-        if callee is not None:
-            self.facts.calls.append([self.qualname, callee, node.lineno])
         # RNG stream use: `<obj>.get/fresh/rare("literal")`.
         if isinstance(node.func, ast.Attribute) \
                 and node.func.attr in self.STREAM_APIS and node.args:
@@ -601,8 +567,3 @@ def collect_facts(source: str, path: str | Path,
             facts.noqa[str(i)] = sorted(ids) if ids else ["*"]
     return facts
 
-
-def iter_facts(items: Iterable[tuple[str, str | Path]],
-               roots: Sequence[str | Path] = ()) -> list[ModuleFacts]:
-    """Collect facts for many ``(source, path)`` pairs."""
-    return [collect_facts(src, path, roots) for src, path in items]

@@ -8,8 +8,9 @@ client, none of which need keep-alive).  Routes:
 * ``POST /forecast``        — answer a config query through the cascade;
 * ``GET  /forecast/<key>``  — re-read a cached live answer by digest;
 * ``GET  /healthz``         — liveness;
-* ``GET  /metrics``         — Prometheus text (request counters and
-  per-tier latency histograms via the repro telemetry exporter).
+* ``GET  /metrics``         — Prometheus text (request counters,
+  per-tier latency histograms and the evidence journal's skipped-line
+  gauge via the repro telemetry exporter).
 
 Between requests a background task drains the refinement queue: the
 widest cached confidence interval gets one more Monte-Carlo round, so
@@ -212,6 +213,11 @@ class ForecastService:
         if path == "/metrics":
             if method != "GET":
                 raise ForecastError(405, "metrics is GET-only")
+            self.registry.gauge(
+                "service_cache_skipped_lines",
+                help="evidence journal lines that yielded no record at "
+                     "the last full read").set(
+                float(self.cascade.cache.skipped_lines))
             return 200, to_prometheus(self.registry.snapshot()), "-"
         if path == "/forecast":
             if method != "POST":

@@ -13,11 +13,18 @@ and the file is compacted back to one line per digest when the journal
 grows past a multiple of the live entry count.  The in-memory side is a
 bounded LRU — eviction forgets the *fast path*, never the evidence,
 which reloads from the journal on the next miss.
+
+A crash can leave a torn last line.  Loading skips (and counts) lines
+that yield no record, the first append after loading a torn tail starts
+on a fresh line, and compaction writes a sibling file and renames it
+over the journal, so a crash mid-compaction leaves the old journal
+intact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -90,8 +97,13 @@ class ForecastCache:
         self.capacity = capacity
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
         self._journal_lines = 0
-        if self.path is not None and self.path.exists():
-            self._load()
+        #: journal lines that yielded no record at the last full read
+        #: (load or compaction).
+        self.skipped_lines = 0
+        #: the journal ends mid-line, so the next append starts a new one.
+        self._torn_tail = False
+        for entry in self._read_journal().values():
+            self._remember(entry)
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
@@ -107,7 +119,7 @@ class ForecastCache:
         if entry is not None:
             self._entries.move_to_end(digest)
             return entry
-        entry = self._scan_journal(digest)
+        entry = self._read_journal(digest).get(digest)
         if entry is not None:
             self._remember(entry)
         return entry
@@ -128,83 +140,71 @@ class ForecastCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
-    def _load(self) -> None:
-        lines = 0
+    def _read_journal(self, digest: str | None = None
+                      ) -> dict[str, CacheEntry]:
+        """Newest journal record per digest.
+
+        With ``digest``, only lines containing it are parsed (the
+        evicted-entry lookup).  A full read also records the line
+        count, :attr:`skipped_lines` and whether the file ends mid-line.
+        """
         latest: dict[str, CacheEntry] = {}
+        if self.path is None:
+            return latest
         try:
             text = self.path.read_text(encoding="utf-8")
         except OSError:
-            return
+            return latest
+        lines = skipped = 0
         for line in text.splitlines():
-            line = line.strip()
-            if not line:
+            if not line.strip() or (digest is not None
+                                    and digest not in line):
                 continue
             lines += 1
             try:
-                record = json.loads(line)
+                entry = CacheEntry.from_record(json.loads(line))
             except ValueError:
-                continue
-            entry = CacheEntry.from_record(record)
-            if entry is not None:
+                entry = None
+            if entry is None:
+                skipped += 1
+            else:
                 latest[entry.digest] = entry
-        self._journal_lines = lines
-        for entry in latest.values():
-            self._remember(entry)
-
-    def _scan_journal(self, digest: str) -> CacheEntry | None:
-        """Newest journal record for ``digest`` (evicted-entry path)."""
-        if self.path is None or not self.path.exists():
-            return None
-        found: CacheEntry | None = None
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except OSError:
-            return None
-        for line in text.splitlines():
-            if digest not in line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            entry = CacheEntry.from_record(record)
-            if entry is not None and entry.digest == digest:
-                found = entry
-        return found
+        if digest is None:
+            self._journal_lines = lines
+            self.skipped_lines = skipped
+            self._torn_tail = bool(text) and not text.endswith("\n")
+        return latest
 
     def _append(self, entry: CacheEntry) -> None:
         if self.path is None:
             return
+        line = json.dumps(entry.to_record(), sort_keys=True) + "\n"
+        if self._torn_tail:
+            line = "\n" + line
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry.to_record(), sort_keys=True) + "\n")
+            fh.write(line)
+        self._torn_tail = False
         self._journal_lines += 1
         if self._journal_lines > _COMPACT_FACTOR * max(len(self._entries),
                                                        1):
             self.compact()
 
     def compact(self) -> None:
-        """Rewrite the journal to one (newest) record per digest."""
+        """Rewrite the journal to one (newest) record per digest.
+
+        The records go to a sibling file that then replaces the journal,
+        so a failure mid-write leaves the old journal as it was.
+        """
         if self.path is None:
             return
-        latest: dict[str, CacheEntry] = {}
-        if self.path.exists():
-            for line in self.path.read_text(
-                    encoding="utf-8").splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue
-                entry = CacheEntry.from_record(record)
-                if entry is not None:
-                    latest[entry.digest] = entry
-        for entry in self._entries.values():
-            latest[entry.digest] = entry
+        latest = self._read_journal()
+        latest.update(self._entries)
         body = "".join(json.dumps(e.to_record(), sort_keys=True) + "\n"
                        for e in latest.values())
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(body, encoding="utf-8")
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        tmp.write_text(body, encoding="utf-8")
+        os.replace(tmp, self.path)
         self._journal_lines = len(latest)
+        self._torn_tail = False

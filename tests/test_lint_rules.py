@@ -9,10 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (RULES, Violation, lint_file, lint_paths,
-                            lint_source, render_json, render_text)
+from repro.analysis import (GUARDED_DIRS, PARAM_GUARDED_DIRS, RULES,
+                            SIM_DIRS, WALL_CLOCK_GUARDED_DIRS,
+                            WEIGHT_GUARDED_DIRS, Violation, lint_file,
+                            lint_paths, lint_source, render_json,
+                            render_text)
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lint"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: fixture file -> (expected rule, expected line)
 EXPECTED = {
@@ -24,9 +28,9 @@ EXPECTED = {
     "rpr006_unit_suffix.py": ("RPR006", 5),
     "rpr007_print.py": ("RPR007", 5),
     "rpr008_clock_assign.py": ("RPR008", 6),
-    "core/rpr009_silent_except.py": ("RPR009", 7),
+    "cluster/rpr009_silent_except.py": ("RPR009", 7),
     "reliability/rpr009_silent_except.py": ("RPR009", 7),
-    "core/rpr010_hardcoded_param.py": ("RPR010", 5),
+    "disks/rpr010_hardcoded_param.py": ("RPR010", 5),
     "cluster/rpr011_wall_clock.py": ("RPR011", 11),
     "service/rpr011_wall_clock.py": ("RPR011", 13),
     "experiments/rpr012_weight_math.py": ("RPR012", 5),
@@ -43,6 +47,17 @@ class TestRegistry:
         for rule in RULES:
             assert rule.summary, rule.id
             assert rule.__doc__ and rule.id in rule.__doc__, rule.id
+
+    @pytest.mark.parametrize("scope", [
+        SIM_DIRS, WALL_CLOCK_GUARDED_DIRS, GUARDED_DIRS,
+        PARAM_GUARDED_DIRS, WEIGHT_GUARDED_DIRS], ids=[
+        "SIM_DIRS", "WALL_CLOCK_GUARDED_DIRS", "GUARDED_DIRS",
+        "PARAM_GUARDED_DIRS", "WEIGHT_GUARDED_DIRS"])
+    def test_rule_scopes_name_packages_under_src(self, scope):
+        # A scope that names no package guards nothing.
+        for directory in scope:
+            assert (PACKAGE / directory / "__init__.py").is_file(), \
+                directory
 
 
 class TestFixtures:
@@ -98,9 +113,9 @@ class TestRuleEdges:
         src = "import time\nt = time.time()\n"
         assert lint_source(src, "experiments/harness.py") == []
 
-    def test_wall_clock_inside_core_flagged(self):
+    def test_wall_clock_inside_placement_flagged(self):
         src = "import time\nt = time.time()\n"
-        violations = lint_source(src, "core/harness.py")
+        violations = lint_source(src, "placement/harness.py")
         assert [v.rule for v in violations] == ["RPR004"]
 
     def test_wall_clock_in_telemetry_flagged_once_as_rpr011(self):
@@ -125,11 +140,11 @@ class TestRuleEdges:
             assert directory in WALL_CLOCK_GUARDED_DIRS, suffix
             assert why.strip(), f"{suffix} needs a justification"
 
-    def test_core_never_double_reports_wall_clock(self):
-        # core/ is in both RPR004's and RPR011's directory sets; exactly
-        # one violation (RPR004's) must fire for one call.
+    def test_sim_dir_never_double_reports_wall_clock(self):
+        # A path under both an RPR004 and an RPR011 directory gets
+        # exactly one violation (RPR004's) for one call.
         src = "import time\nt = time.time()\n"
-        violations = lint_source(src, "core/recovery.py")
+        violations = lint_source(src, "faults/sim/recovery.py")
         assert [v.rule for v in violations] == ["RPR004"]
 
     def test_print_allowed_in_main_and_trace(self):
@@ -174,7 +189,7 @@ class TestRuleEdges:
     def test_signal_value_return_not_flagged(self):
         src = ("def g():\n    try:\n        return f()\n"
                "    except ValueError:\n        return False\n")
-        assert lint_source(src, "core/farm.py") == []
+        assert lint_source(src, "cluster/farm.py") == []
 
     def test_param_default_copy_flagged_in_reliability(self):
         src = "threshold = 0.4\n"
@@ -218,7 +233,7 @@ class TestRuleEdges:
                "    except ValueError:\n"
                "        self.stats.retries += 1\n"
                "        self.defer_rebuild()\n        return None\n")
-        assert lint_source(src, "core/farm.py") == []
+        assert lint_source(src, "cluster/farm.py") == []
 
 
 class TestReporting:

@@ -1,6 +1,7 @@
 """Tests for the reliability-forecast service (repro.service).
 
-Covers the wire protocol, the content-addressed evidence cache, the
+Covers the wire protocol, the content-addressed evidence cache (and its
+journal's recovery from a torn line or a failed compaction), the
 interpolation surrogates, the cascade's tier routing and refinement,
 and a full end-to-end pass against a live server on an ephemeral port:
 closed-form/surrogate/live queries with their provenance tiers, cache
@@ -13,6 +14,7 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -206,6 +208,38 @@ class TestCache:
         lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
         assert len(lines) == 1
         assert ForecastCache(path).get("abc").trials == entry.trials
+
+    def test_torn_line_does_not_swallow_the_next_record(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        ForecastCache(path).put(self.ENTRY)
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('{"digest": "bbb", "los')     # crash mid-append
+        survivor = replace(self.ENTRY, digest="ccc")
+        ForecastCache(path).put(survivor)
+        reloaded = ForecastCache(path)
+        assert reloaded.get("abc") == self.ENTRY
+        assert reloaded.get("ccc") == survivor
+        assert reloaded.skipped_lines == 1
+
+    def test_failed_compaction_leaves_old_journal(self, tmp_path,
+                                                  monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        cache = ForecastCache(path)
+        cache.put(self.ENTRY)
+        cache.put(self.ENTRY.merged(2, 10))
+        before = path.read_text()
+
+        def torn_write(target, data, *args, **kwargs):
+            with open(target, "w", encoding="utf-8") as fh:
+                fh.write(data[:len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            cache.compact()
+        monkeypatch.undo()
+        assert path.read_text() == before
+        assert ForecastCache(path).get("abc").trials == 20
 
 
 # --------------------------------------------------------------------- #
@@ -501,6 +535,19 @@ class TestServiceEndToEnd:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(server.url + "/nothing")
         assert err.value.code == 404
+
+    def test_metrics_expose_journal_skipped_lines(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"digest": "torn\n', encoding="utf-8")
+        cascade = ForecastCascade(cache=ForecastCache(path),
+                                  runner=_runner())
+        handle = run_in_thread(ForecastService(cascade, refine=False))
+        try:
+            with urllib.request.urlopen(handle.url + "/metrics") as resp:
+                text = resp.read().decode()
+        finally:
+            handle.stop()
+        assert "service_cache_skipped_lines 1.0" in text
 
     def test_metrics_expose_requests_and_latency(self, server):
         with urllib.request.urlopen(server.url + "/metrics") as resp:
