@@ -1,45 +1,40 @@
 #!/usr/bin/env python
-"""Bench-regression guard: fail on recorded performance regressions.
+"""Bench-regression guard: a run set against the tracked baseline.
 
-Three guarded series, all read from the bounded perf history at
-``results/BENCH_sweep.json``:
+``scripts/check.sh`` appends its three pin-gate runs (des-fig3a,
+des-lazy, bulk-fig5) to one temporary run set with ``python3 -m bench
+--out``.  This guard compares that set with the tracked baseline
+``results/bench-baseline.json``, recorded with the same commands: five
+runs per workload, the same ``--seed`` and ``--seconds``.  The judging
+is ``bench.compare``'s (medians, quartile spreads and the bounds of
+``BENCHMARK.json``).  Every row is printed; a ``regressed``
+``throughput_per_s`` or ``failed_frac`` row fails the guard.
 
-* bulk-engine Monte-Carlo throughput (``bulk-sweep`` records from
-  ``python -m repro run bulk``, ``runs_per_s``), floor at
-  :data:`TOLERANCE` of the best comparable prior run;
-* forecast-service p99 request latency (``service-bench`` records from
-  ``benchmarks/bench_service.py``, ``p99_s``), ceiling at
-  :data:`SERVICE_LATENCY_TOLERANCE` times the best comparable prior run;
-* fast-DES availability-sweep throughput (``availability`` records from
-  ``python -m repro run availability``, ``runs_per_s``), floor at
-  :data:`TOLERANCE` of the best comparable prior run.  This series
-  tracks the lazy-recovery hot path (held queue, span accounting) that
-  the bulk engine cannot cover.
+Like is compared with like.  Runs whose seed, ``--seconds``, ``--quick``
+or ``--trace`` differ from the baseline's cannot be compared, and the
+guard exits 2.  Runs from another host fingerprint (nproc, CPU, Python,
+NumPy) are not judged: the guard prints both fingerprints and skips.
 
-Each series' *latest* record is compared only with earlier records of
-the same workload (:func:`workload_key`): the same sweep, grid size and
-run count, the same ``scale`` and, for DES sweeps, the same
-``events_fired``, which is exact for a fixed (config, seed) set.  A
-smoke-scale record is never the baseline of a small-scale one, and a
-record that fired different events ran different behaviour, not the
-same work faster or slower.  With no comparable earlier record the
-series passes.  This catches the class of regression the >= 100x
-speedup assert cannot: a slowdown that still clears the absolute bar.
-
-Ratio-of-recorded-runs, not absolute numbers: the history lives in the
-repository, so records may come from different machines.  A 30% drop
-against the best comparable run is a loud signal; the threshold is
-deliberately loose so machine-to-machine variance does not produce
-false alarms.
-
-Stdlib only (the guard must run on the bare reproduction image).
+service-mix is not guarded: its quartile spread (16-34 %) exceeds its
+20 % bound, so ``compare`` cannot resolve it.
 
 Usage::
 
-    python scripts/bench_guard.py [path/to/BENCH_sweep.json]
+    python scripts/bench_guard.py RUNS.json [BASELINE.json]
 
-Exit status: 0 = no regression (or nothing comparable to compare);
-1 = regression; 2 = unreadable history.
+Exit status: 0 = no regression, or another host (skipped);
+1 = regression; 2 = the run sets cannot be read or compared.
+
+Re-record the baseline on the host that runs the gate, after a change
+that is meant to move performance::
+
+    rm results/bench-baseline.json
+    for i in 1 2 3 4 5; do
+      for w in des-fig3a des-lazy bulk-fig5; do
+        python3 -m bench --workload $w --seconds 20 \\
+          --out results/bench-baseline.json
+      done
+    done
 """
 
 from __future__ import annotations
@@ -47,135 +42,79 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import NamedTuple
 
-#: Latest runs/s must be at least this fraction of the best comparable
-#: previously recorded runs/s.
-TOLERANCE = 0.7
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
 
-#: Latest service p99 request latency may be at most this multiple of
-#: the best comparable previously recorded p99.  Looser than the
-#: throughput bound: sub-millisecond latencies are far noisier across
-#: machines than a minute of aggregate Monte-Carlo throughput.
-SERVICE_LATENCY_TOLERANCE = 3.0
+from bench.cli import load_spec  # noqa: E402
+from bench.compare import compare_runs, render  # noqa: E402
 
-#: The sweep name the bulk benchmark records under.
-SWEEP_NAME = "bulk-sweep"
+BASELINE = ROOT / "results" / "bench-baseline.json"
 
-#: The sweep name the forecast-service benchmark records under
-#: (benchmarks/bench_service.py: per-tier HTTP request latency).
-SERVICE_SWEEP_NAME = "service-bench"
+#: The workloads the guard judges.
+GUARDED = ("des-fig3a", "des-lazy", "bulk-fig5")
 
-#: The sweep name the availability experiment records under
-#: (``python -m repro run availability``: the lazy-recovery /
-#: repair-bandwidth trade-off grid on the fast DES engine).
-AVAILABILITY_SWEEP_NAME = "availability"
+#: Rows whose ``regressed`` verdict fails the guard.
+GATED = ("throughput_per_s", "failed_frac")
 
-#: Record fields naming the workload a record measured.  A missing field
-#: reads as ``None``, so it matches only records that lack it too.
-WORKLOAD_FIELDS = ("sweep", "n_points", "n_runs_per_point", "scale",
-                   "events_fired")
-
-DEFAULT_PATH = Path("results") / "BENCH_sweep.json"
+#: Run settings that must equal the baseline's.
+SETTINGS = ("seed", "seconds", "quick", "trace")
 
 
-class Series(NamedTuple):
-    """One guarded series of the bench history."""
-
-    sweep: str
-    field: str
-    #: True: a larger value is better (floor); False: a ceiling.
-    higher_is_better: bool
-    #: floor (fraction of the best prior) or ceiling (multiple of it)
-    tolerance: float
-    label: str
-    unit: str
-    #: display multiplier and format for values of ``field``
-    factor: float
-    fmt: str
-    #: the command that re-records a baseline
-    rerecord: str
+def _distinct(runs: list[dict], part) -> list[str]:
+    return sorted({json.dumps(part(run), sort_keys=True) for run in runs})
 
 
-SERIES = (
-    Series(SWEEP_NAME, "runs_per_s", True, TOLERANCE, "bulk", "runs/s",
-           1.0, ",.0f", "python -m repro run bulk"),
-    Series(SERVICE_SWEEP_NAME, "p99_s", False, SERVICE_LATENCY_TOLERANCE,
-           "service p99", "ms", 1e3, ",.2f",
-           "pytest benchmarks/bench_service.py --benchmark-only"),
-    Series(AVAILABILITY_SWEEP_NAME, "runs_per_s", True, TOLERANCE,
-           "availability", "runs/s", 1.0, ",.1f",
-           "python -m repro run availability"),
-)
-
-
-def _named_records(path: Path, sweep: str, field: str) -> list[dict]:
-    """Records of one sweep carrying a numeric ``field``, oldest first."""
-    raw = json.loads(path.read_text(encoding="utf-8"))
-    # v2 container {"records": [...]} or a legacy bare record.
-    records = raw.get("records", [raw]) if isinstance(raw, dict) else raw
-    return [r for r in records
-            if isinstance(r, dict) and r.get("sweep") == sweep
-            and isinstance(r.get(field), (int, float))]
-
-
-def workload_key(record: dict) -> tuple:
-    """What a record measured; only equal keys are compared."""
-    return tuple(record.get(name) for name in WORKLOAD_FIELDS)
-
-
-def comparable_prior(records: list[dict]) -> list[dict]:
-    """The records before the latest one that ran the same workload."""
-    key = workload_key(records[-1])
-    return [r for r in records[:-1] if workload_key(r) == key]
-
-
-def guard(path: Path, series: Series) -> int:
-    """Guard one series of the history (0 ok, 1 regression)."""
-    records = _named_records(path, series.sweep, series.field)
-    prior = comparable_prior(records) if records else []
-    if not prior:
-        print(f"bench_guard: {series.label}: no earlier {series.sweep} "
-              f"record of the latest one's workload among "
-              f"{len(records)} in {path}; nothing to compare — ok")
+def guard(runs: list[dict], baseline: list[dict], spec: dict) -> int:
+    """Judge ``runs`` against ``baseline`` (0 ok or skipped, 1 regression,
+    2 not comparable)."""
+    settings = _distinct(runs + baseline,
+                         lambda run: {k: run.get(k) for k in SETTINGS})
+    if len(settings) > 1:
+        print("bench_guard: the runs and the baseline differ in seed, "
+              "seconds or flags; cannot compare:\n  "
+              + "\n  ".join(settings), file=sys.stderr)
+        return 2
+    hosts = _distinct(runs, lambda run: run["host"])
+    base_hosts = _distinct(baseline, lambda run: run["host"])
+    if hosts != base_hosts:
+        print("bench_guard: skipped, the runs come from another host than "
+              "the baseline\n  baseline: " + "\n            ".join(base_hosts)
+              + "\n  runs:     " + "\n            ".join(hosts))
         return 0
-    latest = records[-1]
-    current = latest[series.field]
-    values = [r[series.field] for r in prior]
-    higher = series.higher_is_better
-    baseline = max(values) if higher else min(values)
-    limit = series.tolerance * baseline
-    ok = current >= limit if higher else current <= limit
-    bound = "floor" if higher else "ceiling"
-
-    def show(value: float) -> str:
-        return format(value * series.factor, series.fmt)
-
-    print(f"bench_guard: {series.label} {show(current)} {series.unit} vs "
-          f"best prior {show(baseline)} ({bound} {show(limit)} = "
-          f"{series.tolerance:g}x) over {len(prior)} comparable of "
-          f"{len(records)} records — {'ok' if ok else 'REGRESSION'}")
-    if ok:
-        return 0
-    print(f"bench_guard: latest {series.sweep} record "
-          f"(run_id={latest.get('run_id', '?')}, "
-          f"scale={latest.get('scale', '?')}) regressed; if the "
-          f"hardware changed, re-record a baseline with "
-          f"'{series.rerecord}'", file=sys.stderr)
-    return 1
+    guarded = {**spec, "workloads": [w for w in spec["workloads"]
+                                     if w["name"] in GUARDED]}
+    rows = compare_runs(baseline, runs, guarded)
+    if not rows:
+        print("bench_guard: no guarded workload "
+              f"({', '.join(GUARDED)}) is in both run sets",
+              file=sys.stderr)
+        return 2
+    print(render(rows))
+    bad = [r for r in rows
+           if r["metric"] in GATED and r["verdict"] == "regressed"]
+    for r in bad:
+        print(f"bench_guard: {r['workload']} {r['metric']} regressed",
+              file=sys.stderr)
+    print(f"bench_guard: {'REGRESSION' if bad else 'ok'} "
+          f"({len(rows)} rows, gated on {' and '.join(GATED)})")
+    return 1 if bad else 0
 
 
 def main(argv: list[str]) -> int:
-    path = Path(argv[1]) if len(argv) > 1 else DEFAULT_PATH
-    if not path.exists():
-        print(f"bench_guard: {path} does not exist; nothing to guard "
-              f"(run 'python -m repro run bulk' to record a baseline)")
-        return 0
-    try:
-        return max(guard(path, series) for series in SERIES)
-    except (json.JSONDecodeError, OSError) as exc:
-        print(f"bench_guard: cannot read {path}: {exc}", file=sys.stderr)
+    if len(argv) not in (2, 3):
+        print(__doc__.split("Usage::")[1].split("Exit")[0].strip(),
+              file=sys.stderr)
         return 2
+    runs_path = Path(argv[1])
+    base_path = Path(argv[2]) if len(argv) == 3 else BASELINE
+    try:
+        runs, baseline = (json.loads(p.read_text(encoding="utf-8"))["runs"]
+                          for p in (runs_path, base_path))
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"bench_guard: cannot read run sets: {exc}", file=sys.stderr)
+        return 2
+    return guard(runs, baseline, load_spec())
 
 
 if __name__ == "__main__":

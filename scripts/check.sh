@@ -13,6 +13,9 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 status=0
+# The pin gates append to one run set; the regression guard reads it.
+bench_runs="$(mktemp -d)"
+trap 'rm -rf "$bench_runs"' EXIT
 
 step() {
   local name="$1"; shift
@@ -51,14 +54,14 @@ step "bulk engine benchmark (smoke, asserts >= 100x over DES baseline)" \
   env REPRO_SCALE=smoke python -m repro run bulk
 step "availability experiment (smoke, asserts trade-off monotonicity)" \
   env REPRO_SCALE=smoke python -m repro run availability
-step "bench-regression guard (bulk + availability runs/s vs history)" \
-  python scripts/bench_guard.py
-step "DES pin gate (des-fig3a: one seed-0 pass against bench/pins.json)" \
-  python3 -m bench --workload des-fig3a --seconds 1
-step "DES pin gate (des-lazy: one seed-0 pass against bench/pins.json)" \
-  python3 -m bench --workload des-lazy --seconds 1
-step "bulk pin gate (bulk-fig5: seed-0 losses and every point's signature)" \
-  python3 -m bench --workload bulk-fig5 --seconds 1
+step "DES pin gate (des-fig3a: 20 s of seed-0 passes against bench/pins.json)" \
+  python3 -m bench --workload des-fig3a --seconds 20 --out "$bench_runs/runs.json"
+step "DES pin gate (des-lazy: 20 s of seed-0 passes against bench/pins.json)" \
+  python3 -m bench --workload des-lazy --seconds 20 --out "$bench_runs/runs.json"
+step "bulk pin gate (bulk-fig5: 20 s of seed-0 passes, losses and every signature)" \
+  python3 -m bench --workload bulk-fig5 --seconds 20 --out "$bench_runs/runs.json"
+step "bench-regression guard (pin-gate runs vs results/bench-baseline.json)" \
+  python scripts/bench_guard.py "$bench_runs/runs.json"
 step "bulk conformance suite (incl. slow CI-overlap tests)" \
   python -m pytest tests/test_bulk.py -q -m "slow or not slow"
 step "availability conformance suite (incl. slow lazy-policy brackets)" \

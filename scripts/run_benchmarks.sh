@@ -38,7 +38,6 @@ run benchmarks/bench_redirection.py
 run benchmarks/bench_figure8_scale.py -k figure8a
 run benchmarks/bench_figure8_scale.py -k figure8b
 run benchmarks/bench_ablations.py
-run benchmarks/bench_service.py
 
 echo "harness exit status: $status" >> "$OUT"
 exit $status

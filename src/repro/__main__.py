@@ -157,8 +157,7 @@ def cmd_sweep_check(args: argparse.Namespace) -> int:
     processes — and requires every aggregate (losses, CI input, window
     sums/max, Welford moments) to be *bit-identical*, and the merged
     per-point telemetry snapshots to be *byte-identical* under canonical
-    JSON.  Also validates the BENCH_sweep.json perf record the parallel
-    run writes.  A second, tilted pass repeats the check for *weighted*
+    JSON.  A second, tilted pass repeats the check for *weighted*
     runs: importance-sampled sweeps must fold their likelihood-ratio
     weights through the same reorder buffers, so the weighted sums, ESS,
     and CLT interval must also match bit-for-bit.  A third pass repeats
@@ -167,11 +166,8 @@ def cmd_sweep_check(args: argparse.Namespace) -> int:
     path ships *chunks* of runs per task: the reorder buffers must fold
     them back to the serial result bit-for-bit too.
     """
-    import tempfile
-
     from .reliability import shutdown_pool, sweep
     from .reliability.rare import DEFAULT_TILT
-    from .reliability.runner import BENCH_SCHEMA, read_bench_records
     from .telemetry import canonical_json
     from .units import TB
 
@@ -194,13 +190,10 @@ def cmd_sweep_check(args: argparse.Namespace) -> int:
                                    repair_bandwidth_fraction=0.2),
     }
     serial = sweep(points, n_runs=args.runs, base_seed=args.seed,
-                   n_jobs=None, bench_path=None, sweep_name="sweep-check",
+                   n_jobs=None, sweep_name="sweep-check",
                    telemetry=True, telemetry_path="")
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
-        bench_path = tmp.name
     parallel = sweep(points, n_runs=args.runs, base_seed=args.seed,
-                     n_jobs=args.jobs, bench_path=bench_path,
-                     sweep_name="sweep-check",
+                     n_jobs=args.jobs, sweep_name="sweep-check",
                      telemetry=True, telemetry_path="")
     shutdown_pool()
 
@@ -235,27 +228,16 @@ def cmd_sweep_check(args: argparse.Namespace) -> int:
         for field_name, (a, b) in checks.items():
             if a != b:
                 failures.append(f"{label}.{field_name}: {a!r} != {b!r}")
-    record = read_bench_records(pathlib.Path(bench_path))[-1]
-    for key in ("schema", "wall_time_s", "events_fired", "runs_per_s",
-                "points"):
-        if key not in record:
-            failures.append(f"BENCH record missing {key!r}")
-    if record.get("schema") != BENCH_SCHEMA:
-        failures.append(f"BENCH schema {record.get('schema')!r}")
-    if len(record.get("points", [])) != len(points):
-        failures.append("BENCH per-point timings incomplete")
-    pathlib.Path(bench_path).unlink(missing_ok=True)
-
     # Weighted pass: same points under exponential tilting.  The LR
     # weights ride on each RecoveryStats and fold through the identical
     # reorder-buffer path, so every weighted sum is exact-sum mergeable
     # and the parallel result must equal the serial one bit-for-bit.
     serial_w = sweep(points, n_runs=args.runs, base_seed=args.seed,
-                     n_jobs=None, bench_path=None,
-                     sweep_name="sweep-check-tilted", tilt=DEFAULT_TILT)
+                     n_jobs=None, sweep_name="sweep-check-tilted",
+                     tilt=DEFAULT_TILT)
     parallel_w = sweep(points, n_runs=args.runs, base_seed=args.seed,
-                       n_jobs=args.jobs, bench_path=None,
-                       sweep_name="sweep-check-tilted", tilt=DEFAULT_TILT)
+                       n_jobs=args.jobs, sweep_name="sweep-check-tilted",
+                       tilt=DEFAULT_TILT)
     shutdown_pool()
     for label in points:
         s, p = serial_w[label], parallel_w[label]
@@ -282,11 +264,11 @@ def cmd_sweep_check(args: argparse.Namespace) -> int:
     bulk_points = {label: cfg for label, cfg in points.items()
                    if not bulk_unsupported_reasons(cfg)}
     serial_b = sweep(bulk_points, n_runs=args.runs, base_seed=args.seed,
-                     n_jobs=None, bench_path=None,
-                     sweep_name="sweep-check-bulk", engine="bulk")
+                     n_jobs=None, sweep_name="sweep-check-bulk",
+                     engine="bulk")
     parallel_b = sweep(bulk_points, n_runs=args.runs, base_seed=args.seed,
-                       n_jobs=args.jobs, bench_path=None,
-                       sweep_name="sweep-check-bulk", engine="bulk")
+                       n_jobs=args.jobs, sweep_name="sweep-check-bulk",
+                       engine="bulk")
     shutdown_pool()
     for label in bulk_points:
         s, p = serial_b[label], parallel_b[label]
@@ -314,8 +296,7 @@ def cmd_sweep_check(args: argparse.Namespace) -> int:
     print(f"sweep-check OK: {len(points)} points x {args.runs} runs, "
           f"serial == parallel (jobs={args.jobs}) incl. telemetry "
           f"snapshots, weighted (tilted) aggregates, and bulk-engine "
-          f"chunked folds, BENCH record valid "
-          f"({record['runs_per_s']:.1f} runs/s)")
+          f"chunked folds")
     return 0
 
 
@@ -343,8 +324,7 @@ def _build_service(args: argparse.Namespace):
     grids = GridStore.load_dir(args.grids) if args.grids else GridStore()
     cascade = ForecastCascade(
         cache=cache, grids=grids,
-        runner=SweepRunner(n_jobs=args.jobs, bench_path=None,
-                           telemetry_path=""),
+        runner=SweepRunner(n_jobs=args.jobs, telemetry_path=""),
         live_runs=args.runs, target_ci_width=args.target_width)
     return ForecastService(cascade)
 

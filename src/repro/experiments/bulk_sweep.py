@@ -15,20 +15,15 @@ recovery bandwidths) twice on the same process pool:
   scale's run budget per point (the whole reason the engine exists).
 
 It asserts the bulk leg's aggregate ``runs_per_s`` is at least
-:data:`MIN_SPEEDUP` times the baseline's, writes the per-point table to
-``results/bulk-sweep.txt``, and appends a combined record (with a
-``bulk_comparison`` block carrying both legs' throughputs and the
-measured speedup) to the ``BENCH_sweep.json`` history, where
-``scripts/bench_guard.py`` watches it for regressions.
+:data:`MIN_SPEEDUP` times the baseline's and states both legs'
+throughputs and the measured speedup in the table's note.  Like every
+experiment it writes no file; ``python -m repro run bulk --out
+results/`` saves the table.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from ..reliability.runner import (BENCH_SCHEMA, PointSpec, SweepRunner,
-                                  append_bench_record, bench_run_id,
-                                  bench_timestamp, default_bench_path)
+from ..reliability.runner import PointSpec, SweepRunner
 from ..reliability.stats import wilson_interval
 from .base import ExperimentResult, Scale, current_scale
 from .report import render_proportion
@@ -49,12 +44,8 @@ BULK_RUNS_FACTOR = 25
 #: clock.
 BASELINE_RUNS_CAP = 4
 
-#: Where the rendered per-point table goes.
-DEFAULT_TEXT_PATH = Path("results") / "bulk-sweep.txt"
 
-
-def run(scale: Scale | None = None, base_seed: int = 0,
-        text_path: Path | None = DEFAULT_TEXT_PATH) -> ExperimentResult:
+def run(scale: Scale | None = None, base_seed: int = 0) -> ExperimentResult:
     scale = scale or current_scale()
     # Both legs share one pool size so the speedup is an apples-to-apples
     # throughput ratio; a serial scale still benchmarks on 2 workers
@@ -65,17 +56,15 @@ def run(scale: Scale | None = None, base_seed: int = 0,
     points = figure5.grid(scale)
     labels = list(points)
 
-    # Each leg gets its own runner (bench/telemetry disabled — this
-    # driver appends its own combined record below).
-    baseline_runner = SweepRunner(n_jobs=jobs, bench_path=None,
-                                  telemetry_path="")
+    # Each leg gets its own runner (telemetry disabled); each leg's
+    # in-memory ``last_record`` gives its runs/s.
+    baseline_runner = SweepRunner(n_jobs=jobs, telemetry_path="")
     baseline_runner.run_points(
         [PointSpec(label, points[label]) for label in labels],
         baseline_runs, base_seed=base_seed, sweep_name="bulk-baseline")
     base_record = baseline_runner.last_record
 
-    bulk_runner = SweepRunner(n_jobs=jobs, bench_path=None,
-                              telemetry_path="")
+    bulk_runner = SweepRunner(n_jobs=jobs, telemetry_path="")
     outcomes = bulk_runner.run_points(
         [PointSpec(label, points[label], engine="bulk")
          for label in labels],
@@ -117,48 +106,4 @@ def run(scale: Scale | None = None, base_seed: int = 0,
         f"{MIN_SPEEDUP:g}x (bulk {bulk_rps:.0f} runs/s vs baseline "
         f"{base_rps:.1f} runs/s on {jobs} workers)")
 
-    text = result.render() + "\n"
-    if text_path is not None:
-        text_path.parent.mkdir(parents=True, exist_ok=True)
-        text_path.write_text(text)
-    _write_bench(scale, jobs, base_seed, base_record, bulk_record, speedup)
     return result
-
-
-def _write_bench(scale: Scale, jobs: int, base_seed: int,
-                 base_record: dict, bulk_record: dict,
-                 speedup: float) -> None:
-    """Append the throughput comparison to the perf-record history."""
-    path = default_bench_path()
-    if path is None:
-        return
-    record = {
-        "schema": BENCH_SCHEMA,
-        "sweep": "bulk-sweep",
-        "timestamp": bench_timestamp(),
-        "run_id": bench_run_id(),
-        "engines": ["bulk", "des"],
-        "scale": scale.name,
-        "n_jobs": jobs,
-        "workers": jobs,
-        "base_seed": base_seed,
-        "n_points": bulk_record["n_points"],
-        "n_runs_per_point": bulk_record["n_runs_per_point"],
-        "total_runs": bulk_record["total_runs"],
-        "wall_time_s": bulk_record["wall_time_s"],
-        "events_fired": bulk_record["events_fired"],
-        # Top-level runs/s is the *bulk* leg's so the bench-regression
-        # guard tracks the number the >=MIN_SPEEDUP claim is made of.
-        "runs_per_s": bulk_record["runs_per_s"],
-        "events_per_s": 0.0,
-        "points": bulk_record["points"],
-        "bulk_comparison": {
-            "baseline_runs_per_s": base_record["runs_per_s"],
-            "baseline_total_runs": base_record["total_runs"],
-            "baseline_wall_time_s": base_record["wall_time_s"],
-            "bulk_runs_per_s": bulk_record["runs_per_s"],
-            "speedup": speedup,
-            "min_required": MIN_SPEEDUP,
-        },
-    }
-    append_bench_record(path, record)

@@ -15,25 +15,21 @@ estimators at the **same run budget**:
 
 It asserts the headline claim of the acceleration subsystem — the IS 95%
 interval is at least :data:`MIN_CI_NARROWING` times narrower than the
-naive one at equal budget — writes the comparison table to
-``results/rare-sweep.txt``, and records the widths in the
-``BENCH_sweep.json`` perf record.  The global tilt only *helps* while the
-expected failure count is small; ``docs/RARE_EVENTS.md`` derives why (and
-why splitting is the tool once systems grow).
+naive one at equal budget — and states the narrowing in the table's
+note; ``python -m repro run rare --out results/`` saves the table.  The
+global tilt only *helps* while the expected failure count is small;
+``docs/RARE_EVENTS.md`` derives why (and why splitting is the tool once
+systems grow).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from pathlib import Path
 
 from ..config import SystemConfig
 from ..reliability.montecarlo import MonteCarloResult, estimate_p_loss
 from ..reliability.rare import estimate_p_loss_is, splitting_p_loss
-from ..reliability.runner import (BENCH_SCHEMA, append_bench_record,
-                                  bench_run_id, bench_timestamp,
-                                  default_bench_path)
 from ..units import DAY, GB, TB, YEAR
 from .base import ExperimentResult, Scale, current_scale
 from .report import render_proportion
@@ -57,9 +53,6 @@ N_RUNS = 400
 #: than naive MC at equal budget (measured ~12x at seed 0).
 MIN_CI_NARROWING = 5.0
 
-#: Where the rendered comparison table goes.
-DEFAULT_TEXT_PATH = Path("results") / "rare-sweep.txt"
-
 
 def scenario_config() -> SystemConfig:
     """The base FARM scenario reduced to the rare regime.
@@ -81,8 +74,7 @@ def _width(result: MonteCarloResult) -> float:
 
 
 def run(scale: Scale | None = None, base_seed: int = 0,
-        n_runs: int = N_RUNS,
-        text_path: Path | None = DEFAULT_TEXT_PATH) -> ExperimentResult:
+        n_runs: int = N_RUNS) -> ExperimentResult:
     scale = scale or current_scale()
     cfg = scenario_config()
     t0 = time.time()
@@ -137,52 +129,4 @@ def run(scale: Scale | None = None, base_seed: int = 0,
         f"{MIN_CI_NARROWING:g}x (naive width {_width(naive):.5f}, "
         f"IS width {_width(is_res):.5f})")
 
-    text = result.render() + "\n"
-    if text_path is not None:
-        text_path.parent.mkdir(parents=True, exist_ok=True)
-        text_path.write_text(text)
-    _write_bench(cfg, n_runs, base_seed, naive, is_res, split_mc,
-                 narrowing)
     return result
-
-
-def _write_bench(cfg: SystemConfig, n_runs: int, base_seed: int,
-                 naive: MonteCarloResult, is_res: MonteCarloResult,
-                 split_mc: MonteCarloResult, narrowing: float) -> None:
-    """Record the equal-budget CI comparison in the perf record."""
-    path = default_bench_path()
-    if path is None:
-        return
-    record = {
-        "schema": BENCH_SCHEMA,
-        "sweep": "rare-sweep",
-        "timestamp": bench_timestamp(),
-        "run_id": bench_run_id(),
-        "n_points": 3,
-        "n_runs_per_point": n_runs,
-        "total_runs": 3 * n_runs,
-        "rare_comparison": {
-            "scenario": {"n_disks": cfg.n_disks,
-                         "duration_s": cfg.duration,
-                         "detection_latency_s": cfg.detection_latency},
-            "base_seed": base_seed,
-            "tilt": RARE_TILT,
-            "levels": list(RARE_LEVELS),
-            "naive": {"estimate": naive.p_loss.estimate,
-                      "ci_width": naive.p_loss.hi - naive.p_loss.lo,
-                      "hit_runs": naive.losses,
-                      "zero_hit": naive.zero_hit},
-            "is": {"estimate": is_res.p_loss.estimate,
-                   "ci_width": is_res.p_loss.hi - is_res.p_loss.lo,
-                   "hit_runs": is_res.losses,
-                   "ess": is_res.ess},
-            "splitting": {"estimate": split_mc.p_loss.estimate,
-                          "ci_width": split_mc.p_loss.hi
-                          - split_mc.p_loss.lo},
-            "ci_narrowing": narrowing,
-            "min_required": MIN_CI_NARROWING,
-        },
-    }
-    # Append, never overwrite: the bench file is a bounded history
-    # shared by every sweep driver (regression guards diff against it).
-    append_bench_record(path, record)

@@ -8,8 +8,8 @@ from .montecarlo import (MonteCarloResult, estimate_p_loss,
 from .rare import (SplittingResult, TiltedFailureDraw, estimate_p_loss_is,
                    splitting_p_loss, sweep_splitting)
 from .runner import (PointOutcome, PointSpec, RunningMoments,
-                     StatsAggregate, SweepRunner, default_bench_path,
-                     seed_schedule, shutdown_pool)
+                     StatsAggregate, SweepRunner, seed_schedule,
+                     shutdown_pool)
 from .scenarios import (Injection, Scenario, ScenarioOutcome,
                         ScriptedFailures)
 from .sensitivity import (SensitivityRow, elasticity, render_tornado,
@@ -26,7 +26,6 @@ __all__ = [
     "loss_probability_series", "run_seed",
     "SweepRunner", "PointSpec", "PointOutcome", "StatsAggregate",
     "RunningMoments", "seed_schedule", "shutdown_pool",
-    "default_bench_path",
     "Proportion", "wilson_interval", "empty_proportion", "bootstrap_mean",
     "ExactSum", "WeightedAggregate",
     "weighted_clt_interval", "weighted_wilson_interval",

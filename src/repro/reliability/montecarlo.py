@@ -21,8 +21,7 @@ from pathlib import Path
 
 from ..config import SystemConfig
 from ..telemetry.handle import TelemetryConfig
-from .runner import (PointOutcome, PointSpec, StatsAggregate, SweepRunner,
-                     default_bench_path)
+from .runner import PointOutcome, PointSpec, StatsAggregate, SweepRunner
 from .simulation import RecoveryStats, ReliabilitySimulation
 from .stats import (Proportion, empty_proportion, weighted_clt_interval,
                     wilson_interval)
@@ -227,7 +226,6 @@ def sweep(configs: dict[str, SystemConfig], n_runs: int = 100,
           base_seed: int = 0, n_jobs: int | None = None,
           confidence: float = 0.95, keep_run_stats: bool = False,
           sweep_name: str = "sweep",
-          bench_path: str | Path | None | object = "auto",
           telemetry: TelemetryConfig | bool | None = None,
           telemetry_path: str | Path | None = None,
           on_error: str = "raise",
@@ -237,16 +235,11 @@ def sweep(configs: dict[str, SystemConfig], n_runs: int = 100,
 
     All points run on one :class:`SweepRunner` (and hence one persistent
     worker pool) with every ``(point, run)`` lifetime submitted as an
-    independent task.  A ``BENCH_sweep.json`` perf record is written per
-    invocation unless ``bench_path=None`` (or ``REPRO_BENCH_PATH=""``).
-    With ``telemetry`` enabled each result carries the point's merged
-    telemetry snapshot; ``telemetry_path`` additionally appends one JSONL
-    record per point.
+    independent task.  With ``telemetry`` enabled each result carries the
+    point's merged telemetry snapshot; ``telemetry_path`` additionally
+    appends one JSONL record per point.
     """
-    if bench_path == "auto":
-        bench_path = default_bench_path()
-    runner = SweepRunner(n_jobs=n_jobs, bench_path=bench_path,
-                         telemetry=telemetry,
+    runner = SweepRunner(n_jobs=n_jobs, telemetry=telemetry,
                          telemetry_path=telemetry_path)
     points = [PointSpec(label, cfg, tilt=tilt, engine=engine)
               for label, cfg in configs.items()]
@@ -262,7 +255,6 @@ def loss_probability_series(base: SystemConfig, param: str,
                             n_jobs: int | None = None,
                             keep_run_stats: bool = False,
                             sweep_name: str | None = None,
-                            bench_path: str | Path | None | object = "auto",
                             telemetry: TelemetryConfig | bool | None = None,
                             telemetry_path: str | Path | None = None,
                             on_error: str = "raise",
@@ -274,7 +266,6 @@ def loss_probability_series(base: SystemConfig, param: str,
     results = sweep(labelled, n_runs=n_runs, base_seed=base_seed,
                     n_jobs=n_jobs, keep_run_stats=keep_run_stats,
                     sweep_name=sweep_name or f"series:{param}",
-                    bench_path=bench_path, telemetry=telemetry,
-                    telemetry_path=telemetry_path, on_error=on_error,
-                    tilt=tilt, engine=engine)
+                    telemetry=telemetry, telemetry_path=telemetry_path,
+                    on_error=on_error, tilt=tilt, engine=engine)
     return [(v, results[str(v)]) for v in values]

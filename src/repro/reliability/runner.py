@@ -20,26 +20,23 @@ Three guarantees:
   into a :class:`StatsAggregate` (counts, window sum/max, Welford moments)
   as they arrive; a sweep no longer retains one stats object per run
   unless the caller opts in with ``keep_run_stats=True``.
-* **Perf record** — each sweep invocation can append a machine-readable
-  record (wall time, events fired, runs/s, per-point timings) to the
-  bounded ``BENCH_sweep.json`` history, keyed by schema version, run id
-  (``REPRO_BENCH_ID`` or the git HEAD), and timestamp, so the benchmark
-  trajectory accumulates across invocations instead of being rewritten.
+* **Perf summary** — each :meth:`SweepRunner.run_points` call leaves
+  wall time, events fired, runs/s and per-point timings on
+  :attr:`SweepRunner.last_record`, in memory only; the runner writes no
+  performance file (``python3 -m bench`` is the repository's benchmark).
 
 Wall-clock reads here measure *host* performance only — simulated time
-never touches them — and go through module-level injectable aliases so
+never touches them — and go through a module-level injectable alias so
 tests can substitute a fake clock.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import math
 import os
 import threading
 import time
-from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -54,166 +51,15 @@ from ..telemetry.metrics import empty_snapshot, merge_into
 from .simulation import RecoveryStats, ReliabilitySimulation
 from .stats import WeightedAggregate
 
-#: Injectable host-performance clocks (never simulated time; RPR004 keeps
-#: direct wall-clock *calls* out of simulation logic, and these aliases
-#: are the one sanctioned, swappable measurement point).
+#: Injectable host-performance clock (never simulated time; RPR004 keeps
+#: direct wall-clock *calls* out of simulation logic, and this alias is
+#: the one sanctioned, swappable measurement point).
 _WALL_CLOCK: Callable[[], float] = time.perf_counter
-_WALL_TIME: Callable[[], float] = time.time
-
-#: Default location of the perf record; ``REPRO_BENCH_PATH`` overrides it
-#: ("" disables writing entirely).
-DEFAULT_BENCH_PATH = Path("results") / "BENCH_sweep.json"
-
-#: Schema tag stamped into every perf record.
-BENCH_SCHEMA = "repro.bench-sweep.v1"
-
-#: Schema tag of the on-disk container: an append-only, bounded history
-#: of per-sweep records, so the perf *trajectory* survives across
-#: invocations (and across PRs) instead of each sweep clobbering the
-#: last.  A legacy bare-v1 file is absorbed as the first history entry.
-BENCH_LOG_SCHEMA = "repro.bench-sweep-log.v1"
-
-#: How many records the on-disk history retains (past it, the oldest
-#: record of the largest ``sweep`` series is dropped).
-BENCH_HISTORY_LIMIT = 200
 
 #: Cap on queued-but-unsubmitted task batching: every task is submitted
 #: up front (sweeps are at most a few thousand lifetimes), but completions
 #: are drained in waves of this size to bound reorder-buffer growth.
 _DRAIN_WAVE = 256
-
-
-def default_bench_path() -> Path | None:
-    """Where a sweep's perf record goes (None disables writing)."""
-    env = os.environ.get("REPRO_BENCH_PATH")
-    if env is not None:
-        return Path(env) if env else None
-    return DEFAULT_BENCH_PATH
-
-
-#: Run id of a perf record whose ``.git`` could not be read.
-GIT_UNREADABLE = "unknown-git-unreadable"
-
-
-def _git_head_sha(start: Path) -> str | None:
-    """Best-effort commit id from ``.git/HEAD`` (file reads only).
-
-    Walks up from ``start`` looking for a ``.git`` directory and resolves
-    HEAD through loose or packed refs.  No subprocess, no wall clock —
-    it only exists to key perf records, so a failure degrades instead of
-    raising: ``None`` when there is no ``.git`` or HEAD names no commit,
-    and :data:`GIT_UNREADABLE` when reading it raised ``OSError``, so
-    the record says why its run id is unknown.
-    """
-    try:
-        d = Path(start).resolve()
-        for _ in range(16):
-            head = d / ".git" / "HEAD"
-            if head.is_file():
-                text = head.read_text(encoding="utf-8").strip()
-                if not text.startswith("ref:"):
-                    return text[:12] or None
-                ref = text.split(None, 1)[1]
-                loose = d / ".git" / ref
-                if loose.is_file():
-                    return loose.read_text(encoding="utf-8").strip()[:12]
-                packed = d / ".git" / "packed-refs"
-                if packed.is_file():
-                    for line in packed.read_text(
-                            encoding="utf-8").splitlines():
-                        if line.endswith(" " + ref):
-                            return line.split()[0][:12]
-                return None
-            if d.parent == d:
-                break
-            d = d.parent
-    except OSError:
-        return GIT_UNREADABLE
-    return None
-
-
-def bench_run_id() -> str:
-    """Identity key for a perf record: env override, else git SHA.
-
-    ``REPRO_BENCH_ID`` wins (CI can stamp a build id); otherwise the
-    repository HEAD commit read from ``.git`` (never a subprocess),
-    :data:`GIT_UNREADABLE` when ``.git`` exists but cannot be read, and
-    ``"unknown"`` when there is no commit to name.
-    """
-    env = os.environ.get("REPRO_BENCH_ID")
-    if env:
-        return env
-    return _git_head_sha(Path.cwd()) or "unknown"
-
-
-def bench_timestamp() -> float:
-    """Record timestamp: ``REPRO_BENCH_TIMESTAMP`` env, else host time.
-
-    The env override keeps record identity reproducible in pinned
-    environments; the fallback is the module's injectable ``_WALL_TIME``
-    alias (a sanctioned host clock — simulated time never reaches here).
-    """
-    env = os.environ.get("REPRO_BENCH_TIMESTAMP")
-    if env:
-        return float(env)
-    return _WALL_TIME()
-
-
-def read_bench_records(path: str | Path) -> list[dict]:
-    """All retained perf records at ``path``, oldest first.
-
-    Understands both the ``repro.bench-sweep-log.v1`` container and a
-    legacy bare-v1 single record (returned as a one-entry history).
-    Unreadable or malformed files read as empty — the perf log is an
-    artifact, never an input a sweep can fail on.
-    """
-    path = Path(path)
-    if not path.exists():
-        return []
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return []
-    if isinstance(data, dict) and data.get("schema") == BENCH_LOG_SCHEMA:
-        records = data.get("records")
-        return [r for r in records if isinstance(r, dict)] \
-            if isinstance(records, list) else []
-    if isinstance(data, dict) and data.get("schema"):
-        return [data]
-    return []
-
-
-def latest_bench_record(path: str | Path,
-                        sweep: str | None = None) -> dict | None:
-    """The newest retained record (optionally for one sweep name)."""
-    for record in reversed(read_bench_records(path)):
-        if sweep is None or record.get("sweep") == sweep:
-            return record
-    return None
-
-
-def append_bench_record(path: str | Path, record: dict,
-                        limit: int = BENCH_HISTORY_LIMIT) -> None:
-    """Append ``record`` to the bounded on-disk perf history.
-
-    Past ``limit`` records the oldest record of the ``sweep`` series
-    holding the most records is dropped, so a flood of one series never
-    evicts the few records of another (the regression guard compares
-    each series only with itself).
-    """
-    path = Path(path)
-    records = read_bench_records(path)
-    records.append(record)
-    while len(records) > limit:
-        counts = Counter(r.get("sweep") for r in records)
-        largest = max(counts, key=counts.__getitem__)
-        del records[next(i for i, r in enumerate(records)
-                         if r.get("sweep") == largest)]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps({"schema": BENCH_LOG_SCHEMA, "records": records},
-                   indent=2) + "\n",
-        encoding="utf-8")
 
 
 def seed_schedule(base_seed: int, n_runs: int) -> list[int]:
@@ -506,8 +352,8 @@ class SweepRunner:
         ``None``/1 runs serially in-process; 0 uses all cores; ``k`` uses
         ``k`` worker processes.  Aggregates are bit-identical either way.
     bench_path:
-        Where to write the ``BENCH_sweep.json`` perf record after each
-        :meth:`run_points` invocation; ``None`` disables the record.
+        Must be ``None`` (any other value raises ``TypeError``): the
+        runner writes no performance file.
     telemetry:
         A :class:`~repro.telemetry.handle.TelemetryConfig` (or ``True``
         for the defaults) enables in-sim telemetry on every lifetime;
@@ -523,12 +369,16 @@ class SweepRunner:
     """
 
     def __init__(self, n_jobs: int | None = None,
-                 bench_path: str | Path | None = None,
+                 bench_path: None = None,
                  telemetry: TelemetryConfig | bool | None = None,
                  telemetry_path: str | Path | None = None) -> None:
+        # Kept only for bench/sims.py and bench/service_mix.py, which
+        # pass bench_path=None.
+        if bench_path is not None:
+            raise TypeError(f"bench_path must be None, got {bench_path!r}: "
+                            f"the sweep runner writes no performance file")
         self.n_jobs = n_jobs
         self.workers = resolve_workers(n_jobs)
-        self.bench_path = Path(bench_path) if bench_path else None
         if telemetry_path is None:
             telemetry_path = default_telemetry_path()
         self.telemetry_path = Path(telemetry_path) if telemetry_path \
@@ -540,7 +390,7 @@ class SweepRunner:
         self.last_record: dict[str, Any] | None = None
         # Serializes run_points invocations arriving from different
         # threads (run_points_async): the reorder buffers are per-call,
-        # but last_record and the bench/telemetry writers are not.
+        # but last_record and the telemetry writer are not.
         self._run_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -595,9 +445,7 @@ class SweepRunner:
             self._run_parallel(points, seeds, outcomes, keep_run_stats, t0,
                                on_error)
         wall = _WALL_CLOCK() - t0
-        self.last_record = self._bench_record(sweep_name, outcomes, n_runs,
-                                              wall)
-        self._write_bench(self.last_record)
+        self.last_record = self._record(sweep_name, outcomes, n_runs, wall)
         self._write_telemetry(sweep_name, outcomes)
         return outcomes
 
@@ -614,8 +462,8 @@ class SweepRunner:
         work; this awaitable runs it on a worker thread (the process pool
         underneath is thread-safe) so the loop keeps serving while
         lifetimes execute.  Concurrent invocations on one runner are
-        serialized by an internal lock — the math is per-call, but the
-        bench/telemetry side effects are not — and the determinism
+        serialized by an internal lock — the math is per-call, but
+        ``last_record`` and the telemetry sink are not — and the determinism
         guarantee is untouched: same points, seed, and schedule as the
         synchronous path, bit for bit.
         """
@@ -755,16 +603,12 @@ class SweepRunner:
                         outcomes[p].completed_at_s = _WALL_CLOCK() - t0
 
     # ------------------------------------------------------------------ #
-    def _bench_record(self, sweep_name: str,
-                      outcomes: list[PointOutcome], n_runs: int,
-                      wall: float) -> dict[str, Any]:
+    def _record(self, sweep_name: str, outcomes: list[PointOutcome],
+                n_runs: int, wall: float) -> dict[str, Any]:
         total_runs = n_runs * len(outcomes)
         events = sum(o.aggregate.events_fired for o in outcomes)
         return {
-            "schema": BENCH_SCHEMA,
             "sweep": sweep_name,
-            "timestamp": bench_timestamp(),
-            "run_id": bench_run_id(),
             "engines": sorted({o.engine for o in outcomes}),
             "n_jobs": self.n_jobs,
             "workers": self.workers,
@@ -791,11 +635,6 @@ class SweepRunner:
                 for o in outcomes
             ],
         }
-
-    def _write_bench(self, record: dict[str, Any]) -> None:
-        if self.bench_path is None:
-            return
-        append_bench_record(self.bench_path, record)
 
     def _write_telemetry(self, sweep_name: str,
                          outcomes: list[PointOutcome]) -> None:

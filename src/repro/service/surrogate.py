@@ -212,7 +212,7 @@ def build_grid(base: SystemConfig, axes: dict[str, list[float]],
     }
     from ..reliability.montecarlo import sweep
     results = sweep(configs, n_runs=n_runs, base_seed=base_seed,
-                    n_jobs=n_jobs, engine=engine, bench_path=None,
+                    n_jobs=n_jobs, engine=engine,
                     sweep_name=f"surrogate:{name}")
     shape = tuple(len(a.values) for a in axis_objs)
     values = np.array([results[label].p_loss.estimate

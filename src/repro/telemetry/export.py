@@ -13,8 +13,7 @@ value)`` rows; the Prometheus form follows the text exposition format
 (``# HELP`` / ``# TYPE``, cumulative ``_bucket{le=...}`` histograms) so a
 snapshot can be dropped behind any scrape endpoint.
 
-The sink path mirrors the sweep runner's ``REPRO_BENCH_PATH`` convention:
-``REPRO_TELEMETRY_PATH`` names the JSONL file (empty string disables; no
+``REPRO_TELEMETRY_PATH`` names the JSONL sink (empty string disables; no
 default — telemetry is opt-in).
 """
 

@@ -256,8 +256,7 @@ class TestLubyRail:
                                    request_forecast, run_in_thread)
         cascade = ForecastCascade(
             cache=ForecastCache(),
-            runner=SweepRunner(n_jobs=1, bench_path=None,
-                               telemetry_path=""),
+            runner=SweepRunner(n_jobs=1, telemetry_path=""),
             live_runs=2)
         handle = run_in_thread(ForecastService(cascade))
         try:
@@ -872,11 +871,9 @@ class TestExperimentDriver:
         assert 0 <= p1 < p2 <= 1
 
     @pytest.mark.slow
-    def test_smoke_run_emits_full_grid(self, tmp_path, monkeypatch):
+    def test_smoke_run_emits_full_grid(self):
         from repro.experiments import availability_sweep as av
         from repro.experiments.base import SCALES
-        bench = tmp_path / "BENCH_sweep.json"
-        monkeypatch.setenv("REPRO_BENCH_PATH", str(bench))
         result = av.run(SCALES["smoke"])
         assert len(result.rows) == \
             len(av.THRESHOLDS) * len(av.REPAIR_FRACTIONS)
@@ -884,4 +881,3 @@ class TestExperimentDriver:
             assert 0.0 <= row["unavail_frac"] <= 1.0
             assert row["luby_util"] < 1.0
             assert 0.0 <= row["markov_p_loss"] <= 1.0
-        assert bench.exists()

@@ -1,9 +1,7 @@
-"""``scripts/bench_guard.py`` compares like with like.
+"""``scripts/bench_guard.py`` judges a run set against a baseline.
 
-Each guarded series' latest record is judged only against earlier
-records of the same workload (sweep, grid size, run count, scale and
-``events_fired``).  The histories here are temporary files shaped like
-``results/BENCH_sweep.json``.
+The run sets here are synthetic, shaped like ``python3 -m bench --out``
+output: one workload per run, five baseline runs per guarded workload.
 """
 
 import importlib.util
@@ -14,6 +12,12 @@ import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_guard.py"
 
+HOST = {"nproc": 2, "cpu": "Test CPU @ 2.00GHz", "python": "3.11.7",
+        "numpy": "2.4.6"}
+
+#: Baseline throughput per guarded workload (per second).
+RATES = {"des-fig3a": 150_000.0, "des-lazy": 130_000.0, "bulk-fig5": 3_500.0}
+
 
 @pytest.fixture(scope="module")
 def guard():
@@ -23,104 +27,94 @@ def guard():
     return module
 
 
-def availability(runs_per_s: float, events_fired: int) -> dict:
-    """An ``availability`` record: 6 points x 4 runs, no ``scale``."""
-    return {"schema": "repro.bench-sweep.v1", "sweep": "availability",
-            "run_id": "2fa40e855638", "engines": ["des"], "n_points": 6,
-            "n_runs_per_point": 4, "total_runs": 24,
-            "events_fired": events_fired, "runs_per_s": runs_per_s}
+def run(workload: str, rate: float, failed: int = 0, seconds: float = 1.0,
+        host: dict = HOST) -> dict:
+    return {"seed": 0, "seconds": seconds, "quick": False, "trace": 0,
+            "host": host,
+            "workloads": {workload: {
+                "attempted": 100, "failed": failed,
+                "metrics": {"throughput_per_s": {"value": rate},
+                            "latency_ms": {"value": 1e3 / rate}}}}}
 
 
-def bulk(runs_per_s: float, scale: str) -> dict:
-    return {"schema": "repro.bench-sweep.v1", "sweep": "bulk-sweep",
-            "scale": scale, "n_points": 20, "n_runs_per_point": 100,
-            "events_fired": 0, "runs_per_s": runs_per_s}
+def baseline() -> list[dict]:
+    return [run(w, rate * f) for f in (0.97, 0.99, 1.0, 1.01, 1.03)
+            for w, rate in RATES.items()]
 
 
-def service(p99_s: float) -> dict:
-    return {"schema": "repro.bench-sweep.v1", "sweep": "service-bench",
-            "n_requests": 200, "runs_per_s": 900.0, "p99_s": p99_s}
+def check(guard, tmp_path, runs, capsys) -> tuple[int, str]:
+    paths = []
+    for name, doc in (("runs", runs), ("base", baseline())):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"schema": "repro-bench-runs.v1",
+                                    "runs": doc}))
+        paths.append(str(path))
+    status = guard.main(["bench_guard.py", *paths])
+    captured = capsys.readouterr()
+    return status, captured.out + captured.err
 
 
-#: The shape of the tracked history: small-scale availability runs
-#: (830,626 events, ~0.85 runs/s) followed by smoke-scale ones (45,642
-#: events, ~13 runs/s) under the same run id.
-SMALL, SMOKE = 830_626, 45_642
-HISTORY = [availability(0.865, SMALL), availability(0.832, SMALL),
-           availability(12.62, SMOKE), availability(12.52, SMOKE),
-           bulk(3183.5, "smoke"), bulk(2803.6, "smoke"),
-           service(0.00416), availability(13.21, SMOKE),
-           bulk(3532.0, "smoke")]
+def verdict(out: str, workload: str, metric: str) -> str:
+    [row] = [ln for ln in out.splitlines()
+             if ln.split()[:2] == [workload, metric]]
+    return row.split()[-1]
 
 
-def run(guard, tmp_path, records, capsys) -> tuple[int, str]:
-    path = tmp_path / "BENCH_sweep.json"
-    path.write_text(json.dumps({"schema": "repro.bench-sweep-log.v1",
-                                "records": records}), encoding="utf-8")
-    status = guard.main(["bench_guard.py", str(path)])
-    return status, capsys.readouterr().out
-
-
-def line(out: str, label: str) -> str:
-    [found] = [ln for ln in out.splitlines()
-               if ln.startswith(f"bench_guard: {label}")]
-    return found
-
-
-def test_rerun_at_another_scale_passes(guard, tmp_path, capsys):
-    """A repeat of the last small-scale record used to be judged against
-    the smoke-scale best (13.2 runs/s) and fail."""
-    status, out = run(guard, tmp_path, HISTORY + [availability(0.832, SMALL)],
-                      capsys)
+def test_equal_set_passes(guard, tmp_path, capsys):
+    status, out = check(guard, tmp_path,
+                        [run(w, rate) for w, rate in RATES.items()], capsys)
     assert status == 0
-    assert "best prior 0.9 " in line(out, "availability")
-    assert "over 2 comparable of 6 records — ok" in out
+    for workload in RATES:
+        assert verdict(out, workload, "throughput_per_s") == "same"
+        assert verdict(out, workload, "failed_frac") == "same"
 
 
 def test_planted_slowdown_fails(guard, tmp_path, capsys):
-    """30 % below every comparable record is under the 0.7x floor of the
-    best of them."""
-    slow = availability(0.7 * 0.832, SMALL)
-    status, out = run(guard, tmp_path, HISTORY + [slow], capsys)
+    """30 % below the baseline median is beyond the 20 % bound."""
+    runs = [run(w, rate) for w, rate in RATES.items()]
+    runs[2] = run("bulk-fig5", 0.7 * RATES["bulk-fig5"])
+    status, out = check(guard, tmp_path, runs, capsys)
     assert status == 1
-    assert line(out, "availability").endswith("REGRESSION")
+    assert verdict(out, "bulk-fig5", "throughput_per_s") == "regressed"
+    assert verdict(out, "des-fig3a", "throughput_per_s") == "same"
+    assert "bulk-fig5 throughput_per_s regressed" in out
 
 
-def test_slowdown_against_smoke_records_only_is_not_compared(
-        guard, tmp_path, capsys):
-    """A new workload (other events fired) has no comparable prior."""
-    status, out = run(guard, tmp_path,
-                      HISTORY + [availability(0.1, SMALL + 1)], capsys)
-    assert status == 0
-    assert "nothing to compare — ok" in line(out, "availability")
-
-
-def test_scale_separates_bulk_records(guard, tmp_path, capsys):
-    status, out = run(guard, tmp_path, HISTORY + [bulk(30.0, "small")],
-                      capsys)
-    assert status == 0
-    assert "nothing to compare" in line(out, "bulk")
-    status, out = run(guard, tmp_path, HISTORY + [bulk(30.0, "smoke")],
-                      capsys)
+def test_higher_failed_frac_fails(guard, tmp_path, capsys):
+    runs = [run(w, rate) for w, rate in RATES.items()]
+    runs[0] = run("des-fig3a", RATES["des-fig3a"], failed=1)
+    status, out = check(guard, tmp_path, runs, capsys)
     assert status == 1
-    assert line(out, "bulk").endswith("REGRESSION")
+    assert verdict(out, "des-fig3a", "failed_frac") == "regressed"
 
 
 def test_service_series_unaffected(guard, tmp_path, capsys):
-    """Service records carry no workload fields besides the sweep: every
-    earlier one is comparable, under the same 3x p99 ceiling."""
-    status, out = run(guard, tmp_path, HISTORY + [service(0.012)], capsys)
+    """service-mix is not guarded: its rows are neither shown nor gated."""
+    runs = [run(w, rate) for w, rate in RATES.items()]
+    runs.append(run("service-mix", 1.0, failed=50))
+    status, out = check(guard, tmp_path, runs, capsys)
     assert status == 0
-    assert line(out, "service p99") == (
-        "bench_guard: service p99 12.00 ms vs best prior 4.16 (ceiling "
-        "12.48 = 3x) over 1 comparable of 2 records — ok")
-    status, out = run(guard, tmp_path, HISTORY + [service(0.013)], capsys)
-    assert status == 1
-    assert line(out, "service p99").endswith("REGRESSION")
+    assert "service-mix" not in out
 
 
-def test_single_service_record_has_nothing_to_compare(
-        guard, tmp_path, capsys):
-    status, out = run(guard, tmp_path, HISTORY, capsys)
+def test_other_host_is_skipped(guard, tmp_path, capsys):
+    other = dict(HOST, cpu="Other CPU")
+    runs = [run(w, 0.5 * rate, host=other) for w, rate in RATES.items()]
+    status, out = check(guard, tmp_path, runs, capsys)
     assert status == 0
-    assert "nothing to compare" in line(out, "service p99")
+    assert "skipped" in out
+    assert "Other CPU" in out and "Test CPU" in out
+    assert "throughput_per_s" not in out
+
+
+def test_other_seconds_exit_2(guard, tmp_path, capsys):
+    runs = [run(w, rate, seconds=5.0) for w, rate in RATES.items()]
+    status, out = check(guard, tmp_path, runs, capsys)
+    assert status == 2
+    assert "cannot compare" in out
+
+
+def test_unreadable_run_set_exits_2(guard, tmp_path, capsys):
+    status = guard.main(["bench_guard.py", str(tmp_path / "missing.json")])
+    assert status == 2
+    assert "cannot read" in capsys.readouterr().err

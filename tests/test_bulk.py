@@ -351,10 +351,10 @@ class TestRunnerIntegration:
     def test_serial_matches_parallel_bit_for_bit(self):
         cfgs = {"farm": gold_cfg(), "trad": gold_cfg(use_farm=False)}
         serial = sweep(cfgs, n_runs=24, base_seed=9, n_jobs=None,
-                       bench_path=None, engine="bulk")
+                       engine="bulk")
         try:
             parallel = sweep(cfgs, n_runs=24, base_seed=9, n_jobs=2,
-                             bench_path=None, engine="bulk")
+                             engine="bulk")
         finally:
             shutdown_pool()
         for label in cfgs:

@@ -5,16 +5,25 @@ qualitative relationships cheap enough to check at smoke scale.  The
 quantitative reproduction runs in benchmarks/ (REPRO_SCALE=small/paper).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.config import SystemConfig
 from repro.experiments import (SCALES, ablations, current_scale,
                                faults_sweep, figure3, figure4, figure5,
                                figure7, figure8, redirection, table1,
                                table3, topology_sweep)
 from repro.experiments.base import Scale
-from repro.units import GB, MB, MINUTE, PB
+from repro.reliability import sweep
+from repro.units import GB, MB, MINUTE, PB, TB
 
 SMOKE = SCALES["smoke"]
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestScales:
@@ -176,6 +185,26 @@ class TestTopologySweep:
         result = topology_sweep.run(SMOKE)
         assert len(result.rows) == 1
         assert not (tmp_path / "results").exists()
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestNothingWrittenWithoutOut:
+    """``run --out DIR`` is the one way to save a table: a sweep and the
+    experiment CLI leave the directory they run in untouched."""
+
+    def test_sweep_and_cli_runs_leave_the_cwd_empty(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.delenv("REPRO_BENCH_PATH", raising=False)
+        monkeypatch.chdir(tmp_path)
+        sweep({"tiny": SystemConfig(total_user_bytes=10 * TB,
+                                    group_user_bytes=10 * GB)}, n_runs=2)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), os.environ.get("PYTHONPATH", "")]))
+        for args in (["figure5", "--scale", "smoke"], ["rare"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "run", *args], cwd=tmp_path,
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr[-2000:]
         assert list(tmp_path.iterdir()) == []
 
 

@@ -95,7 +95,7 @@ class TestZeroCompletedRuns:
 
     def test_mixed_sweep_only_bad_point_degrades(self):
         res = sweep({"ok": tiny(), "bad": unrunnable()}, n_runs=3,
-                    on_error="skip", bench_path=None)
+                    on_error="skip")
         assert res["ok"].runs_failed == 0
         assert res["ok"].p_loss.trials == 3
         assert res["bad"].runs_failed == 3

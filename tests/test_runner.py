@@ -1,6 +1,5 @@
 """Tests for the persistent-pool sweep runner (repro.reliability.runner)."""
 
-import json
 from pathlib import Path
 
 import pytest
@@ -89,10 +88,8 @@ class TestBitIdentity:
 
     def test_sweep_entrypoint_bit_identical(self):
         cfgs = {p.label: p.config for p in points()}
-        serial = sweep(cfgs, n_runs=4, base_seed=1, n_jobs=None,
-                       bench_path=None)
-        parallel = sweep(cfgs, n_runs=4, base_seed=1, n_jobs=2,
-                         bench_path=None)
+        serial = sweep(cfgs, n_runs=4, base_seed=1, n_jobs=None)
+        parallel = sweep(cfgs, n_runs=4, base_seed=1, n_jobs=2)
         for label in cfgs:
             s, p = serial[label], parallel[label]
             assert s.losses == p.losses
@@ -105,7 +102,7 @@ class TestBitIdentity:
     def test_matches_per_point_estimates(self):
         """One sweep == independent estimate_p_loss calls per point."""
         cfgs = {p.label: p.config for p in points()}
-        swept = sweep(cfgs, n_runs=3, base_seed=5, bench_path=None)
+        swept = sweep(cfgs, n_runs=3, base_seed=5)
         for label, cfg in cfgs.items():
             solo = estimate_p_loss(cfg, n_runs=3, base_seed=5)
             assert swept[label].losses == solo.losses
@@ -151,144 +148,33 @@ class TestStreamingAggregation:
 
 
 class TestBenchRecord:
-    def test_record_schema(self, tmp_path):
-        path = tmp_path / "BENCH_sweep.json"
-        runner = SweepRunner(n_jobs=None, bench_path=path)
+    """``last_record`` is a sweep's perf summary, kept in memory only."""
+
+    def test_record_schema(self):
+        runner = SweepRunner(n_jobs=None)
         runner.run_points(points(), n_runs=2, sweep_name="unit-test")
-        [record] = runner_mod.read_bench_records(path)
-        assert record["schema"] == runner_mod.BENCH_SCHEMA
+        record = runner.last_record
         assert record["sweep"] == "unit-test"
+        assert record["engines"] == ["des"]
         assert record["n_points"] == 3
         assert record["n_runs_per_point"] == 2
         assert record["total_runs"] == 6
         assert record["wall_time_s"] > 0
-        assert record["events_fired"] > 0
         assert record["runs_per_s"] > 0
         assert len(record["points"]) == 3
+        assert record["events_fired"] == sum(
+            pt["events_fired"] for pt in record["points"])
         for pt in record["points"]:
             assert pt["n_runs"] == 2
             assert pt["events_fired"] > 0
             assert pt["run_seconds_total"] > 0
             assert pt["completed_at_s"] > 0
+        assert not {"schema", "timestamp", "run_id"} & set(record)
 
-    def test_no_record_without_path(self):
-        runner = SweepRunner(n_jobs=None, bench_path=None)
-        runner.run_points(points()[:1], n_runs=2)
-        assert runner.last_record is not None    # kept in memory regardless
-        assert runner.bench_path is None
-
-    def test_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_PATH", str(tmp_path / "b.json"))
-        assert runner_mod.default_bench_path() == tmp_path / "b.json"
-        monkeypatch.setenv("REPRO_BENCH_PATH", "")
-        assert runner_mod.default_bench_path() is None
-        monkeypatch.delenv("REPRO_BENCH_PATH")
-        assert runner_mod.default_bench_path() == \
-            runner_mod.DEFAULT_BENCH_PATH
-
-
-class TestBenchHistory:
-    """The BENCH file is an append-only bounded history, not a single
-    record: every sweep adds to it and regression guards diff against
-    older entries, so overwriting would erase the baseline."""
-
-    def test_appends_across_sweeps(self, tmp_path):
-        path = tmp_path / "BENCH_sweep.json"
-        runner = SweepRunner(n_jobs=None, bench_path=path)
-        runner.run_points(points()[:1], n_runs=2, sweep_name="first")
-        runner.run_points(points()[:1], n_runs=2, sweep_name="second")
-        records = runner_mod.read_bench_records(path)
-        assert [r["sweep"] for r in records] == ["first", "second"]
-
-    def test_history_is_bounded(self, tmp_path):
-        path = tmp_path / "b.json"
-        for i in range(runner_mod.BENCH_HISTORY_LIMIT + 5):
-            runner_mod.append_bench_record(
-                path, {"schema": runner_mod.BENCH_SCHEMA, "i": i})
-        records = runner_mod.read_bench_records(path)
-        assert len(records) == runner_mod.BENCH_HISTORY_LIMIT
-        assert records[-1]["i"] == runner_mod.BENCH_HISTORY_LIMIT + 4
-        assert records[0]["i"] == 5            # oldest dropped first
-
-    def test_history_retained_per_series(self, tmp_path):
-        """Past the limit the largest series gives up its oldest record;
-        the sparse series the guard compares are never evicted."""
-        path = tmp_path / "b.json"
-        sparse = ("bulk-sweep", "service-bench", "availability")
-        records = [{"schema": runner_mod.BENCH_SCHEMA, "sweep": "figure3a",
-                    "i": i} for i in range(197)]
-        records[50:50] = [{"schema": runner_mod.BENCH_SCHEMA, "sweep": s}
-                          for s in sparse]
-        path.write_text(json.dumps({"schema": runner_mod.BENCH_LOG_SCHEMA,
-                                    "records": records}))
-        assert len(records) == runner_mod.BENCH_HISTORY_LIMIT
-        for i in range(197, 197 + 60):
-            runner_mod.append_bench_record(
-                path, {"schema": runner_mod.BENCH_SCHEMA,
-                       "sweep": "figure3a", "i": i})
-        kept = runner_mod.read_bench_records(path)
-        assert len(kept) == runner_mod.BENCH_HISTORY_LIMIT
-        assert [r["sweep"] for r in kept if r["sweep"] in sparse] == \
-            list(sparse)
-        figure3a = [r["i"] for r in kept if r["sweep"] == "figure3a"]
-        assert figure3a == list(range(60, 257))    # oldest dropped first
-
-    def test_absorbs_legacy_bare_record(self, tmp_path):
-        """A pre-history file holding one bare v1 record becomes the
-        first entry of the container instead of being clobbered."""
-        path = tmp_path / "b.json"
-        legacy = {"schema": runner_mod.BENCH_SCHEMA, "sweep": "old"}
-        path.write_text(json.dumps(legacy))
-        runner_mod.append_bench_record(
-            path, {"schema": runner_mod.BENCH_SCHEMA, "sweep": "new"})
-        records = runner_mod.read_bench_records(path)
-        assert [r["sweep"] for r in records] == ["old", "new"]
-        data = json.loads(path.read_text())
-        assert data["schema"] == runner_mod.BENCH_LOG_SCHEMA
-
-    def test_malformed_file_reads_empty(self, tmp_path):
-        path = tmp_path / "b.json"
-        path.write_text("{not json")
-        assert runner_mod.read_bench_records(path) == []
-
-    def test_latest_record_filters_by_sweep(self, tmp_path):
-        path = tmp_path / "b.json"
-        for name in ("a", "b", "a"):
-            runner_mod.append_bench_record(
-                path, {"schema": runner_mod.BENCH_SCHEMA, "sweep": name})
-        latest = runner_mod.latest_bench_record(path, sweep="b")
-        assert latest is not None and latest["sweep"] == "b"
-        assert runner_mod.latest_bench_record(path)["sweep"] == "a"
-        assert runner_mod.latest_bench_record(path, sweep="zzz") is None
-
-    def test_run_id_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_ID", "build-42")
-        assert runner_mod.bench_run_id() == "build-42"
-        monkeypatch.setenv("REPRO_BENCH_TIMESTAMP", "1234.5")
-        assert runner_mod.bench_timestamp() == 1234.5
-
-    def test_unreadable_git_gives_a_signal_run_id(self, tmp_path,
-                                                  monkeypatch):
-        (tmp_path / ".git").mkdir()
-        (tmp_path / ".git" / "HEAD").write_text("ref: refs/heads/main\n")
-
-        def unreadable(self, *args, **kwargs):
-            raise PermissionError(f"cannot read {self}")
-
-        monkeypatch.setattr(Path, "read_text", unreadable)
-        monkeypatch.delenv("REPRO_BENCH_ID", raising=False)
-        monkeypatch.chdir(tmp_path)
-        assert runner_mod._git_head_sha(tmp_path) == \
-            runner_mod.GIT_UNREADABLE
-        assert runner_mod.bench_run_id() == runner_mod.GIT_UNREADABLE
-
-    def test_records_carry_identity_and_engines(self, tmp_path):
-        path = tmp_path / "BENCH_sweep.json"
-        runner = SweepRunner(n_jobs=None, bench_path=path)
-        runner.run_points(points()[:1], n_runs=2, sweep_name="ids")
-        [record] = runner_mod.read_bench_records(path)
-        assert "timestamp" in record and "run_id" in record
-        assert record["engines"] == ["des"]
+    def test_bench_path_must_be_none(self):
+        for path in ("perf.json", Path("perf.json"), ""):
+            with pytest.raises(TypeError, match="bench_path must be None"):
+                SweepRunner(bench_path=path)
 
 
 class TestPoolSharing:

@@ -65,7 +65,7 @@ DES_CFG = SystemConfig(total_user_bytes=10 * TB, group_user_bytes=10 * GB,
 
 def _runner():
     """A sweep runner with every filesystem side effect disabled."""
-    return SweepRunner(n_jobs=1, bench_path=None, telemetry_path="")
+    return SweepRunner(n_jobs=1, telemetry_path="")
 
 
 def _cascade(tmp_path=None, **kw):

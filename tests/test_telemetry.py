@@ -501,7 +501,7 @@ class TestScenarioIntegration:
 class TestParallelIdentity:
     def test_serial_and_parallel_snapshots_byte_identical(self):
         kwargs = dict(n_runs=4, base_seed=0, telemetry=True,
-                      telemetry_path="", bench_path=None)
+                      telemetry_path="")
         configs = {"farm": tiny(), "trad": tiny().with_(use_farm=False)}
         serial = sweep(configs, n_jobs=1, **kwargs)
         try:
@@ -517,7 +517,7 @@ class TestParallelIdentity:
     def test_sweep_writes_jsonl_records(self, tmp_path):
         path = tmp_path / "tele.jsonl"
         sweep({"farm": tiny()}, n_runs=2, n_jobs=1, telemetry_path=path,
-              bench_path=None, sweep_name="t")
+              sweep_name="t")
         records = read_jsonl(path)
         assert len(records) == 1
         assert records[0]["sweep"] == "t" and records[0]["point"] == "farm"
