@@ -50,7 +50,7 @@ step "topology experiment (smoke)" \
   env REPRO_SCALE=smoke python -m repro run topology
 step "faults experiment (smoke)" \
   env REPRO_SCALE=smoke python -m repro run faults
-step "bulk engine benchmark (smoke, asserts >= 100x over DES baseline)" \
+step "bulk engine speedup gate (smoke, asserts >= 58x over DES baseline)" \
   env REPRO_SCALE=smoke python -m repro run bulk
 step "availability experiment (smoke, asserts trade-off monotonicity)" \
   env REPRO_SCALE=smoke python -m repro run availability

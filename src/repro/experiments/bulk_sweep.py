@@ -19,6 +19,16 @@ It asserts the bulk leg's aggregate ``runs_per_s`` is at least
 throughputs and the measured speedup in the table's note.  Like every
 experiment it writes no file; ``python -m repro run bulk --out
 results/`` saves the table.
+
+The claim is made at smoke scale (100 TB, 2 workers), where
+``scripts/check.sh`` runs the gate.  On a 2-vCPU Xeon host, 40 runs
+gave 57-99x (median 77x), and 40 runs with ``BulkLifetime.run`` doing
+its work twice gave 34-61x (median 42x).  :data:`MIN_SPEEDUP` is where
+log-normal fits to the two sides cross; one run of each side fell on
+the wrong side of it (56.9x and 61.2x).  The ratio grows with system
+size, because a DES lifetime does and a bulk lifetime barely does: at
+small scale (500 TB) it is 257-293x, and 148-160x with the doubled
+work, so the floor would not catch a 2x slowdown there.
 """
 
 from __future__ import annotations
@@ -30,9 +40,9 @@ from .report import render_proportion
 from . import figure5
 
 #: The asserted headline: bulk-engine runs/s at least this many times
-#: the process-pool naive-MC DES baseline on the same grid and pool
-#: (measured ~150x at smoke scale on 2 workers).
-MIN_SPEEDUP = 100.0
+#: the process-pool naive-MC DES baseline on the same grid and pool,
+#: at smoke scale (the measured spread is in the module docstring).
+MIN_SPEEDUP = 58.0
 
 #: Bulk runs per point = scale.n_runs x this.  The engine's point is
 #: throughput, so the benchmark exercises (and times) a budget the DES
@@ -96,8 +106,9 @@ def run(scale: Scale | None = None, base_seed: int = 0) -> ExperimentResult:
     result.notes.append(
         f"bulk engine: {bulk_rps:,.0f} runs/s over {bulk_record['total_runs']}"
         f" runs; DES baseline: {base_rps:,.1f} runs/s over "
-        f"{base_record['total_runs']} runs; speedup {speedup:,.0f}x "
-        f"(required >= {MIN_SPEEDUP:g}x).")
+        f"{base_record['total_runs']} runs; speedup {speedup:,.0f}x at "
+        f"{scale.name} scale (required >= {MIN_SPEEDUP:g}x, a floor set "
+        f"at smoke scale).")
 
     # The subsystem's headline claim is part of the harness contract:
     # fail loudly if the vectorized path regresses below it.
