@@ -20,7 +20,7 @@ service-mix is not guarded: its quartile spread (16-34 %) exceeds its
 
 Usage::
 
-    python scripts/bench_guard.py RUNS.json [BASELINE.json]
+    python scripts/bench_guard.py RUNS.json
 
 Exit status: 0 = no regression, or another host (skipped);
 1 = regression; 2 = the run sets cannot be read or compared.
@@ -91,26 +91,23 @@ def guard(runs: list[dict], baseline: list[dict], spec: dict) -> int:
               file=sys.stderr)
         return 2
     print(render(rows))
-    bad = [r for r in rows
+    bad = [f"{r['workload']} {r['metric']}" for r in rows
            if r["metric"] in GATED and r["verdict"] == "regressed"]
-    for r in bad:
-        print(f"bench_guard: {r['workload']} {r['metric']} regressed",
-              file=sys.stderr)
-    print(f"bench_guard: {'REGRESSION' if bad else 'ok'} "
-          f"({len(rows)} rows, gated on {' and '.join(GATED)})")
-    return 1 if bad else 0
+    if bad:
+        print(f"bench_guard: regressed: {', '.join(bad)}", file=sys.stderr)
+        return 1
+    print("bench_guard: ok")
+    return 0
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) not in (2, 3):
-        print(__doc__.split("Usage::")[1].split("Exit")[0].strip(),
+    if len(argv) != 2:
+        print("usage: python scripts/bench_guard.py RUNS.json",
               file=sys.stderr)
         return 2
-    runs_path = Path(argv[1])
-    base_path = Path(argv[2]) if len(argv) == 3 else BASELINE
     try:
         runs, baseline = (json.loads(p.read_text(encoding="utf-8"))["runs"]
-                          for p in (runs_path, base_path))
+                          for p in (Path(argv[1]), BASELINE))
     except (OSError, ValueError, KeyError) as exc:
         print(f"bench_guard: cannot read run sets: {exc}", file=sys.stderr)
         return 2

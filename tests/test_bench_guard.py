@@ -42,16 +42,23 @@ def baseline() -> list[dict]:
             for w, rate in RATES.items()]
 
 
-def check(guard, tmp_path, runs, capsys) -> tuple[int, str]:
-    paths = []
-    for name, doc in (("runs", runs), ("base", baseline())):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps({"schema": "repro-bench-runs.v1",
-                                    "runs": doc}))
-        paths.append(str(path))
-    status = guard.main(["bench_guard.py", *paths])
-    captured = capsys.readouterr()
-    return status, captured.out + captured.err
+def write(path: Path, runs: list[dict]) -> None:
+    path.write_text(json.dumps({"schema": "repro-bench-runs.v1",
+                                "runs": runs}))
+
+
+@pytest.fixture
+def check(guard, tmp_path, capsys, monkeypatch):
+    """Run the guard on a run set against the synthetic baseline."""
+    monkeypatch.setattr(guard, "BASELINE", tmp_path / "base.json")
+    write(guard.BASELINE, baseline())
+
+    def _check(runs: list[dict]) -> tuple[int, str]:
+        write(tmp_path / "runs.json", runs)
+        status = guard.main(["bench_guard.py", str(tmp_path / "runs.json")])
+        captured = capsys.readouterr()
+        return status, captured.out + captured.err
+    return _check
 
 
 def verdict(out: str, workload: str, metric: str) -> str:
@@ -60,56 +67,55 @@ def verdict(out: str, workload: str, metric: str) -> str:
     return row.split()[-1]
 
 
-def test_equal_set_passes(guard, tmp_path, capsys):
-    status, out = check(guard, tmp_path,
-                        [run(w, rate) for w, rate in RATES.items()], capsys)
+def test_equal_set_passes(check):
+    status, out = check([run(w, rate) for w, rate in RATES.items()])
     assert status == 0
     for workload in RATES:
         assert verdict(out, workload, "throughput_per_s") == "same"
         assert verdict(out, workload, "failed_frac") == "same"
 
 
-def test_planted_slowdown_fails(guard, tmp_path, capsys):
+def test_planted_slowdown_fails(check):
     """30 % below the baseline median is beyond the 20 % bound."""
     runs = [run(w, rate) for w, rate in RATES.items()]
     runs[2] = run("bulk-fig5", 0.7 * RATES["bulk-fig5"])
-    status, out = check(guard, tmp_path, runs, capsys)
+    status, out = check(runs)
     assert status == 1
     assert verdict(out, "bulk-fig5", "throughput_per_s") == "regressed"
     assert verdict(out, "des-fig3a", "throughput_per_s") == "same"
-    assert "bulk-fig5 throughput_per_s regressed" in out
+    assert "bench_guard: regressed: bulk-fig5 throughput_per_s" in out
 
 
-def test_higher_failed_frac_fails(guard, tmp_path, capsys):
+def test_higher_failed_frac_fails(check):
     runs = [run(w, rate) for w, rate in RATES.items()]
     runs[0] = run("des-fig3a", RATES["des-fig3a"], failed=1)
-    status, out = check(guard, tmp_path, runs, capsys)
+    status, out = check(runs)
     assert status == 1
     assert verdict(out, "des-fig3a", "failed_frac") == "regressed"
 
 
-def test_service_series_unaffected(guard, tmp_path, capsys):
+def test_service_series_unaffected(check):
     """service-mix is not guarded: its rows are neither shown nor gated."""
     runs = [run(w, rate) for w, rate in RATES.items()]
     runs.append(run("service-mix", 1.0, failed=50))
-    status, out = check(guard, tmp_path, runs, capsys)
+    status, out = check(runs)
     assert status == 0
     assert "service-mix" not in out
 
 
-def test_other_host_is_skipped(guard, tmp_path, capsys):
+def test_other_host_is_skipped(check):
     other = dict(HOST, cpu="Other CPU")
     runs = [run(w, 0.5 * rate, host=other) for w, rate in RATES.items()]
-    status, out = check(guard, tmp_path, runs, capsys)
+    status, out = check(runs)
     assert status == 0
     assert "skipped" in out
     assert "Other CPU" in out and "Test CPU" in out
     assert "throughput_per_s" not in out
 
 
-def test_other_seconds_exit_2(guard, tmp_path, capsys):
+def test_other_seconds_exit_2(check):
     runs = [run(w, rate, seconds=5.0) for w, rate in RATES.items()]
-    status, out = check(guard, tmp_path, runs, capsys)
+    status, out = check(runs)
     assert status == 2
     assert "cannot compare" in out
 
