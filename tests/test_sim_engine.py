@@ -341,14 +341,22 @@ class _RandomModel:
     fired or not.  Every child's key ``(time, priority, insertion
     order)`` exceeds its parent's, so the engine must fire exactly the
     uncancelled events sorted by that key.
+
+    With ``batches`` set, the schedule also holds batches of same-time
+    events, some with a member cancelled at once, scheduled through
+    ``schedule_many`` (``"many"``) or one ``schedule`` call per event
+    (``"one-by-one"``); both modes draw the same random schedule.
     """
 
     PRIORITIES = (PRIORITY_HIGH, PRIORITY_NORMAL, PRIORITY_LOW)
     LIMIT = 400
 
-    def __init__(self, seed: int, trace=None) -> None:
+    def __init__(self, seed: int, trace=None,
+                 batches: str | None = None) -> None:
         self.rnd = random.Random(seed)
         self.sim = Simulator(trace=trace)
+        self.batches = batches
+        self.n_batches = 0
         self.keys: list[tuple[float, int, int]] = []
         self.events: list[Event] = []
         self.cancelled: set[int] = set()
@@ -356,6 +364,9 @@ class _RandomModel:
         for _ in range(60):
             self.add(self.rnd.randrange(11) / 2,
                      self.rnd.choice(self.PRIORITIES))
+            if batches and self.rnd.random() < 0.2:
+                self.add_batch(self.rnd.randrange(11) / 2,
+                               self.rnd.choice(self.PRIORITIES))
         for _ in range(10):
             self.cancel(self.rnd.randrange(len(self.keys)))
 
@@ -364,6 +375,27 @@ class _RandomModel:
         self.keys.append((time, priority, order))
         self.events.append(self.sim.schedule_at(time, self.fire, order,
                                                 priority=priority))
+
+    def add_batch(self, delay: float, priority: int) -> None:
+        """Schedule 1-6 events ``delay`` from now, as one batch."""
+        size = self.rnd.randint(1, 6)
+        first = len(self.keys)
+        time = self.sim.now + delay
+        self.keys.extend((time, priority, first + i) for i in range(size))
+        if self.batches == "many":
+            events = self.sim.schedule_many(
+                delay, self.fire, [(first + i,) for i in range(size)],
+                priority=priority)
+            assert [ev.seq for ev in events] == list(
+                range(events[0].seq, events[0].seq + size))
+        else:
+            events = [self.sim.schedule(delay, self.fire, first + i,
+                                        priority=priority)
+                      for i in range(size)]
+        self.events.extend(events)
+        self.n_batches += 1
+        if size > 1 and self.rnd.random() < 0.5:
+            self.cancel(first + self.rnd.randrange(size))
 
     def cancel(self, order: int) -> None:
         if order not in self.fired:
@@ -380,6 +412,11 @@ class _RandomModel:
             parent = self.keys[order][1]
             self.add(now, rnd.choice([p for p in self.PRIORITIES
                                       if p >= parent]))
+            if self.batches and rnd.random() < 0.3:
+                later = [p for p in self.PRIORITIES if p >= parent]
+                delay = rnd.choice((0.0, 0.5, 1.0))
+                self.add_batch(delay, rnd.choice(
+                    later if delay == 0.0 else self.PRIORITIES))
         if rnd.random() < 0.2:
             self.cancel(rnd.randrange(len(self.keys)))
 
@@ -447,3 +484,65 @@ class TestRandomizedSchedules:
         assert short.sim.events_fired == len(short.fired) == total - 1
         short.sim.run()
         assert short.fired == full.fired == short.reference()
+
+    @staticmethod
+    def _batched_pair(seed: int) -> tuple[dict, dict]:
+        """The same batched schedule through ``schedule_many`` and one
+        event at a time, each with a trace hook."""
+        models, traces = {}, {}
+        for mode in ("many", "one-by-one"):
+            traces[mode] = []
+            models[mode] = _RandomModel(seed, trace=traces[mode].append,
+                                        batches=mode)
+        return models, traces
+
+    @staticmethod
+    def _assert_same(models: dict, traces: dict) -> None:
+        many, single = models["many"], models["one-by-one"]
+        assert many.fired == single.fired
+        assert many.sim.events_fired == single.sim.events_fired \
+            == len(many.fired)
+        assert [ev.args for ev in traces["many"]] \
+            == [ev.args for ev in traces["one-by-one"]] \
+            == [(order,) for order in many.fired]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_batches_fire_as_if_scheduled_one_at_a_time(self, seed):
+        models, traces = self._batched_pair(seed)
+        for model in models.values():
+            model.sim.run()
+        self._assert_same(models, traces)
+        many = models["many"]
+        assert many.fired == many.reference()
+        assert many.n_batches > 5
+        batched = set(range(60, len(many.keys))) & many.cancelled
+        assert batched                  # cancellations hit batch members
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_batches_across_until_and_max_events(self, seed):
+        horizon = 2.0
+        models, traces = self._batched_pair(seed)
+        for model in models.values():
+            model.sim.run(until=horizon)
+            assert model.sim.now == horizon
+            assert model.fired == model.reference(until=horizon)
+        self._assert_same(models, traces)
+        budget = len(models["many"].sim) // 2     # stops mid-schedule
+        assert budget > 0
+        for model in models.values():
+            with pytest.raises(SimulationError, match="max_events"):
+                model.sim.run(max_events=budget)
+        self._assert_same(models, traces)
+        for model in models.values():
+            model.sim.run()
+            assert model.fired == model.reference()
+        self._assert_same(models, traces)
+
+    def test_batch_in_the_past_or_at_nan_raises(self, sim):
+        sim.schedule(3.0, lambda: None)
+        sim.run()
+        for delay, match in ((-1.0, "now="), (math.nan, "NaN")):
+            for args in ([(1,), (2,)], []):
+                with pytest.raises(SimulationError, match=match):
+                    sim.schedule_many(delay, lambda x: None, args)
+        assert len(sim) == 0
