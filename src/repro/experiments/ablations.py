@@ -79,6 +79,7 @@ def run_policy(scale: Scale | None = None,
     from ..units import TB
 
     scale = scale or current_scale()
+    n_runs = max(4, scale.n_runs // 3)
     result = ExperimentResult(
         experiment="ablation-policy",
         description=("FARM target-selection constraints on a dense system "
@@ -86,6 +87,7 @@ def run_policy(scale: Scale | None = None,
         scale=scale,
         columns=["policy", "buddy_violations", "mean_window_s",
                  "rebuilds", "losses"],
+        runs=n_runs,
     )
     cfg = SystemConfig(total_user_bytes=24 * TB, group_user_bytes=10 * GB,
                        target_utilization=0.80)
@@ -94,7 +96,6 @@ def run_policy(scale: Scale | None = None,
         "no-buddy-check": PolicyConfig(forbid_buddy=False),
         "no-idle-pref": PolicyConfig(prefer_idle=False),
     }
-    n_runs = max(4, scale.n_runs // 3)
     for label, policy in variants.items():
         violations = rebuilds = losses = 0
         window_total = completed = 0
@@ -164,6 +165,7 @@ def run_mixed_scheme(scale: Scale | None = None,
         scale=scale,
         columns=["scheme", "efficiency", "tolerance", "survive_3of_pct",
                  "survive_4of_pct", "rebuilds", "groups_lost"],
+        runs=1,
     )
     base = SystemConfig(total_user_bytes=20 * TB, group_user_bytes=10 * GB)
     vintage = base.vintage.with_rate_multiplier(5.0)
@@ -201,6 +203,7 @@ def run_bathtub(scale: Scale | None = None,
                      "failure probability (traditional recovery)"),
         scale=scale,
         columns=["hazard", "p_loss_pct", "ci95"],
+        runs=n_runs,
     )
     import dataclasses
     for label, vintage in (

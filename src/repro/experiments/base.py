@@ -117,6 +117,8 @@ class ExperimentResult:
     columns: list[str]
     rows: list[dict[str, Any]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    #: Runs behind each row, when not the scale's ``n_runs``.
+    runs: int | None = None
 
     def add(self, **row: Any) -> None:
         self.rows.append(row)
@@ -127,8 +129,9 @@ class ExperimentResult:
     def render(self) -> str:
         """Aligned text table, the way the bench harness prints results."""
         from .report import render_table
+        runs = self.scale.n_runs if self.runs is None else self.runs
         header = (f"== {self.experiment}: {self.description} "
-                  f"[scale={self.scale.name}, runs={self.scale.n_runs}] ==")
+                  f"[scale={self.scale.name}, runs={runs}] ==")
         body = render_table(self.columns, self.rows)
         notes = "".join(f"\n  note: {n}" for n in self.notes)
         return f"{header}\n{body}{notes}"
