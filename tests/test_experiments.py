@@ -151,6 +151,8 @@ class TestRedirectionAndAblations:
     def test_bathtub_ablation_rows(self):
         result = ablations.run_bathtub(SMOKE)
         assert {r["hazard"] for r in result.rows} == {"bathtub", "flat"}
+        # Each row ran three times the scale's runs, and the header says so.
+        assert "[scale=smoke, runs=12] ==" in result.render()
 
     def test_policy_ablation_counts_violations(self):
         result = ablations.run_policy(SMOKE)
