@@ -62,6 +62,8 @@ step "bulk pin gate (bulk-fig5: 20 s of seed-0 passes, losses and every signatur
   python3 -m bench --workload bulk-fig5 --seconds 20 --out "$bench_runs/runs.json"
 step "bench-regression guard (pin-gate runs vs results/bench-baseline.json)" \
   python scripts/bench_guard.py "$bench_runs/runs.json"
+step "benchmark's own tests (incl. --quick --trace 1 on every workload)" \
+  python3 -m pytest bench/tests -q
 step "bulk conformance suite (incl. slow CI-overlap tests)" \
   python -m pytest tests/test_bulk.py -q -m "slow or not slow"
 step "availability conformance suite (incl. slow lazy-policy brackets)" \
