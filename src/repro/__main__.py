@@ -260,9 +260,9 @@ def cmd_sweep_check(args: argparse.Namespace) -> int:
     # chunk-expansion side of the reorder buffers (and the capped
     # topology sampler).  Points outside the bulk engine's envelope
     # (lazy recovery) run on the DES passes only.
-    from .reliability.bulk import bulk_unsupported_reasons
+    from .reliability.envelope import BULK, refusals
     bulk_points = {label: cfg for label, cfg in points.items()
-                   if not bulk_unsupported_reasons(cfg)}
+                   if not refusals(cfg)[BULK]}
     serial_b = sweep(bulk_points, n_runs=args.runs, base_seed=args.seed,
                      n_jobs=None, sweep_name="sweep-check-bulk",
                      engine="bulk")
@@ -351,6 +351,8 @@ def _serve_smoke(args: argparse.Namespace) -> int:
     The check.sh gate: boots the real server (own thread + event loop),
     exercises the analytic, markov, and live tiers plus the cache-hit
     path and /metrics, and fails loudly on any wrong tier or status.
+    A flat-hazard traditional config must leave the chain (which has
+    no serial repair queue) for the window model.
     """
     from .service import run_in_thread, request_forecast
     from .service.protocol import get_forecast
@@ -364,6 +366,7 @@ def _serve_smoke(args: argparse.Namespace) -> int:
         probes = [
             ("analytic", {}),
             ("markov", flat_hazard),
+            ("analytic", {**flat_hazard, "use_farm": False}),
             ("live-bulk", {"racks": 2, "machines_per_rack": 5}),
         ]
         for want_tier, cfg in probes:
@@ -391,8 +394,8 @@ def _serve_smoke(args: argparse.Namespace) -> int:
         for f in failures:
             print(f"serve-smoke FAILED: {f}", file=sys.stderr)
         return 1
-    print(f"serve-smoke OK: 3 tiers answered, cache hit on repeat, "
-          f"/metrics exported")
+    print(f"serve-smoke OK: {len(probes)} probes answered on their "
+          f"tiers, cache hit on repeat, /metrics exported")
     return 0
 
 

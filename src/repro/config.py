@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Any, Literal, Mapping
+from typing import Any, Callable, Literal, Mapping
 
 from .disks.failure import BathtubFailureModel, RatePeriod
 from .disks.vintage import PAPER_VINTAGE, DiskVintage
@@ -298,39 +298,30 @@ def _vintage_from_dict(data: Mapping[str, Any]) -> DiskVintage:
     )
 
 
+#: Encoders of the fields that are not JSON values themselves.
+_ENCODERS: dict[str, Callable[[Any], Any]] = {
+    "scheme": lambda scheme: {"m": scheme.m, "n": scheme.n},
+    "vintage": _vintage_to_dict,
+}
+
+_FIELD_NAMES = tuple(f.name for f in fields(SystemConfig))
+
+
 def config_to_dict(cfg: SystemConfig) -> dict[str, Any]:
     """Canonical JSON-safe dict of a config — *every* field, always.
 
     Emitting every field (never eliding defaults) is what makes the
     digest stable under default-equality: a config constructed with a
     field explicitly set to its default value serializes — and therefore
-    hashes — identically to one that never mentioned the field.
+    hashes — identically to one that never mentioned the field.  Keys
+    follow the schema tag in field order.
     """
-    return {
-        "schema": CONFIG_SCHEMA,
-        "total_user_bytes": cfg.total_user_bytes,
-        "group_user_bytes": cfg.group_user_bytes,
-        "scheme": {"m": cfg.scheme.m, "n": cfg.scheme.n},
-        "vintage": _vintage_to_dict(cfg.vintage),
-        "detection_latency": cfg.detection_latency,
-        "recovery_bandwidth_bps": cfg.recovery_bandwidth_bps,
-        "target_utilization": cfg.target_utilization,
-        "spare_reserve_fraction": cfg.spare_reserve_fraction,
-        "use_farm": cfg.use_farm,
-        "use_smart": cfg.use_smart,
-        "smart_detection_probability": cfg.smart_detection_probability,
-        "smart_warning_horizon": cfg.smart_warning_horizon,
-        "smart_false_positive_rate": cfg.smart_false_positive_rate,
-        "replacement_threshold": cfg.replacement_threshold,
-        "duration": cfg.duration,
-        "placement": cfg.placement,
-        "workload_peak_load": cfg.workload_peak_load,
-        "racks": cfg.racks,
-        "machines_per_rack": cfg.machines_per_rack,
-        "max_chunks_per_domain": cfg.max_chunks_per_domain,
-        "recovery_threshold": cfg.recovery_threshold,
-        "repair_bandwidth_fraction": cfg.repair_bandwidth_fraction,
-    }
+    d: dict[str, Any] = {"schema": CONFIG_SCHEMA}
+    for name in _FIELD_NAMES:
+        value = getattr(cfg, name)
+        encode = _ENCODERS.get(name)
+        d[name] = value if encode is None else encode(value)
+    return d
 
 
 def _parse_scheme(value: Any) -> RedundancyScheme:
@@ -359,18 +350,17 @@ def config_from_dict(data: Mapping[str, Any]) -> SystemConfig:
     their value objects.  Validation runs through ``__post_init__`` as
     for any other construction.
     """
-    field_names = {f.name for f in fields(SystemConfig)}
-    unknown = set(data) - field_names - _EXTRA_DICT_KEYS
+    unknown = set(data) - set(_FIELD_NAMES) - _EXTRA_DICT_KEYS
     if unknown:
         raise ValueError(
             f"unknown config field(s) {sorted(unknown)}; expected a "
-            f"subset of {sorted(field_names)}")
+            f"subset of {sorted(_FIELD_NAMES)}")
     schema = data.get("schema")
     if schema is not None and schema != CONFIG_SCHEMA:
         raise ValueError(f"config schema {schema!r} is not "
                          f"{CONFIG_SCHEMA!r}")
     kwargs: dict[str, Any] = {}
-    for name in field_names:
+    for name in _FIELD_NAMES:
         if name not in data:
             continue
         value = data[name]

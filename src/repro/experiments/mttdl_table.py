@@ -3,8 +3,9 @@
 The paper reports six-year loss probabilities; storage designers usually
 quote the complementary number — mean time to data loss.  This experiment
 derives MTTDL for every paper scheme under FARM and traditional recovery
-from the Markov chain (`repro.reliability.markov`) at the base geometry:
-per-block failure rate = the drive hazard, repair rate = 1/window.
+from the Markov chain at the base geometry, through the chain's config
+mapping (`repro.reliability.markov.p_loss_config` and `mttdl_config`):
+per-block failure rate = the mean drive hazard, repair rate = 1/window.
 
 The headline: FARM's shorter window multiplies MTTDL by the same ~20x
 factor that divides the window, and each extra tolerated fault multiplies
@@ -16,8 +17,8 @@ from __future__ import annotations
 from ..config import SystemConfig
 from ..redundancy.composite import is_threshold_scheme
 from ..redundancy.schemes import PAPER_SCHEMES
-from ..reliability.analytic import mean_hazard, mean_window
-from ..reliability.markov import mttdl, p_system_loss
+from ..reliability.analytic import mean_window
+from ..reliability.markov import mttdl_config, p_loss_config
 from ..units import GB, YEAR
 from .base import ExperimentResult, Scale, current_scale
 
@@ -39,21 +40,15 @@ def run(scale: Scale | None = None, base_seed: int = 0,
         for farm in (True, False):
             cfg = SystemConfig(group_user_bytes=group_bytes,
                                scheme=scheme, use_farm=farm)
-            lam = mean_hazard(cfg)
-            w = mean_window(cfg)
-            mu = 1.0 / w
-            group_mttdl = mttdl(scheme, lam, mu, parallel_repair=farm)
             # Independent groups: the system loses data n_groups times
             # faster (exact for exponential tails, first-order otherwise).
-            system_mttdl = group_mttdl / cfg.n_groups
-            p6 = p_system_loss(scheme, cfg.n_groups, lam, mu,
-                               cfg.duration, parallel_repair=farm)
+            system_mttdl = mttdl_config(cfg)
             result.add(scheme=scheme.name,
                        mode="FARM" if farm else "w/o",
-                       window_s=w,
-                       group_mttdl_yr=group_mttdl / YEAR,
+                       window_s=mean_window(cfg),
+                       group_mttdl_yr=system_mttdl * cfg.n_groups / YEAR,
                        system_mttdl_yr=system_mttdl / YEAR,
-                       p_loss_6yr_pct=100.0 * p6)
+                       p_loss_6yr_pct=100.0 * p_loss_config(cfg))
     result.notes.append(
         "Markov-chain MTTDL at constant (time-averaged) hazard; the "
         "simulators add bathtub clustering on top, which shortens real "

@@ -91,62 +91,6 @@ def p_loss(cfg: SystemConfig) -> float:
     return p_loss_window_model(cfg).p_loss
 
 
-# --------------------------------------------------------------------- #
-# Validity envelope
-# --------------------------------------------------------------------- #
-#: First-order cutoff: the window model drops O((hW)^2) terms, so it is
-#: only trusted while the per-window hazard mass stays small.  0.05 keeps
-#: the neglected terms ~an order of magnitude under typical Monte-Carlo
-#: CI half-widths; configs outside fall through to simulation tiers.
-MAX_HAZARD_WINDOW = 0.05
-
-
-def unsupported_reasons(cfg: SystemConfig) -> tuple[str, ...]:
-    """Why the window model does *not* apply to ``cfg`` (empty = valid).
-
-    The forecast service's tier-1 routing
-    (:mod:`repro.service.cascade`) is driven by this predicate — the
-    envelope is data, not scattered heuristics.  Everything listed has a
-    first-order effect the closed form cannot express; the quantitative
-    last entry bounds the model's own truncation error.
-    """
-    from ..redundancy.composite import is_threshold_scheme
-    reasons = []
-    if not is_threshold_scheme(cfg.scheme):
-        reasons.append("set-based survival schemes (needs a plain "
-                       "m-of-n loss count)")
-    if cfg.racks != 1 or cfg.machines_per_rack != 1:
-        reasons.append("non-flat topology (correlated domain exposure)")
-    if cfg.max_chunks_per_domain is not None:
-        reasons.append("domain placement caps (placement is no longer "
-                       "uniform)")
-    if cfg.placement != "random":
-        reasons.append(f"placement={cfg.placement!r} (model assumes "
-                       f"uniform random placement)")
-    if cfg.use_smart:
-        reasons.append("SMART steering (windows are no longer "
-                       "detection + rebuild)")
-    if cfg.replacement_threshold is not None:
-        reasons.append("replacement batches (population age is not a "
-                       "single cohort)")
-    if cfg.workload_peak_load > 0:
-        reasons.append("diurnal workload (recovery bandwidth varies "
-                       "over the day)")
-    if cfg.recovery_threshold > 1:
-        reasons.append("lazy recovery (recovery_threshold > 1): windows "
-                       "are no longer detection + rebuild per failure)")
-    hw = mean_hazard(cfg) * mean_window(cfg)
-    if hw > MAX_HAZARD_WINDOW:
-        reasons.append(f"hazard-window product {hw:.3g} exceeds the "
-                       f"first-order envelope ({MAX_HAZARD_WINDOW:g})")
-    return tuple(reasons)
-
-
-def supports(cfg: SystemConfig) -> bool:
-    """True when the window model's validity envelope covers ``cfg``."""
-    return not unsupported_reasons(cfg)
-
-
 def mttdl_estimate(cfg: SystemConfig) -> float:
     """First-order mean time to (system) data loss, in seconds.
 

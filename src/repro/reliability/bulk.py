@@ -48,8 +48,9 @@ paper's rates, and the conformance suite (``tests/test_bulk.py``) asserts
 CI overlap against *both* DES engines on the golden FARM and traditional
 scenarios.  Features with first-order trajectory effects the predicate
 cannot express — replacement batches, SMART steering, diurnal workload,
-rush/copyset placement, set-based survival schemes — are rejected at
-construction rather than silently approximated.
+rush/copyset placement, lazy recovery, set-based survival schemes — are
+rejected at construction (the bulk column of
+:mod:`repro.reliability.envelope`) rather than silently approximated.
 
 All randomness comes from the dedicated, golden-pinned ``bulk-*`` family
 (:data:`repro.sim.rng.BULK_STREAM_KINDS`), so a bulk run never perturbs a
@@ -68,6 +69,7 @@ import numpy as np
 from ..cluster.topology import Topology
 from ..config import SystemConfig
 from ..sim.rng import RandomStreams
+from .envelope import BULK, refusals
 from .simulation import RecoveryStats
 
 #: Rejection-sampling ceiling for the distinct-membership redraw.  The
@@ -78,49 +80,6 @@ _MAX_REDRAWS = 64
 
 #: Engines the sweep runner can dispatch a lifetime to.
 ENGINES: tuple[str, ...] = ("des", "bulk")
-
-
-def bulk_unsupported_reasons(config: SystemConfig) -> tuple[str, ...]:
-    """Why the bulk model cannot express ``config`` (empty = supported).
-
-    Everything listed here has a *first-order* effect on the loss
-    trajectory that a static window-overlap predicate cannot capture.
-    The forecast service's cascade (:mod:`repro.service.cascade`) uses
-    this predicate to pick a live engine without try/except routing;
-    :func:`validate_bulk_config` keeps the raising form for submission
-    paths.
-    """
-    from ..redundancy.composite import is_threshold_scheme
-    problems = []
-    if not is_threshold_scheme(config.scheme):
-        problems.append("set-based survival schemes (needs is_lost())")
-    if config.replacement_threshold is not None:
-        problems.append("replacement batches (replacement_threshold)")
-    if config.use_smart:
-        problems.append("SMART target steering (use_smart)")
-    if config.workload_peak_load > 0:
-        problems.append("diurnal workload (workload_peak_load > 0)")
-    if config.placement != "random":
-        problems.append(f"placement={config.placement!r} "
-                        f"(only 'random' is expressible)")
-    if config.recovery_threshold > 1:
-        problems.append("lazy recovery (recovery_threshold > 1): repair "
-                        "onset depends on the group's failure history, "
-                        "which a static window predicate cannot couple")
-    return tuple(problems)
-
-
-def validate_bulk_config(config: SystemConfig) -> None:
-    """Reject configurations the bulk model cannot express.
-
-    Raising form of :func:`bulk_unsupported_reasons`; use the DES
-    engines (``engine="des"``) for the listed features.
-    """
-    problems = bulk_unsupported_reasons(config)
-    if problems:
-        raise ValueError(
-            "the bulk engine models random placement with threshold loss "
-            "only; unsupported here: " + "; ".join(problems))
 
 
 def group_loss_times(fail: np.ndarray, repair: np.ndarray,
@@ -325,7 +284,11 @@ class BulkLifetime:
     """One system lifetime under the bulk window-overlap model."""
 
     def __init__(self, config: SystemConfig, seed: int = 0) -> None:
-        validate_bulk_config(config)
+        reasons = refusals(config)[BULK]
+        if reasons:
+            raise ValueError("the bulk engine cannot express this config "
+                             "(run it on engine='des'): "
+                             + "; ".join(reasons))
         self.cfg = config
         self.seed = seed
         self.n = config.scheme.n

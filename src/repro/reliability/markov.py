@@ -20,6 +20,7 @@ from scipy.linalg import expm
 
 from ..config import SystemConfig
 from ..redundancy.schemes import RedundancyScheme
+from .analytic import mean_hazard, mean_window
 
 
 def group_generator(scheme: RedundancyScheme, fail_rate: float,
@@ -124,61 +125,28 @@ def mttdl(scheme: RedundancyScheme, fail_rate: float,
 
 
 # --------------------------------------------------------------------- #
-# Validity envelope and config-mapped forms
+# Config-mapped forms
 # --------------------------------------------------------------------- #
-def unsupported_reasons(cfg: SystemConfig) -> tuple[str, ...]:
-    """Why the chain is *not* an exact model of ``cfg`` (empty = valid).
-
-    The chain is exact only under constant rates and independent groups;
-    the forecast service (:mod:`repro.service.cascade`) consults this
-    predicate before trusting the closed form.  Shared structural
-    restrictions (topology, placement, SMART, replacement, workload,
-    scheme family) are delegated to the window model's envelope — both
-    closed forms break on exactly those features — and the constant-rate
-    requirement is the chain's own.
-    """
-    from . import analytic
-    reasons = [r for r in analytic.unsupported_reasons(cfg)
-               if "hazard-window" not in r]
-    fm = cfg.vintage.failure_model
-    if len(fm.periods) != 1:
-        reasons.append(f"bathtub hazard with {len(fm.periods)} rate "
-                       f"periods (the chain needs one constant rate)")
-    return tuple(reasons)
-
-
-def supports(cfg: SystemConfig) -> bool:
-    """True when the chain is exact for ``cfg`` (constant-rate, flat)."""
-    return not unsupported_reasons(cfg)
-
-
-def _config_rates(cfg: SystemConfig) -> tuple[float, float]:
-    """(fail_rate, repair_rate) per block implied by a constant-rate cfg."""
-    fail_rate = float(cfg.vintage.failure_model.hazard(0.0))
-    repair_rate = 1.0 / (cfg.detection_latency
-                         + cfg.rebuild_seconds_per_block)
-    return fail_rate, repair_rate
-
-
 def p_loss_config(cfg: SystemConfig) -> float:
     """P(system data loss over the configured duration), chain-exact.
 
-    Maps a (constant-rate) :class:`SystemConfig` onto the chain: per-block
-    failure rate from the flat hazard, repair rate from detection plus one
-    block rebuild, FARM as parallel repair, independence across the
-    config's groups.  Callers should gate on :func:`supports`.
+    Maps a :class:`SystemConfig` onto the chain the way the window model
+    does: failure rate :func:`~repro.reliability.analytic.mean_hazard`,
+    repair rate one over :func:`~repro.reliability.analytic.mean_window`,
+    FARM as parallel repair, independence across the config's groups.
+    Callers gate on the markov column of
+    :mod:`repro.reliability.envelope` (constant rate, FARM, flat).
     """
-    fail_rate, repair_rate = _config_rates(cfg)
-    return p_system_loss(cfg.scheme, cfg.n_groups, fail_rate, repair_rate,
-                         cfg.duration, parallel_repair=cfg.use_farm)
+    return p_system_loss(cfg.scheme, cfg.n_groups, mean_hazard(cfg),
+                         1.0 / mean_window(cfg), cfg.duration,
+                         parallel_repair=cfg.use_farm)
 
 
 def mttdl_config(cfg: SystemConfig) -> float:
-    """System MTTDL (seconds) for a constant-rate config.
+    """System MTTDL (seconds) under :func:`p_loss_config`'s mapping.
 
     One group's expected absorption time divided by the group count —
     exact for independent exponential competing groups at first order.
     """
-    fail_rate, repair_rate = _config_rates(cfg)
-    return mttdl(cfg.scheme, fail_rate, repair_rate,
+    return mttdl(cfg.scheme, mean_hazard(cfg), 1.0 / mean_window(cfg),
                  parallel_repair=cfg.use_farm) / cfg.n_groups

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -467,8 +467,11 @@ class ReliabilitySimulation:
             rng, self.N0, horizon_age=self.duration)
 
         # Bookkeeping for recovery and replacement.
-        self._jobs_by_target: defaultdict[int, set[_Job]] = defaultdict(set)
-        self._jobs_by_group: defaultdict[int, set[_Job]] = defaultdict(set)
+        # Dicts as ordered sets: redirects follow job creation order.
+        self._jobs_by_target: defaultdict[int, dict[_Job, None]] = \
+            defaultdict(dict)
+        self._jobs_by_group: defaultdict[int, dict[_Job, None]] = \
+            defaultdict(dict)
         self._spare_for: dict[int, int] = {}
         self._unreplaced = 0
         self._probes = _TargetProbes(self.streams.get("targets"))
@@ -551,19 +554,11 @@ class ReliabilitySimulation:
         here = self.group_disks[g, rep] == disk
         return g[here], rep[here]
 
-    def _blocks_on(self, disk: int) -> Iterator[tuple[int, int]]:
-        """Yield (g, rep) of blocks currently on ``disk``."""
-        g, rep = self._static_blocks(disk)
-        yield from zip(g.tolist(), rep.tolist())
-        for g, rep in self._dynamic.get(disk, ()):
-            if self.group_disks[g, rep] == disk:
-                yield g, rep
-
     def _failing_blocks(self, disk: int) -> tuple[np.ndarray, np.ndarray]:
-        """(g, rep) arrays of the blocks on ``disk`` in :meth:`_blocks_on`
-        order, each block once: a block the index lists twice (moved
-        away and back, or rebuilt onto its own disk) counts at its first
-        entry."""
+        """(g, rep) arrays of the blocks on ``disk``: its static entries
+        in block id order, then its moved blocks in move order, each
+        block once.  A block the index lists twice (moved away and back,
+        or rebuilt onto its own disk) counts at its first entry."""
         g, rep = self._static_blocks(disk)
         moved = self._dynamic.get(disk)
         if not moved:
@@ -582,8 +577,10 @@ class ReliabilitySimulation:
     # Failure handling
     # ------------------------------------------------------------------ #
     def blocks_on(self, disk: int) -> list[tuple[int, int]]:
-        """(g, rep) of every block currently on ``disk``."""
-        return list(self._blocks_on(disk))
+        """(g, rep) of every block currently on ``disk``, each once, in
+        :meth:`_failing_blocks` order."""
+        g, rep = self._failing_blocks(disk)
+        return list(zip(g.tolist(), rep.tolist()))
 
     def on_disk_failure(self, disk: int) -> None:
         """DES callback: ``disk`` dies now (stochastic or scripted)."""
@@ -873,8 +870,8 @@ class ReliabilitySimulation:
         job = _Job(g, rep, target, failed_at, None, False)
         job.event = self.sim.schedule_at(completion, self._complete, job,
                                          name="rebuild")
-        self._jobs_by_target[target].add(job)
-        self._jobs_by_group[g].add(job)
+        self._jobs_by_target[target][job] = None
+        self._jobs_by_group[g][job] = None
         # Reserve the block on the target immediately so concurrent
         # selections cannot collectively overflow it; _complete keeps the
         # count, cancellation releases it.
@@ -1114,16 +1111,16 @@ class ReliabilitySimulation:
             job.event.cancel()
         by_target = self._jobs_by_target[job.target]
         if job in by_target:
-            by_target.discard(job)
+            del by_target[job]
             self.used_blocks[job.target] -= 1    # release the reservation
-        self._jobs_by_group[job.g].discard(job)
+        self._jobs_by_group[job.g].pop(job, None)
 
     def _complete(self, job: _Job) -> None:
         g, target = job.g, job.target
         if job.cancelled or self.lost[g]:
             return
-        self._jobs_by_target[target].discard(job)
-        self._jobs_by_group[g].discard(job)
+        self._jobs_by_target[target].pop(job, None)
+        self._jobs_by_group[g].pop(job, None)
         if not self.alive[target] or (
                 target in self.group_disks[g].tolist()
                 and self.policy.forbid_buddy):
@@ -1337,7 +1334,7 @@ class ReliabilitySimulation:
         tele = self.telemetry
         # Readers first, while the disk still counts as readable.
         readers: dict[int, list[_Job]] = {}
-        for g, _ in self._blocks_on(disk):
+        for g, _ in self.blocks_on(disk):
             jobs = self._jobs_by_group.get(g)
             if jobs and g not in readers and not self.lost[g] \
                     and disk in self._sources(g):
@@ -1409,7 +1406,7 @@ class ReliabilitySimulation:
         if not self.alive[disk]:
             return None
         errors = self.latent.get(disk, {})
-        candidates = [b for b in self._blocks_on(disk) if b not in errors]
+        candidates = [b for b in self.blocks_on(disk) if b not in errors]
         if not candidates:
             return None
         self._hooked = True
@@ -1650,14 +1647,14 @@ class ReliabilitySimulation:
 
         # Recreate in-flight rebuilds (reservations are already inside the
         # captured used_blocks) and pending detect/redirect events.
-        self._jobs_by_target = defaultdict(set)
-        self._jobs_by_group = defaultdict(set)
+        self._jobs_by_target = defaultdict(dict)
+        self._jobs_by_group = defaultdict(dict)
         for g, rep, target, failed_at, completion in state.jobs:
             job = _Job(g, rep, target, failed_at, None, False)
             job.event = self.sim.schedule_at(completion, self._complete,
                                              job, name="rebuild")
-            self._jobs_by_target[target].add(job)
-            self._jobs_by_group[g].add(job)
+            self._jobs_by_target[target][job] = None
+            self._jobs_by_group[g][job] = None
         for due, g, rep, failed_at, origin in state.detects:
             self.sim.schedule_at(due, self._start_rebuild, g, rep,
                                  failed_at, origin, name="detect")

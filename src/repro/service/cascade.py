@@ -1,19 +1,18 @@
 """Layered estimator cascade: cheapest valid answer first.
 
-Tier order, each gated by an explicit validity predicate:
+Tier order; the envelope table (:mod:`repro.reliability.envelope`)
+gates the markov, analytic and bulk tiers in one pass:
 
-1. ``markov`` — exact CTMC closed form
-   (:func:`repro.reliability.markov.supports`): constant rates, flat
-   topology.  Degenerate interval — the chain *is* the model's truth.
-2. ``analytic`` — first-order window model
-   (:func:`repro.reliability.analytic.supports`); the interval is the
+1. ``markov`` — exact CTMC closed form: one constant hazard rate, FARM
+   recovery, flat topology.  Degenerate interval — the chain *is* the
+   model's truth.
+2. ``analytic`` — first-order window model; the interval is the
    model's own truncation bound (relative O(hW)), not sampling noise.
 3. ``surrogate`` — multilinear interpolation over precomputed grids
    (:class:`repro.service.surrogate.GridStore`), refusing extrapolation.
 4. ``live-bulk`` / ``live-des`` — Monte-Carlo on the persistent pool;
-   the vectorized bulk engine where
-   :func:`~repro.reliability.bulk.bulk_unsupported_reasons` is empty,
-   the DES engine otherwise.  Evidence accumulates in the
+   the vectorized bulk engine where the table admits it, the DES engine
+   otherwise.  Evidence accumulates in the
    content-addressed cache across background refinement rounds, each
    round seeded from ``(digest, round)`` so counts never double-count
    and a restarted server reproduces the same trajectory.
@@ -32,13 +31,14 @@ from ..availability.luby import (InfeasibleConfig, check_feasible,
                                  repair_utilization)
 from ..config import SystemConfig, config_digest
 from ..reliability import analytic, markov
-from ..reliability.bulk import bulk_unsupported_reasons
+from ..reliability.envelope import (ANALYTIC, BULK, MARKOV, hazard_window,
+                                    refusals)
 from ..reliability.montecarlo import estimate_p_loss_async
 from ..reliability.runner import SweepRunner
 from ..reliability.stats import Proportion
 from ..sim.rng import stable_hash64
 from .cache import CacheEntry, ForecastCache
-from .surrogate import GridStore
+from .surrogate import GridStore, SurrogateGrid
 
 #: Tier names, cheap to expensive (response ``tier`` field values).
 TIER_MARKOV = "markov"
@@ -106,25 +106,31 @@ class ForecastCascade:
     # ------------------------------------------------------------------ #
     def classify(self, cfg: SystemConfig) -> tuple[str, str]:
         """(tier, detail) the cascade would answer this config from."""
-        if markov.supports(cfg):
-            return TIER_MARKOV, "exact CTMC closed form (constant rates)"
-        if analytic.supports(cfg):
-            return TIER_ANALYTIC, "first-order window model (in envelope)"
+        return self._route(cfg)[:2]
+
+    def _route(self, cfg: SystemConfig
+               ) -> tuple[str, str, SurrogateGrid | None]:
+        """:meth:`classify` plus the covering grid (surrogate tier)."""
+        refused = refusals(cfg)
+        if not refused[MARKOV]:
+            return TIER_MARKOV, "exact CTMC closed form (constant rates)", None
+        if not refused[ANALYTIC]:
+            return (TIER_ANALYTIC, "first-order window model (in envelope)",
+                    None)
         grid = self.grids.lookup(cfg)
         if grid is not None:
-            return TIER_SURROGATE, f"multilinear over grid {grid.name!r}"
-        reasons = bulk_unsupported_reasons(cfg)
-        if not reasons:
-            return TIER_LIVE_BULK, "vectorized bulk Monte-Carlo"
-        return TIER_LIVE_DES, ("discrete-event Monte-Carlo (bulk "
-                               "refused: " + "; ".join(reasons) + ")")
+            return TIER_SURROGATE, f"multilinear over grid {grid.name!r}", grid
+        if not refused[BULK]:
+            return TIER_LIVE_BULK, "vectorized bulk Monte-Carlo", None
+        return TIER_LIVE_DES, ("discrete-event Monte-Carlo (bulk refused: "
+                               + "; ".join(refused[BULK]) + ")"), None
 
     async def forecast(self, cfg: SystemConfig,
                        confidence: float = 0.95) -> Forecast:
         """Answer one query; live-tier misses run one round of MC."""
         check_feasible(cfg)
         digest = config_digest(cfg)
-        tier, detail = self.classify(cfg)
+        tier, detail, grid = self._route(cfg)
         if tier == TIER_MARKOV:
             p = markov.p_loss_config(cfg)
             return Forecast(
@@ -134,7 +140,7 @@ class ForecastCascade:
                 mttdl_s=markov.mttdl_config(cfg))
         if tier == TIER_ANALYTIC:
             p = analytic.p_loss(cfg)
-            rel = analytic.mean_hazard(cfg) * analytic.mean_window(cfg)
+            rel = hazard_window(cfg)
             return Forecast(
                 digest=digest, tier=tier,
                 detail=f"{detail}; truncation bound +/-{rel:.2g} rel",
@@ -143,8 +149,7 @@ class ForecastCascade:
                                   hi=min(1.0, p * (1.0 + rel)),
                                   confidence=confidence),
                 mttdl_s=analytic.mttdl_estimate(cfg))
-        if tier == TIER_SURROGATE:
-            grid = self.grids.lookup(cfg)
+        if grid is not None:
             prop = grid.proportion(cfg, confidence)
             return Forecast(
                 digest=digest, tier=tier,

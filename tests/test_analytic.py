@@ -9,6 +9,8 @@ from repro.redundancy import ECC_4_6, MIRROR_3, RAID5_4_5
 from repro.reliability import analytic
 from repro.reliability import (expected_disk_failures, mean_window, p_loss,
                                p_loss_window_model)
+from repro.reliability.envelope import (ANALYTIC, MAX_HAZARD_WINDOW,
+                                        hazard_window, refusals)
 from repro.units import GB, PB
 
 
@@ -86,11 +88,11 @@ class TestPaperShapes:
 
 
 class TestValidityEnvelope:
-    """supports()/unsupported_reasons(): the model refuses what it can't."""
+    """The envelope table's analytic column: the model refuses what it
+    can't express."""
 
     def test_paper_base_supported(self):
-        assert analytic.supports(PAPER_BASE)
-        assert analytic.unsupported_reasons(PAPER_BASE) == ()
+        assert refusals(PAPER_BASE)[ANALYTIC] == ()
 
     @pytest.mark.parametrize("kw, fragment", [
         ({"racks": 4, "machines_per_rack": 10}, "topology"),
@@ -102,8 +104,7 @@ class TestValidityEnvelope:
     ])
     def test_refusal_reasons(self, kw, fragment):
         cfg = PAPER_BASE.with_(**kw)
-        assert not analytic.supports(cfg)
-        assert any(fragment in r for r in analytic.unsupported_reasons(cfg))
+        assert any(fragment in r for r in refusals(cfg)[ANALYTIC])
 
     def test_refuses_outside_first_order_envelope(self):
         """A huge hazard-window product breaks the first-order truncation.
@@ -114,10 +115,8 @@ class TestValidityEnvelope:
         cfg = PAPER_BASE.with_(
             detection_latency=2e6,
             vintage=PAPER_BASE.vintage.with_rate_multiplier(100.0))
-        hw = analytic.mean_hazard(cfg) * analytic.mean_window(cfg)
-        assert hw > analytic.MAX_HAZARD_WINDOW
-        reasons = analytic.unsupported_reasons(cfg)
-        assert any("hazard-window" in r for r in reasons)
+        assert hazard_window(cfg) > MAX_HAZARD_WINDOW
+        assert any("hazard-window" in r for r in refusals(cfg)[ANALYTIC])
 
     def test_mttdl_consistent_with_p_loss(self):
         """For t << MTTDL, p ~ t / MTTDL (thinned-Poisson identity)."""

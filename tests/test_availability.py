@@ -665,22 +665,19 @@ class TestLazyMarkov:
         assert 0 < p1 < p2 < 1
 
     def test_analytic_envelopes_exclude_lazy_configs(self):
-        from repro.reliability import analytic, markov
-        cfg = lazy_cfg(recovery_threshold=2)
-        assert any("lazy recovery" in r
-                   for r in analytic.unsupported_reasons(cfg))
-        assert any("lazy recovery" in r
-                   for r in markov.unsupported_reasons(cfg))
+        from repro.reliability.envelope import ANALYTIC, MARKOV, refusals
+        refused = refusals(lazy_cfg(recovery_threshold=2))
+        assert any("lazy recovery" in r for r in refused[ANALYTIC])
+        assert any("lazy recovery" in r for r in refused[MARKOV])
         assert not any("lazy recovery" in r
-                       for r in analytic.unsupported_reasons(lazy_cfg()))
+                       for r in refusals(lazy_cfg())[ANALYTIC])
 
     def test_bulk_engine_excludes_lazy_configs(self):
-        from repro.reliability.bulk import bulk_unsupported_reasons
-        assert any(
-            "lazy recovery" in r for r in
-            bulk_unsupported_reasons(lazy_cfg(recovery_threshold=2)))
+        from repro.reliability.envelope import BULK, refusals
+        assert any("lazy recovery" in r for r in
+                   refusals(lazy_cfg(recovery_threshold=2))[BULK])
         assert not any("lazy recovery" in r
-                       for r in bulk_unsupported_reasons(lazy_cfg()))
+                       for r in refusals(lazy_cfg())[BULK])
 
     @pytest.mark.slow
     def test_simulated_lazy_losses_bracketed_by_chains(self):

@@ -34,8 +34,7 @@ from repro.reliability.bulk import (BulkLifetime, bulk_aggregate,
                                     run_bulk_lifetime,
                                     sample_failed_block_sections,
                                     sample_members_capped,
-                                    sample_members_flat,
-                                    validate_bulk_config)
+                                    sample_members_flat)
 from repro.reliability.montecarlo import estimate_p_loss
 from repro.reliability.stats import wilson_interval
 from repro.sim.rng import RandomStreams
@@ -312,19 +311,19 @@ class TestDeterminism:
 
 class TestModelGating:
     def test_accepts_the_golden_scenario(self):
-        validate_bulk_config(gold_cfg())
-        validate_bulk_config(gold_cfg(use_farm=False))
+        BulkLifetime(gold_cfg())
+        BulkLifetime(gold_cfg(use_farm=False))
 
     @pytest.mark.parametrize("kw, fragment", [
         (dict(scheme=MirroredParity(2)), "set-based"),
-        (dict(replacement_threshold=4), "replacement"),
+        (dict(replacement_threshold=0.05), "replacement"),
         (dict(use_smart=True), "SMART"),
         (dict(workload_peak_load=0.5), "workload"),
         (dict(placement="rush"), "placement"),
     ])
     def test_rejects_inexpressible_features(self, kw, fragment):
         with pytest.raises(ValueError, match=fragment):
-            validate_bulk_config(gold_cfg(**kw))
+            BulkLifetime(gold_cfg(**kw))
 
     def test_runner_rejects_bulk_tilt(self):
         with pytest.raises(ValueError, match="tilt"):

@@ -1,13 +1,15 @@
 """Tests for SystemConfig (repro.config) — Table 2 geometry."""
 
 import json
+from dataclasses import fields, replace
 
 import pytest
 
 from repro.config import (CONFIG_SCHEMA, PAPER_BASE, SystemConfig,
                           canonical_config_json, config_digest,
                           config_from_dict, config_to_dict)
-from repro.redundancy import ECC_8_10, MIRROR_2, MIRROR_3
+from repro.disks.failure import BathtubFailureModel, RatePeriod
+from repro.redundancy import ECC_8_10, MIRROR_2, MIRROR_3, RAID5_4_5
 from repro.units import GB, MB, PB, TB, YEAR
 
 
@@ -174,3 +176,27 @@ class TestCanonicalSerialization:
         assert d["vintage"]["failure_model"]["periods"][-1]["end_months"] \
             is None
         assert config_from_dict(d).vintage == PAPER_BASE.vintage
+
+    def test_digests_of_earlier_versions_hold(self):
+        """Digests written by earlier versions (cache journal keys) stay
+        valid: keys, values and key order of the canonical dict."""
+        racked = SystemConfig(
+            total_user_bytes=10 * TB, group_user_bytes=50 * GB,
+            scheme=RAID5_4_5, use_farm=False, detection_latency=77.7,
+            racks=5, machines_per_rack=2, max_chunks_per_domain=1,
+            replacement_threshold=0.05, placement="rush")
+        lazy_smart = PAPER_BASE.with_(
+            scheme=MIRROR_3, duration=2 * YEAR, recovery_threshold=2,
+            repair_bandwidth_fraction=0.05, use_smart=True,
+            smart_warning_horizon=3600.0, workload_peak_load=0.25,
+            vintage=replace(PAPER_BASE.vintage,
+                            failure_model=BathtubFailureModel(
+                                (RatePeriod(0.0, float("inf"), 0.5),),
+                                rate_multiplier=2.0)))
+        assert config_digest(PAPER_BASE) == \
+            "09b1420d2fc83d7f62b4c56c213268a0"
+        assert config_digest(racked) == "f8a563b35e3b91e5a3a0ce34fad83d0a"
+        assert config_digest(lazy_smart) == \
+            "8761764467e0a44d7e4e66cb9667b9f2"
+        assert list(config_to_dict(racked)) == \
+            ["schema"] + [f.name for f in fields(SystemConfig)]

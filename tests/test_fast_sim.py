@@ -32,7 +32,7 @@ class TestConstruction:
 
     def test_block_index_covers_all_blocks(self):
         sim = ReliabilitySimulation(cfg(), seed=1)
-        total = sum(len(list(sim._blocks_on(d))) for d in range(sim.N0))
+        total = sum(len(sim.blocks_on(d)) for d in range(sim.N0))
         assert total == sim.group_disks.size
 
     def test_rush_placement_option(self):
@@ -108,7 +108,7 @@ class TestRunOutcomes:
         # used_blocks on dead disks is stale by design; live counts match
         expected = sum(
             1 for d in range(sim.total_disks) if alive_mask[d]
-            for _ in sim._blocks_on(d))
+            for _ in sim.blocks_on(d))
         assert counted >= expected      # allocation never under-counts
 
 

@@ -121,7 +121,7 @@ def run_overflow_spare() -> tuple[list[int], int, dict]:
     sim = ReliabilitySimulation(config, seed=5)
     g = 0
     origin, buddy = (int(d) for d in sim.group_disks[g, :2])
-    h = next(hg for hg, _ in sim._blocks_on(buddy) if hg != g)
+    h = next(hg for hg, _ in sim.blocks_on(buddy) if hg != g)
     h_rep = next(r for r, d in enumerate(sim.group_disks[h].tolist())
                  if d != buddy)
     sim._spare_for[origin] = buddy
@@ -588,6 +588,19 @@ def test_outage_death_pin():
     result = run_outage_death()
     assert result[1] > 0        # the dying disk held rebuilt blocks
     assert result == PINS["outage-death"]
+
+
+def test_blocks_on_lists_each_block_once():
+    """A static block the index also lists as moved (a block with a
+    latent error rebuilt onto its own disk) is listed once, so
+    ``corrupt_block`` draws it with the weight of any other block."""
+    config, seed = LIFETIMES["farm"]
+    sim = ReliabilitySimulation(config, seed=seed)
+    disk = 3
+    static = sim.blocks_on(disk)
+    assert len(static) == 29
+    sim._dynamic[disk].append(static[0])
+    assert sim.blocks_on(disk) == static
 
 
 def test_repeated_index_entries_fail_each_block_once():

@@ -7,10 +7,11 @@ import pytest
 
 from repro.config import PAPER_BASE
 from repro.disks.failure import BathtubFailureModel, RatePeriod
-from repro.redundancy import ECC_4_6, MIRROR_2, MIRROR_3
+from repro.redundancy import ECC_4_6, MIRROR_2, MIRROR_3, RAID5_4_5
 from repro.reliability import (analytic, group_generator, markov, mttdl,
                                p_group_loss, p_system_loss)
-from repro.units import HOUR, YEAR
+from repro.reliability.envelope import ANALYTIC, MARKOV, refusals
+from repro.units import HOUR, TB, YEAR
 
 LAM = 1e-6 / HOUR        # per-disk failure rate
 MU = 1.0 / (655.0)       # per-block repair rate (FARM-like window)
@@ -119,27 +120,28 @@ def _flat_rate_config(**overrides):
 
 
 class TestConfigMapped:
-    """supports()/p_loss_config(): the chain refuses non-constant rates."""
+    """The envelope table's markov column and p_loss_config(): the chain
+    refuses non-constant rates."""
 
     def test_paper_base_refused_bathtub(self):
         """The paper's 4-period bathtub is not a constant rate."""
-        assert not markov.supports(PAPER_BASE)
         assert any("rate period" in r
-                   for r in markov.unsupported_reasons(PAPER_BASE))
+                   for r in refusals(PAPER_BASE)[MARKOV])
 
     def test_flat_rate_supported(self):
-        assert markov.supports(_flat_rate_config())
+        assert refusals(_flat_rate_config())[MARKOV] == ()
 
     def test_structural_refusals_shared_with_analytic(self):
         for kw in ({"use_smart": True}, {"racks": 2},
                    {"placement": "rush"}, {"workload_peak_load": 0.5}):
-            assert not markov.supports(_flat_rate_config(**kw))
+            refused = refusals(_flat_rate_config(**kw))
+            assert refused[MARKOV] and refused[MARKOV] == refused[ANALYTIC]
 
     def test_hazard_window_not_a_markov_concern(self):
         """The chain is exact at any rate — no first-order truncation."""
         hot = _flat_rate_config().with_(
             vintage=_flat_rate_config().vintage.with_rate_multiplier(500.0))
-        assert markov.supports(hot)
+        assert refusals(hot)[MARKOV] == ()
 
     def test_p_loss_config_matches_direct_chain(self):
         cfg = _flat_rate_config()
@@ -147,7 +149,40 @@ class TestConfigMapped:
         mu = 1.0 / (cfg.detection_latency + cfg.rebuild_seconds_per_block)
         direct = p_system_loss(cfg.scheme, cfg.n_groups, lam, mu,
                                cfg.duration)
-        assert markov.p_loss_config(cfg) == pytest.approx(direct)
+        assert markov.p_loss_config(cfg) == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("scheme, pct, p_loss, mttdl_s", [
+        (MIRROR_2, 0.5, 0.004773316730729449, 39572627086.18746),
+        (MIRROR_3, 0.5, 6.529221607820546e-09, 2.899989616651958e+16),
+        (RAID5_4_5, 0.5, 0.013513380717976142, 13916810924.529829),
+        (ECC_4_6, 0.5, 1.0558220853162936e-08, 1.793166709788206e+16),
+        (MIRROR_2, 0.2, 0.01519458968745413, 12366425717.21657),
+    ])
+    def test_farm_answers_kept(self, scheme, pct, p_loss, mttdl_s):
+        """FARM answers of the one-block-rebuild mapping this one
+        replaced (100 TB at 0.5 %/1000 h, and PAPER_BASE at 0.2 %).  The
+        failure rate is now the mean hazard, one ulp from the flat rate;
+        the MTTDL solve amplifies that to ~1e-10 for tolerance 2."""
+        flat = BathtubFailureModel((RatePeriod(0.0, float("inf"), pct),))
+        cfg = PAPER_BASE.with_(
+            scheme=scheme,
+            vintage=replace(PAPER_BASE.vintage, failure_model=flat))
+        if pct == 0.5:
+            cfg = cfg.with_(total_user_bytes=100 * TB)
+        assert markov.p_loss_config(cfg) == pytest.approx(p_loss, rel=1e-12)
+        assert markov.mttdl_config(cfg) == pytest.approx(mttdl_s, rel=1e-9)
+
+    def test_traditional_maps_through_the_mean_window(self):
+        """Both modes use the window model's rates: a traditional
+        config's repair rate is one over its queued mean window."""
+        cfg = _flat_rate_config(use_farm=False)
+        direct = p_system_loss(cfg.scheme, cfg.n_groups,
+                               analytic.mean_hazard(cfg),
+                               1.0 / analytic.mean_window(cfg),
+                               cfg.duration, parallel_repair=False)
+        assert markov.p_loss_config(cfg) == direct
+        assert markov.p_loss_config(cfg) > 10 * markov.p_loss_config(
+            _flat_rate_config())
 
     def test_config_mttdl_close_to_analytic(self):
         """Two independent closed forms agree at first order."""
