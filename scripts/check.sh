@@ -68,7 +68,7 @@ step "bulk conformance suite (incl. slow CI-overlap tests)" \
   python -m pytest tests/test_bulk.py -q -m "slow or not slow"
 step "availability conformance suite (incl. slow lazy-policy brackets)" \
   python -m pytest tests/test_availability.py -q -m "slow or not slow"
-optional_step "ruff" ruff python -m ruff check src tests examples benchmarks
+optional_step "ruff" ruff python -m ruff check src tests examples
 optional_step "mypy" mypy python -m mypy
 step "fault-injection tests" python -m pytest tests/test_faults.py tests/test_fault_scenarios.py -q
 step "tier-1 tests" python -m pytest -x -q

@@ -10,8 +10,9 @@ import ast
 
 from .base import FileContext, Rule, dotted_name, register
 
-#: Directories where a swallowed exception can hide a degraded group.
-GUARDED_DIRS = frozenset({"cluster", "reliability"})
+#: Directories where a swallowed exception can hide a degraded group or
+#: a failing service.
+GUARDED_DIRS = frozenset({"cluster", "reliability", "service"})
 
 #: A call whose dotted name contains one of these accounts for the event.
 ACCOUNTING_TOKENS = ("stats", "trace", "record", "defer", "log", "warn",
@@ -20,8 +21,8 @@ ACCOUNTING_TOKENS = ("stats", "trace", "record", "defer", "log", "warn",
 
 @register
 class SilentExceptionSwallow(Rule):
-    """RPR009 — no silent exception swallows in ``cluster/`` or
-    ``reliability/``."""
+    """RPR009 — no silent exception swallows in ``cluster/``,
+    ``reliability/`` or ``service/``."""
 
     id = "RPR009"
     summary = ("silent exception swallow in recovery code; count, trace, "

@@ -32,6 +32,9 @@ class WindowModel:
     expected_disk_failures: float
     blocks_per_disk: float
     mean_window: float
+    #: mean hazard times mean window: the expansion variable, and the
+    #: estimate's relative truncation error.
+    hazard_window: float
     per_block_loss: float
     per_failure_loss: float
     p_loss: float
@@ -82,7 +85,7 @@ def p_loss_window_model(cfg: SystemConfig) -> WindowModel:
     p = 1.0 - math.exp(-failures * per_failure)
     return WindowModel(expected_disk_failures=failures,
                        blocks_per_disk=blocks, mean_window=w,
-                       per_block_loss=per_block,
+                       hazard_window=hw, per_block_loss=per_block,
                        per_failure_loss=per_failure, p_loss=p)
 
 
@@ -91,14 +94,17 @@ def p_loss(cfg: SystemConfig) -> float:
     return p_loss_window_model(cfg).p_loss
 
 
-def mttdl_estimate(cfg: SystemConfig) -> float:
+def mttdl_estimate(cfg: SystemConfig,
+                   model: WindowModel | None = None) -> float:
     """First-order mean time to (system) data loss, in seconds.
 
     Loss events arrive as a thinned failure process at rate
     ``expected_disk_failures * per_failure_loss / duration``; the MTTDL
     is its reciprocal (``inf`` when the model predicts no loss at all).
+    ``model`` is ``p_loss_window_model(cfg)`` when the caller has it.
     """
-    model = p_loss_window_model(cfg)
+    if model is None:
+        model = p_loss_window_model(cfg)
     rate = model.expected_disk_failures * model.per_failure_loss \
         / cfg.duration
     if rate <= 0.0:

@@ -9,7 +9,7 @@ instead submits **every** ``(point, run)`` lifetime as an independent task
 to one process pool that persists across all points of a sweep (and across
 sweeps within the process), so the pool stays saturated end to end.
 
-Three guarantees:
+Four guarantees:
 
 * **Determinism** — run ``i`` of every point uses the seed
   ``stable_hash64(base_seed, "mc-run", i)``, the exact schedule the serial
@@ -20,6 +20,12 @@ Three guarantees:
   into a :class:`StatsAggregate` (counts, window sum/max, Welford moments)
   as they arrive; a sweep no longer retains one stats object per run
   unless the caller opts in with ``keep_run_stats=True``.
+* **A dead worker breaks only its own sweep** — a worker process that
+  dies breaks the pool and every pending task.  The runner then shuts
+  that pool down and resubmits the tasks not yet folded to a fresh one,
+  once; seeds fix every result, so the aggregates stay bit-identical.
+  If the fresh pool breaks too, the call raises, and the next call
+  still starts on a working pool.
 * **Perf summary** — each :meth:`SweepRunner.run_points` call leaves
   wall time, events fired, runs/s and per-point timings on
   :attr:`SweepRunner.last_record`, in memory only; the runner writes no
@@ -39,6 +45,7 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -55,11 +62,6 @@ from .stats import WeightedAggregate
 #: direct wall-clock *calls* out of simulation logic, and this alias is
 #: the one sanctioned, swappable measurement point).
 _WALL_CLOCK: Callable[[], float] = time.perf_counter
-
-#: Cap on queued-but-unsubmitted task batching: every task is submitted
-#: up front (sweeps are at most a few thousand lifetimes), but completions
-#: are drained in waves of this size to bound reorder-buffer growth.
-_DRAIN_WAVE = 256
 
 
 def seed_schedule(base_seed: int, n_runs: int) -> list[int]:
@@ -209,9 +211,6 @@ class _LifetimeTask:
     telemetry: TelemetryConfig | None = None
     #: hazard log-multiplier for importance sampling (0.0 = untilted).
     tilt: float = 0.0
-    #: lifetime engine: "des" (flat-array DES) or "bulk" (vectorized
-    #: window-overlap model, see :mod:`repro.reliability.bulk`).
-    engine: str = "des"
 
 
 @dataclass(frozen=True)
@@ -250,17 +249,13 @@ def _run_bulk_chunk(task: _BulkBatchTask
 def _run_lifetime(task: _LifetimeTask
                   ) -> tuple[int, int, RecoveryStats, int, float,
                              dict | None]:
-    """Execute one lifetime.
+    """Execute one DES lifetime.
 
     Returns ``(point, index, stats, events, secs, snapshot)`` where
     ``snapshot`` is the run's telemetry snapshot (a plain dict, so it
     pickles across the pool boundary) or ``None`` when unobserved.
     """
     t0 = _WALL_CLOCK()
-    if task.engine == "bulk":
-        from .bulk import BulkLifetime
-        stats = BulkLifetime(task.config, seed=task.seed).run()
-        return (task.point, task.index, stats, 0, _WALL_CLOCK() - t0, None)
     telemetry = (Telemetry(task.telemetry)
                  if task.telemetry is not None else None)
     failure_draw = None
@@ -304,6 +299,44 @@ def shutdown_pool() -> None:
         _POOL.shutdown(wait=True)
         _POOL = None
         _POOL_WORKERS = 0
+
+
+def _drain(workers: int, jobs: Sequence[tuple[Callable, Any]],
+           on_done: Callable[[int, Future], None]) -> None:
+    """Run every ``(fn, arg)`` job on the shared pool; call
+    ``on_done(index, future)`` once per job, in completion order.
+
+    A dead worker breaks the pool and fails every pending future with
+    :class:`BrokenProcessPool`.  The broken pool is then shut down and
+    the jobs not yet handed to ``on_done`` go to a fresh pool, once; a
+    second break shuts that pool down too and raises.  If ``on_done``
+    raises, the pending futures are cancelled.
+    """
+    left = set(range(len(jobs)))
+    for attempt in range(2):
+        pool = shared_pool(workers)
+        futures: dict[Future, int] = {}
+        try:
+            for k in sorted(left):
+                fn, arg = jobs[k]
+                futures[pool.submit(fn, arg)] = k
+            while futures:
+                done, _ = wait(futures, return_when=FIRST_COMPLETED)
+                for fut in done:
+                    exc = fut.exception()
+                    if isinstance(exc, BrokenProcessPool):
+                        raise exc
+                    k = futures.pop(fut)
+                    left.discard(k)
+                    on_done(k, fut)
+            return
+        except BrokenProcessPool:
+            shutdown_pool()
+            if attempt:
+                raise
+        finally:
+            for fut in futures:
+                fut.cancel()
 
 
 # --------------------------------------------------------------------- #
@@ -409,7 +442,8 @@ class SweepRunner:
         surviving runs still fold in run-index order, so the aggregate
         stays order-stable.  For a parallel bulk point the drop is
         chunk-granular: every run of the chunk containing the failing
-        lifetime is skipped.
+        lifetime is skipped.  A dead worker process fails no run: its
+        pool's unfolded tasks rerun on a fresh pool, once.
         """
         if n_runs <= 0:
             raise ValueError("n_runs must be positive")
@@ -482,7 +516,13 @@ class SweepRunner:
         items = list(items)
         if self.workers <= 1 or len(items) <= 1:
             return [fn(item) for item in items]
-        return list(shared_pool(self.workers).map(fn, items))
+        results: list[Any] = [None] * len(items)
+
+        def keep(k: int, fut: Future) -> None:
+            results[k] = fut.result()
+
+        _drain(self.workers, [(fn, item) for item in items], keep)
+        return results
 
     # ------------------------------------------------------------------ #
     def _fold(self, outcome: PointOutcome, payload: tuple,
@@ -527,8 +567,7 @@ class SweepRunner:
                 try:
                     payload = _run_lifetime(
                         _LifetimeTask(p, i, point.config, seed,
-                                      self.telemetry, point.tilt,
-                                      point.engine))
+                                      self.telemetry, point.tilt))
                 except Exception:
                     if on_error != "skip":
                         raise
@@ -540,28 +579,25 @@ class SweepRunner:
     def _run_parallel(self, points: Sequence[PointSpec], seeds: list[int],
                       outcomes: list[PointOutcome], keep_run_stats: bool,
                       t0: float, on_error: str) -> None:
-        pool = shared_pool(self.workers)
         # DES points submit one task per run; bulk points submit chunks
         # of _BULK_CHUNK runs (sub-millisecond lifetimes would otherwise
-        # drown in task overhead).  The futures value is ``(point, first
-        # run index, chunk length)`` with length 0 marking a single task.
-        futures: dict[Future, tuple[int, int, int]] = {}
+        # drown in task overhead).  ``keys[k]`` is job k's ``(point,
+        # first run index, chunk length)``, length 0 marking a single task.
+        jobs: list[tuple[Callable, Any]] = []
+        keys: list[tuple[int, int, int]] = []
         for p, point in enumerate(points):
             if point.engine == "bulk":
                 for lo in range(0, len(seeds), _BULK_CHUNK):
                     chunk = tuple(seeds[lo:lo + _BULK_CHUNK])
-                    fut = pool.submit(
-                        _run_bulk_chunk,
-                        _BulkBatchTask(p, lo, point.config, chunk))
-                    futures[fut] = (p, lo, len(chunk))
+                    jobs.append((_run_bulk_chunk,
+                                 _BulkBatchTask(p, lo, point.config, chunk)))
+                    keys.append((p, lo, len(chunk)))
             else:
                 for i, seed in enumerate(seeds):
-                    fut = pool.submit(
-                        _run_lifetime,
-                        _LifetimeTask(p, i, point.config, seed,
-                                      self.telemetry, point.tilt,
-                                      point.engine))
-                    futures[fut] = (p, i, 0)
+                    jobs.append((_run_lifetime,
+                                 _LifetimeTask(p, i, point.config, seed,
+                                               self.telemetry, point.tilt)))
+                    keys.append((p, i, 0))
         # Per-point reorder buffers: fold strictly in run-index order so
         # float reductions (and telemetry merges) are bit-identical to
         # the serial path.  ``None`` marks a run skipped after an error
@@ -569,38 +605,37 @@ class SweepRunner:
         buffers: list[dict[int, tuple | None]] = [{} for _ in points]
         next_index = [0] * len(points)
         n_runs = len(seeds)
-        while futures:
-            done, _ = wait(futures, return_when=FIRST_COMPLETED)
-            for fut in done:
-                p, i, count = futures.pop(fut)
-                try:
-                    result = fut.result()
-                except Exception:
-                    if on_error != "skip":
-                        for pending in futures:
-                            pending.cancel()
-                        raise
-                    for k in range(max(count, 1)):
-                        buffers[p][i + k] = None
-                    continue
+
+        def fold(k: int, fut: Future) -> None:
+            p, i, count = keys[k]
+            try:
+                result = fut.result()
+            except Exception:
+                if on_error != "skip":
+                    raise
+                for j in range(max(count, 1)):
+                    buffers[p][i + j] = None
+            else:
                 if count:
                     _, start, chunk_stats, secs = result
                     per_run = secs / len(chunk_stats)
-                    for k, stats in enumerate(chunk_stats):
-                        buffers[p][start + k] = (p, start + k, stats, 0,
+                    for j, stats in enumerate(chunk_stats):
+                        buffers[p][start + j] = (p, start + j, stats, 0,
                                                  per_run, None)
                 else:
                     buffers[p][i] = result
-            for p, buffer in enumerate(buffers):
-                while next_index[p] in buffer:
-                    payload = buffer.pop(next_index[p])
-                    if payload is None:
-                        outcomes[p].runs_failed += 1
-                    else:
-                        self._fold(outcomes[p], payload, keep_run_stats)
-                    next_index[p] += 1
-                    if next_index[p] == n_runs:
-                        outcomes[p].completed_at_s = _WALL_CLOCK() - t0
+            buffer = buffers[p]
+            while next_index[p] in buffer:
+                payload = buffer.pop(next_index[p])
+                if payload is None:
+                    outcomes[p].runs_failed += 1
+                else:
+                    self._fold(outcomes[p], payload, keep_run_stats)
+                next_index[p] += 1
+                if next_index[p] == n_runs:
+                    outcomes[p].completed_at_s = _WALL_CLOCK() - t0
+
+        _drain(self.workers, jobs, fold)
 
     # ------------------------------------------------------------------ #
     def _record(self, sweep_name: str, outcomes: list[PointOutcome],

@@ -9,8 +9,8 @@ client, none of which need keep-alive).  Routes:
 * ``GET  /forecast/<key>``  — re-read a cached live answer by digest;
 * ``GET  /healthz``         — liveness;
 * ``GET  /metrics``         — Prometheus text (request counters,
-  per-tier latency histograms and the evidence journal's skipped-line
-  gauge via the repro telemetry exporter).
+  per-tier latency histograms, client disconnects and the evidence
+  journal's skipped-line gauge via the repro telemetry exporter).
 
 Between requests a background task drains the refinement queue: the
 widest cached confidence interval gets one more Monte-Carlo round, so
@@ -67,6 +67,10 @@ class ForecastService:
         self._server: asyncio.base_events.Server | None = None
         self._refine_task: asyncio.Task | None = None
         self._refined = asyncio.Event()
+        self._disconnects = self.registry.counter(
+            "service_client_disconnects_total",
+            help="clients gone before their request was read or their "
+                 "response written")
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -85,9 +89,10 @@ class ForecastService:
     async def stop(self) -> None:
         if self._refine_task is not None:
             self._refine_task.cancel()
+            # The CancelledError is the cancellation just requested.
             try:
                 await self._refine_task
-            except asyncio.CancelledError:
+            except asyncio.CancelledError:  # repro: noqa RPR009
                 pass
             self._refine_task = None
         if self._server is not None:
@@ -146,6 +151,7 @@ class ForecastService:
         except ForecastError as exc:
             status, payload = exc.status, {"error": exc.message}
         except (asyncio.IncompleteReadError, ConnectionError):
+            self._disconnects.inc()
             writer.close()
             return
         except Exception as exc:   # a crashed estimator is a 500, not EOF
@@ -196,7 +202,7 @@ class ForecastService:
             writer.write(head + body)
             await writer.drain()
         except ConnectionError:
-            pass
+            self._disconnects.inc()
         finally:
             writer.close()
 

@@ -15,7 +15,8 @@ bounded LRU — eviction forgets the *fast path*, never the evidence,
 which reloads from the journal on the next miss.
 
 A crash can leave a torn last line.  Loading skips (and counts) lines
-that yield no record, the first append after loading a torn tail starts
+that yield no record, a missing journal is an empty one (any other
+read error propagates), the first append after loading a torn tail starts
 on a fresh line, and compaction writes a sibling file and renames it
 over the journal, so a crash mid-compaction leaves the old journal
 intact.
@@ -73,17 +74,19 @@ class CacheEntry:
                 "rounds": self.rounds, "engine": self.engine}
 
     @classmethod
-    def from_record(cls, record: dict) -> "CacheEntry | None":
-        if record.get("schema") != CACHE_SCHEMA:
-            return None
+    def from_record(cls, record: dict) -> "CacheEntry":
+        """The entry a journal record holds; ``ValueError`` if none."""
+        if not isinstance(record, dict) \
+                or record.get("schema") != CACHE_SCHEMA:
+            raise ValueError(f"not a {CACHE_SCHEMA} record")
         try:
             return cls(digest=str(record["digest"]),
                        losses=int(record["losses"]),
                        trials=int(record["trials"]),
                        rounds=int(record["rounds"]),
                        engine=str(record["engine"]))
-        except (KeyError, TypeError, ValueError):
-            return None
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed {CACHE_SCHEMA} record") from exc
 
 
 class ForecastCache:
@@ -153,8 +156,8 @@ class ForecastCache:
             return latest
         try:
             text = self.path.read_text(encoding="utf-8")
-        except OSError:
-            return latest
+        except FileNotFoundError:
+            return latest               # no evidence yet
         lines = skipped = 0
         for line in text.splitlines():
             if not line.strip() or (digest is not None
@@ -164,11 +167,9 @@ class ForecastCache:
             try:
                 entry = CacheEntry.from_record(json.loads(line))
             except ValueError:
-                entry = None
-            if entry is None:
                 skipped += 1
-            else:
-                latest[entry.digest] = entry
+                continue
+            latest[entry.digest] = entry
         if digest is None:
             self._journal_lines = lines
             self.skipped_lines = skipped

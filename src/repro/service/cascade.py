@@ -31,8 +31,7 @@ from ..availability.luby import (InfeasibleConfig, check_feasible,
                                  repair_utilization)
 from ..config import SystemConfig, config_digest
 from ..reliability import analytic, markov
-from ..reliability.envelope import (ANALYTIC, BULK, MARKOV, hazard_window,
-                                    refusals)
+from ..reliability.envelope import ANALYTIC, BULK, MARKOV, refusals
 from ..reliability.montecarlo import estimate_p_loss_async
 from ..reliability.runner import SweepRunner
 from ..reliability.stats import Proportion
@@ -139,8 +138,8 @@ class ForecastCascade:
                                   lo=p, hi=p, confidence=confidence),
                 mttdl_s=markov.mttdl_config(cfg))
         if tier == TIER_ANALYTIC:
-            p = analytic.p_loss(cfg)
-            rel = hazard_window(cfg)
+            model = analytic.p_loss_window_model(cfg)
+            p, rel = model.p_loss, model.hazard_window
             return Forecast(
                 digest=digest, tier=tier,
                 detail=f"{detail}; truncation bound +/-{rel:.2g} rel",
@@ -148,7 +147,7 @@ class ForecastCascade:
                                   lo=max(0.0, p * (1.0 - rel)),
                                   hi=min(1.0, p * (1.0 + rel)),
                                   confidence=confidence),
-                mttdl_s=analytic.mttdl_estimate(cfg))
+                mttdl_s=analytic.mttdl_estimate(cfg, model))
         if grid is not None:
             prop = grid.proportion(cfg, confidence)
             return Forecast(

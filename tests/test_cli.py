@@ -53,7 +53,8 @@ class TestSensitivity:
 
 class TestRun:
     def test_run_table1_and_save(self, tmp_path, capsys):
-        rc = main(["run", "table1", "--scale", "smoke",
+        # Seed 1: tests/test_experiments.py runs table1 at seed 0.
+        rc = main(["run", "table1", "--scale", "smoke", "--seed", "1",
                    "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "table1.txt").exists()

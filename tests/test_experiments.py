@@ -1,10 +1,15 @@
-"""Smoke-scale tests of the experiment harness (repro.experiments).
+"""Tests of the experiment drivers (repro.experiments).
 
-These verify the harness machinery — scales, rows, rendering, and the
-qualitative relationships cheap enough to check at smoke scale.  The
-quantitative reproduction runs in benchmarks/ (REPRO_SCALE=small/paper).
+Every experiment with a findings check runs once per session, as
+``python -m repro run NAME`` runs it: at smoke scale in tier-1, or at
+``REPRO_SCALE`` when that is set (``REPRO_SCALE=paper`` engages the
+paper-only findings).  ``test_paper_findings`` applies the checks of
+``tests/findings.py`` to those results; the driver tests below read the
+same results (and never mutate them), so no experiment runs twice with
+the same inputs.  Nothing here writes a file.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -12,18 +17,38 @@ from pathlib import Path
 
 import pytest
 
+from repro.__main__ import EXPERIMENTS
 from repro.config import SystemConfig
-from repro.experiments import (SCALES, ablations, current_scale,
-                               faults_sweep, figure3, figure4, figure5,
-                               figure7, figure8, redirection, table1,
-                               table3, topology_sweep)
-from repro.experiments.base import Scale
+from repro.experiments import (SCALES, current_scale, faults_sweep,
+                               figure4, figure5, topology_sweep)
 from repro.reliability import sweep
-from repro.units import GB, MB, MINUTE, PB, TB
+from repro.units import GB, MB, TB
+from tests import findings
 
 SMOKE = SCALES["smoke"]
 
+#: The scale the experiments below run at.
+SCALE = current_scale() if "REPRO_SCALE" in os.environ else SMOKE
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: CLI experiments whose every table has a findings check.
+FINDINGS = ("table1", "figure3", "figure4", "figure5", "table3", "figure7",
+            "figure8", "redirection", "mttdl", "perf", "ablations")
+
+
+@functools.cache
+def run(experiment):
+    """Table name -> result of ``python -m repro run EXPERIMENT`` at
+    :data:`SCALE` (seed 0), computed once."""
+    return {r.experiment: r
+            for r in EXPERIMENTS[experiment](SCALE, 0, "naive")}
+
+
+@pytest.mark.parametrize("experiment", FINDINGS)
+def test_paper_findings(experiment):
+    tables = run(experiment)
+    assert findings.check(tables.values()) == tables.keys()
 
 
 class TestScales:
@@ -52,46 +77,38 @@ class TestScales:
 
 class TestTable1:
     def test_empirical_rates_match_specification(self):
-        result = table1.run(SMOKE, cohort=100_000)
-        for row in result.rows[:-1]:
+        for row in run("table1")["table1"].rows[:-1]:
             assert row["rel_err_pct"] < 10.0
 
     def test_cumulative_row(self):
-        result = table1.run(SMOKE, cohort=50_000)
-        cum = result.rows[-1]
+        cum = run("table1")["table1"].rows[-1]
         assert 8.0 < cum["empirical_pct"] < 14.0
 
 
 class TestFigure3:
     def test_rows_cover_all_schemes_and_modes(self):
-        result = figure3.run(SMOKE)
+        result = run("figure3")["figure3a"]
         assert len(result.rows) == 12
         assert {r["farm"] for r in result.rows} == {"FARM", "w/o"}
 
     def test_render_contains_header_and_rows(self):
-        result = figure3.run(SMOKE)
-        text = result.render()
+        text = run("figure3")["figure3a"].render()
         assert "figure3a" in text and "8/10" in text
 
     def test_both_panels(self):
-        a, b = figure3.run_both_panels(SMOKE)
-        assert a.experiment == "figure3a" and b.experiment == "figure3b"
+        assert list(run("figure3")) == ["figure3a", "figure3b"]
 
 
 class TestFigure4:
     def test_ratio_column_consistency(self):
-        result = figure4.run(SMOKE, group_sizes_bytes=(1 * GB, 10 * GB),
-                             latencies_s=(0.0, 2 * MINUTE))
-        for row in result.rows:
+        for row in run("figure4")["figure4"].rows:
             if row["latency_min"] == 0.0:
                 assert row["latency_over_rebuild"] == 0.0
             else:
                 assert row["latency_over_rebuild"] > 0
 
     def test_collapse_sorted_by_ratio(self):
-        result = figure4.run(SMOKE, group_sizes_bytes=(1 * GB,),
-                             latencies_s=(0.0, 2 * MINUTE))
-        rows = figure4.collapse_by_ratio(result)
+        rows = figure4.collapse_by_ratio(run("figure4")["figure4"])
         ratios = [r["ratio"] for r in rows]
         assert ratios == sorted(ratios)
 
@@ -104,58 +121,55 @@ class TestFigure5:
 
 
 class TestTable3:
+    @staticmethod
+    def rows_10gb():
+        return [r for r in run("table3")["table3"].rows
+                if r["group_gb"] == 10]
+
     def test_initial_mean_utilization_400gb(self):
-        result = table3.run(SMOKE, group_sizes_bytes=(10 * GB,), n_disks=200)
-        initial = result.rows[0]
+        initial = self.rows_10gb()[0]
         assert initial["mean_gb"] == pytest.approx(400.0, rel=0.1)
 
     def test_mean_grows_after_six_years(self):
-        result = table3.run(SMOKE, group_sizes_bytes=(10 * GB,), n_disks=200)
-        initial, final = result.rows
+        initial, final = self.rows_10gb()
         assert final["mean_gb"] > initial["mean_gb"]
         assert final["failed_disks"] > 0
 
 
 class TestFigure7:
     def test_thresholds_and_batches(self):
-        result = figure7.run(SMOKE, thresholds=(0.02,))
-        row = result.rows[0]
+        row = run("figure7")["figure7"].rows[0]
         assert row["threshold_pct"] == 2.0
         assert row["batches_mean"] >= 0
 
 
 class TestFigure8:
     def test_capacity_series_per_scheme(self):
-        from repro.redundancy import MIRROR_2
-        result = figure8.run(SMOKE, capacities_bytes=(0.5 * PB, 2 * PB),
-                             schemes=(MIRROR_2,))
-        assert [r["capacity_pb"] for r in result.rows] == [0.5, 2.0]
+        rows = findings.by(run("figure8")["figure8a"], scheme="1/2")
+        assert [r["capacity_pb"] for r in rows] == [0.1, 0.5, 1, 2, 5]
 
     def test_rate_multiplier_panel_name(self):
-        from repro.redundancy import MIRROR_2
-        result = figure8.run(SMOKE, rate_multiplier=2.0,
-                             capacities_bytes=(0.5 * PB,),
-                             schemes=(MIRROR_2,))
-        assert result.experiment == "figure8b"
+        assert "failure rates x2" in run("figure8")["figure8b"].description
 
 
 class TestRedirectionAndAblations:
     def test_redirection_experiment_runs(self):
-        result = redirection.run(SMOKE, group_sizes_bytes=(10 * GB,))
-        assert 0 <= result.rows[0]["systems_with_redirection_pct"] <= 100
+        for row in run("redirection")["redirection"].rows:
+            assert 0 <= row["systems_with_redirection_pct"] <= 100
 
     def test_placement_ablation_has_both_rows(self):
-        result = ablations.run_placement(SMOKE)
+        result = run("ablations")["ablation-placement"]
         assert {r["placement"] for r in result.rows} == {"random", "rush"}
 
     def test_bathtub_ablation_rows(self):
-        result = ablations.run_bathtub(SMOKE)
+        result = run("ablations")["ablation-bathtub"]
         assert {r["hazard"] for r in result.rows} == {"bathtub", "flat"}
         # Each row ran three times the scale's runs, and the header says so.
-        assert "[scale=smoke, runs=12] ==" in result.render()
+        assert (f"[scale={SCALE.name}, runs={3 * SCALE.n_runs}] =="
+                in result.render())
 
     def test_policy_ablation_counts_violations(self):
-        result = ablations.run_policy(SMOKE)
+        result = run("ablations")["ablation-policy"]
         by_policy = {r["policy"]: r for r in result.rows}
         assert by_policy["full"]["buddy_violations"] == 0
         # Only the buddy check keeps a group's blocks on distinct disks.
@@ -202,7 +216,9 @@ class TestNothingWrittenWithoutOut:
                                     group_user_bytes=10 * GB)}, n_runs=2)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(SRC), os.environ.get("PYTHONPATH", "")]))
-        for args in (["figure5", "--scale", "smoke"], ["rare"]):
+        # Seed 1: test_paper_findings already ran figure5 at seed 0.
+        for args in (["figure5", "--scale", "smoke", "--seed", "1"],
+                     ["rare"]):
             proc = subprocess.run(
                 [sys.executable, "-m", "repro", "run", *args], cwd=tmp_path,
                 env=env, capture_output=True, text=True, timeout=300)
@@ -211,16 +227,18 @@ class TestNothingWrittenWithoutOut:
 
 
 class TestFaultsSweep:
-    def test_mttdl_monotone_as_scrub_interval_shrinks(self):
-        result = faults_sweep.run(SMOKE, base_seed=0)
+    @pytest.fixture(scope="class")
+    def result(self):
+        return faults_sweep.run(SMOKE, base_seed=0)
+
+    def test_mttdl_monotone_as_scrub_interval_shrinks(self, result):
         intervals = result.column("scrub_interval_h")
         assert intervals == sorted(intervals, reverse=True)
         mttdl = result.column("group_mttdl_yr")
         assert all(later > earlier
                    for earlier, later in zip(mttdl, mttdl[1:]))
 
-    def test_measured_latency_tracks_interval(self):
-        result = faults_sweep.run(SMOKE, base_seed=0)
+    def test_measured_latency_tracks_interval(self, result):
         latency = result.column("mean_latency_h")
         assert all(later < earlier
                    for earlier, later in zip(latency, latency[1:]))

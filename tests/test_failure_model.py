@@ -69,6 +69,7 @@ class TestSampling:
     def test_empirical_distribution_matches_survival(self, model):
         rng = np.random.default_rng(42)
         ages = model.sample_failure_age(rng, 100_000)
+        assert ages.shape == (100_000,)
         for t in (1 * YEAR, 3 * YEAR, 6 * YEAR):
             expected = 1.0 - float(model.survival(t))
             assert (ages < t).mean() == pytest.approx(expected, abs=0.01)

@@ -30,6 +30,7 @@ EXPECTED = {
     "rpr008_clock_assign.py": ("RPR008", 6),
     "cluster/rpr009_silent_except.py": ("RPR009", 7),
     "reliability/rpr009_silent_except.py": ("RPR009", 7),
+    "service/rpr009_silent_except.py": ("RPR009", 7),
     "disks/rpr010_hardcoded_param.py": ("RPR010", 5),
     "cluster/rpr011_wall_clock.py": ("RPR011", 11),
     "service/rpr011_wall_clock.py": ("RPR011", 13),

@@ -29,6 +29,7 @@ class TestDistinctness:
     def test_no_duplicate_disks_within_group(self, n):
         rp = RandomPlacement(1000, seed=0)
         pl = rp.place_many(np.arange(50_000), n)
+        assert pl.shape == (50_000, n)
         srt = np.sort(pl, axis=1)
         assert not (srt[:, 1:] == srt[:, :-1]).any()
 

@@ -97,10 +97,15 @@ class TestShardReconstruction:
     def test_reconstruct_each_shard(self, m, n):
         rs = ReedSolomon(m, n)
         blocks = rs.encode(random_data(m, 16, seed=1))
+        assert blocks.shape == (n, 16)
         for target in range(n):
-            survivors = {i: blocks[i] for i in range(n) if i != target}
-            rebuilt = rs.reconstruct_shard(survivors, target)
-            assert np.array_equal(rebuilt, blocks[target])
+            # One lost shard, up to as many as the code tolerates.
+            for lost in range(1, n - m + 1):
+                erased = {(target + k) % n for k in range(lost)}
+                survivors = {i: blocks[i] for i in range(n)
+                             if i not in erased}
+                rebuilt = rs.reconstruct_shard(survivors, target)
+                assert np.array_equal(rebuilt, blocks[target])
 
     def test_reconstruct_invalid_target(self):
         rs = ReedSolomon(2, 3)

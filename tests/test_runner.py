@@ -1,5 +1,8 @@
 """Tests for the persistent-pool sweep runner (repro.reliability.runner)."""
 
+import dataclasses
+import os
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -62,6 +65,16 @@ class TestRunningMoments:
         assert m.mean == 5.0 and m.variance == 0.0
 
 
+def same_aggregates(a, b):
+    """Every aggregate field but the host timing is equal, bit for bit.
+
+    Compared through ``repr``: float reprs round-trip exactly, and the
+    exact weighted sums compare by value only that way."""
+    untimed = [repr(dataclasses.replace(o.aggregate, run_seconds_total=0.0))
+               for o in (a, b)]
+    return a.label == b.label and untimed[0] == untimed[1]
+
+
 class TestBitIdentity:
     """The tentpole guarantee: parallel == serial, bit for bit."""
 
@@ -71,20 +84,9 @@ class TestBitIdentity:
         parallel = SweepRunner(n_jobs=2).run_points(points(), n_runs=5,
                                                     base_seed=2)
         for s, p in zip(serial, parallel):
-            assert s.label == p.label
-            sa, pa = s.aggregate, p.aggregate
-            assert sa.losses == pa.losses
-            assert sa.disk_failures == pa.disk_failures
-            assert sa.groups_lost == pa.groups_lost
             # float fields: exact equality, not approx — the reorder
             # buffer folds in run-index order
-            assert sa.window_total == pa.window_total
-            assert sa.window_max == pa.window_max
-            assert sa.bytes_lost == pa.bytes_lost
-            assert sa.window_moments.mean == pa.window_moments.mean
-            assert sa.window_moments.m2 == pa.window_moments.m2
-            assert sa.failure_moments.m2 == pa.failure_moments.m2
-            assert sa.events_fired == pa.events_fired
+            assert same_aggregates(s, p)
 
     def test_sweep_entrypoint_bit_identical(self):
         cfgs = {p.label: p.config for p in points()}
@@ -211,6 +213,89 @@ class TestMapTasks:
 
 def _double(x):
     return 2 * x
+
+
+#: ``flag`` is the file that marks the worker-killing wrappers below as
+#: having killed once; ``None`` makes them kill every time.  Forked
+#: workers see the value it had when the pool started.
+_KILL = {"flag": None}
+_run_lifetime = runner_mod._run_lifetime
+_run_bulk_chunk = runner_mod._run_bulk_chunk
+
+
+def _kill_worker(point, first_run):
+    """Exit the calling worker process at point 1's first task."""
+    if (point, first_run) != (1, 0):
+        return
+    flag = _KILL["flag"]
+    if flag is not None:
+        if flag.exists():
+            return
+        flag.touch()
+    os._exit(1)
+
+
+def _killing_lifetime(task):
+    _kill_worker(task.point, task.index)
+    return _run_lifetime(task)
+
+
+def _killing_bulk_chunk(task):
+    _kill_worker(task.point, task.start)
+    return _run_bulk_chunk(task)
+
+
+def _exit_on_one(x):
+    if x == 1:
+        os._exit(1)
+    return 2 * x
+
+
+class TestDeadWorker:
+    """A worker that dies breaks only the sweep it was running."""
+
+    @pytest.fixture
+    def kill(self, monkeypatch):
+        """Make point 1's first pool task kill its worker (fresh pool)."""
+        shutdown_pool()
+
+        def arm(flag):
+            monkeypatch.setitem(_KILL, "flag", flag)
+            monkeypatch.setattr(runner_mod, "_run_lifetime",
+                                _killing_lifetime)
+            monkeypatch.setattr(runner_mod, "_run_bulk_chunk",
+                                _killing_bulk_chunk)
+        return arm
+
+    @pytest.mark.parametrize("engine,n_runs", [("des", 5), ("bulk", 70)])
+    def test_killed_once_mid_sweep_bit_identical(self, kill, tmp_path,
+                                                 engine, n_runs):
+        pts = [dataclasses.replace(p, engine=engine) for p in points()]
+        serial = SweepRunner(n_jobs=None).run_points(pts, n_runs,
+                                                     base_seed=2)
+        kill(tmp_path / "died")
+        parallel = SweepRunner(n_jobs=2).run_points(pts, n_runs,
+                                                    base_seed=2,
+                                                    on_error="skip")
+        assert (tmp_path / "died").exists()         # a worker did die
+        for s, p in zip(serial, parallel):
+            assert same_aggregates(s, p)
+            assert p.runs_failed == 0
+
+    def test_task_killing_every_worker_raises_once(self, kill,
+                                                   monkeypatch):
+        runner = SweepRunner(n_jobs=2)
+        with pytest.raises(BrokenProcessPool):
+            runner.map_tasks(_exit_on_one, [0, 1, 2])
+        kill(None)
+        with pytest.raises(BrokenProcessPool):
+            runner.run_points(points(), n_runs=2, on_error="skip")
+        monkeypatch.undo()
+        # The next calls get a working pool.
+        bulk = dataclasses.replace(points()[0], engine="bulk")
+        for point in (bulk, points()[0]):
+            [out] = runner.run_points([point], n_runs=3)
+            assert out.aggregate.n_runs == 3 and out.runs_failed == 0
 
 
 class TestValidation:

@@ -93,6 +93,7 @@ class TestGrowth:
         rp.add_cluster(150)
         rp.add_cluster(150)
         pl = rp.place_many(np.arange(60_000), 2)
+        assert pl.shape == (60_000, 2)
         report = analyze(disk_loads(pl, rp.n_disks))
         assert report.cv < 0.12
 

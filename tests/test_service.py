@@ -22,6 +22,7 @@ from repro.config import (PAPER_BASE, SystemConfig, config_digest,
                           config_to_dict)
 from repro.disks.failure import BathtubFailureModel, RatePeriod
 from repro.reliability import analytic, markov
+from repro.reliability.envelope import hazard_window
 from repro.reliability.montecarlo import estimate_p_loss_async
 from repro.reliability.runner import SweepRunner
 from repro.service import (Axis, CacheEntry, Forecast, ForecastCache,
@@ -159,10 +160,11 @@ class TestCache:
         assert CacheEntry.from_record(self.ENTRY.to_record()) == self.ENTRY
 
     def test_bad_records_rejected(self):
-        assert CacheEntry.from_record({"schema": "nope"}) is None
         record = self.ENTRY.to_record()
         del record["trials"]
-        assert CacheEntry.from_record(record) is None
+        for bad in ({"schema": "nope"}, record, 3):
+            with pytest.raises(ValueError):
+                CacheEntry.from_record(bad)
 
     def test_put_get_and_persistence(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -220,6 +222,21 @@ class TestCache:
         assert reloaded.get("abc") == self.ENTRY
         assert reloaded.get("ccc") == survivor
         assert reloaded.skipped_lines == 1
+
+    def test_lines_without_a_record_are_skipped(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text('3\n{"schema": "nope"}\n'
+                        + json.dumps(self.ENTRY.to_record()) + "\n")
+        cache = ForecastCache(path)
+        assert cache.get("abc") == self.ENTRY
+        assert cache.skipped_lines == 2
+
+    def test_unreadable_journal_raises(self, tmp_path):
+        # Only a missing journal means "no evidence yet": a service whose
+        # appends would all fail must not start with an empty cache.
+        assert len(ForecastCache(tmp_path / "missing.jsonl")) == 0
+        with pytest.raises(IsADirectoryError):
+            ForecastCache(tmp_path)
 
     def test_failed_compaction_leaves_old_journal(self, tmp_path,
                                                   monkeypatch):
@@ -357,10 +374,15 @@ class TestCascade:
     def test_analytic_answer_carries_truncation_bound(self):
         fc = asyncio.run(_cascade().forecast(PAPER_BASE))
         assert fc.tier == TIER_ANALYTIC and not fc.refining
-        assert fc.p_loss.estimate == pytest.approx(
-            analytic.p_loss(PAPER_BASE))
         assert fc.p_loss.lo < fc.p_loss.estimate < fc.p_loss.hi
         assert "truncation bound" in fc.detail
+        # One window-model evaluation gives the same bits as the three
+        # separate calls.
+        p, rel = analytic.p_loss(PAPER_BASE), hazard_window(PAPER_BASE)
+        assert fc.p_loss.estimate == p
+        assert (fc.p_loss.lo, fc.p_loss.hi) == (p * (1.0 - rel),
+                                                p * (1.0 + rel))
+        assert fc.mttdl_s == analytic.mttdl_estimate(PAPER_BASE)
 
     def test_live_answer_caches_and_repeats_hit(self, tmp_path):
         cascade = _cascade(tmp_path)
@@ -548,6 +570,33 @@ class TestServiceEndToEnd:
         finally:
             handle.stop()
         assert "service_cache_skipped_lines 1.0" in text
+
+    def test_metrics_count_client_disconnects(self):
+        service = ForecastService(ForecastCascade(runner=_runner()),
+                                  refine=False)
+
+        class GoneClient:               # the response write finds it gone
+            def write(self, data):
+                pass
+
+            async def drain(self):
+                raise ConnectionResetError
+
+            def close(self):
+                pass
+
+        async def serve():
+            # Gone mid-request, then gone before the response.
+            for head in (b"GET /heal", b"GET /healthz HTTP/1.1\r\n\r\n"):
+                reader = asyncio.StreamReader()
+                reader.feed_data(head)
+                reader.feed_eof()
+                await service._handle_connection(reader, GoneClient())
+            return await service._route("GET", "/metrics", b"")
+
+        status, text, _ = asyncio.run(serve())
+        assert status == 200
+        assert "service_client_disconnects_total 2" in text
 
     def test_metrics_expose_requests_and_latency(self, server):
         with urllib.request.urlopen(server.url + "/metrics") as resp:

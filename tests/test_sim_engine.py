@@ -196,6 +196,18 @@ class TestRunControl:
         sim.run()
         assert sim.events_fired == 5
 
+        count = [0]
+
+        def tick():                 # a handler that reschedules itself
+            count[0] += 1
+            if count[0] < 20_000:
+                sim.schedule(1.0, tick)
+
+        sim.schedule(1.0, tick)
+        sim.run()
+        assert count[0] == 20_000
+        assert sim.events_fired == 20_005
+
     def test_clear_drops_pending(self, sim):
         out = []
         sim.schedule(1.0, out.append, "x")

@@ -18,6 +18,8 @@ import copy
 import io
 import json
 import math
+import time
+import timeit
 
 import pytest
 
@@ -523,3 +525,58 @@ class TestParallelIdentity:
         assert records[0]["sweep"] == "t" and records[0]["point"] == "farm"
         assert records[0]["n_runs"] == 2
         assert "snapshot" not in render_summary(records)
+
+
+# --------------------------------------------------------------------- #
+# Cost of the disabled path
+# --------------------------------------------------------------------- #
+#: Generous upper bound on telemetry guard evaluations per fired event:
+#: a disk-failure event walks failure bookkeeping, rebuild scheduling,
+#: and completion paths, each with a handful of `is not None` tests.
+GUARDS_PER_EVENT = 8
+
+#: The disabled path may spend at most this fraction of a lifetime's
+#: runtime on telemetry guards.
+MAX_DISABLED_OVERHEAD = 0.03
+
+
+def _guard_cost_s() -> float:
+    """Seconds per `self.telemetry is not None` test, measured isolated."""
+
+    class Engine:
+        telemetry = None
+
+    obj = Engine()
+    n = 200_000
+    loop = min(timeit.repeat("for _ in r:\n    pass",
+                             globals={"r": range(n)},
+                             number=1, repeat=5))
+    guarded = min(timeit.repeat(
+        "for _ in r:\n    if obj.telemetry is not None:\n        pass",
+        globals={"r": range(n), "obj": obj}, number=1, repeat=5))
+    return max(guarded - loop, 0.0) / n
+
+
+def test_disabled_guard_overhead_within_3pct():
+    """The nullable-handle checks cost <= 3% of a telemetry-off run.
+
+    The guard's per-evaluation cost is timed in isolation and scaled by a
+    conservative per-event site count for a real lifetime."""
+    cfg = tiny()
+    runtime = min(
+        _timed(lambda: ReliabilitySimulation(cfg, seed=0).run())
+        for _ in range(3))
+    engine = ReliabilitySimulation(cfg, seed=0)
+    engine.run()
+    events = engine.sim.events_fired
+    guard_total = events * GUARDS_PER_EVENT * _guard_cost_s()
+    overhead = guard_total / runtime
+    assert overhead <= MAX_DISABLED_OVERHEAD, (
+        f"disabled-path guards cost {overhead:.1%} of runtime "
+        f"({events} events, {runtime * 1e3:.1f} ms run)")
+
+
+def _timed(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0

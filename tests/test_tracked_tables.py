@@ -2,9 +2,10 @@
 
 Each experiment whose tables take under a minute at the scale their
 headers name is rerun in-process; its rendered text must equal the
-tracked file byte for byte.  Nothing is written.  figure3 and figure4
-take minutes at small scale, and bulk-sweep and rare-sweep print
-wall-clock seconds, so those four are not rerun.
+tracked file byte for byte, and the reruns must pass the findings
+checks of ``tests/findings.py`` at that scale.  Nothing is written.
+figure3 and figure4 take minutes at small scale, and bulk-sweep and
+rare-sweep print wall-clock seconds, so those four are not rerun.
 """
 
 import re
@@ -14,6 +15,7 @@ import pytest
 
 from repro.__main__ import EXPERIMENTS
 from repro.experiments import SCALES
+from tests import findings
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -56,3 +58,4 @@ def test_tracked_tables_reproduce(experiment):
                for text in tracked.values()}
     results = EXPERIMENTS[experiment](SCALES[scale], 0, "naive")
     assert {r.experiment: r.render() + "\n" for r in results} == tracked
+    findings.check(results)
