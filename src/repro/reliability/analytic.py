@@ -38,6 +38,8 @@ class WindowModel:
     per_block_loss: float
     per_failure_loss: float
     p_loss: float
+    #: first-order mean time to (system) data loss, in seconds.
+    mttdl: float
 
 
 def mean_hazard(cfg: SystemConfig) -> float:
@@ -72,6 +74,10 @@ def p_loss_window_model(cfg: SystemConfig) -> WindowModel:
     For a block with window W, the group is lost if at least ``tol`` of the
     group's other ``n - 1`` disks fail within W; with per-disk hazard h and
     hW << 1 the leading term is ``C(n-1, tol) * (h W)^tol``.
+
+    Loss events arrive as a thinned failure process at rate
+    ``expected_disk_failures * per_failure_loss / duration``; the MTTDL
+    is its reciprocal (``inf`` when the model predicts no loss at all).
     """
     h = mean_hazard(cfg)
     w = mean_window(cfg)
@@ -83,10 +89,12 @@ def p_loss_window_model(cfg: SystemConfig) -> WindowModel:
     per_failure = blocks * per_block
     failures = expected_disk_failures(cfg)
     p = 1.0 - math.exp(-failures * per_failure)
+    rate = failures * per_failure / cfg.duration
     return WindowModel(expected_disk_failures=failures,
                        blocks_per_disk=blocks, mean_window=w,
                        hazard_window=hw, per_block_loss=per_block,
-                       per_failure_loss=per_failure, p_loss=p)
+                       per_failure_loss=per_failure, p_loss=p,
+                       mttdl=1.0 / rate if rate > 0.0 else float("inf"))
 
 
 def p_loss(cfg: SystemConfig) -> float:
@@ -94,19 +102,6 @@ def p_loss(cfg: SystemConfig) -> float:
     return p_loss_window_model(cfg).p_loss
 
 
-def mttdl_estimate(cfg: SystemConfig,
-                   model: WindowModel | None = None) -> float:
-    """First-order mean time to (system) data loss, in seconds.
-
-    Loss events arrive as a thinned failure process at rate
-    ``expected_disk_failures * per_failure_loss / duration``; the MTTDL
-    is its reciprocal (``inf`` when the model predicts no loss at all).
-    ``model`` is ``p_loss_window_model(cfg)`` when the caller has it.
-    """
-    if model is None:
-        model = p_loss_window_model(cfg)
-    rate = model.expected_disk_failures * model.per_failure_loss \
-        / cfg.duration
-    if rate <= 0.0:
-        return float("inf")
-    return 1.0 / rate
+def mttdl_estimate(cfg: SystemConfig) -> float:
+    """Shorthand for the window-model mean time to data loss (seconds)."""
+    return p_loss_window_model(cfg).mttdl

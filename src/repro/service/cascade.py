@@ -147,7 +147,7 @@ class ForecastCascade:
                                   lo=max(0.0, p * (1.0 - rel)),
                                   hi=min(1.0, p * (1.0 + rel)),
                                   confidence=confidence),
-                mttdl_s=analytic.mttdl_estimate(cfg, model))
+                mttdl_s=model.mttdl)
         if grid is not None:
             prop = grid.proportion(cfg, confidence)
             return Forecast(
