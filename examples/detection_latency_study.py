@@ -8,16 +8,12 @@ small redundancy groups rebuild in seconds, so even a minute of detection
 latency dominates their window of vulnerability.
 
 This study sweeps detection latency for two group sizes, then re-plots by
-ratio to show the collapse, and compares heartbeat-based detection against
-the constant-latency model.
+ratio to show the collapse.
 
 Run:  python examples/detection_latency_study.py
 """
 
-import numpy as np
-
 from repro import SystemConfig, estimate_p_loss
-from repro.cluster import ConstantDetection, HeartbeatDetection
 from repro.experiments.report import render_table
 from repro.units import GB, MINUTE, PB
 
@@ -49,18 +45,6 @@ def main() -> None:
         bar = "#" * max(1, round(r["p_loss_pct"]))
         print(f"  ratio {r['latency/rebuild']:8.2f}  "
               f"({r['group_gb']:>4.0f} GB): {r['p_loss_pct']:5.2f}%  {bar}")
-
-    # Bonus: what a heartbeat-based monitor's latency distribution looks
-    # like versus the constant model used in the sweeps above.
-    rng = np.random.default_rng(0)
-    hb = HeartbeatDetection(period=2 * MINUTE, processing=5.0)
-    const = ConstantDetection(hb.mean_latency())
-    draws = hb.latency(rng, 10000)
-    print(f"\nheartbeat monitor (2 min period): mean latency "
-          f"{draws.mean():.0f}s (model {hb.mean_latency():.0f}s), "
-          f"p95 {np.quantile(draws, 0.95):.0f}s; a constant-latency model "
-          f"at the mean ({const.mean_latency():.0f}s) is what the paper "
-          f"simulates")
 
 if __name__ == "__main__":
     main()

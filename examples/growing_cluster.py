@@ -20,7 +20,6 @@ Run:  python examples/growing_cluster.py
 import numpy as np
 
 from repro import ReliabilitySimulation, RushPlacement, SystemConfig
-from repro.placement import analyze, disk_loads
 from repro.units import GB, TB
 
 def main() -> None:
@@ -36,11 +35,11 @@ def main() -> None:
         moved = before != after
         landed_new = after[moved] >= (placement.n_disks - batch)
         share = batch * 1.0 / placement.n_disks
-        report = analyze(disk_loads(after, placement.n_disks))
+        loads = np.bincount(after.ravel(), minlength=placement.n_disks)
         print(f"  +{batch:4d} disks: {moved.mean():6.2%} of blocks moved "
               f"(fair share {share:6.2%}); "
               f"{landed_new.mean():6.1%} landed on the new batch; "
-              f"load CV {report.cv:.3f}")
+              f"load CV {loads.std() / loads.mean():.3f}")
         before = after
 
     print("\nsix-year lifetime with batch replacement at 4% lost:")

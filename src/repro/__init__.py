@@ -5,13 +5,12 @@ Storage Systems* (Qin Xin, Ethan L. Miller, Thomas J. E. Schwarz —
 HPDC 2004), built as a reusable Python library:
 
 * :mod:`repro.sim` — discrete-event simulation engine (PARSEC substitute);
-* :mod:`repro.redundancy` — (m, n) and mixed schemes, and real
-  Reed–Solomon / XOR erasure codecs over GF(2^8);
+* :mod:`repro.redundancy` — (m, n) and mixed schemes and their
+  survival predicates;
 * :mod:`repro.disks` — drive model with bathtub failure rates (Table 1);
 * :mod:`repro.placement` — RUSH-style decentralized placement with
   candidate lists, plus a vectorized statistical equivalent;
-* :mod:`repro.cluster` — failure-domain topology, failure detection,
-  workload;
+* :mod:`repro.cluster` — failure-domain topology and workload;
 * :mod:`repro.reliability` — the DES engine (**FARM** and the
   traditional-RAID baseline), Monte-Carlo sweeps, scripted scenarios,
   Markov/analytic cross-checks;
@@ -32,8 +31,7 @@ Quickstart::
 from .config import PAPER_BASE, SystemConfig
 from .disks import BathtubFailureModel, DiskVintage
 from .placement import RandomPlacement, RushPlacement
-from .redundancy import (PAPER_SCHEMES, RedundancyScheme, ReedSolomon,
-                         XorParity)
+from .redundancy import PAPER_SCHEMES, RedundancyScheme
 from .reliability import (MonteCarloResult, PolicyConfig, RecoveryStats,
                           ReliabilitySimulation, Scenario, estimate_p_loss,
                           wilson_interval)
@@ -46,7 +44,6 @@ __all__ = [
     "ReliabilitySimulation", "RecoveryStats", "PolicyConfig", "Scenario",
     "estimate_p_loss", "MonteCarloResult", "wilson_interval",
     "RedundancyScheme", "PAPER_SCHEMES",
-    "ReedSolomon", "XorParity",
     "DiskVintage", "BathtubFailureModel",
     "RushPlacement", "RandomPlacement",
     "Simulator", "RandomStreams",

@@ -25,10 +25,10 @@ snapshots — bit-identical to a serial run) on a small multi-point sweep.
 ``run --telemetry PATH`` enables the in-sim metrics subsystem
 (:mod:`repro.telemetry`) for every Monte-Carlo sweep in the invocation and
 appends one merged JSONL record per sweep point; ``telemetry-summary``
-renders such a file for humans.  ``run --estimator
-{naive,is,splitting,bulk}`` switches the p_loss figures to a rare-event
-estimator or the vectorized bulk engine, ``run rare`` compares the
-rare-event estimators at equal budget (:doc:`docs/RARE_EVENTS.md`), and
+renders such a file for humans.  ``run --estimator {naive,is,bulk}``
+switches the p_loss figures to importance sampling or the vectorized
+bulk engine, ``run rare`` compares naive Monte Carlo with importance
+sampling at equal budget (:doc:`docs/RARE_EVENTS.md`), and
 ``run bulk`` benchmarks the bulk engine against the process-pool naive-MC
 baseline and asserts its >= 58x throughput claim at smoke scale
 (:doc:`docs/BULK_ENGINE.md`).  ``serve`` runs the interactive
@@ -473,9 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--estimator", choices=list(base.ESTIMATORS),
                      default="naive",
                      help="p_loss estimator for figure5/7/8: naive MC, "
-                          "importance sampling (is), multilevel "
-                          "splitting (see docs/RARE_EVENTS.md), or the "
-                          "vectorized bulk engine (docs/BULK_ENGINE.md)")
+                          "importance sampling (is; see "
+                          "docs/RARE_EVENTS.md), or the vectorized bulk "
+                          "engine (docs/BULK_ENGINE.md)")
 
     est = sub.add_parser("estimate",
                          help="P(data loss) for one configuration")

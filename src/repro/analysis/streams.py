@@ -1,15 +1,15 @@
 """RPR102 — RNG stream ownership (whole-program determinism taint).
 
 Every named random stream belongs to exactly one subsystem: the
-``faults-*`` streams to :mod:`repro.faults`, the ``rare-*`` streams to
-the rare-event estimators, the ``bulk-*`` streams to the vectorized
-bulk-lifetime engine, ``targets`` to the flat-array engine, and so on.  The discipline that keeps Monte-Carlo results reproducible is that
-*only the owning subsystem consumes its streams*: a stray
-``streams.get("disk-failures")`` in experiment code would advance the
-failure process's generator and silently shift every later draw of the
-run.  Per-file linting cannot see this — the literal is legal anywhere —
-so this check maps every consumption site in the project against the
-ownership registry below.
+``faults-*`` streams to :mod:`repro.faults`, the ``bulk-*`` streams to
+the vectorized bulk-lifetime engine, ``targets`` to the flat-array
+engine, and so on.  The discipline that keeps Monte-Carlo results
+reproducible is that *only the owning subsystem consumes its streams*:
+a stray ``streams.get("disk-failures")`` in experiment code would
+advance the failure process's generator and silently shift every later
+draw of the run.  Per-file linting cannot see this — the literal is
+legal anywhere — so this check maps every consumption site in the
+project against the ownership registry below.
 
 Cross-subsystem consumption that is *by design* carries an
 :data:`STREAM_ALLOWLIST` entry with its justification; anything else —
@@ -28,7 +28,7 @@ RULE_SUMMARY = ("RNG stream consumed outside its owning subsystem "
                 "(determinism taint)")
 
 #: Receiver spellings that mark a ``.get("...")`` call as a stream draw
-#: rather than a dict/os.environ lookup.  ``.rare(...)``/``.fresh(...)``
+#: rather than a dict/os.environ lookup.  ``.bulk(...)``/``.fresh(...)``
 #: are stream APIs unconditionally.
 _STREAM_RECEIVER_SUFFIXES = ("streams",)
 
@@ -82,7 +82,6 @@ REPRO_STREAM_POLICY = StreamPolicy(
     },
     prefix_owners={
         "faults-": ("repro.faults",),
-        "rare-": ("repro.reliability.rare",),
         # The bulk engine's dedicated stream family (failures, placement,
         # windows).  Only the vectorized lifetime may consume them: the
         # whole point of the separate family is that a bulk run with a
@@ -95,19 +94,13 @@ REPRO_STREAM_POLICY = StreamPolicy(
         # process-driven latents are bit-identical for a given seed.
         ("faults-latent", "repro.reliability.scenarios"):
             "scripted latent injections must replay the injector stream",
-        # A restored splitting clone redraws the residual lifetimes of
-        # still-alive drives (Markov regeneration); the redraw lives on
-        # the dedicated rare-stream family precisely so enabling
-        # splitting never perturbs an ordinary run.
-        ("rare-clone-failures", "repro.reliability.simulation"):
-            "splitting clone restore redraws residual failure times",
     },
 )
 
 
 def _is_stream_use(api: str, receiver: str, stream: str,
                    policy: StreamPolicy) -> bool:
-    if api in ("rare", "fresh", "bulk"):
+    if api in ("fresh", "bulk"):
         return True
     if receiver.split(".")[-1] in _STREAM_RECEIVER_SUFFIXES:
         return True

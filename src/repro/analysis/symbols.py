@@ -201,7 +201,7 @@ def resolve_relative_import(module: str, target: str | None,
 class _Collector(ast.NodeVisitor):
     """One-pass AST walk filling a :class:`ModuleFacts`."""
 
-    STREAM_APIS = ("get", "fresh", "rare", "bulk")
+    STREAM_APIS = ("get", "fresh", "bulk")
 
     def __init__(self, facts: ModuleFacts, is_package: bool) -> None:
         self.facts = facts
@@ -339,15 +339,13 @@ class _Collector(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
-        # RNG stream use: `<obj>.get/fresh/rare("literal")`.
+        # RNG stream use: `<obj>.get/fresh/bulk("literal")`.
         if isinstance(node.func, ast.Attribute) \
                 and node.func.attr in self.STREAM_APIS and node.args:
             arg = node.args[0]
             if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
                 stream = arg.value
-                if node.func.attr == "rare":
-                    stream = f"rare-{stream}"
-                elif node.func.attr == "bulk":
+                if node.func.attr == "bulk":
                     stream = f"bulk-{stream}"
                 receiver = dotted_name(node.func.value) or ""
                 # `dict.get(...)`-style false positives are filtered by

@@ -23,7 +23,7 @@ Design invariants:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -52,17 +52,6 @@ class Topology:
         self.n_machines = racks * machines_per_rack
         self._machine_of: list[int] = [d % self.n_machines
                                        for d in range(n_disks)]
-
-    @classmethod
-    def from_assignments(cls, racks: int, machines_per_rack: int,
-                         machine_of: Sequence[int]) -> "Topology":
-        """Rebuild a topology from captured machine assignments."""
-        topo = cls(racks, machines_per_rack, 0)
-        for m in machine_of:
-            if not 0 <= m < topo.n_machines:
-                raise ValueError(f"machine id {m} out of range")
-            topo._machine_of.append(int(m))
-        return topo
 
     # -- queries ---------------------------------------------------------- #
     @property
@@ -112,10 +101,6 @@ class Topology:
         if level == "machine":
             return self.n_machines
         raise ValueError(f"unknown domain level {level!r}")
-
-    def assignments(self) -> list[int]:
-        """Machine id per disk id (for split-state capture/restore)."""
-        return list(self._machine_of)
 
     def rack_array(self) -> np.ndarray:
         """Rack id per disk id as an int64 array (vectorized callers)."""

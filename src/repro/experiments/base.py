@@ -50,13 +50,12 @@ SCALES: dict[str, Scale] = {
 
 #: Estimators the p_loss figure drivers accept (``--estimator`` on the
 #: CLI).  ``naive`` counts losing lifetimes; ``is`` importance-samples
-#: with the default hazard tilt; ``splitting`` runs fixed-effort
-#: multilevel splitting (see :mod:`repro.reliability.rare` and
+#: with the default hazard tilt (see :mod:`repro.reliability.rare` and
 #: ``docs/RARE_EVENTS.md``); ``bulk`` counts losing lifetimes on the
 #: vectorized window-overlap engine (:mod:`repro.reliability.bulk` and
 #: ``docs/BULK_ENGINE.md``) — statistically conformant with ``naive``
 #: and orders of magnitude faster.
-ESTIMATORS: tuple[str, ...] = ("naive", "is", "splitting", "bulk")
+ESTIMATORS: tuple[str, ...] = ("naive", "is", "bulk")
 
 
 def run_p_loss_sweep(points: dict[str, SystemConfig], estimator: str,
@@ -76,10 +75,6 @@ def run_p_loss_sweep(points: dict[str, SystemConfig], estimator: str,
         return sweep(points, n_runs=n_runs, base_seed=base_seed,
                      n_jobs=n_jobs, sweep_name=sweep_name,
                      tilt=DEFAULT_TILT)
-    if estimator == "splitting":
-        from ..reliability.rare import sweep_splitting
-        return sweep_splitting(points, n_runs=n_runs, base_seed=base_seed,
-                               n_jobs=n_jobs)
     if estimator == "bulk":
         return sweep(points, n_runs=n_runs, base_seed=base_seed,
                      n_jobs=n_jobs, sweep_name=sweep_name, engine="bulk")

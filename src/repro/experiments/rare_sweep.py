@@ -1,25 +1,22 @@
-"""Rare-event estimator comparison: naive MC vs IS vs splitting.
+"""Rare-event estimator comparison: naive MC vs importance sampling.
 
 The paper's probabilities fall below what 100-run naive Monte Carlo can
 resolve — a zero-hit sweep point proves only ``p <= 3/n``.  This driver
 takes the base FARM scenario (two-way mirroring, bathtub rates, FARM
 recovery) reduced to the *rare regime* — the small-cluster, short-horizon
-corner where losses are genuinely rare events — and runs all three
+corner where losses are genuinely rare events — and runs both
 estimators at the **same run budget**:
 
 * ``naive``   — count losing lifetimes (Wilson interval);
 * ``is``      — exponential tilting at :data:`RARE_TILT` (weighted CLT
-  interval; see :mod:`repro.reliability.rare`);
-* ``splitting`` — fixed-effort multilevel splitting on concurrent
-  degraded groups, budget split evenly across stages.
+  interval; see :mod:`repro.reliability.rare`).
 
 It asserts the headline claim of the acceleration subsystem — the IS 95%
 interval is at least :data:`MIN_CI_NARROWING` times narrower than the
 naive one at equal budget — and states the narrowing in the table's
 note; ``python -m repro run rare --out results/`` saves the table.  The
 global tilt only *helps* while the expected failure count is small;
-``docs/RARE_EVENTS.md`` derives why (and why splitting is the tool once
-systems grow).
+``docs/RARE_EVENTS.md`` derives why.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ import time
 
 from ..config import SystemConfig
 from ..reliability.montecarlo import MonteCarloResult, estimate_p_loss
-from ..reliability.rare import estimate_p_loss_is, splitting_p_loss
+from ..reliability.rare import estimate_p_loss_is
 from ..units import DAY, GB, TB, YEAR
 from .base import ExperimentResult, Scale, current_scale
 from .report import render_proportion
@@ -39,9 +36,6 @@ from .report import render_proportion
 #: runs hit losses routinely, small enough that the likelihood-ratio
 #: weights keep a healthy effective sample size (~n/4 at this budget).
 RARE_TILT = math.log(14.0)
-
-#: Splitting levels (concurrent degraded-group thresholds).
-RARE_LEVELS: tuple[int, ...] = (1, 2)
 
 #: Run budget per estimator.  Deliberately independent of the scale knob:
 #: the rare-regime lifetimes are tiny (10 disks, 3 months), and the
@@ -84,11 +78,6 @@ def run(scale: Scale | None = None, base_seed: int = 0,
     is_res = estimate_p_loss_is(cfg, n_runs=n_runs, tilt=RARE_TILT,
                                 base_seed=base_seed)
     t_is = time.time() - t0
-    t0 = time.time()
-    split = splitting_p_loss(cfg, n_runs=n_runs // (len(RARE_LEVELS) + 1),
-                             levels=RARE_LEVELS, base_seed=base_seed)
-    t_split = time.time() - t0
-    split_mc = split.as_montecarlo()
 
     result = ExperimentResult(
         experiment="rare-sweep",
@@ -102,8 +91,6 @@ def run(scale: Scale | None = None, base_seed: int = 0,
     rows = [
         ("naive", naive, naive.losses, naive.ess, t_naive),
         ("is(tilt=ln14)", is_res, is_res.losses, is_res.ess, t_is),
-        (f"splitting{RARE_LEVELS}", split_mc, split.stages[-1].hits,
-         split_mc.ess, t_split),
     ]
     for name, mc, hits, ess, secs in rows:
         result.add(estimator=name,

@@ -1,6 +1,5 @@
-"""Data-placement substrate: RUSH-style and random placement, balance."""
+"""Data-placement substrate: RUSH-style, random and copyset placement."""
 
-from .balance import BalanceReport, analyze, disk_loads
 from .base import PlacementAlgorithm, PlacementError
 from .copyset import CopysetPlacement
 from .hashing import hash_range, hash_u64, hash_unit, mix64
@@ -10,6 +9,5 @@ from .rush import RushPlacement, SubCluster
 __all__ = [
     "PlacementAlgorithm", "PlacementError",
     "RushPlacement", "SubCluster", "RandomPlacement", "CopysetPlacement",
-    "BalanceReport", "analyze", "disk_loads",
     "hash_u64", "hash_unit", "hash_range", "mix64",
 ]

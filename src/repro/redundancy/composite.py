@@ -25,12 +25,9 @@ threshold-only and exclude them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import Iterable, Union
 
 from .schemes import RedundancyScheme, SchemeKind
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .xor_parity import XorParity
 
 
 @dataclass(frozen=True)
@@ -110,12 +107,6 @@ class MirroredParity:
             dead_count[idx] = dead_count.get(idx, 0) + 1
         fully_dead = sum(1 for c in dead_count.values() if c == 2)
         return fully_dead >= 2
-
-    def make_codec(self) -> XorParity:
-        """Byte-level realization: the stripe's XOR codec (copies are
-        verbatim mirrors, so one codec serves both)."""
-        from .xor_parity import XorParity
-        return XorParity(self.m)
 
     def __str__(self) -> str:
         return self.name

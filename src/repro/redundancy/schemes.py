@@ -25,11 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .reedsolomon import ReedSolomon
-    from .xor_parity import XorParity
 
 
 class SchemeKind(Enum):
@@ -99,22 +94,6 @@ class RedundancyScheme:
     def rebuild_write_bytes(self, group_user_bytes: float) -> float:
         """Bytes written to the recovery target to rebuild one lost block."""
         return self.block_bytes(group_user_bytes)
-
-    # -- codec ---------------------------------------------------------- #
-    def make_codec(self) -> XorParity | ReedSolomon | None:
-        """Instantiate the byte-level codec realizing this scheme.
-
-        Mirroring needs no codec (blocks are verbatim copies); RAID 5 uses
-        :class:`~repro.redundancy.xor_parity.XorParity`; general schemes use
-        :class:`~repro.redundancy.reedsolomon.ReedSolomon`.
-        """
-        if self.kind is SchemeKind.MIRROR:
-            return None
-        if self.kind is SchemeKind.PARITY:
-            from .xor_parity import XorParity
-            return XorParity(self.m)
-        from .reedsolomon import ReedSolomon
-        return ReedSolomon(self.m, self.n)
 
     # -- parsing --------------------------------------------------------- #
     @classmethod

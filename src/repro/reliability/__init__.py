@@ -5,8 +5,7 @@ from .analytic import (WindowModel, expected_disk_failures, mean_window,
 from .markov import group_generator, mttdl, p_group_loss, p_system_loss
 from .montecarlo import (MonteCarloResult, estimate_p_loss,
                          loss_probability_series, run_seed, sweep)
-from .rare import (SplittingResult, TiltedFailureDraw, estimate_p_loss_is,
-                   splitting_p_loss, sweep_splitting)
+from .rare import TiltedFailureDraw, estimate_p_loss_is
 from .runner import (PointOutcome, PointSpec, RunningMoments,
                      StatsAggregate, SweepRunner, seed_schedule,
                      shutdown_pool)
@@ -29,8 +28,7 @@ __all__ = [
     "Proportion", "wilson_interval", "empty_proportion", "bootstrap_mean",
     "ExactSum", "WeightedAggregate",
     "weighted_clt_interval", "weighted_wilson_interval",
-    "TiltedFailureDraw", "SplittingResult", "estimate_p_loss_is",
-    "splitting_p_loss", "sweep_splitting",
+    "TiltedFailureDraw", "estimate_p_loss_is",
     "p_loss", "p_loss_window_model", "WindowModel",
     "mean_window", "expected_disk_failures",
     "p_group_loss", "p_system_loss", "mttdl", "group_generator",

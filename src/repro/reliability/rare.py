@@ -2,9 +2,9 @@
 
 The paper's headline probabilities drop to 1e-4 and far below, where the
 naive estimator (count losing lifetimes) needs millions of runs for a
-usable interval.  This module provides the two classic variance-reduction
-estimators, both exactly unbiased and both degenerating to the naive
-estimator at their trivial settings (the golden-pin gate in
+usable interval.  This module provides the classic variance-reduction
+estimator for that regime, exactly unbiased and degenerating to the
+naive estimator at its trivial setting (the golden-pin gate in
 ``tests/test_rare.py``):
 
 **Importance sampling by exponential tilting**
@@ -19,39 +19,20 @@ estimator at their trivial settings (the golden-pin gate in
     ``tilt=0`` reproduce the unweighted trajectories exactly, and makes
     tilted/untilted pairs common-random-number coupled.
 
-**Fixed-effort multilevel splitting**
-    (:func:`splitting_p_loss`).  The level variable is the count of
-    concurrently *degraded* groups (>=1 failed block, not lost) — data
-    loss requires overlapping degradation, so trajectories that reach k
-    concurrent degraded groups are the promising ones.  Each stage runs a
-    fixed effort of N legs; legs that reach the next level are captured
-    as :class:`~repro.reliability.simulation.SplitState` snapshots, the
-    next stage resamples starting states from that pool (dedicated
-    ``rare-split-resample`` stream) and regenerates each clone's future
-    by redrawing residual failure times (``rare-clone-failures`` stream;
-    valid because (age, alive) makes the failure process Markov).  The
-    estimate is the product of per-stage conditional hit fractions, with
-    a delta-method interval.
-
-When each wins, the math, and the re-pin policy for weighted goldens are
+When it wins, the math, and the re-pin policy for weighted goldens are
 documented in ``docs/RARE_EVENTS.md``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..config import SystemConfig
 from ..disks.failure import BathtubFailureModel
-from ..sim.rng import RandomStreams, stable_hash64
 from ..telemetry.handle import TelemetryConfig
 from .montecarlo import MonteCarloResult, estimate_p_loss
-from .runner import StatsAggregate, SweepRunner, seed_schedule
-from .simulation import ReliabilitySimulation, SplitState
-from .stats import Proportion, _erfinv, wilson_interval
 
 #: Default hazard tilt for :func:`estimate_p_loss_is`: every failure rate
 #: is multiplied by ``exp(DEFAULT_TILT)``.  Tuned for the small "rare
@@ -60,13 +41,7 @@ from .stats import Proportion, _erfinv, wilson_interval
 #: useful tilts as the disk count grows).
 DEFAULT_TILT = math.log(3.0)
 
-#: Default splitting levels: concurrent-degraded-group thresholds.
-DEFAULT_LEVELS: tuple[int, ...] = (1, 2)
 
-
-# --------------------------------------------------------------------- #
-# Importance sampling
-# --------------------------------------------------------------------- #
 class TiltedFailureDraw:
     """Exponentially tilted failure-age proposal with LR accounting.
 
@@ -140,250 +115,3 @@ def estimate_p_loss_is(config: SystemConfig, n_runs: int = 100,
                            keep_run_stats=keep_run_stats,
                            telemetry=telemetry, on_error=on_error,
                            tilt=tilt)
-
-
-# --------------------------------------------------------------------- #
-# Fixed-effort multilevel splitting
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class _SplitLeg:
-    """One splitting-stage leg shipped to a worker (picklable)."""
-
-    config: SystemConfig
-    #: level to arm; ``None`` runs the leg to the horizon (final stage).
-    level: int | None
-    #: fresh-run seed (stage 0 only; clones use ``state`` + clone seed).
-    seed: int = 0
-    state: SplitState | None = None
-    clone_seed: int = 0
-
-
-def _run_split_leg(leg: _SplitLeg) -> tuple[SplitState | None, object, int]:
-    """Execute one leg; returns ``(captured_state, stats, events)``."""
-    if leg.state is None:
-        sim = ReliabilitySimulation(leg.config, seed=leg.seed)
-    else:
-        sim = ReliabilitySimulation.from_split_state(
-            leg.config, leg.state, leg.clone_seed)
-    if leg.level is None:
-        stats = sim.run()
-        return None, stats, sim.sim.events_fired
-    state = sim.run_to_level(leg.level)
-    return state, sim.stats, sim.sim.events_fired
-
-
-@dataclass
-class SplitStage:
-    """One stage's conditional hit statistics."""
-
-    level: int | None       # level this stage ran toward (None = horizon)
-    trials: int
-    hits: int
-
-    @property
-    def p_hat(self) -> float:
-        return self.hits / self.trials if self.trials else 0.0
-
-
-@dataclass
-class SplittingResult:
-    """Outcome of a fixed-effort multilevel-splitting estimate."""
-
-    config: SystemConfig
-    levels: tuple[int, ...]
-    n_runs: int             # effort per stage
-    stages: list[SplitStage]
-    p_loss: Proportion
-    #: final-stage stats aggregate; runs carry the product of earlier
-    #: stage probabilities as their likelihood-ratio weight, so
-    #: ``aggregate.weighted`` reproduces the splitting estimate.
-    aggregate: StatsAggregate
-    total_runs: int
-    confidence: float
-
-    @property
-    def zero_hit(self) -> bool:
-        return self.p_loss.zero_hit
-
-    def as_montecarlo(self) -> MonteCarloResult:
-        """Adapt to the shape the experiment tables consume.
-
-        ``n_runs``/aggregate describe the *final stage* (the only full
-        lifetimes); ``p_loss`` is the splitting estimate.
-        """
-        agg = self.aggregate
-        return MonteCarloResult(
-            config=self.config,
-            n_runs=self.n_runs,
-            losses=agg.losses,
-            p_loss=self.p_loss,
-            groups_lost_total=agg.groups_lost,
-            mean_window=agg.mean_window,
-            max_window=agg.window_max,
-            disk_failures_total=agg.disk_failures,
-            redirections_total=agg.target_redirections,
-            replacement_batches_total=agg.replacement_batches,
-            blocks_migrated_total=agg.blocks_migrated,
-            events_fired_total=agg.events_fired,
-            aggregate=agg,
-        )
-
-
-def _splitting_interval(p_hats: list[float], estimate: float, hits: int,
-                        n_runs: int, confidence: float) -> Proportion:
-    """Delta-method interval for a product of stage proportions.
-
-    Treats stages as independent (the fixed-effort resampling correlation
-    is ignored, the standard approximation):
-    ``(sigma / p)^2 ~= sum (1 - p_l) / (N p_l)``, applied on the log
-    scale so the interval stays positive.
-    """
-    rel_var = sum((1.0 - p) / (n_runs * p) for p in p_hats if p > 0.0)
-    z = math.sqrt(2.0) * _erfinv(confidence)
-    sigma = math.sqrt(rel_var)
-    lo = estimate * math.exp(-z * sigma)
-    hi = estimate * math.exp(z * sigma)
-    return Proportion(successes=hits, trials=n_runs, estimate=estimate,
-                      lo=min(estimate, max(0.0, lo)),
-                      hi=max(estimate, min(1.0, hi)),
-                      confidence=confidence)
-
-
-def splitting_p_loss(config: SystemConfig, n_runs: int = 100,
-                     levels: tuple[int, ...] = DEFAULT_LEVELS,
-                     base_seed: int = 0, confidence: float = 0.95,
-                     n_jobs: int | None = None,
-                     runner: SweepRunner | None = None) -> SplittingResult:
-    """Fixed-effort multilevel-splitting estimate of P(data loss).
-
-    ``levels`` are strictly increasing concurrent-degraded-group
-    thresholds; each of the ``len(levels) + 1`` stages runs ``n_runs``
-    legs.  Stage 0 uses the standard Monte-Carlo seed schedule, so
-    ``levels=()`` *is* the naive estimator — same seeds, same
-    trajectories, same golden pins.  A leg that loses data mid-stage is
-    an absorbing hit for every later level.  Legs run through
-    :meth:`SweepRunner.map_tasks`, an ordered map, so parallel execution
-    folds identically to serial.
-    """
-    levels = tuple(int(lv) for lv in levels)
-    if any(lv < 1 for lv in levels):
-        raise ValueError("splitting levels must be >= 1")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("splitting levels must be strictly increasing")
-    if n_runs <= 0:
-        raise ValueError("n_runs must be positive")
-    runner = runner or SweepRunner(n_jobs=n_jobs)
-    resample_rng = RandomStreams(base_seed).rare("split-resample")
-    seeds = seed_schedule(base_seed, n_runs)
-    n_stages = len(levels) + 1
-    total_runs = n_stages * n_runs
-    agg = StatsAggregate()
-    stages: list[SplitStage] = []
-
-    # Stage 0: fresh trajectories toward the first level (or the horizon
-    # when there are no levels at all — the naive degenerate case).
-    first = levels[0] if levels else None
-    legs = [_SplitLeg(config, first, seed=s) for s in seeds]
-    outcomes = runner.map_tasks(_run_split_leg, legs)
-
-    if not levels:
-        for _, stats, events in outcomes:
-            agg.fold(stats, events)
-        hits = agg.losses
-        stages.append(SplitStage(level=None, trials=n_runs, hits=hits))
-        p_loss = wilson_interval(hits, n_runs, confidence)
-        return SplittingResult(config=config, levels=levels, n_runs=n_runs,
-                               stages=stages, p_loss=p_loss, aggregate=agg,
-                               total_runs=n_runs, confidence=confidence)
-
-    pool = [state for state, _, _ in outcomes if state is not None]
-    stages.append(SplitStage(level=first, trials=n_runs, hits=len(pool)))
-    p_hats = [stages[0].p_hat]
-
-    for stage_idx, next_level in enumerate(levels[1:] + (None,), start=1):
-        if not pool:
-            # A dry stage: the estimate is 0 with the stage-0 Wilson
-            # upper bound standing in (p <= P(reach first level)).
-            p_loss = replace(wilson_interval(0, n_runs, confidence),
-                             successes=0)
-            return SplittingResult(config=config, levels=levels,
-                                   n_runs=n_runs, stages=stages,
-                                   p_loss=p_loss, aggregate=agg,
-                                   total_runs=total_runs,
-                                   confidence=confidence)
-        log_prefix = sum(math.log(p) for p in p_hats)
-        choice = resample_rng.integers(0, len(pool), size=n_runs)
-        legs_now: list[tuple[int, _SplitLeg]] = []
-        absorbed: list[tuple[int, SplitState]] = []
-        for j, k in enumerate(choice):
-            start = pool[int(k)]
-            if start.lost_hit:
-                absorbed.append((j, start))
-                continue
-            clone_seed = stable_hash64(
-                base_seed, "rare-split", stage_idx, j) % (2 ** 62)
-            legs_now.append((j, _SplitLeg(config, next_level, state=start,
-                                          clone_seed=clone_seed)))
-        results = runner.map_tasks(_run_split_leg,
-                                   [leg for _, leg in legs_now])
-
-        if next_level is None:
-            # Final stage: full lifetimes; each run's weight is the
-            # product of the earlier stages' conditional probabilities.
-            slot_stats: list[tuple[int, object, int]] = []
-            for (j, _), (_, stats, events) in zip(legs_now, results):
-                slot_stats.append((j, stats, events))
-            for j, start in absorbed:
-                slot_stats.append((j, replace(start.stats), 0))
-            hits = 0
-            for j, stats, events in sorted(slot_stats, key=lambda t: t[0]):
-                stats.log_weight = log_prefix
-                agg.fold(stats, events)
-                if stats.any_loss:
-                    hits += 1
-            stages.append(SplitStage(level=None, trials=n_runs, hits=hits))
-            p_hats.append(stages[-1].p_hat)
-        else:
-            new_pool = [state for state, _, _ in results
-                        if state is not None]
-            hits = len(new_pool) + len(absorbed)
-            new_pool.extend(start for _, start in absorbed)
-            stages.append(SplitStage(level=next_level, trials=n_runs,
-                                     hits=hits))
-            p_hats.append(stages[-1].p_hat)
-            pool = new_pool
-
-    estimate = math.prod(p_hats)
-    final_hits = stages[-1].hits
-    if final_hits == 0 or estimate == 0.0:
-        p_loss = _splitting_interval(
-            [p for p in p_hats if p > 0.0] or [1.0],
-            0.0, 0, n_runs, confidence)
-    else:
-        p_loss = _splitting_interval(p_hats, estimate, final_hits, n_runs,
-                                     confidence)
-    return SplittingResult(config=config, levels=levels, n_runs=n_runs,
-                           stages=stages, p_loss=p_loss, aggregate=agg,
-                           total_runs=total_runs, confidence=confidence)
-
-
-def sweep_splitting(configs: dict[str, SystemConfig], n_runs: int = 100,
-                    levels: tuple[int, ...] = DEFAULT_LEVELS,
-                    base_seed: int = 0, confidence: float = 0.95,
-                    n_jobs: int | None = None
-                    ) -> dict[str, MonteCarloResult]:
-    """Splitting estimates for a labelled family of configurations.
-
-    The figure drivers' ``estimator="splitting"`` path: one
-    :class:`SweepRunner` (hence one persistent pool) serves every point,
-    and each result is adapted to the :class:`MonteCarloResult` shape the
-    experiment tables consume.
-    """
-    runner = SweepRunner(n_jobs=n_jobs)
-    out: dict[str, MonteCarloResult] = {}
-    for label, cfg in configs.items():
-        res = splitting_p_loss(cfg, n_runs=n_runs, levels=levels,
-                               base_seed=base_seed, confidence=confidence,
-                               runner=runner)
-        out[label] = res.as_montecarlo()
-    return out

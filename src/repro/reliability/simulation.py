@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
@@ -185,10 +185,10 @@ class _TargetProbes:
     applying the rule to a block of them gives every probe exactly, for
     one NumPy call per block instead of one per pick.
 
-    Words drawn ahead stay buffered here.  Nothing else reads the stream
-    and :class:`SplitState` holds no generator state, so the buffering
-    cannot be observed.  When ``n`` changes (spares, replacement batches)
-    the words not yet consumed are mapped again under the new bound.
+    Words drawn ahead stay buffered here.  Nothing else reads the stream,
+    so the buffering cannot be observed.  When ``n`` changes (spares,
+    replacement batches) the words not yet consumed are mapped again
+    under the new bound.
     Consumption ends at the last accepted word handed out: words NumPy
     rejected after it belong to the next draw.
     """
@@ -270,54 +270,6 @@ class FailureDraw(Protocol):
         ...
 
 
-@dataclass
-class SplitState:
-    """A picklable snapshot of a trajectory at a splitting level.
-
-    Captured by :meth:`ReliabilitySimulation.run_to_level` the moment the
-    count of concurrently degraded groups first reaches the level (or a
-    loss occurs — an absorbing hit for every later level).  The failure
-    times of still-alive drives are deliberately *not* part of the state:
-    given (deploy time, alive) the failure process is Markov, so a
-    restored clone redraws them from the conditional residual-life
-    distribution — that redraw is what makes clones diverge.
-    """
-
-    seed: int                   # root seed of the ancestor trajectory
-    now: float
-    lost_hit: bool              # captured at a loss (absorbing success)
-    level: int | None           # the level this capture was armed with
-    total_disks: int
-    alive: np.ndarray
-    free_at: np.ndarray
-    used_blocks: np.ndarray
-    deploy_time: np.ndarray
-    group_disks: np.ndarray
-    failed_count: np.ndarray
-    lost: np.ndarray
-    degraded: int
-    dynamic: dict[int, list[tuple[int, int]]]
-    spare_for: dict[int, int]
-    unreplaced: int
-    groups_lost_ids: list[int]
-    stats: RecoveryStats
-    #: in-flight rebuilds: (g, rep, target, failed_at, completion_time)
-    jobs: list[tuple[int, int, int, float, float]] = field(
-        default_factory=list)
-    #: pending detect/redirect/retry events: (due, g, rep, failed_at, origin)
-    detects: list[tuple[float, int, int, float, int]] = field(
-        default_factory=list)
-    #: machine id per disk id (failure-domain topology)
-    machine_of: list[int] = field(default_factory=list)
-    #: deferred-rebuild queue: (g, rep, attempts)
-    deferred: list[tuple[int, int, int]] = field(default_factory=list)
-    #: lazy-recovery held rebuilds: (g, rep, failed_at, origin)
-    lazy_held: list[tuple[int, int, float, int]] = field(
-        default_factory=list)
-    #: open per-group unavailability spans: (g, degraded-since)
-    degraded_since: list[tuple[int, float]] = field(default_factory=list)
-
-
 class ReliabilitySimulation:
     """One system lifetime on the flat-array engine.
 
@@ -352,7 +304,7 @@ class ReliabilitySimulation:
         #: ``stats.log_weight`` when the run ends.
         self.failure_draw = failure_draw
         #: count of groups currently degraded (>=1 failed block, not
-        #: lost) — the multilevel-splitting level variable.
+        #: lost).
         self._degraded = 0
         #: Lazy-recovery threshold (1 = eager, the bit-identical default).
         self._lazy_r = config.recovery_threshold
@@ -364,9 +316,6 @@ class ReliabilitySimulation:
         # own failure inflow (the forecast service's 422 rail, applied at
         # engine construction).
         check_repair_lane(config)
-        self._split_level: int | None = None
-        self._split_state: SplitState | None = None
-        self._restored = False
         self.policy = policy or PolicyConfig()
         if self.policy != PolicyConfig():
             self._pick_farm_target = self._pick_policy_target
@@ -620,16 +569,6 @@ class ReliabilitySimulation:
         self._maybe_replace(now)
         # A new batch may open constraint-compliant targets: retries for
         # deferred rebuilds are already armed, nothing extra to do here.
-        # Multilevel splitting: capture the trajectory the first time it
-        # reaches the armed level (or loses data — an absorbing hit for
-        # every later level), *after* this failure's detect events and
-        # replacement handling are scheduled, so the snapshot is a
-        # consistent instant of the process.
-        if self._split_level is not None and self._split_state is None \
-                and (self._degraded >= self._split_level
-                     or self.stats.groups_lost > 0):
-            self._split_state = self._capture_split()
-            self.sim.clear()
 
     def _fail_blocks(self, disk: int,
                      now: float) -> tuple[list[int], list[int]]:
@@ -943,8 +882,6 @@ class ReliabilitySimulation:
         policies re-arm most-at-risk-first (the release queue's order),
         the eager path in parking order.
         """
-        # (a restored splitting clone's parked rebuilds wait on detect
-        # events instead; those retry on their own)
         pending = [ev for ev in map(self._retry_events.get, self._deferred)
                    if ev is not None]
         if self._lazy_r > 1:
@@ -1492,169 +1429,9 @@ class ReliabilitySimulation:
         if self.telemetry is not None:
             self.telemetry.attach_probes(self.sim, self._telemetry_sample,
                                          until=self.duration)
-        if not self._restored:
-            self._schedule_initial_failures()
+        self._schedule_initial_failures()
         self.sim.run(until=self.duration)
         self._finalize(self.duration)
         if self.failure_draw is not None:
             self.stats.log_weight = self.failure_draw.log_weight
         return self.stats
-
-    # ------------------------------------------------------------------ #
-    # Multilevel splitting support (see repro.reliability.rare)
-    # ------------------------------------------------------------------ #
-    def run_to_level(self, level: int) -> SplitState | None:
-        """Run until ``level`` concurrently degraded groups (or a loss).
-
-        Returns the captured :class:`SplitState` at the first crossing —
-        with ``lost_hit=True`` when the stop was a data loss — or ``None``
-        when the horizon was reached first (the run's stats are then
-        complete).  Works both on a fresh trajectory and on a clone
-        restored with :meth:`from_split_state`.
-        """
-        if level < 1:
-            raise ValueError("splitting level must be >= 1")
-        if self.telemetry is not None:
-            raise ValueError("splitting stages do not support telemetry; "
-                             "probe timers cannot be captured/restored")
-        self._split_level = level
-        self._split_state = None
-        if not self._restored:
-            self._schedule_initial_failures()
-        self.sim.run(until=self.duration)
-        if self._split_state is None:
-            self._finalize(self.duration)     # horizon reached: close spans
-        return self._split_state
-
-    def _capture_split(self) -> SplitState:
-        total = self.total_disks
-        jobs: list[tuple[int, int, int, float, float]] = []
-        seen: set[int] = set()
-        for group_jobs in self._jobs_by_group.values():
-            for job in group_jobs:
-                if job.cancelled or id(job) in seen:
-                    continue
-                seen.add(id(job))
-                jobs.append((job.g, job.rep, job.target, job.failed_at,
-                             float(job.event.time)))
-        jobs.sort()
-        detects = sorted(
-            (float(ev.time), int(ev.args[0]), int(ev.args[1]),
-             float(ev.args[2]), int(ev.args[3]))
-            for ev in self.sim.pending()
-            if ev.name in ("detect", "redirect", "rebuild-retry"))
-        return SplitState(
-            seed=self.seed,
-            now=float(self.sim.now),
-            lost_hit=self.stats.groups_lost > 0,
-            level=self._split_level,
-            total_disks=total,
-            alive=np.array(self.alive[:total], dtype=bool),
-            free_at=np.array(self.free_at[:total], dtype=np.float64),
-            used_blocks=np.array(self.used_blocks[:total], dtype=np.int64),
-            deploy_time=self.deploy_time[:total].copy(),
-            group_disks=self.group_disks.copy(),
-            failed_count=self.failed_count.copy(),
-            lost=self.lost.copy(),
-            degraded=self._degraded,
-            dynamic={d: list(v) for d, v in self._dynamic.items()},
-            spare_for=dict(self._spare_for),
-            unreplaced=self._unreplaced,
-            groups_lost_ids=list(self.groups_lost_ids),
-            stats=replace(self.stats),
-            jobs=jobs,
-            detects=detects,
-            machine_of=self.topology.assignments(),
-            deferred=sorted((g, rep, a)
-                            for (g, rep), a in self._deferred.items()),
-            lazy_held=sorted((g, rep, fa, o)
-                             for g, reps in self._held.items()
-                             for rep, (fa, o) in reps.items()),
-            degraded_since=sorted(self._degraded_since.items()))
-
-    @classmethod
-    def from_split_state(cls, config: SystemConfig, state: SplitState,
-                         clone_seed: int) -> "ReliabilitySimulation":
-        """Rebuild a simulation from a captured splitting state.
-
-        Placement, the static block index, and the per-disk SMART coins
-        are reconstructed from the ancestor's root seed (they are part of
-        the trajectory's identity); all *future* randomness — conditional
-        failure-time redraws, target probes, migration — comes from
-        ``clone_seed`` streams, with the redraw on the dedicated
-        ``rare-clone-failures`` stream.
-        """
-        sim = cls(config, seed=state.seed)
-        sim._apply_split(state, clone_seed)
-        return sim
-
-    def _apply_split(self, state: SplitState, clone_seed: int) -> None:
-        self.sim = Simulator(start_time=state.now)
-        need = state.total_disks
-        if need > self._cap:
-            self._grow(need - self.total_disks)
-        self.total_disks = need
-        pad = self._cap - need
-        self.alive = state.alive.tolist() + [False] * pad
-        self.fail_time[:] = np.inf
-        self.free_at = state.free_at.tolist() + [0.0] * pad
-        self.used_blocks = state.used_blocks.tolist() + [0] * pad
-        self.deploy_time[:] = 0.0
-        self.deploy_time[:need] = state.deploy_time
-        self.group_disks = state.group_disks.copy()
-        self.failed_count = state.failed_count.copy()
-        self.lost = state.lost.copy()
-        self._degraded = state.degraded
-        self._dynamic = defaultdict(
-            list, {d: list(v) for d, v in state.dynamic.items()})
-        self._spare_for = dict(state.spare_for)
-        self._unreplaced = state.unreplaced
-        self.groups_lost_ids = list(state.groups_lost_ids)
-        self.stats = replace(state.stats)
-        if state.machine_of:
-            self.topology = Topology.from_assignments(
-                self.cfg.racks, self.cfg.machines_per_rack,
-                state.machine_of)
-        # Attempt counts survive the restore so a re-deferral on the clone
-        # neither double-counts rebuilds_deferred nor resets the backoff.
-        self._deferred = {(g, rep): a for g, rep, a in state.deferred}
-        self._held = {}
-        for g, rep, fa, o in state.lazy_held:
-            self._held.setdefault(g, {})[rep] = (fa, o)
-        self._degraded_since = dict(state.degraded_since)
-        self._domain_blocked = False
-        self._restored = True
-
-        # Future randomness comes from the clone's stream set; the root
-        # seed (placement, SMART coins) stays the ancestor's.
-        self.streams = RandomStreams(clone_seed)
-        self._probes = _TargetProbes(self.streams.get("targets"))
-
-        # Markov regeneration: redraw every live drive's failure time from
-        # the residual-life distribution given its current age.
-        idx = np.flatnonzero(state.alive)
-        if idx.size:
-            ages_now = np.maximum(0.0, state.now - self.deploy_time[idx])
-            redraw = self.cfg.vintage.failure_model.sample_failure_age(
-                self.streams.rare("clone-failures"), idx.size,
-                current_age=ages_now)
-            self.fail_time[idx] = self.deploy_time[idx] + redraw
-            for d in idx:
-                t = self.fail_time[d]
-                if t <= self.duration:
-                    self.sim.schedule_at(float(t), self.on_disk_failure,
-                                         int(d), name="disk-failure")
-
-        # Recreate in-flight rebuilds (reservations are already inside the
-        # captured used_blocks) and pending detect/redirect events.
-        self._jobs_by_target = defaultdict(dict)
-        self._jobs_by_group = defaultdict(dict)
-        for g, rep, target, failed_at, completion in state.jobs:
-            job = _Job(g, rep, target, failed_at, None, False)
-            job.event = self.sim.schedule_at(completion, self._complete,
-                                             job, name="rebuild")
-            self._jobs_by_target[target][job] = None
-            self._jobs_by_group[g][job] = None
-        for due, g, rep, failed_at, origin in state.detects:
-            self.sim.schedule_at(due, self._start_rebuild, g, rep,
-                                 failed_at, origin, name="detect")

@@ -5,7 +5,7 @@ with Wilson score intervals (well-behaved near 0 and 1, where reliability
 estimates live) and provide a bootstrap helper for non-Bernoulli outputs
 (e.g. mean windows of vulnerability).
 
-The weighted half of this module supports the rare-event estimators in
+The weighted half of this module supports the rare-event estimator in
 :mod:`repro.reliability.rare`: importance-sampled runs carry a
 likelihood-ratio weight, and :class:`WeightedAggregate` is the one
 sanctioned place those weights are combined (lint rule RPR012 rejects

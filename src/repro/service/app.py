@@ -87,14 +87,15 @@ class ForecastService:
         return addr[0], addr[1]
 
     async def stop(self) -> None:
-        if self._refine_task is not None:
-            self._refine_task.cancel()
-            # The CancelledError is the cancellation just requested.
-            try:
-                await self._refine_task
-            except asyncio.CancelledError:  # repro: noqa RPR009
-                pass
+        task = self._refine_task
+        if task is not None:
+            task.cancel()
+            # Unlike awaiting the task, this raises CancelledError only
+            # when stop() itself is cancelled.
+            await asyncio.wait([task])
             self._refine_task = None
+            if not task.cancelled():
+                task.result()           # a refine loop that died raises
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()

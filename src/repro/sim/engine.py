@@ -205,10 +205,6 @@ class Simulator:
         finally:
             self._running = False
 
-    def clear(self) -> None:
-        """Drop all pending events (clock unchanged)."""
-        self._heap.clear()
-
     # ------------------------------------------------------------------ #
     # Timers
     # ------------------------------------------------------------------ #

@@ -32,32 +32,13 @@ def stable_hash64(*parts: object) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-#: Stream kinds reserved for the rare-event estimators
-#: (:mod:`repro.reliability.rare`).  ``split-resample`` drives the
-#: multilevel-splitting state resampling; ``clone-failures`` draws the
-#: conditional residual failure times of a restored splitting clone.  The
-#: family is a closed registry so golden-regression tests can pin every
-#: member; importance sampling deliberately has no entry here — the
-#: tilted draw consumes the ordinary ``disk-failures`` stream so that a
-#: zero tilt reproduces the unweighted trajectories bit for bit.
-RARE_STREAM_KINDS: tuple[str, ...] = ("split-resample", "clone-failures")
-
-
-def rare_stream_name(kind: str) -> str:
-    """The stream name for a rare-event stream ``kind`` (validated)."""
-    if kind not in RARE_STREAM_KINDS:
-        raise ValueError(f"unknown rare stream kind {kind!r}; expected "
-                         f"one of {RARE_STREAM_KINDS}")
-    return f"rare-{kind}"
-
-
 #: Stream kinds reserved for the bulk-lifetime engine
 #: (:mod:`repro.reliability.bulk`).  ``failures`` draws every disk's
 #: lifetime in one batch, ``placement`` draws group membership, and
 #: ``windows`` draws the stochastic part of the repair windows
-#: (traditional-mode queue positions).  Like the rare family this is a
-#: closed registry so the golden-regression suite can pin every member:
-#: the bulk engine deliberately does *not* share the DES engines'
+#: (traditional-mode queue positions).  This is a closed registry so the
+#: golden-regression suite can pin every member: the bulk engine
+#: deliberately does *not* share the DES engines'
 #: ``disk-failures``/``targets`` streams — its draw order is batched, not
 #: event-ordered, so sharing would silently perturb the DES pins.
 BULK_STREAM_KINDS: tuple[str, ...] = ("failures", "placement", "windows")
@@ -97,16 +78,6 @@ class RandomStreams:
             gen = np.random.Generator(np.random.PCG64(ss))
             self._cache[name] = gen
         return gen
-
-    def rare(self, kind: str) -> np.random.Generator:
-        """A stream of the rare-event family (see :data:`RARE_STREAM_KINDS`).
-
-        Dedicated streams keep the estimators' own randomness (state
-        resampling, clone redraws) isolated from the simulation's
-        component streams, so enabling an accelerated estimator never
-        perturbs an ordinary run with the same seed.
-        """
-        return self.get(rare_stream_name(kind))
 
     def bulk(self, kind: str) -> np.random.Generator:
         """A stream of the bulk-engine family (see :data:`BULK_STREAM_KINDS`).

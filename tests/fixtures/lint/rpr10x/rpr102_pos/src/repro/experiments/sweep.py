@@ -1,9 +1,10 @@
-"""RPR102 positive: a rare-* stream drawn outside its subsystem.
+"""RPR102 positive: a bulk-* stream drawn outside its subsystem.
 
-``rare-split-resample`` belongs to ``repro.reliability.rare``; drawing
-it from experiment code would perturb the estimator's resampling.
+``bulk-failures`` belongs to ``repro.reliability.bulk``; drawing it
+from experiment code would shift every later lifetime draw of the
+bulk engine.
 """
 
 
-def draw_resample(streams):
-    return streams.rare("split-resample")
+def draw_failures(streams):
+    return streams.bulk("failures")

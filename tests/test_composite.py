@@ -2,7 +2,6 @@
 
 import itertools
 
-import numpy as np
 import pytest
 
 from repro.config import SystemConfig
@@ -34,12 +33,6 @@ class TestAlgebra:
     def test_validation(self):
         with pytest.raises(ValueError):
             MirroredParity(0)
-
-    def test_codec_is_stripe_xor(self, mp):
-        codec = mp.make_codec()
-        data = np.arange(16, dtype=np.uint8).reshape(4, 4)
-        blocks = codec.encode(data)
-        assert blocks.shape == (5, 4)
 
     def test_not_threshold(self, mp):
         assert not is_threshold_scheme(mp)

@@ -5,7 +5,6 @@ import doctest
 
 import pytest
 
-import repro.placement.balance
 import repro.reliability.scenarios
 import repro.sim.engine
 

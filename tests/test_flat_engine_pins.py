@@ -6,11 +6,10 @@ one smoke-size ``(config, seed)`` lifetime on
 they cover the paths the event loop spends its time in: FARM target
 selection (with and without the failure-domain cap, SMART vetoes and
 replacement churn), the traditional spare and overflow-spare branches,
-and the lazy held queue (release, loss cleanup, and a splitting
-round trip through ``SplitState.lazy_held``).  The disk-failure fan-out
-is pinned on every branch it has: colocated losses under uncapped
-racks, a set-based scheme past its tolerance, two blocks of one group
-on the dying disk, telemetry on (full snapshot, in
+and the lazy held queue (release and loss cleanup).  The disk-failure
+fan-out is pinned on every branch it has: colocated losses under
+uncapped racks, a set-based scheme past its tolerance, two blocks of one
+group on the dying disk, telemetry on (full snapshot, in
 ``fixtures/telemetry_racks_pin.json``), and a death during a transient
 outage of a disk that holds rebuilt blocks.
 
@@ -136,19 +135,6 @@ def run_overflow_spare() -> tuple[list[int], int, dict]:
         targets.append(job.target)
     stats = sim.run()
     return targets, sim.sim.events_fired, asdict(stats)
-
-
-def run_split_round_trip() -> tuple[int, list, int, dict]:
-    """Capture a lazy trajectory at splitting level 2, restore a clone
-    from the snapshot, and run the clone to the horizon."""
-    config = lazy_cfg(repair_bandwidth_fraction=None)
-    sim = ReliabilitySimulation(config, seed=3)
-    state = sim.run_to_level(2)
-    clone = ReliabilitySimulation.from_split_state(config, state,
-                                                   clone_seed=99)
-    stats = clone.run()
-    return (len(state.lazy_held), state.lazy_held[:3],
-            clone.sim.events_fired, asdict(stats))
 
 
 def run_no_buddy_check() -> tuple[int, int, dict]:
@@ -423,35 +409,6 @@ PINS = {'farm': (557,
                                  'unavail_max': 31905.0,
                                  'rebuilds_held': 0,
                                  'log_weight': 0.0}),
- 'lazy-split-round-trip': (38,
-                           [(27, 0, 2695378.183455215, 44),
-                            (66, 0, 2695378.183455215, 44),
-                            (75, 2, 2695378.183455215, 44)],
-                           974,
-                           {'rebuilds_started': 476,
-                            'rebuilds_completed': 476,
-                            'target_redirections': 0,
-                            'source_redirections': 0,
-                            'groups_lost': 0,
-                            'bytes_lost': 0.0,
-                            'first_loss_time': None,
-                            'disk_failures': 23,
-                            'window_total': 4757666324.5014515,
-                            'window_max': 55773591.791633785,
-                            'replacement_batches': 0,
-                            'blocks_migrated': 0,
-                            'rebuilds_deferred': 0,
-                            'rebuilds_deferred_constraint': 0,
-                            'domain_colocated_losses': 0,
-                            'retries': 0,
-                            'latent_errors_discovered': 0,
-                            'latent_window_total': 0.0,
-                            'transient_outages': 0,
-                            'unavail_group_seconds': 18947339568.569317,
-                            'unavail_spans': 755,
-                            'unavail_max': 60419821.816544786,
-                            'rebuilds_held': 755,
-                            'log_weight': 0.0}),
  'farm-racks-uncapped': (16141,
                          {'rebuilds_started': 1400,
                           'rebuilds_completed': 1400,
@@ -565,10 +522,6 @@ def test_lifetime_pin(name):
 
 def test_overflow_spare_pin():
     assert run_overflow_spare() == PINS["traditional-overflow-spare"]
-
-
-def test_split_round_trip_pin():
-    assert run_split_round_trip() == PINS["lazy-split-round-trip"]
 
 
 def test_no_buddy_check_pin():

@@ -24,24 +24,20 @@ PIN_RUSH = [31, 613, 813]
 PIN_RANDOM = [556, 379, 284]
 PIN_HASH = 5037368365621519589
 
-# Rare-event machinery: first uniform from each dedicated rare-* stream,
-# and one tilted trajectory (tilt = ln 3) on the same config/seed as the
-# untilted pins above.  Weighted golden values follow the same re-pin
-# policy (docs/RARE_EVENTS.md): update only for intentional changes.
-PIN_RARE_STREAMS = {
-    "split-resample": 0.4148786529196775,
-    "clone-failures": 0.9201607633499662,
-}
-
-# Failure-domain injector streams (repro.faults.domains).  Pinned for
-# the same reason as the rare-* family: arming a domain injector must
-# never perturb — and never be perturbed by — the base simulation
-# streams, so each one owns a named stream whose first draw is fixed.
+# Failure-domain injector streams (repro.faults.domains).  Arming a
+# domain injector must never perturb — and never be perturbed by — the
+# base simulation streams, so each one owns a named stream whose first
+# draw is fixed.
 PIN_DOMAIN_STREAMS = {
     "faults-domain-bursts": 0.18235955024884265,
     "faults-domain-outages": 0.8985747888281354,
     "faults-domain-stragglers": 0.630501410220294,
 }
+
+# Importance sampling: one tilted trajectory (tilt = ln 3) on the same
+# config/seed as the untilted pins above.  Weighted golden values follow
+# the same re-pin policy (docs/RARE_EVENTS.md): update only for
+# intentional changes.
 PIN_TILTED_FAST = (28, 1290, 1290, 0)
 PIN_TILTED_LOG_WEIGHT = -10.469417395163475
 
@@ -83,16 +79,6 @@ class TestPins:
     def test_stable_hash_pin(self):
         assert stable_hash64("golden", 1) == PIN_HASH
 
-    def test_rare_stream_pins(self):
-        """The rare-* streams are a separate, pinned RNG family.
-
-        These streams feed only the rare-event estimators; pinning their
-        first draws guarantees adding one never perturbs — and is never
-        perturbed by — the ordinary simulation streams.
-        """
-        for kind, expected in PIN_RARE_STREAMS.items():
-            assert float(RandomStreams(123).rare(kind).random()) == expected
-
     def test_domain_stream_pins(self):
         """The faults-domain-* streams are their own pinned family."""
         for name, expected in PIN_DOMAIN_STREAMS.items():
@@ -120,7 +106,7 @@ class TestPins:
 
         The bulk engine must never perturb — or be perturbed by — a DES
         run with the same seed, so its three streams are pinned exactly
-        like the rare-* and faults-domain-* families.
+        like the faults-domain-* family.
         """
         for kind, expected in PIN_BULK_STREAMS.items():
             assert float(RandomStreams(123).bulk(kind).random()) == expected

@@ -1,17 +1,20 @@
 """Tests for the single-group Markov chain (repro.reliability.markov)."""
 
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from repro.config import PAPER_BASE
+from repro.config import PAPER_BASE, SystemConfig
 from repro.disks.failure import BathtubFailureModel, RatePeriod
-from repro.redundancy import ECC_4_6, MIRROR_2, MIRROR_3, RAID5_4_5
+from repro.redundancy import (ECC_4_6, MIRROR_2, MIRROR_3, PAPER_SCHEMES,
+                              RAID5_4_5)
 from repro.reliability import (analytic, group_generator, markov, mttdl,
                                p_group_loss, p_system_loss)
 from repro.reliability.envelope import ANALYTIC, MARKOV, refusals
-from repro.units import HOUR, TB, YEAR
+from repro.units import GB, HOUR, TB, YEAR
 
 LAM = 1e-6 / HOUR        # per-disk failure rate
 MU = 1.0 / (655.0)       # per-block repair rate (FARM-like window)
@@ -111,6 +114,42 @@ class TestMTTDL:
         p = p_group_loss(MIRROR_2, LAM, MU, t)
         assert p == pytest.approx(t / m, rel=0.05)
 
+    def test_zero_failure_rate_never_loses(self):
+        assert mttdl(MIRROR_2, 0.0, MU) == math.inf
+        with pytest.raises(ValueError):
+            mttdl(MIRROR_2, -LAM, MU)
+
+    @pytest.mark.parametrize("farm", [True, False], ids=["FARM", "w/o"])
+    @pytest.mark.parametrize("scheme", PAPER_SCHEMES, ids=str)
+    def test_matches_exact_rational_solution(self, scheme, farm):
+        """At the MTTDL table's configs (rates ~1e5 apart) the MTTDL is
+        the exact absorption time of the float rates' chain, found by
+        Gaussian elimination over rationals on ``Q_t m = -1``."""
+        cfg = SystemConfig(group_user_bytes=10 * GB, scheme=scheme,
+                           use_farm=farm)
+        lam = analytic.mean_hazard(cfg)
+        mu = 1.0 / analytic.mean_window(cfg)
+        size = scheme.tolerance + 1            # the transient states
+        a = [[Fraction(0)] * size for _ in range(size)]
+        for i in range(size):
+            up = (scheme.n - i) * Fraction(lam)
+            down = Fraction(mu) * (i if farm else 1) if i else Fraction(0)
+            a[i][i] = -(up + down)
+            if i + 1 < size:
+                a[i][i + 1] = up
+            if i:
+                a[i][i - 1] = down
+        b = [Fraction(-1)] * size
+        for c in range(size):
+            for r in range(size):
+                if r != c and a[r][c]:
+                    f = a[r][c] / a[c][c]
+                    a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+                    b[r] -= f * b[c]
+        exact = float(b[0] / a[0][0])
+        assert mttdl(scheme, lam, mu, parallel_repair=farm) == \
+            pytest.approx(exact, rel=1e-12)
+
 
 def _flat_rate_config(**overrides):
     """PAPER_BASE with a single constant-rate hazard period (chain-exact)."""
@@ -153,16 +192,18 @@ class TestConfigMapped:
 
     @pytest.mark.parametrize("scheme, pct, p_loss, mttdl_s", [
         (MIRROR_2, 0.5, 0.004773316730729449, 39572627086.18746),
-        (MIRROR_3, 0.5, 6.529221607820546e-09, 2.899989616651958e+16),
+        (MIRROR_3, 0.5, 6.529221607820546e-09, 2.8999800977697416e+16),
         (RAID5_4_5, 0.5, 0.013513380717976142, 13916810924.529829),
-        (ECC_4_6, 0.5, 1.0558220853162936e-08, 1.793166709788206e+16),
+        (ECC_4_6, 0.5, 1.0558220853162936e-08, 1.7933067155145524e+16),
         (MIRROR_2, 0.2, 0.01519458968745413, 12366425717.21657),
     ])
     def test_farm_answers_kept(self, scheme, pct, p_loss, mttdl_s):
         """FARM answers of the one-block-rebuild mapping this one
         replaced (100 TB at 0.5 %/1000 h, and PAPER_BASE at 0.2 %).  The
-        failure rate is now the mean hazard, one ulp from the flat rate;
-        the MTTDL solve amplifies that to ~1e-10 for tolerance 2."""
+        failure rate is now the mean hazard, one ulp from the flat rate.
+        The 1/3 and 4/6 MTTDLs are the exact absorption times: a linear
+        solve had captured them 3.3e-6 and 7.8e-5 off.  The other three
+        were captured within 3e-10 of exact."""
         flat = BathtubFailureModel((RatePeriod(0.0, float("inf"), pct),))
         cfg = PAPER_BASE.with_(
             scheme=scheme,

@@ -1,18 +1,17 @@
-"""Statistical conformance for the rare-event estimators.
+"""Statistical conformance for the rare-event estimator.
 
 Three kinds of guarantee, three kinds of test:
 
 * **Exact degeneration** (fast): at zero tilt, importance sampling *is*
   the naive estimator — same trajectories, same golden pins, unit
-  weights; with no levels, splitting *is* naive Monte Carlo on the
-  standard seed schedule.  These hold bit-for-bit, not approximately.
+  weights.  This holds bit-for-bit, not approximately.
 * **Unbiasedness diagnostics** (slow): likelihood-ratio weights are
   strictly positive and average to 1 within their own CLT error.
 * **Cross-estimator conformance** (slow): on a constant-hazard scenario
   where the birth–death Markov chain is exact (groups-per-disk-pair
-  << 1, so group losses are approximately independent), naive MC,
-  IS, and splitting all produce 95% intervals that contain the
-  analytic value and pairwise overlap.
+  << 1, so group losses are approximately independent), naive MC and
+  IS both produce 95% intervals that contain the analytic value and
+  overlap.
 
 The slow suites are excluded from tier-1 (`-m 'not slow'` in addopts)
 and run from scripts/check.sh.
@@ -29,8 +28,7 @@ from repro.disks.vintage import DiskVintage
 from repro.redundancy import MIRROR_2
 from repro.reliability.markov import p_system_loss
 from repro.reliability.montecarlo import estimate_p_loss
-from repro.reliability.rare import (TiltedFailureDraw, estimate_p_loss_is,
-                                    splitting_p_loss, sweep_splitting)
+from repro.reliability.rare import TiltedFailureDraw, estimate_p_loss_is
 from repro.sim.rng import RandomStreams
 from repro.units import DAY, GB, HOUR, TB, YEAR
 
@@ -102,34 +100,6 @@ class TestZeroTiltDegeneration:
         assert 1.0 <= result.ess < 20.0
         assert result.p_loss.lo <= result.p_loss.estimate \
             <= result.p_loss.hi
-
-
-class TestSplittingDegeneration:
-    def test_no_levels_equals_naive(self):
-        cfg = rare_cfg()
-        naive = estimate_p_loss(cfg, n_runs=8)
-        split = splitting_p_loss(cfg, n_runs=8, levels=())
-        assert split.p_loss == naive.p_loss
-        assert split.total_runs == 8
-        assert len(split.stages) == 1 and split.stages[0].level is None
-
-    def test_level_validation(self):
-        for bad in ((0,), (2, 1), (1, 1), (-1, 2)):
-            with pytest.raises(ValueError):
-                splitting_p_loss(rare_cfg(), n_runs=4, levels=bad)
-
-    def test_stage_product_is_estimate(self):
-        split = splitting_p_loss(rare_cfg(), n_runs=40, levels=(1,),
-                                 base_seed=7)
-        expected = math.prod(s.p_hat for s in split.stages)
-        assert split.p_loss.estimate == pytest.approx(expected)
-
-    def test_sweep_splitting_adapts_to_montecarlo(self):
-        results = sweep_splitting({"a": rare_cfg()}, n_runs=10,
-                                  levels=(1,))
-        mc = results["a"]
-        assert mc.n_runs == 10
-        assert 0.0 <= mc.p_loss.estimate <= 1.0
 
 
 class TestResultEss:
@@ -239,7 +209,7 @@ class TestWeightDiagnostics:
 
 @pytest.mark.slow
 class TestMarkovConformance:
-    """All three estimators vs the exact chain, fixed seeds.
+    """Naive MC and IS vs the exact chain, fixed seeds.
 
     Deterministic in (config, seed): these are regression gates, not
     flaky statistical coin flips.
@@ -253,17 +223,12 @@ class TestMarkovConformance:
         naive = estimate_p_loss(cfg, n_runs=300, base_seed=0)
         is_res = estimate_p_loss_is(cfg, n_runs=300, tilt=math.log(2.0),
                                     base_seed=0)
-        split = splitting_p_loss(cfg, n_runs=150, levels=(2,),
-                                 base_seed=0)
-        intervals = {"naive": naive.p_loss, "is": is_res.p_loss,
-                     "splitting": split.p_loss}
+        intervals = {"naive": naive.p_loss, "is": is_res.p_loss}
         for name, p in intervals.items():
             assert p.lo <= exact <= p.hi, (
                 f"{name} interval [{p.lo:.4f}, {p.hi:.4f}] misses the "
                 f"analytic value {exact:.4f}")
         assert overlap(intervals["naive"], intervals["is"])
-        assert overlap(intervals["naive"], intervals["splitting"])
-        assert overlap(intervals["is"], intervals["splitting"])
 
     def test_is_keeps_healthy_ess_at_mild_tilt(self):
         result = estimate_p_loss_is(markov_cfg(), n_runs=300,
@@ -284,4 +249,4 @@ class TestRareSweepExperiment:
         [narrowing] = re.findall(r"IS 95% CI is ([\d.]+)x narrower", text)
         assert float(narrowing) >= rare_sweep.MIN_CI_NARROWING
         assert "naive is a zero-hit: its budget only proves p <=" in text
-        assert len(result.rows) == 3
+        assert len(result.rows) == 2       # naive and IS

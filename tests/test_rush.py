@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.placement import (PlacementError, RushPlacement, analyze,
-                             disk_loads)
+from repro.placement import PlacementError, RushPlacement
 
 
 @pytest.fixture
@@ -57,11 +56,11 @@ class TestCandidateLists:
 class TestBalance:
     def test_load_close_to_binomial(self, rush):
         pl = rush.place_many(np.arange(40_000), 2)
-        report = analyze(disk_loads(pl, rush.n_disks))
+        loads = np.bincount(pl.ravel(), minlength=rush.n_disks)
         # 80k blocks over 200 disks: mean 400, binomial std ~20 (cv ~0.05)
-        assert report.mean == pytest.approx(400.0)
-        assert report.cv < 0.10
-        assert report.max_over_mean < 1.35
+        assert loads.mean() == pytest.approx(400.0)
+        assert loads.std() / loads.mean() < 0.10
+        assert loads.max() / loads.mean() < 1.35
 
     def test_weighted_clusters_get_proportional_load(self):
         rp = RushPlacement(100, weight=1.0, seed=9)
@@ -94,8 +93,8 @@ class TestGrowth:
         rp.add_cluster(150)
         pl = rp.place_many(np.arange(60_000), 2)
         assert pl.shape == (60_000, 2)
-        report = analyze(disk_loads(pl, rp.n_disks))
-        assert report.cv < 0.12
+        loads = np.bincount(pl.ravel(), minlength=rp.n_disks)
+        assert loads.std() / loads.mean() < 0.12
 
     def test_disk_ids_contiguous_across_clusters(self):
         rp = RushPlacement(10, seed=0)

@@ -5,8 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.redundancy import (ECC_4_6, ECC_8_10, MIRROR_2, MIRROR_3,
                               PAPER_SCHEMES, RAID5_2_3, RAID5_4_5,
-                              RedundancyScheme, ReedSolomon, SchemeKind,
-                              XorParity)
+                              RedundancyScheme, SchemeKind)
 from repro.units import GB
 
 
@@ -35,6 +34,11 @@ class TestIdentity:
             RedundancyScheme(3, 2)
         with pytest.raises(ValueError):
             RedundancyScheme(0, 2)
+
+    def test_hashable_and_frozen(self):
+        assert len({MIRROR_2, MIRROR_3, MIRROR_2}) == 2
+        with pytest.raises(Exception):
+            MIRROR_2.m = 9   # type: ignore[misc]
 
 
 class TestAlgebra:
@@ -78,20 +82,3 @@ class TestAlgebra:
     def test_tolerance_definition(self, m, k):
         assert RedundancyScheme(m, m + k).tolerance == k
 
-
-class TestCodecFactory:
-    def test_mirror_needs_no_codec(self):
-        assert MIRROR_2.make_codec() is None
-
-    def test_raid5_gets_xor(self):
-        assert isinstance(RAID5_4_5.make_codec(), XorParity)
-
-    def test_ecc_gets_reed_solomon(self):
-        codec = ECC_8_10.make_codec()
-        assert isinstance(codec, ReedSolomon)
-        assert (codec.m, codec.n) == (8, 10)
-
-    def test_hashable_and_frozen(self):
-        assert len({MIRROR_2, MIRROR_3, MIRROR_2}) == 2
-        with pytest.raises(Exception):
-            MIRROR_2.m = 9   # type: ignore[misc]

@@ -443,6 +443,49 @@ class TestCascade:
         assert a.losses == b.losses and a.n_runs == b.n_runs
 
 
+class TestStop:
+    """``ForecastService.stop`` with a stub refinement task."""
+
+    def test_cancelling_stop_cancels_it(self):
+        """A refine task slow to wind down must not swallow a
+        cancellation of ``stop()`` itself."""
+        async def scenario():
+            release = asyncio.Event()
+
+            async def slow_refine():
+                try:
+                    await asyncio.Event().wait()
+                finally:
+                    await release.wait()
+
+            service = ForecastService(_cascade())
+            service._refine_task = asyncio.create_task(slow_refine())
+            await asyncio.sleep(0)
+            stopper = asyncio.create_task(service.stop())
+            await asyncio.sleep(0)      # stop() cancels the stub ...
+            await asyncio.sleep(0)      # ... which starts winding down
+            stopper.cancel()
+            await asyncio.wait([stopper], timeout=5.0)
+            release.set()
+            await asyncio.wait_for(service.stop(), timeout=5.0)
+            return stopper.cancelled(), service._refine_task
+
+        assert asyncio.run(scenario()) == (True, None)
+
+    def test_dead_refine_loop_raises(self):
+        async def scenario():
+            async def broken():
+                raise RuntimeError("refine loop died")
+
+            service = ForecastService(_cascade())
+            service._refine_task = asyncio.create_task(broken())
+            await asyncio.sleep(0)
+            await service.stop()
+
+        with pytest.raises(RuntimeError, match="died"):
+            asyncio.run(scenario())
+
+
 # --------------------------------------------------------------------- #
 # End-to-end over HTTP
 # --------------------------------------------------------------------- #
@@ -492,6 +535,17 @@ class TestServiceEndToEnd:
         assert doc["ci_width"] == 0.0
         assert doc["mttdl_s"] == pytest.approx(
             markov.mttdl_config(_flat_rate_config()))
+
+    def test_zero_hazard_answers_200(self, server):
+        """Drives that never fail: no loss and no finite MTTDL (the
+        chain's absorption time is infinite), not a 500."""
+        never = BathtubFailureModel((RatePeriod(0.0, float("inf"), 0.0),))
+        cfg = PAPER_BASE.with_(
+            vintage=replace(PAPER_BASE.vintage, failure_model=never))
+        doc = request_forecast(server.url, {"config": config_to_dict(cfg)})
+        assert doc["tier"] == TIER_MARKOV
+        assert doc["p_loss"] == 0.0
+        assert doc["mttdl_s"] is None
 
     def test_surrogate_tier_over_http(self, server):
         cfg = LIVE_CFG.with_(group_user_bytes=50 * GB,

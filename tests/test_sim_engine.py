@@ -208,13 +208,6 @@ class TestRunControl:
         assert count[0] == 20_000
         assert sim.events_fired == 20_005
 
-    def test_clear_drops_pending(self, sim):
-        out = []
-        sim.schedule(1.0, out.append, "x")
-        sim.clear()
-        sim.run()
-        assert out == [] and len(sim) == 0
-
     def test_trace_hook_sees_events(self):
         seen = []
         sim = Simulator(trace=seen.append)

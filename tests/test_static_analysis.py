@@ -8,7 +8,7 @@ suite, with the offending ``file:line`` in the assertion message.
 
 The ``rpr10x`` fixture trees prove each whole-program rule catches a
 seeded cross-module violation — including a deliberately unread
-``SystemConfig`` field and an out-of-subsystem ``rare-*`` stream read —
+``SystemConfig`` field and an out-of-subsystem ``bulk-*`` stream read —
 and stays silent on the corresponding clean and allowlisted variants.
 """
 
@@ -60,13 +60,13 @@ class TestWholeProgramFixtures:
         assert _analyze_tree("rpr101_neg").violations == []
         assert _analyze_tree("rpr101_noqa").violations == []
 
-    def test_rpr102_catches_out_of_subsystem_rare_stream_read(self):
+    def test_rpr102_catches_out_of_subsystem_stream_read(self):
         result = _analyze_tree("rpr102_pos")
         assert [v.rule for v in result.violations] == ["RPR102"]
         v = result.violations[0]
         assert v.path.endswith("sweep.py")
-        assert "rare-split-resample" in v.message
-        assert "repro.reliability.rare" in v.message
+        assert "bulk-failures" in v.message
+        assert "repro.reliability.bulk" in v.message
 
     def test_rpr102_owner_and_allowlisted_consumers_are_clean(self):
         assert _analyze_tree("rpr102_neg").violations == []

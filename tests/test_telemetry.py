@@ -539,22 +539,12 @@ GUARDS_PER_EVENT = 8
 #: runtime on telemetry guards.
 MAX_DISABLED_OVERHEAD = 0.03
 
-
-def _guard_cost_s() -> float:
-    """Seconds per `self.telemetry is not None` test, measured isolated."""
-
-    class Engine:
-        telemetry = None
-
-    obj = Engine()
-    n = 200_000
-    loop = min(timeit.repeat("for _ in r:\n    pass",
-                             globals={"r": range(n)},
-                             number=1, repeat=5))
-    guarded = min(timeit.repeat(
-        "for _ in r:\n    if obj.telemetry is not None:\n        pass",
-        globals={"r": range(n), "obj": obj}, number=1, repeat=5))
-    return max(guarded - loop, 0.0) / n
+#: Each timing is the minimum over SAMPLES rounds.  A round times one
+#: lifetime, then GUARD_LOOP iterations of an empty loop and of a
+#: guarded one, so the three minima come from the same stretch of host
+#: load; timed one after another, load drift swung the ratio by half.
+GUARD_LOOP = 1_000_000
+SAMPLES = 15
 
 
 def test_disabled_guard_overhead_within_3pct():
@@ -562,15 +552,27 @@ def test_disabled_guard_overhead_within_3pct():
 
     The guard's per-evaluation cost is timed in isolation and scaled by a
     conservative per-event site count for a real lifetime."""
+
+    class Engine:
+        telemetry = None
+
     cfg = tiny()
-    runtime = min(
-        _timed(lambda: ReliabilitySimulation(cfg, seed=0).run())
-        for _ in range(3))
+    r = range(GUARD_LOOP)
+    empty = timeit.Timer("for _ in r:\n    pass", globals={"r": r})
+    guarded = timeit.Timer(
+        "for _ in r:\n    if obj.telemetry is not None:\n        pass",
+        globals={"r": r, "obj": Engine()})
+    runs, loops, guards = [], [], []
+    for _ in range(SAMPLES):
+        runs.append(_timed(lambda: ReliabilitySimulation(cfg, seed=0).run()))
+        loops.append(empty.timeit(1))
+        guards.append(guarded.timeit(1))
+    guard_s = max(min(guards) - min(loops), 0.0) / GUARD_LOOP
+    runtime = min(runs)
     engine = ReliabilitySimulation(cfg, seed=0)
     engine.run()
     events = engine.sim.events_fired
-    guard_total = events * GUARDS_PER_EVENT * _guard_cost_s()
-    overhead = guard_total / runtime
+    overhead = events * GUARDS_PER_EVENT * guard_s / runtime
     assert overhead <= MAX_DISABLED_OVERHEAD, (
         f"disabled-path guards cost {overhead:.1%} of runtime "
         f"({events} events, {runtime * 1e3:.1f} ms run)")

@@ -60,14 +60,6 @@ class TestTopologyTree:
         with pytest.raises(ValueError):
             topo.disks_in_rack(2)
 
-    def test_from_assignments_round_trip(self):
-        topo = Topology(3, 2, n_disks=10)
-        topo.add_disk(slot_of=0)
-        clone = Topology.from_assignments(3, 2, topo.assignments())
-        assert clone.assignments() == topo.assignments()
-        with pytest.raises(ValueError):
-            Topology.from_assignments(1, 1, [0, 1])
-
     def test_invalid_shapes_rejected(self):
         with pytest.raises(ValueError):
             Topology(0, 1)
