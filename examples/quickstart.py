@@ -32,7 +32,8 @@ def main() -> None:
             else "traditional spare-disk rebuild"
         print(f"{label}:")
         print(f"  P(data loss in 6 years) = {mc.p_loss}")
-        print(f"  mean window of vulnerability = {mc.mean_window:,.0f} s "
+        print(f"  mean window of vulnerability = "
+              f"{mc.aggregate.mean_window:,.0f} s "
               f"(analytic: {model.mean_window:,.0f} s)")
         print(f"  analytic P(loss) = {100 * model.p_loss:.2f}%")
         print(f"  user data at risk: {fmt_bytes(variant.total_user_bytes)} "

@@ -28,8 +28,8 @@ RULE_SUMMARY = ("RNG stream consumed outside its owning subsystem "
                 "(determinism taint)")
 
 #: Receiver spellings that mark a ``.get("...")`` call as a stream draw
-#: rather than a dict/os.environ lookup.  ``.bulk(...)``/``.fresh(...)``
-#: are stream APIs unconditionally.
+#: rather than a dict/os.environ lookup.  ``.bulk(...)`` is a stream API
+#: unconditionally.
 _STREAM_RECEIVER_SUFFIXES = ("streams",)
 
 
@@ -100,7 +100,7 @@ REPRO_STREAM_POLICY = StreamPolicy(
 
 def _is_stream_use(api: str, receiver: str, stream: str,
                    policy: StreamPolicy) -> bool:
-    if api in ("fresh", "bulk"):
+    if api == "bulk":
         return True
     if receiver.split(".")[-1] in _STREAM_RECEIVER_SUFFIXES:
         return True
@@ -127,9 +127,8 @@ def check_streams(graph: ProjectGraph,
             elif policy.allowed(stream, facts.module):
                 continue
             else:
-                verb = ("reseeded" if api == "fresh" else "consumed")
                 message = (f"stream {stream!r} owned by "
-                           f"{'/'.join(owners)} is {verb} from "
+                           f"{'/'.join(owners)} is consumed from "
                            f"{facts.module}; draw it in the owning "
                            f"subsystem or add an allowlist entry")
             if not facts.suppressed(line, RULE_ID):

@@ -201,7 +201,7 @@ def resolve_relative_import(module: str, target: str | None,
 class _Collector(ast.NodeVisitor):
     """One-pass AST walk filling a :class:`ModuleFacts`."""
 
-    STREAM_APIS = ("get", "fresh", "bulk")
+    STREAM_APIS = ("get", "bulk")
 
     def __init__(self, facts: ModuleFacts, is_package: bool) -> None:
         self.facts = facts
@@ -339,7 +339,7 @@ class _Collector(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
-        # RNG stream use: `<obj>.get/fresh/bulk("literal")`.
+        # RNG stream use: `<obj>.get/bulk("literal")`.
         if isinstance(node.func, ast.Attribute) \
                 and node.func.attr in self.STREAM_APIS and node.args:
             arg = node.args[0]

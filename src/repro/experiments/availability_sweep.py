@@ -119,9 +119,8 @@ def run(scale: Scale | None = None, base_seed: int = 0) -> ExperimentResult:
             cfg = points[_label(r, f)]
             mc = results[_label(r, f)]
             agg = mc.aggregate
-            exposure_runs = agg.n_runs if agg is not None else mc.n_runs
-            unavail_s = (agg.unavail_group_seconds
-                         if agg is not None else 0.0)
+            exposure_runs = agg.n_runs
+            unavail_s = agg.unavail_group_seconds
             frac = unavailability_fraction(
                 unavail_s, cfg.n_groups * exposure_runs, cfg.duration)
             nines = availability_nines(1.0 - frac)

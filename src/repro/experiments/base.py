@@ -67,19 +67,14 @@ def run_p_loss_sweep(points: dict[str, SystemConfig], estimator: str,
     identically whichever estimator produced the numbers.
     """
     from ..reliability.montecarlo import sweep
-    if estimator == "naive":
-        return sweep(points, n_runs=n_runs, base_seed=base_seed,
-                     n_jobs=n_jobs, sweep_name=sweep_name)
-    if estimator == "is":
-        from ..reliability.rare import DEFAULT_TILT
-        return sweep(points, n_runs=n_runs, base_seed=base_seed,
-                     n_jobs=n_jobs, sweep_name=sweep_name,
-                     tilt=DEFAULT_TILT)
-    if estimator == "bulk":
-        return sweep(points, n_runs=n_runs, base_seed=base_seed,
-                     n_jobs=n_jobs, sweep_name=sweep_name, engine="bulk")
-    raise ValueError(
-        f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
+    from ..reliability.rare import DEFAULT_TILT
+    if estimator not in ESTIMATORS:
+        raise ValueError(
+            f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
+    return sweep(points, n_runs=n_runs, base_seed=base_seed, n_jobs=n_jobs,
+                 sweep_name=sweep_name,
+                 tilt=DEFAULT_TILT if estimator == "is" else 0.0,
+                 engine="bulk" if estimator == "bulk" else "des")
 
 
 def current_scale() -> Scale:

@@ -64,7 +64,7 @@ def run(scale: Scale | None = None, base_seed: int = 0,
                 farm="FARM" if farm else "w/o",
                 p_loss_pct=100.0 * mc.p_loss.estimate,
                 ci95=render_proportion(mc.p_loss),
-                groups_lost=mc.groups_lost_total,
+                groups_lost=mc.aggregate.groups_lost,
                 paper_pct=PAPER_FIGURE3.get(
                     (scheme.name, round(group_bytes / GB), farm)),
             )

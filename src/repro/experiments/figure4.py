@@ -56,7 +56,7 @@ def run(scale: Scale | None = None, base_seed: int = 0,
             ratio = cfg.detection_latency / cfg.rebuild_seconds_per_block
             result.add(group_gb=size / GB, latency_min=lat / MINUTE,
                        latency_over_rebuild=ratio,
-                       mean_window_s=mc.mean_window,
+                       mean_window_s=mc.aggregate.mean_window,
                        p_loss_pct=100.0 * mc.p_loss.estimate,
                        ci95=render_proportion(mc.p_loss))
     result.notes.append(

@@ -71,7 +71,7 @@ def run(scale: Scale | None = None, base_seed: int = 0,
                 mc = results[f"{farm}|{size / GB:g}|{bw / MB:g}"]
                 result.add(mode="FARM" if farm else "w/o",
                            group_gb=size / GB, bw_mbps=bw / MB,
-                           mean_window_s=mc.mean_window,
+                           mean_window_s=mc.aggregate.mean_window,
                            p_loss_pct=100.0 * mc.p_loss.estimate,
                            ci95=render_proportion(mc.p_loss))
     result.notes.append(

@@ -44,8 +44,8 @@ def run(scale: Scale | None = None, base_seed: int = 0,
             threshold_pct=100.0 * th,
             p_loss_pct=100.0 * mc.p_loss.estimate,
             ci95=render_proportion(mc.p_loss),
-            batches_mean=mc.replacement_batches_total / mc.n_runs,
-            migrated_mean=mc.blocks_migrated_total / mc.n_runs,
+            batches_mean=mc.aggregate.replacement_batches / mc.n_runs,
+            migrated_mean=mc.aggregate.blocks_migrated / mc.n_runs,
         )
     result.notes.append(
         "Paper: overlapping CIs across thresholds — the cohort effect is "

@@ -26,7 +26,6 @@ import time
 
 from ..config import SystemConfig
 from ..reliability.montecarlo import MonteCarloResult, estimate_p_loss
-from ..reliability.rare import estimate_p_loss_is
 from ..units import DAY, GB, TB, YEAR
 from .base import ExperimentResult, Scale, current_scale
 from .report import render_proportion
@@ -75,8 +74,8 @@ def run(scale: Scale | None = None, base_seed: int = 0,
     naive = estimate_p_loss(cfg, n_runs=n_runs, base_seed=base_seed)
     t_naive = time.time() - t0
     t0 = time.time()
-    is_res = estimate_p_loss_is(cfg, n_runs=n_runs, tilt=RARE_TILT,
-                                base_seed=base_seed)
+    is_res = estimate_p_loss(cfg, n_runs=n_runs, base_seed=base_seed,
+                             tilt=RARE_TILT)
     t_is = time.time() - t0
 
     result = ExperimentResult(
@@ -89,8 +88,8 @@ def run(scale: Scale | None = None, base_seed: int = 0,
                  "hit_runs", "ess", "seconds"],
     )
     rows = [
-        ("naive", naive, naive.losses, naive.ess, t_naive),
-        ("is(tilt=ln14)", is_res, is_res.losses, is_res.ess, t_is),
+        ("naive", naive, naive.aggregate.losses, naive.ess, t_naive),
+        ("is(tilt=ln14)", is_res, is_res.aggregate.losses, is_res.ess, t_is),
     ]
     for name, mc, hits, ess, secs in rows:
         result.add(estimator=name,

@@ -39,11 +39,11 @@ def run(scale: Scale | None = None, base_seed: int = 0,
         cfg = scale.size_config(SystemConfig(group_user_bytes=size))
         mc = estimate_p_loss(cfg, n_runs=scale.n_runs, base_seed=base_seed,
                              n_jobs=scale.n_jobs)
-        p = wilson_interval(mc.runs_with_redirection, mc.n_runs)
+        p = wilson_interval(mc.aggregate.runs_with_redirection, mc.n_runs)
         result.add(group_gb=size / GB,
                    systems_with_redirection_pct=100.0 * p.estimate,
                    ci95=render_proportion(p),
-                   redirections_total=mc.redirections_total)
+                   redirections_total=mc.aggregate.target_redirections)
     result.notes.append(
         "Paper §2.3: at worst, fewer than 8% of systems saw a redirection "
         "even once in six simulated years.")

@@ -55,9 +55,9 @@ rejected at construction (the bulk column of
 All randomness comes from the dedicated, golden-pinned ``bulk-*`` family
 (:data:`repro.sim.rng.BULK_STREAM_KINDS`), so a bulk run never perturbs a
 DES run with the same seed.  Each Monte-Carlo run vectorizes *within* the
-lifetime and uses its own seed from the shared schedule, so any batch
-split folds to bit-identical aggregates (the runner's ``ExactSum``
-invariance covers the weighted sums; per-run fold order covers the rest).
+lifetime and uses its own seed from the shared schedule, and the runner
+folds runs in run-index order, so any batch split folds to bit-identical
+aggregates.
 """
 
 from __future__ import annotations
@@ -508,11 +508,6 @@ class BulkLifetime:
         return stats
 
 
-def run_bulk_lifetime(config: SystemConfig, seed: int = 0) -> RecoveryStats:
-    """One bulk lifetime (module-level for pickling across the pool)."""
-    return BulkLifetime(config, seed=seed).run()
-
-
 def run_bulk_batch(config: SystemConfig,
                    seeds: list[int]) -> list[RecoveryStats]:
     """A batch of independent bulk lifetimes, one per seed, in order.
@@ -524,24 +519,3 @@ def run_bulk_batch(config: SystemConfig,
     """
     lifetime = BulkLifetime(config)
     return [lifetime.run(seed=s) for s in seeds]
-
-
-def bulk_aggregate(config: SystemConfig, n_runs: int, base_seed: int = 0,
-                   batch_size: int = 64):
-    """Fold ``n_runs`` bulk lifetimes into a :class:`StatsAggregate`.
-
-    Uses the sweep runner's shared seed schedule and folds in run-index
-    order, so the result is bit-identical for *any* ``batch_size`` — the
-    invariance the conformance suite pins.
-    """
-    from .runner import StatsAggregate, seed_schedule
-    if n_runs <= 0:
-        raise ValueError("n_runs must be positive")
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    aggregate = StatsAggregate()
-    seeds = seed_schedule(base_seed, n_runs)
-    for lo in range(0, n_runs, batch_size):
-        for stats in run_bulk_batch(config, seeds[lo:lo + batch_size]):
-            aggregate.fold(stats)
-    return aggregate

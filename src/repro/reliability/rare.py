@@ -8,13 +8,14 @@ naive estimator at its trivial setting (the golden-pin gate in
 ``tests/test_rare.py``):
 
 **Importance sampling by exponential tilting**
-    (:class:`TiltedFailureDraw`, :func:`estimate_p_loss_is`).  Failure
-    ages are drawn from the bathtub model with every hazard multiplied by
-    ``exp(tilt)``; each run carries the likelihood ratio of its censored
-    failure-age vector on ``RecoveryStats.log_weight``, and the weighted
-    sums fold through :class:`~repro.reliability.stats.WeightedAggregate`
-    (exact Shewchuk sums, so serial and parallel sweeps agree bit for
-    bit).  The sampler consumes the *same* uniforms from the ordinary
+    (:class:`TiltedFailureDraw`, run by ``estimate_p_loss(config,
+    tilt=...)`` and ``sweep(..., tilt=...)``).  Failure ages are drawn
+    from the bathtub model with every hazard multiplied by ``exp(tilt)``;
+    each run carries the likelihood ratio of its censored failure-age
+    vector on ``RecoveryStats.log_weight``, and the weighted sums fold
+    through :class:`~repro.reliability.stats.WeightedAggregate` in
+    run-index order, so serial and parallel sweeps agree bit for bit.
+    The sampler consumes the *same* uniforms from the ordinary
     ``disk-failures`` stream the naive path uses, which is what makes
     ``tilt=0`` reproduce the unweighted trajectories exactly, and makes
     tilted/untilted pairs common-random-number coupled.
@@ -29,16 +30,13 @@ import math
 
 import numpy as np
 
-from ..config import SystemConfig
 from ..disks.failure import BathtubFailureModel
-from ..telemetry.handle import TelemetryConfig
-from .montecarlo import MonteCarloResult, estimate_p_loss
 
-#: Default hazard tilt for :func:`estimate_p_loss_is`: every failure rate
-#: is multiplied by ``exp(DEFAULT_TILT)``.  Tuned for the small "rare
-#: regime" scenarios where global tilting genuinely helps (see
-#: ``docs/RARE_EVENTS.md`` for the weight-degeneracy analysis that caps
-#: useful tilts as the disk count grows).
+#: Default hazard tilt of the ``is`` estimator (``run --estimator is``):
+#: every failure rate is multiplied by ``exp(DEFAULT_TILT)``.  Tuned for
+#: the small "rare regime" scenarios where global tilting genuinely helps
+#: (see ``docs/RARE_EVENTS.md`` for the weight-degeneracy analysis that
+#: caps useful tilts as the disk count grows).
 DEFAULT_TILT = math.log(3.0)
 
 
@@ -92,26 +90,3 @@ class TiltedFailureDraw:
             logw += (c - 1.0) * float(dh_t.sum())
         self.log_weight += logw
         return ages
-
-
-def estimate_p_loss_is(config: SystemConfig, n_runs: int = 100,
-                       tilt: float = DEFAULT_TILT, base_seed: int = 0,
-                       confidence: float = 0.95,
-                       n_jobs: int | None = None,
-                       keep_run_stats: bool = False,
-                       telemetry: TelemetryConfig | bool | None = None,
-                       on_error: str = "raise") -> MonteCarloResult:
-    """Importance-sampled estimate of P(data loss).
-
-    A thin wrapper over :func:`~repro.reliability.montecarlo.
-    estimate_p_loss` with the tilt threaded through the sweep runner, so
-    weighted runs ride the exact same persistent pool, seed schedule, and
-    reorder-buffer folding as naive runs.  ``result.p_loss`` is the
-    weighted CLT interval of the unbiased estimator ``(1/n) sum w_i x_i``;
-    ``result.ess`` reports the effective sample size.
-    """
-    return estimate_p_loss(config, n_runs=n_runs, base_seed=base_seed,
-                           confidence=confidence, n_jobs=n_jobs,
-                           keep_run_stats=keep_run_stats,
-                           telemetry=telemetry, on_error=on_error,
-                           tilt=tilt)

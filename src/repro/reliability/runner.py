@@ -5,21 +5,23 @@ of independent lifetimes per point across many points.  Before this module
 existed every point built and tore down its own ``ProcessPoolExecutor``
 and the points themselves ran serially, so a 12-point x 100-run sweep
 repeatedly barriered on its slowest point.  The :class:`SweepRunner`
-instead submits **every** ``(point, run)`` lifetime as an independent task
-to one process pool that persists across all points of a sweep (and across
-sweeps within the process), so the pool stays saturated end to end.
+instead submits **every** ``(point, run)`` DES lifetime (and every chunk of
+bulk lifetimes) as an independent task to one process pool that persists
+across all points of a sweep (and across sweeps within the process), so
+the pool stays saturated end to end.
 
 Four guarantees:
 
 * **Determinism** — run ``i`` of every point uses the seed
-  ``stable_hash64(base_seed, "mc-run", i)``, the exact schedule the serial
-  path uses, and results are folded into the aggregates *in run-index
-  order* (a small reorder buffer holds out-of-order completions), so the
-  parallel aggregates are bit-identical to a serial run.
+  ``stable_hash64(base_seed, "mc-run", i)``, and results are folded into
+  the aggregates *in run-index order* (a small reorder buffer holds
+  out-of-order completions).  A serial run executes the same task list
+  in-process, in order, through the same fold, so the parallel
+  aggregates are bit-identical to it.
 * **Streaming aggregation** — per-run :class:`RecoveryStats` are reduced
   into a :class:`StatsAggregate` (counts, window sum/max, Welford moments)
-  as they arrive; a sweep no longer retains one stats object per run
-  unless the caller opts in with ``keep_run_stats=True``.
+  as they arrive; a sweep retains no stats object per run, and every
+  count a table prints is read from the aggregate.
 * **A dead worker breaks only its own sweep** — a worker process that
   dies breaks the pool and every pending task.  The runner then shuts
   that pool down and resubmits the tasks not yet folded to a fresh one,
@@ -47,6 +49,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
@@ -56,7 +59,8 @@ from ..telemetry.export import append_jsonl, default_telemetry_path
 from ..telemetry.handle import Telemetry, TelemetryConfig
 from ..telemetry.metrics import empty_snapshot, merge_into
 from .simulation import RecoveryStats, ReliabilitySimulation
-from .stats import WeightedAggregate
+from .stats import (Proportion, WeightedAggregate, empty_proportion,
+                    weighted_clt_interval, wilson_interval)
 
 #: Injectable host-performance clock (never simulated time; RPR004 keeps
 #: direct wall-clock *calls* out of simulation logic, and this alias is
@@ -65,7 +69,7 @@ _WALL_CLOCK: Callable[[], float] = time.perf_counter
 
 
 def seed_schedule(base_seed: int, n_runs: int) -> list[int]:
-    """The per-run seed schedule shared by serial and parallel paths."""
+    """The per-run seed schedule every point of every sweep uses."""
     return [stable_hash64(base_seed, "mc-run", i) % (2 ** 62)
             for i in range(n_runs)]
 
@@ -150,9 +154,8 @@ class StatsAggregate:
     failure_moments: RunningMoments = field(default_factory=RunningMoments)
     #: Weighted loss reduction: every run folds its likelihood-ratio
     #: weight ``exp(stats.log_weight)`` (1.0 for ordinary runs) here, the
-    #: one sanctioned weight-combination point (lint rule RPR012).  Exact
-    #: sums inside make it chunking-insensitive, so serial and parallel
-    #: sweeps agree bit for bit even under importance sampling.
+    #: one sanctioned weight-combination point (lint rule RPR012).  Its
+    #: exact sums do not depend on the order runs are added in.
     weighted: WeightedAggregate = field(default_factory=WeightedAggregate)
 
     def fold(self, stats: RecoveryStats, events_fired: int = 0,
@@ -196,80 +199,129 @@ class StatsAggregate:
         return self.window_total / self.rebuilds_completed
 
 
+@dataclass
+class MonteCarloResult:
+    """One sweep point's lifetimes, reduced to what a P(loss) table prints.
+
+    Every count lives on :attr:`aggregate`; :attr:`p_loss`, :attr:`ess`
+    and :attr:`zero_hit` are read from it.
+    """
+
+    label: str
+    config: SystemConfig
+    n_runs: int
+    aggregate: StatsAggregate = field(repr=False,
+                                      default_factory=StatsAggregate)
+    #: Runs that raised and were dropped (``on_error="skip"``); the
+    #: estimate's trial count is ``n_runs - runs_failed``.
+    runs_failed: int = 0
+    #: Host seconds from sweep start until this point's last run folded.
+    completed_at_s: float = 0.0
+    #: Merged telemetry snapshot over the point's completed runs, folded
+    #: in run-index order (``None`` when telemetry is disabled).
+    telemetry: dict | None = field(repr=False, default=None)
+    #: importance-sampling tilt the runs used (0.0 = naive MC).
+    tilt: float = 0.0
+    #: the lifetime engine the point ran on ("des" or "bulk").
+    engine: str = "des"
+
+    @property
+    def p_loss(self) -> Proportion:
+        """The 95 % interval of P(data loss) over the completed runs.
+
+        Wilson for ordinary runs; the weighted CLT interval of the
+        unbiased likelihood-ratio estimator for tilted ones.  With
+        ``on_error="skip"`` no run may have completed, where the
+        uninformative [0, 1] stands in.
+        """
+        agg = self.aggregate
+        if agg.n_runs == 0:
+            return empty_proportion()
+        if self.tilt != 0.0:
+            return weighted_clt_interval(agg.weighted)
+        return wilson_interval(agg.losses, agg.n_runs)
+
+    @property
+    def ess(self) -> float:
+        """Kish effective sample size of the estimate.
+
+        The completed-run count for unit weights, exactly; below it for
+        tilted runs, whose likelihood-ratio weights are unequal.
+        """
+        return self.aggregate.weighted.ess
+
+    @property
+    def zero_hit(self) -> bool:
+        """True when no completed run observed a loss (see Proportion)."""
+        return self.p_loss.zero_hit
+
+
 # --------------------------------------------------------------------- #
 # Worker tasks (module-level for pickling)
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class _LifetimeTask:
-    """One (point, run) lifetime shipped to a worker process."""
+class _Task:
+    """A contiguous run of one point's lifetimes, shipped as one task.
+
+    A DES task holds one seed, which keeps the pool's load balanced.  A
+    bulk lifetime costs 0.4-0.8 ms at 2 PB on the figure-5 grid and
+    about 0.3 ms at 100 TB (2-vCPU Xeon host), so per-run dispatch
+    would be dominated by pool overhead; a bulk task holds
+    :data:`_BULK_CHUNK` seeds, and the per-run seeds keep every lifetime
+    independent of how the chunk boundaries fall.
+    """
 
     point: int
-    index: int
+    #: run index of ``seeds[0]``.
+    start: int
     config: SystemConfig
-    seed: int
-    #: telemetry config; ``None`` runs the lifetime unobserved.
+    seeds: tuple[int, ...]
+    #: lifetime engine ("des" or "bulk").
+    engine: str = "des"
+    #: telemetry config; ``None`` runs the lifetimes unobserved.
     telemetry: TelemetryConfig | None = None
     #: hazard log-multiplier for importance sampling (0.0 = untilted).
     tilt: float = 0.0
 
 
-@dataclass(frozen=True)
-class _BulkBatchTask:
-    """A contiguous chunk of one bulk point's runs, shipped as one task.
-
-    A bulk lifetime costs 0.4-0.8 ms at 2 PB on the figure-5 grid and
-    about 0.3 ms at 100 TB (2-vCPU Xeon host), so per-run task
-    dispatch would be dominated by pool overhead; chunking amortizes it
-    while the per-run seeds keep every lifetime independent of how the
-    chunk boundaries fall.
-    """
-
-    point: int
-    start: int
-    config: SystemConfig
-    seeds: tuple[int, ...]
-
-
-#: Runs per bulk pool task (see :class:`_BulkBatchTask`).  At 0.4-0.8 ms
-#: a run at 2 PB (a task's median is 10-20 ms), 32 runs keep the workers
-#: about 90 % busy under submission/pickle overhead while still feeding
-#: even a wide pool promptly.
+#: Runs per bulk task (see :class:`_Task`).  At 0.4-0.8 ms a run at
+#: 2 PB (a task's median is 10-20 ms), 32 runs keep the workers about
+#: 90 % busy under submission/pickle overhead while still feeding even
+#: a wide pool promptly.
 _BULK_CHUNK = 32
 
-
-def _run_bulk_chunk(task: _BulkBatchTask
-                    ) -> tuple[int, int, list[RecoveryStats], float]:
-    """Execute one bulk chunk; returns ``(point, start, stats, secs)``."""
-    t0 = _WALL_CLOCK()
-    from .bulk import run_bulk_batch
-    stats = run_bulk_batch(task.config, list(task.seeds))
-    return (task.point, task.start, stats, _WALL_CLOCK() - t0)
+#: One run's result: ``(stats, events fired, host seconds, telemetry
+#: snapshot or None)``.  The snapshot is a plain dict, so it pickles
+#: across the pool boundary.
+_RunResult = tuple[RecoveryStats, int, float, dict | None]
 
 
-def _run_lifetime(task: _LifetimeTask
-                  ) -> tuple[int, int, RecoveryStats, int, float,
-                             dict | None]:
-    """Execute one DES lifetime.
-
-    Returns ``(point, index, stats, events, secs, snapshot)`` where
-    ``snapshot`` is the run's telemetry snapshot (a plain dict, so it
-    pickles across the pool boundary) or ``None`` when unobserved.
-    """
-    t0 = _WALL_CLOCK()
-    telemetry = (Telemetry(task.telemetry)
-                 if task.telemetry is not None else None)
-    failure_draw = None
-    if task.tilt != 0.0:
-        from .rare import TiltedFailureDraw
-        failure_draw = TiltedFailureDraw(
-            task.config.vintage.failure_model, task.tilt)
-    sim = ReliabilitySimulation(task.config, seed=task.seed,
-                                telemetry=telemetry,
-                                failure_draw=failure_draw)
-    stats = sim.run()
-    snapshot = telemetry.snapshot() if telemetry is not None else None
-    return (task.point, task.index, stats, sim.sim.events_fired,
-            _WALL_CLOCK() - t0, snapshot)
+def _run_task(task: _Task) -> list[_RunResult]:
+    """Execute one task; returns one :data:`_RunResult` per seed."""
+    if task.engine == "bulk":
+        t0 = _WALL_CLOCK()
+        from .bulk import run_bulk_batch
+        stats = run_bulk_batch(task.config, list(task.seeds))
+        per_run = (_WALL_CLOCK() - t0) / len(stats)
+        return [(s, 0, per_run, None) for s in stats]
+    runs: list[_RunResult] = []
+    for seed in task.seeds:
+        t0 = _WALL_CLOCK()
+        telemetry = (Telemetry(task.telemetry)
+                     if task.telemetry is not None else None)
+        failure_draw = None
+        if task.tilt != 0.0:
+            from .rare import TiltedFailureDraw
+            failure_draw = TiltedFailureDraw(
+                task.config.vintage.failure_model, task.tilt)
+        sim = ReliabilitySimulation(task.config, seed=seed,
+                                    telemetry=telemetry,
+                                    failure_draw=failure_draw)
+        stats = sim.run()
+        snapshot = telemetry.snapshot() if telemetry is not None else None
+        runs.append((stats, sim.sim.events_fired, _WALL_CLOCK() - t0,
+                     snapshot))
+    return runs
 
 
 # --------------------------------------------------------------------- #
@@ -302,16 +354,24 @@ def shutdown_pool() -> None:
 
 
 def _drain(workers: int, jobs: Sequence[tuple[Callable, Any]],
-           on_done: Callable[[int, Future], None]) -> None:
-    """Run every ``(fn, arg)`` job on the shared pool; call
-    ``on_done(index, future)`` once per job, in completion order.
+           on_done: Callable[[int, Callable[[], Any]], None]) -> None:
+    """Run every ``(fn, arg)`` job; call ``on_done(index, result)`` once
+    per job, where ``result()`` returns the job's value or raises its
+    exception.
 
-    A dead worker breaks the pool and fails every pending future with
+    With one worker the jobs run in-process, in order, and ``result`` is
+    ``partial(fn, arg)``.  Otherwise they run on the shared pool, in
+    completion order, and ``result`` is the future's ``result``.  A dead
+    worker breaks the pool and fails every pending future with
     :class:`BrokenProcessPool`.  The broken pool is then shut down and
     the jobs not yet handed to ``on_done`` go to a fresh pool, once; a
     second break shuts that pool down too and raises.  If ``on_done``
     raises, the pending futures are cancelled.
     """
+    if workers <= 1:
+        for k, (fn, arg) in enumerate(jobs):
+            on_done(k, partial(fn, arg))
+        return
     left = set(range(len(jobs)))
     for attempt in range(2):
         pool = shared_pool(workers)
@@ -328,7 +388,7 @@ def _drain(workers: int, jobs: Sequence[tuple[Callable, Any]],
                         raise exc
                     k = futures.pop(fut)
                     left.discard(k)
-                    on_done(k, fut)
+                    on_done(k, fut.result)
             return
         except BrokenProcessPool:
             shutdown_pool()
@@ -354,28 +414,6 @@ class PointSpec:
     engine: str = "des"
 
 
-@dataclass
-class PointOutcome:
-    """Aggregated result of one sweep point."""
-
-    label: str
-    config: SystemConfig
-    n_runs: int
-    aggregate: StatsAggregate
-    run_stats: list[RecoveryStats] = field(repr=False, default_factory=list)
-    #: Host seconds from sweep start until this point's last run folded.
-    completed_at_s: float = 0.0
-    #: Runs that raised and were dropped (``on_error="skip"``).
-    runs_failed: int = 0
-    #: Merged telemetry snapshot over the point's completed runs, folded
-    #: in run-index order (``None`` when telemetry is disabled).
-    telemetry: dict | None = field(repr=False, default=None)
-    #: the tilt the point ran under (0.0 = naive MC).
-    tilt: float = 0.0
-    #: the lifetime engine the point ran on ("des" or "bulk").
-    engine: str = "des"
-
-
 class SweepRunner:
     """Executes labelled sweep points over a persistent process pool.
 
@@ -391,7 +429,7 @@ class SweepRunner:
         A :class:`~repro.telemetry.handle.TelemetryConfig` (or ``True``
         for the defaults) enables in-sim telemetry on every lifetime;
         per-point snapshots are merged in run-index order onto
-        :attr:`PointOutcome.telemetry`, bit-identical however many
+        :attr:`MonteCarloResult.telemetry`, bit-identical however many
         workers executed the runs.
     telemetry_path:
         Append one ``repro.telemetry.v1`` JSONL record per point after
@@ -428,22 +466,21 @@ class SweepRunner:
 
     # ------------------------------------------------------------------ #
     def run_points(self, points: Sequence[PointSpec], n_runs: int,
-                   base_seed: int = 0, keep_run_stats: bool = False,
-                   sweep_name: str = "sweep",
-                   on_error: str = "raise") -> list[PointOutcome]:
+                   base_seed: int = 0, sweep_name: str = "sweep",
+                   on_error: str = "raise") -> list[MonteCarloResult]:
         """Run ``n_runs`` lifetimes for every point; aggregate streamingly.
 
         Every point uses the same ``base_seed`` (hence the same per-run
         seed schedule), exactly like back-to-back ``estimate_p_loss``
         calls; results come back in point order.
 
-        ``on_error="skip"`` drops a lifetime that raises (counted on
-        :attr:`PointOutcome.runs_failed`) instead of propagating; the
+        ``on_error="skip"`` drops a task that raises (its runs counted on
+        :attr:`MonteCarloResult.runs_failed`) instead of propagating; the
         surviving runs still fold in run-index order, so the aggregate
-        stays order-stable.  For a parallel bulk point the drop is
-        chunk-granular: every run of the chunk containing the failing
-        lifetime is skipped.  A dead worker process fails no run: its
-        pool's unfolded tasks rerun on a fresh pool, once.
+        stays order-stable.  For a bulk point the drop is chunk-granular:
+        every run of the chunk containing the failing lifetime is
+        skipped.  A dead worker process fails no run: its pool's
+        unfolded tasks rerun on a fresh pool, once.
         """
         if n_runs <= 0:
             raise ValueError("n_runs must be positive")
@@ -468,27 +505,60 @@ class SweepRunner:
                     f"telemetry or use engine='des'")
         t0 = _WALL_CLOCK()
         seeds = seed_schedule(base_seed, n_runs)
-        outcomes = [PointOutcome(label=p.label, config=p.config,
-                                 n_runs=n_runs, aggregate=StatsAggregate(),
-                                 tilt=p.tilt, engine=p.engine)
-                    for p in points]
-        if self.workers <= 1:
-            self._run_serial(points, seeds, outcomes, keep_run_stats, t0,
-                             on_error)
-        else:
-            self._run_parallel(points, seeds, outcomes, keep_run_stats, t0,
-                               on_error)
+        results = [MonteCarloResult(label=p.label, config=p.config,
+                                    n_runs=n_runs, tilt=p.tilt,
+                                    engine=p.engine)
+                   for p in points]
+        tasks: list[_Task] = []
+        for k, p in enumerate(points):
+            step = _BULK_CHUNK if p.engine == "bulk" else 1
+            tasks += [_Task(k, lo, p.config, tuple(seeds[lo:lo + step]),
+                            p.engine, self.telemetry, p.tilt)
+                      for lo in range(0, n_runs, step)]
+        # Per-point reorder buffers: fold strictly in run-index order so
+        # float reductions (and telemetry merges) are bit-identical
+        # however many workers ran the tasks.  ``None`` marks a run
+        # skipped because its task raised.
+        buffers: list[dict[int, _RunResult | None]] = [{} for _ in points]
+        next_index = [0] * len(points)
+
+        def fold(k: int, result: Callable[[], list[_RunResult]]) -> None:
+            task = tasks[k]
+            try:
+                runs: list[_RunResult | None] = result()
+            except Exception:
+                if on_error != "skip":
+                    raise
+                runs = [None] * len(task.seeds)
+            p = task.point
+            out, buffer = results[p], buffers[p]
+            buffer.update(enumerate(runs, task.start))
+            while next_index[p] in buffer:
+                run = buffer.pop(next_index[p])
+                next_index[p] += 1
+                if run is None:
+                    out.runs_failed += 1
+                    continue
+                stats, events, secs, snapshot = run
+                out.aggregate.fold(stats, events, secs)
+                if snapshot is not None:
+                    if out.telemetry is None:
+                        out.telemetry = empty_snapshot()
+                    merge_into(out.telemetry, snapshot)
+            if next_index[p] == n_runs:
+                out.completed_at_s = _WALL_CLOCK() - t0
+
+        _drain(self.workers, [(_run_task, task) for task in tasks], fold)
         wall = _WALL_CLOCK() - t0
-        self.last_record = self._record(sweep_name, outcomes, n_runs, wall)
-        self._write_telemetry(sweep_name, outcomes)
-        return outcomes
+        self.last_record = self._record(sweep_name, results, n_runs, wall)
+        self._write_telemetry(sweep_name, results)
+        return results
 
     async def run_points_async(self, points: Sequence[PointSpec],
                                n_runs: int, base_seed: int = 0,
-                               keep_run_stats: bool = False,
                                sweep_name: str = "sweep",
                                on_error: str = "raise"
-                               ) -> list[PointOutcome]:
+                               ) -> list[MonteCarloResult]:
         """:meth:`run_points` off the event loop.
 
         The forecast service (:mod:`repro.service`) answers HTTP requests
@@ -501,12 +571,11 @@ class SweepRunner:
         guarantee is untouched: same points, seed, and schedule as the
         synchronous path, bit for bit.
         """
-        def _locked() -> list[PointOutcome]:
+        def _locked() -> list[MonteCarloResult]:
             with self._run_lock:
-                return self.run_points(
-                    points, n_runs, base_seed=base_seed,
-                    keep_run_stats=keep_run_stats, sweep_name=sweep_name,
-                    on_error=on_error)
+                return self.run_points(points, n_runs, base_seed=base_seed,
+                                       sweep_name=sweep_name,
+                                       on_error=on_error)
         return await asyncio.to_thread(_locked)
 
     def map_tasks(self, fn: Callable[[Any], Any],
@@ -514,131 +583,16 @@ class SweepRunner:
         """Ordered map over picklable items, on the shared pool when
         parallel (used by scenario-style experiment drivers)."""
         items = list(items)
-        if self.workers <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
         results: list[Any] = [None] * len(items)
 
-        def keep(k: int, fut: Future) -> None:
-            results[k] = fut.result()
+        def keep(k: int, result: Callable[[], Any]) -> None:
+            results[k] = result()
 
         _drain(self.workers, [(fn, item) for item in items], keep)
         return results
 
     # ------------------------------------------------------------------ #
-    def _fold(self, outcome: PointOutcome, payload: tuple,
-              keep_run_stats: bool) -> None:
-        """Reduce one completed lifetime into its point's outcome."""
-        _, _, stats, events, secs, snapshot = payload
-        outcome.aggregate.fold(stats, events, secs)
-        if keep_run_stats:
-            outcome.run_stats.append(stats)
-        if snapshot is not None:
-            if outcome.telemetry is None:
-                outcome.telemetry = empty_snapshot()
-            merge_into(outcome.telemetry, snapshot)
-
-    def _run_serial(self, points: Sequence[PointSpec], seeds: list[int],
-                    outcomes: list[PointOutcome], keep_run_stats: bool,
-                    t0: float, on_error: str) -> None:
-        for p, point in enumerate(points):
-            if point.engine == "bulk":
-                # Same chunking as the parallel path: per-run dispatch
-                # overhead is a measurable fraction of a sub-millisecond
-                # bulk lifetime, and chunk boundaries cannot change the
-                # fold (per-run seeds + run-index order).
-                for lo in range(0, len(seeds), _BULK_CHUNK):
-                    chunk = tuple(seeds[lo:lo + _BULK_CHUNK])
-                    try:
-                        _, start, chunk_stats, secs = _run_bulk_chunk(
-                            _BulkBatchTask(p, lo, point.config, chunk))
-                    except Exception:
-                        if on_error != "skip":
-                            raise
-                        outcomes[p].runs_failed += len(chunk)
-                        continue
-                    per_run = secs / len(chunk_stats)
-                    for k, stats in enumerate(chunk_stats):
-                        self._fold(outcomes[p],
-                                   (p, start + k, stats, 0, per_run, None),
-                                   keep_run_stats)
-                outcomes[p].completed_at_s = _WALL_CLOCK() - t0
-                continue
-            for i, seed in enumerate(seeds):
-                try:
-                    payload = _run_lifetime(
-                        _LifetimeTask(p, i, point.config, seed,
-                                      self.telemetry, point.tilt))
-                except Exception:
-                    if on_error != "skip":
-                        raise
-                    outcomes[p].runs_failed += 1
-                    continue
-                self._fold(outcomes[p], payload, keep_run_stats)
-            outcomes[p].completed_at_s = _WALL_CLOCK() - t0
-
-    def _run_parallel(self, points: Sequence[PointSpec], seeds: list[int],
-                      outcomes: list[PointOutcome], keep_run_stats: bool,
-                      t0: float, on_error: str) -> None:
-        # DES points submit one task per run; bulk points submit chunks
-        # of _BULK_CHUNK runs (sub-millisecond lifetimes would otherwise
-        # drown in task overhead).  ``keys[k]`` is job k's ``(point,
-        # first run index, chunk length)``, length 0 marking a single task.
-        jobs: list[tuple[Callable, Any]] = []
-        keys: list[tuple[int, int, int]] = []
-        for p, point in enumerate(points):
-            if point.engine == "bulk":
-                for lo in range(0, len(seeds), _BULK_CHUNK):
-                    chunk = tuple(seeds[lo:lo + _BULK_CHUNK])
-                    jobs.append((_run_bulk_chunk,
-                                 _BulkBatchTask(p, lo, point.config, chunk)))
-                    keys.append((p, lo, len(chunk)))
-            else:
-                for i, seed in enumerate(seeds):
-                    jobs.append((_run_lifetime,
-                                 _LifetimeTask(p, i, point.config, seed,
-                                               self.telemetry, point.tilt)))
-                    keys.append((p, i, 0))
-        # Per-point reorder buffers: fold strictly in run-index order so
-        # float reductions (and telemetry merges) are bit-identical to
-        # the serial path.  ``None`` marks a run skipped after an error
-        # (for a bulk chunk, every run the chunk covered).
-        buffers: list[dict[int, tuple | None]] = [{} for _ in points]
-        next_index = [0] * len(points)
-        n_runs = len(seeds)
-
-        def fold(k: int, fut: Future) -> None:
-            p, i, count = keys[k]
-            try:
-                result = fut.result()
-            except Exception:
-                if on_error != "skip":
-                    raise
-                for j in range(max(count, 1)):
-                    buffers[p][i + j] = None
-            else:
-                if count:
-                    _, start, chunk_stats, secs = result
-                    per_run = secs / len(chunk_stats)
-                    for j, stats in enumerate(chunk_stats):
-                        buffers[p][start + j] = (p, start + j, stats, 0,
-                                                 per_run, None)
-                else:
-                    buffers[p][i] = result
-            buffer = buffers[p]
-            while next_index[p] in buffer:
-                payload = buffer.pop(next_index[p])
-                if payload is None:
-                    outcomes[p].runs_failed += 1
-                else:
-                    self._fold(outcomes[p], payload, keep_run_stats)
-                next_index[p] += 1
-                if next_index[p] == n_runs:
-                    outcomes[p].completed_at_s = _WALL_CLOCK() - t0
-
-        _drain(self.workers, jobs, fold)
-
-    # ------------------------------------------------------------------ #
-    def _record(self, sweep_name: str, outcomes: list[PointOutcome],
+    def _record(self, sweep_name: str, outcomes: list[MonteCarloResult],
                 n_runs: int, wall: float) -> dict[str, Any]:
         total_runs = n_runs * len(outcomes)
         events = sum(o.aggregate.events_fired for o in outcomes)
@@ -672,7 +626,7 @@ class SweepRunner:
         }
 
     def _write_telemetry(self, sweep_name: str,
-                         outcomes: list[PointOutcome]) -> None:
+                         outcomes: list[MonteCarloResult]) -> None:
         if self.telemetry_path is None:
             return
         for o in outcomes:

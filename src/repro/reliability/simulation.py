@@ -303,9 +303,6 @@ class ReliabilitySimulation:
         #: stream) and the run's likelihood ratio lands on
         #: ``stats.log_weight`` when the run ends.
         self.failure_draw = failure_draw
-        #: count of groups currently degraded (>=1 failed block, not
-        #: lost).
-        self._degraded = 0
         #: Lazy-recovery threshold (1 = eager, the bit-identical default).
         self._lazy_r = config.recovery_threshold
         #: held rebuilds (lazy policy): g -> {rep: (failed_at, origin)}.
@@ -618,16 +615,14 @@ class ReliabilitySimulation:
             if tele is not None and n_colocated:
                 tele.domain_colocated_losses.inc(n_colocated)
         rebuild = (count > 0) & ~dies
-        fresh = g[rebuild & (count == 1)].tolist()
-        self._degraded += len(fresh)
-        for grp in fresh:
+        for grp in g[rebuild & (count == 1)].tolist():
             self._note_degraded(grp, now)
         groups, reps = g[rebuild].tolist(), rep[rebuild].tolist()
         if tele is not None:
             for grp, r in zip(groups, reps):
                 tele.block_failed(grp, r, now, self.n)
         for j in np.flatnonzero(dies).tolist():
-            self._lose_group(int(g[j]), int(count[j]), now)
+            self._lose_group(int(g[j]), now)
         return groups, reps
 
     @staticmethod
@@ -651,11 +646,9 @@ class ReliabilitySimulation:
         row = self.group_disks[g].tolist()
         return self._is_lost({rep for rep, d in enumerate(row) if d < 0})
 
-    def _lose_group(self, g: int, count: int, now: float) -> None:
-        """Group ``g`` just lost data with ``count`` blocks missing."""
+    def _lose_group(self, g: int, now: float) -> None:
+        """Group ``g`` just lost data."""
         self.lost[g] = True
-        if count > 1:
-            self._degraded -= 1    # was counted while degraded
         self.groups_lost_ids.append(g)
         self.stats.groups_lost += 1
         self.stats.bytes_lost += self.cfg.group_user_bytes
@@ -1074,8 +1067,6 @@ class ReliabilitySimulation:
         self.group_disks[g, job.rep] = target
         left = int(self.failed_count[g]) - 1
         self.failed_count[g] = left
-        if left == 0:
-            self._degraded -= 1
         # used_blocks[target] was already incremented at reservation time.
         self._dynamic[target].append((g, job.rep))
         stats = self.stats
@@ -1380,10 +1371,9 @@ class ReliabilitySimulation:
         self.failed_count[g] = count
         if count > self.tol and (self._is_lost is None
                                  or self._group_set_lost(g)):
-            self._lose_group(g, count, now)     # no redundancy was left
+            self._lose_group(g, now)     # no redundancy was left
             return True
         if count == 1:
-            self._degraded += 1
             self._note_degraded(g, now)
         if tele is not None:
             tele.block_failed(g, rep, now, self.n)

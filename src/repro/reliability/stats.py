@@ -2,25 +2,21 @@
 
 Probability of data loss is a Bernoulli proportion over runs; we report it
 with Wilson score intervals (well-behaved near 0 and 1, where reliability
-estimates live) and provide a bootstrap helper for non-Bernoulli outputs
-(e.g. mean windows of vulnerability).
+estimates live).
 
 The weighted half of this module supports the rare-event estimator in
 :mod:`repro.reliability.rare`: importance-sampled runs carry a
 likelihood-ratio weight, and :class:`WeightedAggregate` is the one
 sanctioned place those weights are combined (lint rule RPR012 rejects
 ad-hoc weight arithmetic in experiment code).  Its sums are *exact*
-(Shewchuk partials), so folding runs in any chunking — serial, the sweep
-runner's reorder buffers, a merge of per-worker partials — produces
-bit-identical aggregates.
+(Shewchuk partials), so they do not depend on the order the runs are
+added in.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -78,7 +74,7 @@ class Proportion:
 def _wilson_bounds(p: float, n_eff: float, z: float) -> tuple[float, float]:
     """Wilson score bounds for proportion ``p`` over ``n_eff`` trials.
 
-    ``n_eff`` may be fractional (the weighted interval passes an
+    ``n_eff`` may be fractional (:func:`wilson_from_rate` passes an
     effective sample size).
     """
     denom = 1.0 + z * z / n_eff
@@ -162,11 +158,8 @@ class ExactSum:
     """Error-free float accumulator (Shewchuk partials, as in math.fsum).
 
     The partials list represents the running sum *exactly*, so adding the
-    same multiset of values in any order — or merging two accumulators
-    built from disjoint chunks — yields the same :attr:`value` to the
-    last bit.  This is what lets weighted sweep aggregates stay
-    bit-identical across serial, parallel, and re-chunked execution
-    without relying on the runner's fold order.
+    same multiset of values in any order yields the same :attr:`value`
+    to the last bit.
     """
 
     __slots__ = ("_partials",)
@@ -190,11 +183,6 @@ class ExactSum:
             x = hi
         partials[i:] = [x]
 
-    def merge(self, other: "ExactSum") -> None:
-        """Fold another accumulator in (exact, order-insensitive)."""
-        for p in other._partials:
-            self.add(p)
-
     @property
     def value(self) -> float:
         """The correctly-rounded float value of the exact sum."""
@@ -210,10 +198,9 @@ class WeightedAggregate:
 
     One entry per Monte-Carlo run: a strictly positive likelihood-ratio
     weight ``w`` and a hit indicator ``x`` (data loss).  All four sums are
-    :class:`ExactSum`, so :meth:`add`/:meth:`merge` commute exactly and
-    any chunking of the runs reproduces the same aggregate bit for bit —
-    the property the sweep runner's serial-vs-parallel parity gate
-    asserts, and the Hypothesis suite fuzzes.
+    :class:`ExactSum`, so :meth:`add` commutes exactly and any order of
+    the runs reproduces the same aggregate bit for bit (the Hypothesis
+    suite fuzzes this).
 
     With every weight equal to 1 the unnormalized estimate degenerates to
     the naive proportion ``hits / n`` exactly and ``ess == n``.
@@ -248,42 +235,12 @@ class WeightedAggregate:
             self.wx_sum.add(w)
             self.wx_sq_sum.add(w * w)
 
-    def merge(self, other: "WeightedAggregate") -> None:
-        """Fold another aggregate in (exact, order-insensitive)."""
-        self.n += other.n
-        self.hits += other.hits
-        self.w_sum.merge(other.w_sum)
-        self.w_sq_sum.merge(other.w_sq_sum)
-        self.wx_sum.merge(other.wx_sum)
-        self.wx_sq_sum.merge(other.wx_sq_sum)
-
     @property
     def estimate(self) -> float:
         """Unbiased (unnormalized) IS estimate: (1/n) sum w_i x_i."""
         if self.n == 0:
             return 0.0
         return self.wx_sum.value / self.n
-
-    @property
-    def estimate_normalized(self) -> float:
-        """Self-normalized estimate: sum w_i x_i / sum w_i.
-
-        A batch with zero total weight (empty, or every run's likelihood
-        ratio underflowed) carries no usable evidence: the documented
-        uninformative value is 0.0, mirroring :func:`empty_proportion`
-        (callers see the degeneracy through ``ess == 0``).
-        """
-        sw = self.w_sum.value
-        if self.n == 0 or sw == 0.0:
-            return 0.0
-        return self.wx_sum.value / sw
-
-    @property
-    def mean_weight(self) -> float:
-        """Average weight (1.0 under zero tilt; a diagnostic otherwise)."""
-        if self.n == 0:
-            return 0.0
-        return self.w_sum.value / self.n
 
     @property
     def ess(self) -> float:
@@ -332,48 +289,3 @@ def weighted_clt_interval(agg: WeightedAggregate,
                       lo=min(p, max(0.0, p - half)),
                       hi=max(p, min(1.0, p + half)),
                       confidence=confidence)
-
-
-def weighted_wilson_interval(agg: WeightedAggregate,
-                             confidence: float = 0.95) -> Proportion:
-    """Wilson interval for the self-normalized estimate at ESS trials.
-
-    The self-normalized estimate is a proportion of the weight mass, so
-    the Wilson score applies with the effective sample size standing in
-    for the trial count; with unit weights this is exactly
-    :func:`wilson_interval`.
-    """
-    if not 0 < confidence < 1:
-        raise ValueError("confidence must be in (0, 1)")
-    if agg.n == 0:
-        return empty_proportion(confidence)
-    n_eff = agg.ess
-    if n_eff == 0.0:
-        # All-zero-weight batch: no effective samples, so the Wilson
-        # machinery (which divides by n_eff) degrades to the documented
-        # uninformative interval with the raw trial counts preserved.
-        return Proportion(successes=agg.hits, trials=agg.n, estimate=0.0,
-                          lo=0.0, hi=1.0, confidence=confidence)
-    p = min(1.0, max(0.0, agg.estimate_normalized))
-    z = math.sqrt(2.0) * _erfinv(confidence)
-    lo, hi = _wilson_bounds(p, n_eff, z)
-    return Proportion(successes=agg.hits, trials=agg.n, estimate=p,
-                      lo=min(p, max(0.0, lo)),
-                      hi=max(p, min(1.0, hi)),
-                      confidence=confidence)
-
-
-def bootstrap_mean(values: np.ndarray, confidence: float = 0.95,
-                   n_resamples: int = 2000,
-                   rng: np.random.Generator | None = None
-                   ) -> tuple[float, float, float]:
-    """Bootstrap CI of the mean; returns (mean, lo, hi)."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("need at least one value")
-    rng = rng or np.random.default_rng(0)
-    means = rng.choice(values, size=(n_resamples, values.size),
-                       replace=True).mean(axis=1)
-    alpha = (1.0 - confidence) / 2.0
-    lo, hi = np.quantile(means, [alpha, 1.0 - alpha])
-    return float(values.mean()), float(lo), float(hi)

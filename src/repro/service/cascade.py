@@ -192,7 +192,7 @@ class ForecastCascade:
         result = await estimate_p_loss_async(
             cfg, n_runs=self.live_runs, base_seed=seed,
             engine=entry.engine, runner=self.runner)
-        merged = entry.merged(result.losses,
+        merged = entry.merged(result.aggregate.losses,
                               result.n_runs - result.runs_failed)
         self.cache.put(merged)
         return merged

@@ -88,13 +88,3 @@ class RandomStreams:
         perturbed by — the DES engines' streams for the same seed.
         """
         return self.get(bulk_stream_name(kind))
-
-    def fresh(self, name: str) -> np.random.Generator:
-        """Return a new generator for ``name``, resetting any cached state."""
-        self._cache.pop(name, None)
-        return self.get(name)
-
-    def spawn(self, index: int) -> "RandomStreams":
-        """Derive an independent child stream set (for Monte-Carlo run i)."""
-        child_seed = stable_hash64(self.seed, "spawn", index) % (2 ** 63)
-        return RandomStreams(child_seed)

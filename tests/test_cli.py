@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS, build_parser, main
+from repro.__main__ import (EXPERIMENTS, build_parser, main,
+                            result_mismatches)
 
 
 class TestParser:
@@ -64,3 +65,31 @@ class TestRun:
         assert {"table1", "figure3", "figure4", "figure5", "table3",
                 "figure7", "figure8", "redirection",
                 "ablations"} <= set(EXPERIMENTS)
+
+
+class TestSweepCheck:
+    """``sweep-check`` compares every aggregate field but host time."""
+
+    @staticmethod
+    def _pair():
+        from repro.config import SystemConfig
+        from repro.reliability import estimate_p_loss
+        from repro.units import GB, TB
+        cfg = SystemConfig(total_user_bytes=10 * TB,
+                           group_user_bytes=10 * GB)
+        return (estimate_p_loss(cfg, n_runs=2, telemetry=True,
+                                telemetry_path="") for _ in range(2))
+
+    def test_reports_a_field_the_hand_picked_lists_skipped(self):
+        serial, parallel = self._pair()
+        parallel.aggregate.run_seconds_total += 1.0    # host time: ignored
+        parallel.aggregate.rebuilds_started += 1
+        started = serial.aggregate.rebuilds_started
+        assert result_mismatches("farm", serial, parallel) == [
+            f"farm.rebuilds_started: {started} != {started + 1}"]
+
+    def test_reports_a_telemetry_difference(self):
+        serial, parallel = self._pair()
+        parallel.telemetry = {**parallel.telemetry, "extra": 1}
+        [line] = result_mismatches("farm", serial, parallel)
+        assert line.startswith("farm.telemetry: ")

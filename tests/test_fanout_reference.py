@@ -51,10 +51,9 @@ class LoopFanOut(ReliabilitySimulation):
             self.failed_count[g] = count
             if count > self.tol and (self._is_lost is None
                                      or self._group_set_lost(g)):
-                self._lose_group(g, count, now)
+                self._lose_group(g, now)
             else:
                 if count == 1:
-                    self._degraded += 1
                     self._note_degraded(g, now)
                 groups.append(g)
                 reps.append(rep)
@@ -126,7 +125,6 @@ def state(sim: ReliabilitySimulation) -> dict:
         "group_disks": sim.group_disks.tolist(),
         "failed_count": sim.failed_count.tolist(),
         "lost": sim.lost.tolist(),
-        "degraded": sim._degraded,
         "degraded_since": list(sim._degraded_since.items()),
         "held": {g: dict(reps) for g, reps in sim._held.items()},
         "groups_lost_ids": list(sim.groups_lost_ids),

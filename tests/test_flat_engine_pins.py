@@ -128,7 +128,6 @@ def run_overflow_spare() -> tuple[list[int], int, dict]:
     for grp, rep in ((g, 0), (h, h_rep)):
         sim.group_disks[grp, rep] = -1
         sim.failed_count[grp] = 1
-        sim._degraded += 1
         sim._note_degraded(grp, 0.0)
         sim._start_rebuild(grp, rep, 0.0, origin)
         [job] = sim._jobs_by_group[grp]
@@ -576,4 +575,4 @@ def test_repeated_index_entries_fail_each_block_once():
     assert detects == sorted(static + [(h, 1)])
     assert sim.failed_count[h] == sim.failed_count[static[0][0]] == 1
     assert sim.failed_count[gone] == 0
-    assert sim._degraded == len(static) + 1
+    assert len(sim._degraded_since) == len(static) + 1

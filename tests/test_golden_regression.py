@@ -112,8 +112,8 @@ class TestPins:
             assert float(RandomStreams(123).bulk(kind).random()) == expected
 
     def test_bulk_farm_trajectory_pin(self):
-        from repro.reliability.bulk import run_bulk_lifetime
-        stats = run_bulk_lifetime(cfg(), seed=123)
+        from repro.reliability.bulk import BulkLifetime
+        stats = BulkLifetime(cfg(), seed=123).run()
         snapshot = (stats.disk_failures, stats.rebuilds_started,
                     stats.rebuilds_completed, stats.groups_lost)
         assert snapshot == PIN_BULK_FARM, (
@@ -123,8 +123,8 @@ class TestPins:
             PIN_BULK_FARM_WINDOWS
 
     def test_bulk_traditional_trajectory_pin(self):
-        from repro.reliability.bulk import run_bulk_lifetime
-        stats = run_bulk_lifetime(cfg().with_(use_farm=False), seed=123)
+        from repro.reliability.bulk import BulkLifetime
+        stats = BulkLifetime(cfg().with_(use_farm=False), seed=123).run()
         snapshot = (stats.disk_failures, stats.rebuilds_started,
                     stats.rebuilds_completed, stats.groups_lost)
         assert snapshot == PIN_BULK_TRAD, (

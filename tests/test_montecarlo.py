@@ -4,7 +4,9 @@ import pytest
 
 from repro.availability.luby import InfeasibleConfig
 from repro.config import SystemConfig
-from repro.reliability import estimate_p_loss, loss_probability_series, sweep
+from repro.redundancy import MIRROR_3
+from repro.reliability import (ReliabilitySimulation, estimate_p_loss,
+                               seed_schedule, sweep)
 from repro.reliability.runner import shutdown_pool
 from repro.units import GB, TB
 from tests.test_availability import infeasible_cfg
@@ -23,43 +25,42 @@ def unrunnable():
 
 class TestEstimate:
     def test_reproducible_across_calls(self):
-        a = estimate_p_loss(tiny(), n_runs=5, base_seed=1)
-        b = estimate_p_loss(tiny(), n_runs=5, base_seed=1)
+        a = estimate_p_loss(tiny(), n_runs=5, base_seed=1).aggregate
+        b = estimate_p_loss(tiny(), n_runs=5, base_seed=1).aggregate
         assert a.losses == b.losses
-        assert a.disk_failures_total == b.disk_failures_total
+        assert a.disk_failures == b.disk_failures
 
     def test_seed_changes_results(self):
-        a = estimate_p_loss(tiny(), n_runs=5, base_seed=1)
-        b = estimate_p_loss(tiny(), n_runs=5, base_seed=2)
-        assert a.disk_failures_total != b.disk_failures_total
+        a = estimate_p_loss(tiny(), n_runs=5, base_seed=1).aggregate
+        b = estimate_p_loss(tiny(), n_runs=5, base_seed=2).aggregate
+        assert a.disk_failures != b.disk_failures
 
     def test_runs_are_independent(self):
         """Each run has its own seed: per-run failure counts vary."""
-        r = estimate_p_loss(tiny(), n_runs=6, base_seed=0,
-                            keep_run_stats=True)
-        counts = {s.disk_failures for s in r.run_stats}
-        assert len(counts) > 1
-
-    def test_run_stats_dropped_by_default(self):
-        r = estimate_p_loss(tiny(), n_runs=3, base_seed=0)
-        assert r.run_stats == []
-        assert r.aggregate is not None and r.aggregate.n_runs == 3
+        r = estimate_p_loss(tiny(), n_runs=6, base_seed=0)
+        assert r.aggregate.failure_moments.count == 6
+        assert r.aggregate.failure_moments.variance > 0
 
     def test_aggregates_consistent(self):
-        r = estimate_p_loss(tiny(), n_runs=5, base_seed=0,
-                            keep_run_stats=True)
-        assert r.n_runs == 5 and len(r.run_stats) == 5
-        assert r.losses == sum(1 for s in r.run_stats if s.any_loss)
+        """The aggregate equals a fold of independently run lifetimes."""
+        r = estimate_p_loss(tiny(), n_runs=5, base_seed=0)
+        runs = [ReliabilitySimulation(tiny(), seed=s).run()
+                for s in seed_schedule(0, 5)]
+        agg = r.aggregate
+        assert r.n_runs == 5 and agg.n_runs == 5
+        assert agg.losses == sum(1 for s in runs if s.any_loss)
         assert r.p_loss.trials == 5
-        assert r.groups_lost_total == sum(s.groups_lost
-                                          for s in r.run_stats)
-        assert r.events_fired_total > 0
+        assert agg.groups_lost == sum(s.groups_lost for s in runs)
+        assert agg.disk_failures == sum(s.disk_failures for s in runs)
+        assert agg.events_fired > 0
 
     def test_parallel_matches_serial(self):
-        serial = estimate_p_loss(tiny(), n_runs=4, base_seed=3, n_jobs=1)
-        parallel = estimate_p_loss(tiny(), n_runs=4, base_seed=3, n_jobs=2)
+        serial = estimate_p_loss(tiny(), n_runs=4, base_seed=3,
+                                 n_jobs=1).aggregate
+        parallel = estimate_p_loss(tiny(), n_runs=4, base_seed=3,
+                                   n_jobs=2).aggregate
         assert serial.losses == parallel.losses
-        assert serial.disk_failures_total == parallel.disk_failures_total
+        assert serial.disk_failures == parallel.disk_failures
 
     def test_invalid_runs(self):
         with pytest.raises(ValueError):
@@ -101,15 +102,26 @@ class TestZeroCompletedRuns:
         assert res["bad"].runs_failed == 3
         assert res["bad"].p_loss.trials == 0
 
+    @pytest.mark.parametrize("n_jobs", [None, 2])
+    def test_refused_bulk_point_skips_every_chunk(self, n_jobs):
+        """``BulkLifetime`` refuses lazy recovery inside the worker, so
+        each of the refused point's two chunks raises and is skipped
+        whole, serially and in parallel alike; the runnable point beside
+        it keeps every trial."""
+        refused = tiny().with_(scheme=MIRROR_3, recovery_threshold=2)
+        try:
+            res = sweep({"ok": tiny(), "refused": refused}, n_runs=40,
+                        n_jobs=n_jobs, on_error="skip", engine="bulk")
+        finally:
+            shutdown_pool()
+        assert res["refused"].runs_failed == 40
+        assert res["refused"].p_loss.trials == 0
+        assert res["ok"].runs_failed == 0
+        assert res["ok"].p_loss.trials == 40
+
 
 class TestSweeps:
     def test_sweep_labels_preserved(self):
         res = sweep({"farm": tiny(), "raid": tiny().with_(use_farm=False)},
                     n_runs=3)
         assert set(res) == {"farm", "raid"}
-
-    def test_series_in_order(self):
-        out = loss_probability_series(
-            tiny(), "detection_latency", [0.0, 600.0], n_runs=3)
-        assert [v for v, _ in out] == [0.0, 600.0]
-        assert all(r.n_runs == 3 for _, r in out)

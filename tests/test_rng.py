@@ -51,12 +51,6 @@ class TestRandomStreams:
         s = RandomStreams(0)
         assert s.get("x") is s.get("x")
 
-    def test_fresh_resets_state(self):
-        s = RandomStreams(0)
-        first = s.get("x").random(5)
-        again = s.fresh("x").random(5)
-        assert np.array_equal(first, again)
-
     def test_consuming_one_stream_does_not_shift_another(self):
         """The variance-reduction property the module exists for."""
         s1 = RandomStreams(3)
@@ -65,11 +59,3 @@ class TestRandomStreams:
         s2 = RandomStreams(3)
         b = s2.get("signal").random(10)
         assert np.array_equal(a, b)
-
-    def test_spawn_children_independent_and_reproducible(self):
-        parent = RandomStreams(5)
-        c1 = parent.spawn(0).get("x").random(10)
-        c2 = parent.spawn(1).get("x").random(10)
-        c1_again = RandomStreams(5).spawn(0).get("x").random(10)
-        assert not np.array_equal(c1, c2)
-        assert np.array_equal(c1, c1_again)

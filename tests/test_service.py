@@ -440,7 +440,8 @@ class TestCascade:
                 LIVE_CFG, n_runs=6, base_seed=11, engine="bulk",
                 runner=_runner())
         a, b = asyncio.run(_run()), asyncio.run(_run())
-        assert a.losses == b.losses and a.n_runs == b.n_runs
+        assert a.aggregate.losses == b.aggregate.losses
+        assert a.n_runs == b.n_runs
 
 
 class TestStop:

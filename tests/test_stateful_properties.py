@@ -101,7 +101,8 @@ class GroupStateMachine(RuleBasedStateMachine):
         live = ~e.lost
         assert np.array_equal(e.failed_count[live],
                               (e.group_disks[live] < 0).sum(axis=1))
-        assert e._degraded == int(((e.failed_count > 0) & live).sum())
+        assert len(e._degraded_since) == \
+            int(((e.failed_count > 0) & live).sum())
 
     @invariant()
     def loss_exactly_when_survivors_below_m(self):

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.reliability import bootstrap_mean, empty_proportion, wilson_interval
+from repro.reliability import empty_proportion, wilson_interval
 from repro.reliability.stats import (ExactSum, WeightedAggregate,
-                                     weighted_clt_interval,
-                                     weighted_wilson_interval)
+                                     weighted_clt_interval)
 
 
 class TestWilson:
@@ -137,16 +136,13 @@ class TestWeightedAggregate:
     def test_unit_weights_degenerate_to_naive(self):
         agg = _fold([(1.0, True)] * 3 + [(1.0, False)] * 7)
         assert agg.estimate == 3 / 10
-        assert agg.estimate_normalized == 3 / 10
         assert agg.ess == 10.0
-        assert agg.mean_weight == 1.0
+        assert agg.w_sum.value == 10.0
 
     def test_unit_weight_intervals_match_counts(self):
         agg = _fold([(1.0, True)] * 5 + [(1.0, False)] * 5)
-        w = weighted_wilson_interval(agg)
-        plain = wilson_interval(5, 10)
-        assert (w.lo, w.hi) == pytest.approx((plain.lo, plain.hi))
         clt = weighted_clt_interval(agg)
+        assert (clt.successes, clt.trials) == (5, 10)
         assert clt.lo <= clt.estimate == 0.5 <= clt.hi
 
     def test_rejects_bad_weights(self):
@@ -160,25 +156,23 @@ class TestWeightedAggregate:
         """An underflowed likelihood ratio (w == 0.0) is legitimate data:
         it counts as a trial but adds nothing to the weighted sums."""
         agg = _fold([(1.0, True), (1.0, False)])
-        before = (agg.estimate, agg.estimate_normalized)
+        before = (agg.w_sum.value, agg.wx_sum.value)
         agg.add(0.0, True)
         assert agg.n == 3 and agg.hits == 2
-        assert agg.estimate_normalized == before[1]
+        assert (agg.w_sum.value, agg.wx_sum.value) == before
         assert agg.ess == pytest.approx(2.0)
 
     def test_all_zero_weight_batch_degrades_to_uninformative(self):
-        """Every weight underflowed: no effective samples, so both
-        interval builders return the whole-line answer with the raw
-        trial counts preserved instead of dividing by zero."""
+        """Every weight underflowed: no effective samples, so the
+        interval is the whole-line answer with the raw trial counts
+        preserved instead of a division by zero."""
         agg = WeightedAggregate()
         for hit in (True, False, True):
             agg.add(0.0, hit)
         assert agg.ess == 0.0
-        assert agg.estimate_normalized == 0.0
-        for build in (weighted_clt_interval, weighted_wilson_interval):
-            p = build(agg)
-            assert (p.lo, p.hi) == (0.0, 1.0)
-            assert p.trials == 3 and p.successes == 2
+        p = weighted_clt_interval(agg)
+        assert (p.lo, p.hi) == (0.0, 1.0)
+        assert p.trials == 3 and p.successes == 2
 
     def test_empty_aggregate(self):
         agg = WeightedAggregate()
@@ -187,34 +181,22 @@ class TestWeightedAggregate:
 
     @given(_runs, st.randoms(use_true_random=False))
     @settings(max_examples=100)
-    def test_fold_order_and_chunking_insensitive(self, runs, rnd):
-        """Any shuffle + chunking + merge is bit-identical to serial.
-
-        This is the property the sweep runner's parallel reorder buffers
-        rely on: ExactSum makes add/merge commute to float *equality*,
-        not approximation.
-        """
+    def test_fold_order_insensitive(self, runs, rnd):
+        """Any shuffle of the runs folds to the same aggregate, bit for
+        bit: ExactSum makes add commute to float *equality*, not
+        approximation."""
         serial = _fold(runs)
-
         shuffled = list(runs)
         rnd.shuffle(shuffled)
-        chunks = []
-        i = 0
-        while i < len(shuffled):
-            size = rnd.randint(1, len(shuffled) - i)
-            chunks.append(shuffled[i:i + size])
-            i += size
-        merged = WeightedAggregate()
-        for chunk in chunks:
-            merged.merge(_fold(chunk))
+        folded = _fold(shuffled)
 
-        assert merged.n == serial.n and merged.hits == serial.hits
-        assert merged.w_sum.value == serial.w_sum.value
-        assert merged.w_sq_sum.value == serial.w_sq_sum.value
-        assert merged.wx_sum.value == serial.wx_sum.value
-        assert merged.wx_sq_sum.value == serial.wx_sq_sum.value
-        assert merged.estimate == serial.estimate
-        assert merged.ess == serial.ess
+        assert folded.n == serial.n and folded.hits == serial.hits
+        assert folded.w_sum.value == serial.w_sum.value
+        assert folded.w_sq_sum.value == serial.w_sq_sum.value
+        assert folded.wx_sum.value == serial.wx_sum.value
+        assert folded.wx_sq_sum.value == serial.wx_sq_sum.value
+        assert folded.estimate == serial.estimate
+        assert folded.ess == serial.ess
 
     @given(_runs)
     @settings(max_examples=100)
@@ -250,19 +232,3 @@ class TestExactSum:
         for x in shuffled:
             s.add(x)
         assert s.value == math.fsum(xs)
-
-
-class TestBootstrap:
-    def test_mean_and_interval_order(self):
-        rng = np.random.default_rng(1)
-        mean, lo, hi = bootstrap_mean(rng.normal(10, 2, 200))
-        assert lo <= mean <= hi
-        assert mean == pytest.approx(10.0, abs=0.5)
-
-    def test_degenerate_distribution(self):
-        mean, lo, hi = bootstrap_mean(np.full(50, 3.0))
-        assert mean == lo == hi == 3.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            bootstrap_mean(np.array([]))
