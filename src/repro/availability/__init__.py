@@ -5,10 +5,10 @@ a fleet's story — how long groups sit degraded, what user reads cost
 while they are, and how repair scheduling trades bandwidth against risk:
 
 * :mod:`repro.availability.queue` — the most-at-risk-first repair
-  priority queue both DES engines use to order lazy-recovery releases
+  priority queue the DES uses to order lazy-recovery releases
   (by surviving redundancy, then window age);
 * :mod:`repro.availability.luby` — Luby's steady-state repair-demand
-  bound, the feasibility rail shared by the engines (construction-time
+  bound, the feasibility rail shared by the DES (construction-time
   rejection of rate-limited configs that cannot keep up) and the
   forecast service (HTTP 422);
 * :mod:`repro.availability.metrics` — availability fractions, "nines",

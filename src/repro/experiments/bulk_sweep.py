@@ -2,8 +2,8 @@
 
 The bulk window-overlap engine (:mod:`repro.reliability.bulk`) exists to
 buy naive-MC throughput — the fleet-scale design sweeps the ROADMAP
-calls for need orders of magnitude more lifetimes than the DES engines
-can afford.  This driver makes that claim a measured, recorded, and
+calls for need orders of magnitude more lifetimes than the DES can
+afford.  This driver makes that claim a measured, recorded, and
 *asserted* number instead of a docstring promise.  It runs the exact
 figure-5 point grid (FARM and traditional, both group sizes, all five
 recovery bandwidths) twice on the same process pool:

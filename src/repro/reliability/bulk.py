@@ -1,14 +1,15 @@
-"""Bulk-lifetime Monte-Carlo engine (the third engine: vectorized, event-free).
+"""Bulk-lifetime Monte-Carlo engine (the second engine: vectorized, no events).
 
-The two DES engines replay every failure/detect/rebuild event of a
-lifetime; a 2 PB trajectory costs hundreds of thousands of Python event
-dispatches.  The fleet-scale sweeps the ROADMAP calls for (10^4-point
-design grids) need orders of magnitude more naive-MC throughput, and the
-paper's loss statistic does not actually require an event loop: a group is
-lost iff, at some instant, more than ``n - m`` of its blocks are missing —
-a pure *window-overlap* predicate over per-block (failure time, repair
-time) intervals.  This engine draws all of those quantities in batches
-with :class:`numpy.random.Generator` and resolves the predicate with array
+The DES (:mod:`repro.reliability.simulation`) replays every
+failure/detect/rebuild event of a lifetime; a 2 PB trajectory costs
+hundreds of thousands of Python event dispatches.  The fleet-scale
+sweeps the ROADMAP calls for (10^4-point design grids) need orders of
+magnitude more naive-MC throughput, and the paper's loss statistic does
+not actually require an event loop: a group is lost iff, at some
+instant, more than ``n - m`` of its blocks are missing — a pure
+*window-overlap* predicate over per-block (failure time, repair time)
+intervals.  This engine draws all of those quantities in batches with
+:class:`numpy.random.Generator` and resolves the predicate with array
 ops:
 
 1. one lifetime per disk from the bathtub hazard (``bulk-failures``),
@@ -22,8 +23,11 @@ ops:
    assignments fill them in — provably the same distribution as
    materializing all ``G * n`` memberships (the dense sampler,
    :func:`sample_members_flat`, survives as the property-test oracle).
-   The rack-capped topology case keeps the dense draw
-   (:func:`sample_members_capped`), where the cap skews the counts;
+   A FARM lifetime whose every failed disk rebuilds in-horizon needs
+   only the tally of the groups with one failed block: the stream is
+   advanced past their section instead of drawing it.  The rack-capped
+   topology case keeps the dense draw (:func:`sample_members_capped`),
+   where the cap skews the counts;
 3. a repair window per *failed* block: FARM rebuilds are parallel, so the
    window is ``detection_latency + rebuild_seconds_per_block``;
    traditional rebuilds queue a dead disk's blocks serially on its
@@ -36,8 +40,9 @@ ops:
    ``[failure, repair)`` intervals ever exceeds the scheme tolerance
    (:func:`group_loss_times`).  Groups holding at most ``tolerance``
    failed blocks can never be lost, so their rebuilds are counted per
-   failed disk; only the traditional windows' float sum stays per
-   block, to keep its summation order.
+   failed disk, or from the tallies alone when every failed disk of a
+   FARM lifetime rebuilds in-horizon; only the traditional windows'
+   float sum stays per block, to keep its summation order.
 
 **Model vs DES** (docs/BULK_ENGINE.md derives the error terms): the engine
 is *first-generation* — blocks rebuilt onto a new disk are not re-failed
@@ -45,7 +50,7 @@ when that disk later dies, spare disks' own failures are not counted, and
 FARM target-queue collisions are ignored.  All of these are
 O(failure-rate²) corrections, far inside the Monte-Carlo CI at the
 paper's rates, and the conformance suite (``tests/test_bulk.py``) asserts
-CI overlap against *both* DES engines on the golden FARM and traditional
+CI overlap against the DES on the golden FARM and traditional
 scenarios.  Features with first-order trajectory effects the predicate
 cannot express — replacement batches, SMART steering, diurnal workload,
 rush/copyset placement, lazy recovery, set-based survival schemes — are
@@ -94,7 +99,7 @@ def group_loss_times(fail: np.ndarray, repair: np.ndarray,
     so it suffices to count, for each block ``j``, how many intervals
     cover ``fail[j]``.  Ties count both sides: a block failing at the
     exact instant another's repair *starts to matter* is concurrent, which
-    matches the DES engines (a failure event at time t sees every block
+    matches the DES (a failure event at time t sees every block
     whose rebuild has not completed strictly before t).
 
     Returns ``(lost, when)``: a boolean loss mask over the leading axes
@@ -184,9 +189,9 @@ def sample_members_flat(rng: np.random.Generator, n_groups: int, n: int,
                         n_disks: int) -> np.ndarray:
     """Uniform membership: ``n`` distinct disks per group, flat pool.
 
-    The same distribution the DES engines' random placement uses.  The
+    The same distribution the DES's random placement uses.  The
     engine's flat hot path no longer materializes memberships (it samples
-    the failed blocks directly; see :func:`sample_failed_block_sections`);
+    the failed blocks directly; see :func:`sample_group_tallies`);
     this dense sampler remains the distributional *oracle* the
     conformance suite checks that shortcut against.
     """
@@ -247,12 +252,12 @@ def sample_members_capped(rng: np.random.Generator, n_groups: int, n: int,
         f"too small to host its allowed share of a group")
 
 
-def sample_failed_block_sections(rng: np.random.Generator, n_groups: int,
-                                 n: int, n_failed: int,
-                                 n_disks: int) -> list[np.ndarray]:
-    """Sparse flat placement: draw only the blocks on failed disks.
+def sample_group_tallies(rng: np.random.Generator, n_groups: int, n: int,
+                         n_failed: int, n_disks: int) -> np.ndarray:
+    """Sparse flat placement, first draw: the groups per failed-block count.
 
-    Distributionally identical to drawing all ``n_groups * n`` distinct
+    Sparse placement draws only the blocks on failed disks, and is
+    distributionally identical to drawing all ``n_groups * n`` distinct
     memberships (:func:`sample_members_flat`) and keeping the blocks on
     the ``n_failed`` failed disks:
 
@@ -263,21 +268,36 @@ def sample_failed_block_sections(rng: np.random.Generator, n_groups: int,
       group *tallies* carries the full information;
     * conditioned on its count ``k``, a group's failed disks are a
       uniform distinct ``k``-tuple of the failed set (exchangeability of
-      the uniform distinct-``n`` draw);
+      the uniform distinct-``n`` draw), which :func:`sample_section`
+      draws, one count at a time;
     * blocks on *surviving* disks never matter: they cannot open a
       vulnerability window, and a failed disk's rebuild queue is exactly
       its failed blocks.
 
-    Returns one ``(K_k, k)`` matrix per count ``k = 1..n`` (ascending —
-    the stream-consumption order the golden pins fix), holding each
-    group's failed-disk indices into the caller's failed-id array.
-    ``K_k`` is the number of groups with exactly ``k`` failed blocks.
+    Entry ``k`` of the result counts the groups with exactly ``k`` failed
+    blocks, ``k = 0..n``.  The sections follow on the same stream in
+    ascending ``k`` (the consumption order the golden pins fix).
     """
     pmf = hypergeom_pmf(n, n_failed, n_disks)
-    tallies = rng.multinomial(n_groups, pmf / pmf.sum())
-    return [distinct_uniform(rng, int(tallies[k]), k, n_failed)
-            if tallies[k] else np.empty((0, k), dtype=np.int64)
-            for k in range(1, n + 1)]
+    return rng.multinomial(n_groups, pmf / pmf.sum())
+
+
+def sample_section(rng: np.random.Generator, n_rows: int, k: int,
+                   n_failed: int) -> np.ndarray:
+    """Sparse flat placement, per count: the failed disks of ``n_rows``
+    groups that hold exactly ``k`` failed blocks each.
+
+    Returns a ``(n_rows, k)`` matrix of distinct indices into the
+    caller's failed-id array (:func:`distinct_uniform`).  A one-block
+    section (``k == 1``) is never redrawn, so it consumes exactly
+    ``n_rows`` 64-bit words: a caller that needs only its size may
+    ``rng.bit_generator.advance(n_rows)`` instead and leave the stream
+    where the draw would have.  Larger sections redraw colliding rows, so
+    what they consume depends on the values drawn.
+    """
+    if n_rows == 0:
+        return np.empty((0, k), dtype=np.int64)
+    return distinct_uniform(rng, n_rows, k, n_failed)
 
 
 class BulkLifetime:
@@ -304,19 +324,32 @@ class BulkLifetime:
 
     # ------------------------------------------------------------------ #
     def _failed_block_sections(self, rng: np.random.Generator,
-                               failed_ids: np.ndarray) -> list[np.ndarray]:
-        """Per-count sections of failed blocks, in failed-disk indices.
+                               failed_ids: np.ndarray, skip_single: bool
+                               ) -> tuple[np.ndarray, list[np.ndarray | None]]:
+        """Per-count tallies and sections of failed blocks.
 
-        Entry ``k - 1`` is a ``(K_k, k)`` matrix: for every group holding
-        exactly ``k`` failed blocks, the positions in ``failed_ids`` of
-        the disks those blocks sit on.  Flat placement samples the
-        sections sparsely; the rack-capped topology case (where the cap
-        skews the count law) draws the dense membership and regroups its
-        failed blocks into the same shape.
+        Returns ``(tallies, sections)``.  ``tallies[k - 1]`` groups hold
+        exactly ``k`` failed blocks, and ``sections[k - 1]`` is their
+        ``(K_k, k)`` matrix of the positions in ``failed_ids`` of the
+        disks those blocks sit on.  Flat placement samples the sections
+        sparsely; with ``skip_single`` it does not draw the one-block
+        section, advances the stream past it instead and leaves ``None``
+        in its place.  The rack-capped topology case (where the cap skews
+        the count law) draws the dense membership and regroups its failed
+        blocks into the same shape, whatever ``skip_single`` says.
         """
         if self._rack_tables is None:
-            return sample_failed_block_sections(
-                rng, self.G, self.n, failed_ids.size, self.N)
+            tallies = sample_group_tallies(rng, self.G, self.n,
+                                           failed_ids.size, self.N)[1:]
+            sections: list[np.ndarray | None] = []
+            for k, rows in enumerate(tallies.tolist(), start=1):
+                if k == 1 and skip_single:
+                    rng.bit_generator.advance(rows)
+                    sections.append(None)
+                else:
+                    sections.append(
+                        sample_section(rng, rows, k, failed_ids.size))
+            return tallies, sections
         members = sample_members_capped(rng, self.G, self.n,
                                         self._rack_tables,
                                         self.cfg.max_chunks_per_domain)
@@ -332,7 +365,7 @@ class BulkLifetime:
             # exactly k entries, in slot order.
             sections.append(failed_members[rows_k][hit[rows_k]]
                             .reshape(rows_k.size, k))
-        return sections
+        return np.array([m.shape[0] for m in sections]), sections
 
     def _traditional_windows(self, rng: np.random.Generator,
                              queue_len: np.ndarray) -> np.ndarray:
@@ -342,7 +375,7 @@ class BulkLifetime:
         on its dedicated spare: the block in queue position ``pos``
         (1-based, uniform over the dead disk's ``queue_len`` hosted
         blocks) completes ``pos`` block-times after detection — exactly
-        the DES engines' serial ``free_at`` schedule.  Positions are
+        the DES's serial ``free_at`` schedule.  Positions are
         drawn only for blocks that actually failed, in section order;
         ``pos ~ Uniform{1..k}`` via ``floor(u * k) + 1``, which is
         exactly uniform for the tiny per-disk block counts and ~5x
@@ -398,10 +431,12 @@ class BulkLifetime:
         and only the blocks on failed disks (a few percent of ``G * n``)
         are ever materialized, already grouped into dense per-count
         sections.  Groups holding at most ``tolerance`` failed blocks can
-        never be lost, so their rebuilds are counted from per-disk masks;
-        the quadratic overlap predicate (:meth:`_lossy_section`) runs
-        per block, pad-free, on exactly the groups that hold more.  No
-        G- or N·n-length array is ever built.
+        never be lost, so their rebuilds are counted from per-disk masks,
+        or from the group tallies alone when every failed disk of a FARM
+        lifetime finishes its rebuilds in-horizon; the quadratic overlap
+        predicate (:meth:`_lossy_section`) runs per block, pad-free, on
+        exactly the groups that hold more.  No G- or N·n-length array is
+        ever built.
 
         ``seed`` overrides the instance seed, so one validated instance
         can serve a whole batch of runs.
@@ -420,29 +455,43 @@ class BulkLifetime:
         if n_failed == 0:
             return stats
 
-        sections = self._failed_block_sections(streams.bulk("placement"),
-                                               failed_ids)
-        if not any(m.size for m in sections):
+        # Whether each failed disk's rebuilds start in-horizon.  FARM
+        # rebuilds a dead disk's blocks in parallel across the fleet:
+        # every window is the same constant (and the `bulk-windows`
+        # stream is never consumed).  When every failed disk also
+        # completes them in-horizon (most FARM lifetimes), each block in
+        # a group that can never be lost starts and completes one
+        # rebuild, whichever disk it sat on: those groups count by their
+        # tallies, and the one-block section need not be drawn.
+        started = fail_at + latency <= duration
+        tallied = False
+        if cfg.use_farm:
+            window = latency + rebuild
+            done = started & (fail_at + window <= duration)
+            tallied = bool(done.all())
+        tallies, sections = self._failed_block_sections(
+            streams.bulk("placement"), failed_ids,
+            skip_single=tallied and self.tol >= 1)
+        if not tallies.any():
             return stats
 
-        # Per failed disk: its blocks in each section, in the groups that
-        # can never be lost, and whether its rebuilds start in-horizon.
-        per_section = [np.bincount(m.ravel(), minlength=n_failed)
-                       for m in sections]
-        safe_blocks = sum(per_section[:self.tol],
-                          np.zeros(n_failed, dtype=np.intp))
-        started = fail_at + latency <= duration
-        n_started = int(safe_blocks[started].sum())
+        if tallied:
+            n_started = n_safe = int(tallies[:self.tol]
+                                     @ np.arange(1, self.tol + 1))
+        else:
+            # Per failed disk: its blocks in each section, and in the
+            # groups that can never be lost.
+            per_section = [np.bincount(m.ravel(), minlength=n_failed)
+                           for m in sections]
+            safe_blocks = sum(per_section[:self.tol],
+                              np.zeros(n_failed, dtype=np.intp))
+            n_started = int(safe_blocks[started].sum())
         n_lost = 0
         first_loss = np.inf
 
         if cfg.use_farm:
-            # FARM rebuilds a dead disk's blocks in parallel across the
-            # fleet: every window is the same constant (and the
-            # `bulk-windows` stream is never consumed).
-            window = latency + rebuild
-            done = started & (fail_at + window <= duration)
-            n_completed = int(safe_blocks[done].sum())
+            n_completed = (n_safe if tallied
+                           else int(safe_blocks[done].sum()))
             for m in sections[self.tol:]:
                 if m.size:
                     fail_k = fail_at[m]

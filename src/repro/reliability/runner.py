@@ -263,10 +263,12 @@ class MonteCarloResult:
 class _Task:
     """A contiguous run of one point's lifetimes, shipped as one task.
 
-    A DES task holds one seed, which keeps the pool's load balanced.  A
-    bulk lifetime costs 0.4-0.8 ms at 2 PB on the figure-5 grid and
-    about 0.3 ms at 100 TB (2-vCPU Xeon host), so per-run dispatch
-    would be dominated by pool overhead; a bulk task holds
+    A DES task holds one seed, which keeps the pool's load balanced.  On
+    the figure-5 grid at 2 PB a bulk lifetime costs about 0.4 ms under
+    FARM and 1.0 ms under traditional recovery, 0.7 ms over the grid
+    (bulk-fig5's traced ``reliability.bulk.us_per_lifetime``), and
+    0.1-0.4 ms at 100 TB (2-vCPU Xeon host), so per-run dispatch would
+    be dominated by pool overhead; a bulk task holds
     :data:`_BULK_CHUNK` seeds, and the per-run seeds keep every lifetime
     independent of how the chunk boundaries fall.
     """
@@ -284,10 +286,11 @@ class _Task:
     tilt: float = 0.0
 
 
-#: Runs per bulk task (see :class:`_Task`).  At 0.4-0.8 ms a run at
-#: 2 PB (a task's median is 10-20 ms), 32 runs keep the workers about
-#: 90 % busy under submission/pickle overhead while still feeding even
-#: a wide pool promptly.
+#: Runs per bulk task (see :class:`_Task`).  At 0.4-1.0 ms a run at
+#: 2 PB (a task's median is 13-19 ms), 32 runs keep the workers 89-90 %
+#: busy under submission/pickle overhead (bulk-fig5's traced
+#: ``reliability.runner.busy_frac``) while still feeding even a wide
+#: pool promptly.
 _BULK_CHUNK = 32
 
 #: One run's result: ``(stats, events fired, host seconds, telemetry

@@ -38,7 +38,7 @@ def stable_hash64(*parts: object) -> int:
 #: ``windows`` draws the stochastic part of the repair windows
 #: (traditional-mode queue positions).  This is a closed registry so the
 #: golden-regression suite can pin every member: the bulk engine
-#: deliberately does *not* share the DES engines'
+#: deliberately does *not* share the DES's
 #: ``disk-failures``/``targets`` streams — its draw order is batched, not
 #: event-ordered, so sharing would silently perturb the DES pins.
 BULK_STREAM_KINDS: tuple[str, ...] = ("failures", "placement", "windows")
@@ -85,6 +85,6 @@ class RandomStreams:
         The bulk-lifetime engine draws whole batches (all lifetimes, all
         placements) instead of event-ordered scalars, so it owns its own
         stream family: enabling it can never perturb — and is never
-        perturbed by — the DES engines' streams for the same seed.
+        perturbed by — the DES's streams for the same seed.
         """
         return self.get(bulk_stream_name(kind))

@@ -16,7 +16,7 @@ while a simulation runs, without perturbing it:
 * :mod:`~repro.telemetry.export` — JSONL (schema ``repro.telemetry.v1``),
   CSV, and Prometheus text-format exporters.
 
-Both engines accept a nullable ``telemetry=`` :class:`Telemetry` handle;
+The DES accepts a nullable ``telemetry=`` :class:`Telemetry` handle;
 when absent every instrumentation site is a single ``is not None`` test.
 See ``docs/OBSERVABILITY.md`` for the full API and schema.
 """

@@ -1,6 +1,6 @@
-"""The `Telemetry` facade the engines instrument against.
+"""The `Telemetry` facade the DES instruments against.
 
-Both engines take a nullable ``telemetry=`` handle; every instrumentation
+The DES takes a nullable ``telemetry=`` handle; every instrumentation
 site is ``if self.telemetry is not None: ...`` so the disabled path costs
 one attribute test per event (pinned <= 3% by
 ``tests/test_telemetry.py::test_disabled_guard_overhead_within_3pct``).

@@ -6,7 +6,9 @@ Four kinds of guarantee, matching docs/BULK_ENGINE.md:
   with an independent sweep-line oracle on every input Hypothesis can
   construct; the sparse multinomial-tally placement sampler reproduces
   the dense membership sampler's count law to within Monte-Carlo error;
-  the hypergeometric PMF matches scipy digit-for-digit.
+  the hypergeometric PMF matches scipy digit-for-digit; FARM lifetimes
+  that skip the one-failed-block section match, field for field, a
+  lifetime that draws every section.
 * **Determinism and fold invariance** (fast): bulk runs are bit-exact
   functions of (config, seed); any batch split of ``run_bulk_batch``
   folds to the identical aggregate; the serial and process-pool runner
@@ -20,6 +22,8 @@ Four kinds of guarantee, matching docs/BULK_ENGINE.md:
   its own pinned ``bulk-*`` streams (see tests/test_golden_regression).
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,18 +31,21 @@ from hypothesis import strategies as st
 
 from repro.__main__ import result_mismatches
 from repro.config import SystemConfig
+from repro.redundancy import ECC_4_6, ECC_8_10, MIRROR_2
 from repro.redundancy.composite import MirroredParity
 from repro.reliability import (MonteCarloResult, StatsAggregate,
                                seed_schedule, shutdown_pool, sweep)
 from repro.reliability.bulk import (BulkLifetime, distinct_uniform,
                                     group_loss_times, hypergeom_pmf,
                                     rack_tables, run_bulk_batch,
-                                    sample_failed_block_sections,
+                                    sample_group_tallies,
                                     sample_members_capped,
-                                    sample_members_flat)
+                                    sample_members_flat, sample_section)
 from repro.reliability.montecarlo import estimate_p_loss
+from repro.reliability.simulation import RecoveryStats
 from repro.sim.rng import RandomStreams
 from repro.units import DAY, GB, TB
+from tests.test_bulk_pins import BASE, LIFETIMES
 
 
 def gold_cfg(**kw):
@@ -215,25 +222,32 @@ class TestSparseSampler:
     G, N, N_FAILED, K = 4000, 100, 8, 3
 
     def test_sections_shapes_and_entries(self):
-        sections = sample_failed_block_sections(
-            np.random.default_rng(3), self.G, self.K, self.N_FAILED, self.N)
-        assert len(sections) == self.K
-        for k, m in enumerate(sections, start=1):
-            assert m.shape[1] == k
+        rng = np.random.default_rng(3)
+        tallies = sample_group_tallies(rng, self.G, self.K, self.N_FAILED,
+                                       self.N)
+        assert tallies.shape == (self.K + 1,)
+        assert tallies.sum() == self.G
+        for k in range(1, self.K + 1):
+            m = sample_section(rng, int(tallies[k]), k, self.N_FAILED)
+            assert m.shape == (tallies[k], k)
             if m.size:
                 assert m.min() >= 0 and m.max() < self.N_FAILED
                 assert all(len(set(row)) == k for row in m.tolist())
+
+    def test_empty_section_draws_nothing(self):
+        rng = np.random.default_rng(8)
+        # k > n_failed: no group can hold that many failed blocks.
+        assert sample_section(rng, 0, 3, 2).shape == (0, 3)
+        assert rng.random() == np.random.default_rng(8).random()
 
     def test_count_law_matches_dense_oracle(self):
         """Empirical failed-count PMFs of both samplers sit within
         Monte-Carlo error of the exact hypergeometric law."""
         pmf = hypergeom_pmf(self.K, self.N_FAILED, self.N)
 
-        sections = sample_failed_block_sections(
-            np.random.default_rng(4), self.G, self.K, self.N_FAILED, self.N)
-        sparse_counts = np.array(
-            [self.G - sum(m.shape[0] for m in sections)]
-            + [m.shape[0] for m in sections]) / self.G
+        sparse_counts = sample_group_tallies(
+            np.random.default_rng(4), self.G, self.K, self.N_FAILED,
+            self.N) / self.G
 
         members = sample_members_flat(
             np.random.default_rng(5), self.G, self.K, self.N)
@@ -249,6 +263,22 @@ class TestSparseSampler:
         members = sample_members_flat(np.random.default_rng(6), 2000, 3, 50)
         assert members.shape == (2000, 3)
         assert all(len(set(row)) == 3 for row in members.tolist())
+
+    @pytest.mark.parametrize("rows", [0, 1, 39_000])
+    def test_advancing_past_a_one_block_section(self, rows):
+        """A one-block section takes exactly one 64-bit word per group,
+        so advancing the stream by its size leaves it where drawing the
+        section would: the engine relies on this to skip the section."""
+        def after(consume):
+            rng = RandomStreams(5).bulk("placement")
+            sample_group_tallies(rng, 200_000, 2, 1_100, 22_000)
+            consume(rng)
+            return rng.random(8)
+
+        advanced = after(lambda rng: rng.bit_generator.advance(rows))
+        assert (after(lambda rng: rng.random((rows, 1))) == advanced).all()
+        assert (after(lambda rng: sample_section(rng, rows, 1, 1_100))
+                == advanced).all()
 
 
 class TestCappedSampler:
@@ -268,6 +298,107 @@ class TestCappedSampler:
         stats = BulkLifetime(cfg, seed=11).run()
         assert stats.disk_failures >= 0
         assert stats.rebuilds_completed <= stats.rebuilds_started
+
+
+# --------------------------------------------------------------------- #
+# FARM lifetimes that skip the one-block section vs drawing every one
+# --------------------------------------------------------------------- #
+class EverySection(BulkLifetime):
+    """A FARM lifetime that draws every section of failed blocks.
+
+    The engine as it ran before FARM lifetimes skipped the one-block
+    section: flat placement is built from the public samplers, and the
+    rebuilds of the groups that can never be lost are counted per failed
+    disk from a ``bincount`` of each section, whatever the failure times.
+    The rack-capped draw goes through the engine's own regrouping, which
+    draws every section either way.
+    """
+
+    def run(self, seed=None):
+        cfg = self.cfg
+        assert cfg.use_farm
+        streams = RandomStreams(self.seed if seed is None else seed)
+        failed_ids, fail_at = self.model.sample_failed_within(
+            streams.bulk("failures"), self.N, cfg.duration)
+        n_failed = failed_ids.size
+        stats = RecoveryStats(disk_failures=n_failed)
+        if n_failed == 0:
+            return stats
+        rng = streams.bulk("placement")
+        if self._rack_tables is None:
+            tallies = sample_group_tallies(rng, self.G, self.n, n_failed,
+                                           self.N)
+            sections = [sample_section(rng, int(rows), k, n_failed)
+                        for k, rows in enumerate(tallies[1:], start=1)]
+        else:
+            _, sections = self._failed_block_sections(rng, failed_ids,
+                                                      skip_single=False)
+        if not any(m.size for m in sections):
+            return stats
+        safe = sum(np.bincount(m.ravel(), minlength=n_failed)
+                   for m in sections[:self.tol])
+        window = cfg.detection_latency + cfg.rebuild_seconds_per_block
+        started = fail_at + cfg.detection_latency <= cfg.duration
+        done = started & (fail_at + window <= cfg.duration)
+        stats.rebuilds_started = int(safe[started].sum())
+        stats.rebuilds_completed = int(safe[done].sum())
+        first_loss = np.inf
+        for m in sections[self.tol:]:
+            if m.size:
+                fail_k = fail_at[m]
+                lost, first, n_started, completed = self._lossy_section(
+                    fail_k, fail_k + window)
+                stats.groups_lost += lost
+                first_loss = min(first_loss, first)
+                stats.rebuilds_started += n_started
+                stats.rebuilds_completed += int(np.count_nonzero(completed))
+        stats.window_total = window * stats.rebuilds_completed
+        stats.window_max = window if stats.rebuilds_completed else 0.0
+        stats.bytes_lost = stats.groups_lost * cfg.group_user_bytes
+        if stats.groups_lost:
+            stats.first_loss_time = first_loss
+        return stats
+
+
+def rebuilds_end_in_horizon(cfg, seed):
+    """Whether every failed disk of the lifetime detects and rebuilds its
+    blocks in-horizon: the lifetimes whose one-block section is skipped."""
+    _, fail_at = cfg.vintage.failure_model.sample_failed_within(
+        RandomStreams(seed).bulk("failures"), cfg.n_disks, cfg.duration)
+    window = cfg.detection_latency + cfg.rebuild_seconds_per_block
+    return bool((fail_at + cfg.detection_latency <= cfg.duration).all()
+                and (fail_at + window <= cfg.duration).all())
+
+
+#: name -> FARM config; each runs 50 seeds.  The 100 TB schemes skip the
+#: section on almost every lifetime; the 30-day horizons put some failed
+#: disks within a window of the end, and farm-loss loses data after a
+#: skipped section, so a stream left out of step changes its losses.
+SKIP_CASES = {
+    **{f"farm-{s.name}-{size / GB:g}GB": BASE.with_(scheme=s,
+                                                     group_user_bytes=size)
+       for s in (MIRROR_2, ECC_4_6, ECC_8_10) for size in (10 * GB, 50 * GB)},
+    **{name: LIFETIMES[name][0]
+       for name in ("farm-capped", "farm-late-detect",
+                    "farm-rebuild-crosses-horizon", "farm-loss")},
+}
+
+
+class TestSkippedSection:
+    def test_matches_a_lifetime_that_draws_every_section(self):
+        branches = {True: 0, False: 0}
+        skipped_losses = 0
+        for name, cfg in SKIP_CASES.items():
+            engine, reference = BulkLifetime(cfg), EverySection(cfg)
+            for seed in seed_schedule(0, 50):
+                stats = engine.run(seed=seed)
+                assert asdict(stats) == asdict(reference.run(seed=seed)), (
+                    name, seed)
+                skipped = rebuilds_end_in_horizon(cfg, seed)
+                branches[skipped] += 1
+                skipped_losses += skipped and stats.groups_lost > 0
+        assert branches[True] and branches[False], branches
+        assert skipped_losses, "no skipped lifetime lost data"
 
 
 # --------------------------------------------------------------------- #
