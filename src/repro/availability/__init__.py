@@ -8,9 +8,9 @@ while they are, and how repair scheduling trades bandwidth against risk:
   priority queue the DES uses to order lazy-recovery releases
   (by surviving redundancy, then window age);
 * :mod:`repro.availability.luby` — Luby's steady-state repair-demand
-  bound, the feasibility rail shared by the DES (construction-time
-  rejection of rate-limited configs that cannot keep up) and the
-  forecast service (HTTP 422);
+  bound, the feasibility rail shared by the DES and the bulk engine
+  (construction-time rejection of rate-limited configs that cannot keep
+  up) and the forecast service (HTTP 422);
 * :mod:`repro.availability.metrics` — availability fractions, "nines",
   and degraded-read cost derived from the per-group unavailability
   spans the engine accounts on

@@ -9,11 +9,11 @@ grows without bound and no lifetime estimate is meaningful.
 
 This module is the single home of the rail; it moved here from
 :mod:`repro.service.cascade` (which re-exports it for compatibility) so
-the DES can consult it without importing the HTTP service.  The
-DES enforces it at construction time whenever the rate-limited
-repair lane (``repair_bandwidth_fraction``) is active; the forecast
-service keeps rejecting infeasible configs with HTTP 422 on every
-query, rate-limited or not.
+the engines can consult it without importing the HTTP service.  Both
+engines, the DES and the bulk engine, enforce it at construction time
+whenever the rate-limited repair lane (``repair_bandwidth_fraction``)
+is active; the forecast service keeps rejecting infeasible configs
+with HTTP 422 on every query, rate-limited or not.
 """
 
 from __future__ import annotations

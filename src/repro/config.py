@@ -78,9 +78,9 @@ class SystemConfig:
     #: this fraction of the vintage's *full* disk bandwidth, modelling
     #: foreground traffic claiming the rest.  ``None`` (the default)
     #: leaves ``recovery_bandwidth`` untouched; setting it is mutually
-    #: exclusive with ``recovery_bandwidth_bps``.  The DES rejects a
-    #: rate-limited config whose steady-state repair demand exceeds the
-    #: lane (Luby bound; see :mod:`repro.availability.luby`).
+    #: exclusive with ``recovery_bandwidth_bps``.  Both engines reject
+    #: a rate-limited config whose steady-state repair demand exceeds
+    #: the lane (Luby bound; see :mod:`repro.availability.luby`).
     repair_bandwidth_fraction: float | None = None
 
     def __post_init__(self) -> None:

@@ -130,9 +130,13 @@ class BathtubFailureModel:
         return np.exp(-self.cumulative_hazard(age))
 
     def _invert_cumulative(self, target: np.ndarray) -> np.ndarray:
-        """Age a such that H(a) == target (vectorized exact inverse)."""
-        idx = np.searchsorted(self._cum, target, side="right") - 1
-        idx = np.clip(idx, 0, len(self._rates) - 1)
+        """Age a such that H(a) == target (vectorized exact inverse).
+
+        Every target is non-negative and ``_cum`` starts at 0, so each
+        lands in a segment of the schedule: the index needs no clip.
+        """
+        idx = np.searchsorted(self._cum, target, side="right")
+        idx -= 1
         return self._bounds[idx] + (target - self._cum[idx]) / self._rates[idx]
 
     def sample_failure_age(self, rng: np.random.Generator, size: int,
@@ -194,8 +198,14 @@ class BathtubFailureModel:
         """
         u = rng.random(size)
         cand = np.flatnonzero(u <= self._failure_uniform_bound(horizon))
-        ages = self._invert_cumulative(-np.log1p(-u[cand]))
+        target = u[cand]                    # -log1p(-u), in place
+        np.negative(target, out=target)
+        np.log1p(target, out=target)
+        np.negative(target, out=target)
+        ages = self._invert_cumulative(target)
         keep = ages <= horizon
+        if keep.all():
+            return cand, ages
         return cand[keep], ages[keep]
 
     def mean_rate_per_year(self, years: float = 6.0) -> float:

@@ -37,12 +37,18 @@ ops:
    disk's hosted blocks are exactly its failed blocks, so the queue
    length needs no dense membership either;
 4. group loss iff the per-group count of concurrently open
-   ``[failure, repair)`` intervals ever exceeds the scheme tolerance
-   (:func:`group_loss_times`).  Groups holding at most ``tolerance``
-   failed blocks can never be lost, so their rebuilds are counted per
-   failed disk, or from the tallies alone when every failed disk of a
-   FARM lifetime rebuilds in-horizon; only the traditional windows'
-   float sum stays per block, to keep its summation order.
+   ``[failure, repair)`` intervals ever exceeds the scheme tolerance.
+   Groups holding at most ``tolerance`` failed blocks can never be
+   lost, so their rebuilds are counted per failed disk, or from the
+   tallies alone when every failed disk of a FARM lifetime rebuilds
+   in-horizon; only the traditional windows' float sum stays per block,
+   to keep its summation order.  A group holding exactly
+   ``tolerance + 1`` is lost iff its last failure comes before its
+   first repair, at that failure (:func:`all_open_loss_times`); larger
+   counts go through the overlap count (:func:`group_loss_times`).
+   Only the exception rows of these sections, groups lost or holding a
+   repair past the horizon, get per-block started and completed masks:
+   every other group starts and completes each rebuild.
 
 **Model vs DES** (docs/BULK_ENGINE.md derives the error terms): the engine
 is *first-generation* — blocks rebuilt onto a new disk are not re-failed
@@ -71,6 +77,7 @@ from math import comb
 
 import numpy as np
 
+from ..availability.luby import check_repair_lane
 from ..cluster.topology import Topology
 from ..config import SystemConfig
 from ..sim.rng import RandomStreams
@@ -123,6 +130,27 @@ def group_loss_times(fail: np.ndarray, repair: np.ndarray,
     return lost, when
 
 
+def all_open_loss_times(fail: np.ndarray, repair: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`group_loss_times` in closed form for ``(G, k)`` groups
+    whose ``k`` blocks all fail, at ``tolerance = k - 1``.
+
+    Such a group is lost iff all ``k`` of its ``[fail, repair)``
+    windows are open at once, which happens iff its last failure comes
+    before its first repair; the loss instant is that last failure.  The
+    maximum and minimum run column by column, because a reduction over
+    the short trailing axis is slow.  Returns ``(lost, when)`` as
+    :func:`group_loss_times` does.
+    """
+    last = fail[:, 0]
+    first_repair = repair[:, 0]
+    for j in range(1, fail.shape[1]):
+        last = np.maximum(last, fail[:, j])
+        first_repair = np.minimum(first_repair, repair[:, j])
+    lost = last < first_repair
+    return lost, np.where(lost, last, np.inf)
+
+
 def hypergeom_pmf(n_slots: int, n_failed: int, n_disks: int) -> np.ndarray:
     """PMF of a group's failed-block count under flat distinct placement.
 
@@ -137,8 +165,8 @@ def hypergeom_pmf(n_slots: int, n_failed: int, n_disks: int) -> np.ndarray:
                      for k in range(n_slots + 1)])
 
 
-def _distinct_rows(m: np.ndarray) -> np.ndarray:
-    """Mask of rows whose entries are pairwise distinct.
+def _duplicate_rows(m: np.ndarray) -> np.ndarray:
+    """Mask of rows holding some entry twice.
 
     Pairwise column compares instead of a row sort: group sizes are tiny
     (n <= a dozen) while the row count is 10^4-10^5, so n(n-1)/2 vector
@@ -149,7 +177,7 @@ def _distinct_rows(m: np.ndarray) -> np.ndarray:
     for j in range(1, n):
         for k in range(j):
             dup |= m[:, j] == m[:, k]
-    return ~dup
+    return dup
 
 
 def distinct_uniform(rng: np.random.Generator, n_rows: int, k: int,
@@ -174,12 +202,12 @@ def distinct_uniform(rng: np.random.Generator, n_rows: int, k: int,
     m = u.astype(np.int64)
     if k == 1:
         return m
-    bad = np.flatnonzero(~_distinct_rows(m))
+    bad = np.flatnonzero(_duplicate_rows(m))
     for _ in range(_MAX_REDRAWS):
         if bad.size == 0:
             return m
         m[bad] = (rng.random((bad.size, k)) * n_vals).astype(np.int64)
-        bad = bad[~_distinct_rows(m[bad])]
+        bad = bad[_duplicate_rows(m[bad])]
     raise RuntimeError(
         f"distinct-tuple redraw did not converge in {_MAX_REDRAWS} "
         f"rounds (k={k}, pool={n_vals})")
@@ -238,14 +266,14 @@ def sample_members_capped(rng: np.random.Generator, n_groups: int, n: int,
     slots = np.argpartition(keys, n - 1, axis=1)[:, :n]
     racks = slots // cap
     members = padded[racks, rng.integers(0, sizes[racks], dtype=np.int64)]
-    bad = np.flatnonzero(~_distinct_rows(members))
+    bad = np.flatnonzero(_duplicate_rows(members))
     for _ in range(_MAX_REDRAWS):
         if bad.size == 0:
             return members
         r_bad = racks[bad]
         members[bad] = padded[r_bad,
                               rng.integers(0, sizes[r_bad], dtype=np.int64)]
-        bad = bad[~_distinct_rows(members[bad])]
+        bad = bad[_duplicate_rows(members[bad])]
     raise RuntimeError(
         f"capped membership redraw did not converge in {_MAX_REDRAWS} "
         f"rounds (n={n}, racks={n_racks}, cap={cap}); a rack is likely "
@@ -309,6 +337,9 @@ class BulkLifetime:
             raise ValueError("the bulk engine cannot express this config "
                              "(run it on engine='des'): "
                              + "; ".join(reasons))
+        # Reject a rate-limited repair lane that cannot keep up with its
+        # own failure inflow, as the DES does.
+        check_repair_lane(config)
         self.cfg = config
         self.seed = seed
         self.n = config.scheme.n
@@ -395,31 +426,50 @@ class BulkLifetime:
         return window
 
     def _lossy_section(self, fail_k: np.ndarray, repair_k: np.ndarray
-                       ) -> tuple[int, float, int, np.ndarray]:
+                       ) -> tuple[int, float, int, np.ndarray | None]:
         """Outcome of the groups holding more than ``tolerance`` failed
-        blocks, one ``(K_k, k)`` section, per block.
+        blocks, one ``(K_k, k)`` section.
 
         Returns ``(lost, first_loss, started, completed)``: the groups
         lost, the earliest loss instant, the rebuilds started and the
-        mask of completed rebuilds.  A rebuild starts at the *detect*
-        event (failure + detection latency) only if the group is not lost
-        by then — the loss-triggering block never starts one — and
-        completes unless cancelled by a later loss or censored by the
-        horizon, as in the DES.
+        mask of completed rebuilds, or ``None`` when every block
+        completes one.  Groups holding exactly ``tolerance + 1`` failed
+        blocks are resolved in closed form (:func:`all_open_loss_times`),
+        larger ones by :func:`group_loss_times`.  A rebuild starts at the
+        *detect* event (failure + detection latency) only if the group is
+        not lost by then — the loss-triggering block never starts one —
+        and completes unless cancelled by a later loss or censored by the
+        horizon, as in the DES.  A window is at least the detection
+        latency, so a group that is not lost and whose repairs all end
+        in-horizon starts and completes every rebuild: only the
+        exception rows, groups lost or holding a repair past the
+        horizon, get per-block masks.
         """
         cfg = self.cfg
-        lost_k, when_k = group_loss_times(fail_k, repair_k, self.tol)
-        n_lost = int(np.count_nonzero(lost_k))
-        first_loss = np.inf
-        loss_of: np.ndarray | float = np.inf
-        if n_lost:
-            first_loss = float(when_k[lost_k].min())
-            loss_of = np.where(lost_k, when_k, np.inf)[:, None]
-        detect_k = fail_k + cfg.detection_latency
-        started_k = (detect_k <= cfg.duration) & (detect_k < loss_of)
-        completed_k = (started_k & (repair_k < loss_of)
-                       & (repair_k <= cfg.duration))
-        return (n_lost, first_loss, int(np.count_nonzero(started_k)),
+        duration = cfg.duration
+        if fail_k.shape[1] == self.tol + 1:
+            lost_k, when_k = all_open_loss_times(fail_k, repair_k)
+        else:
+            lost_k, when_k = group_loss_times(fail_k, repair_k, self.tol)
+        # A row-wise `any` over the short trailing axis costs more than
+        # the rest of the section, and most sections end in-horizon:
+        # test the whole section first.
+        exception = lost_k
+        if repair_k.max() > duration:
+            exception = lost_k | (repair_k > duration).any(axis=1)
+        rows = np.flatnonzero(exception)
+        if rows.size == 0:
+            return 0, np.inf, fail_k.size, None
+        # `when_k` is inf on the rows that are not lost.
+        loss_of = when_k[rows, None]
+        fail_x, repair_x = fail_k[rows], repair_k[rows]
+        detect_x = fail_x + cfg.detection_latency
+        started_x = (detect_x <= duration) & (detect_x < loss_of)
+        completed_k = np.ones(fail_k.shape, dtype=bool)
+        completed_k[rows] = (started_x & (repair_x < loss_of)
+                             & (repair_x <= duration))
+        return (int(np.count_nonzero(lost_k[rows])), float(loss_of.min()),
+                fail_k.size - fail_x.size + int(np.count_nonzero(started_x)),
                 completed_k)
 
     # ------------------------------------------------------------------ #
@@ -433,10 +483,11 @@ class BulkLifetime:
         sections.  Groups holding at most ``tolerance`` failed blocks can
         never be lost, so their rebuilds are counted from per-disk masks,
         or from the group tallies alone when every failed disk of a FARM
-        lifetime finishes its rebuilds in-horizon; the quadratic overlap
-        predicate (:meth:`_lossy_section`) runs per block, pad-free, on
-        exactly the groups that hold more.  No G- or N·n-length array is
-        ever built.
+        lifetime finishes its rebuilds in-horizon.  The loss predicate
+        (:meth:`_lossy_section`) runs pad-free on exactly the groups that
+        hold more: in closed form at ``tolerance + 1`` failed blocks, as
+        a quadratic overlap count above, with per-block masks only on
+        its exception rows.  No G- or N·n-length array is ever built.
 
         ``seed`` overrides the instance seed, so one validated instance
         can serve a whole batch of runs.
@@ -500,7 +551,8 @@ class BulkLifetime:
                     n_lost += lost
                     first_loss = min(first_loss, first)
                     n_started += n_st
-                    n_completed += int(np.count_nonzero(completed_k))
+                    n_completed += (m.size if completed_k is None
+                                    else int(np.count_nonzero(completed_k)))
             window_total = window * n_completed
             window_max = window if n_completed else 0.0
         else:
@@ -538,7 +590,8 @@ class BulkLifetime:
                     n_lost += lost
                     first_loss = min(first_loss, first)
                     n_started += n_st
-                    win = win_k[completed_k]
+                    if completed_k is not None:
+                        win = win_k[completed_k]
                 # Completed windows are summed per block, section by
                 # section, so `window_total` keeps its bits.
                 n_completed += win.size

@@ -264,10 +264,10 @@ class _Task:
     """A contiguous run of one point's lifetimes, shipped as one task.
 
     A DES task holds one seed, which keeps the pool's load balanced.  On
-    the figure-5 grid at 2 PB a bulk lifetime costs about 0.4 ms under
-    FARM and 1.0 ms under traditional recovery, 0.7 ms over the grid
-    (bulk-fig5's traced ``reliability.bulk.us_per_lifetime``), and
-    0.1-0.4 ms at 100 TB (2-vCPU Xeon host), so per-run dispatch would
+    the figure-5 grid at 2 PB a bulk lifetime costs about 0.25 ms under
+    FARM and 0.7 ms under traditional recovery, 0.4-0.7 ms over the
+    grid (bulk-fig5's traced ``reliability.bulk.us_per_lifetime``), and
+    0.2-0.35 ms at 100 TB (2-vCPU Xeon host), so per-run dispatch would
     be dominated by pool overhead; a bulk task holds
     :data:`_BULK_CHUNK` seeds, and the per-run seeds keep every lifetime
     independent of how the chunk boundaries fall.
@@ -286,8 +286,8 @@ class _Task:
     tilt: float = 0.0
 
 
-#: Runs per bulk task (see :class:`_Task`).  At 0.4-1.0 ms a run at
-#: 2 PB (a task's median is 13-19 ms), 32 runs keep the workers 89-90 %
+#: Runs per bulk task (see :class:`_Task`).  At 0.25-0.7 ms a run at
+#: 2 PB (a task's median is 10-15 ms), 32 runs keep the workers 87-91 %
 #: busy under submission/pickle overhead (bulk-fig5's traced
 #: ``reliability.runner.busy_frac``) while still feeding even a wide
 #: pool promptly.

@@ -35,6 +35,7 @@ from repro.disks.failure import BathtubFailureModel, RatePeriod
 from repro.disks.vintage import DiskVintage
 from repro.redundancy import ECC_4_6, MIRROR_2, MIRROR_3
 from repro.reliability import ReliabilitySimulation
+from repro.reliability.bulk import BulkLifetime
 from repro.reliability.scenarios import Scenario
 from repro.telemetry import Telemetry
 from repro.units import DAY, GB, HOUR, TB, YEAR
@@ -242,6 +243,28 @@ class TestLubyRail:
             ReliabilitySimulation(cfg, seed=0)
         with pytest.raises(InfeasibleConfig):
             Scenario(cfg).run(horizon=DAY)
+
+    @pytest.mark.parametrize("engine", [ReliabilitySimulation, BulkLifetime])
+    def test_each_engine_rejects_a_lane_beyond_the_bound(self, engine):
+        # 20 TB under a flat 50 %/1000 h hazard with a 1e-4 lane: a
+        # bulk lifetime of it would fail all 100 disks and lose 357
+        # groups at seed 0 while the rebuild queue diverges.
+        cfg = SystemConfig(total_user_bytes=20 * TB,
+                           vintage=flat_vintage(50.0),
+                           repair_bandwidth_fraction=1e-4)
+        assert repair_utilization(cfg) == pytest.approx(13.89, abs=0.01)
+        with pytest.raises(InfeasibleConfig, match="repair utilization"):
+            engine(cfg, seed=0)
+
+    @pytest.mark.parametrize("engine", [ReliabilitySimulation, BulkLifetime])
+    def test_each_engine_runs_a_feasible_capped_lane(self, engine):
+        cfg = SystemConfig(total_user_bytes=20 * TB,
+                           vintage=flat_vintage(2.0),
+                           repair_bandwidth_fraction=0.05)
+        assert repair_utilization(cfg) < 1.0
+        stats = engine(cfg, seed=0).run()
+        assert stats.disk_failures > 0
+        assert stats.rebuilds_completed > 0
 
     def test_service_rail_is_the_same_exception(self):
         """Engines and service share one InfeasibleConfig — a config the

@@ -2,13 +2,15 @@
 
 Four kinds of guarantee, matching docs/BULK_ENGINE.md:
 
-* **Exact component laws** (fast): the vectorized loss predicate agrees
-  with an independent sweep-line oracle on every input Hypothesis can
-  construct; the sparse multinomial-tally placement sampler reproduces
-  the dense membership sampler's count law to within Monte-Carlo error;
-  the hypergeometric PMF matches scipy digit-for-digit; FARM lifetimes
-  that skip the one-failed-block section match, field for field, a
-  lifetime that draws every section.
+* **Exact component laws** (fast): the vectorized loss predicate, and
+  its closed form for groups holding one failed block more than the
+  tolerance, agree with an independent sweep-line oracle on every input
+  Hypothesis can construct; the sparse multinomial-tally placement
+  sampler reproduces the dense membership sampler's count law to within
+  Monte-Carlo error; the hypergeometric PMF matches scipy
+  digit-for-digit; FARM and traditional lifetimes match, field for
+  field, a lifetime that draws every section and masks every block of
+  the lossy ones.
 * **Determinism and fold invariance** (fast): bulk runs are bit-exact
   functions of (config, seed); any batch split of ``run_bulk_batch``
   folds to the identical aggregate; the serial and process-pool runner
@@ -35,10 +37,10 @@ from repro.redundancy import ECC_4_6, ECC_8_10, MIRROR_2
 from repro.redundancy.composite import MirroredParity
 from repro.reliability import (MonteCarloResult, StatsAggregate,
                                seed_schedule, shutdown_pool, sweep)
-from repro.reliability.bulk import (BulkLifetime, distinct_uniform,
-                                    group_loss_times, hypergeom_pmf,
-                                    rack_tables, run_bulk_batch,
-                                    sample_group_tallies,
+from repro.reliability.bulk import (BulkLifetime, all_open_loss_times,
+                                    distinct_uniform, group_loss_times,
+                                    hypergeom_pmf, rack_tables,
+                                    run_bulk_batch, sample_group_tallies,
                                     sample_members_capped,
                                     sample_members_flat, sample_section)
 from repro.reliability.montecarlo import estimate_p_loss
@@ -115,7 +117,36 @@ def interval_groups(draw):
             draw(st.integers(0, n - 1)))
 
 
+@st.composite
+def all_failed_groups(draw):
+    """A ``(groups, k)`` batch of integer-valued fail/repair intervals in
+    which every block fails, ``k`` from 1 to 10: the sections the engine
+    resolves in closed form, at tolerance ``k - 1``.  The small grid
+    forces ties between failures, and between a failure and a repair."""
+    k = draw(st.integers(1, 10))
+    rows = draw(st.integers(1, 6))
+    fail = np.array(draw(st.lists(st.integers(0, 10), min_size=rows * k,
+                                  max_size=rows * k)), dtype=float)
+    window = np.array(draw(st.lists(st.integers(1, 6), min_size=rows * k,
+                                    max_size=rows * k)), dtype=float)
+    return fail.reshape(rows, k), (fail + window).reshape(rows, k)
+
+
 class TestGroupLossTimes:
+    @settings(max_examples=300, deadline=None)
+    @given(all_failed_groups())
+    def test_closed_form_matches_both_oracles(self, case):
+        fail, repair = case
+        tol = fail.shape[1] - 1
+        lost, when = all_open_loss_times(fail, repair)
+        ref_lost, ref_when = group_loss_times(fail, repair, tol)
+        assert lost.tolist() == ref_lost.tolist()
+        assert when.tolist() == ref_when.tolist()
+        for g in range(fail.shape[0]):
+            exp_lost, exp_when = sweep_line_loss(fail[g], repair[g], tol)
+            assert bool(lost[g]) == exp_lost
+            assert float(when[g]) == exp_when
+
     @settings(max_examples=200, deadline=None)
     @given(interval_groups())
     def test_matches_sweep_line_oracle(self, case):
@@ -301,25 +332,35 @@ class TestCappedSampler:
 
 
 # --------------------------------------------------------------------- #
-# FARM lifetimes that skip the one-block section vs drawing every one
+# Lifetimes that skip sections and masks vs drawing and masking everything
 # --------------------------------------------------------------------- #
 class EverySection(BulkLifetime):
-    """A FARM lifetime that draws every section of failed blocks.
+    """A lifetime that draws every section and tests every block.
 
-    The engine as it ran before FARM lifetimes skipped the one-block
-    section: flat placement is built from the public samplers, and the
-    rebuilds of the groups that can never be lost are counted per failed
-    disk from a ``bincount`` of each section, whatever the failure times.
-    The rack-capped draw goes through the engine's own regrouping, which
-    draws every section either way.
+    The reference for the engine's shortcuts (the skipped one-block
+    section, the tallied rebuilds, the closed form and the exception
+    rows): flat placement is built from the public samplers; every block's
+    rebuild is tested against the horizon, whatever its section; and
+    every section that can lose data goes through ``group_loss_times``
+    with a started and a completed mask over all its blocks.
+    Traditional windows are drawn section by section, in count order,
+    and the completed ones summed per section in block order, so
+    ``window_total`` keeps the engine's bits.  The rack-capped draw goes
+    through the engine's own regrouping, which draws every section
+    either way.  ``lost_rows`` and ``late_rows`` count the groups in
+    those sections that are lost, and that hold a repair past the
+    horizon: the rows the engine masks.
     """
+
+    lost_rows = late_rows = 0
 
     def run(self, seed=None):
         cfg = self.cfg
-        assert cfg.use_farm
+        duration, latency = cfg.duration, cfg.detection_latency
+        rebuild = cfg.rebuild_seconds_per_block
         streams = RandomStreams(self.seed if seed is None else seed)
         failed_ids, fail_at = self.model.sample_failed_within(
-            streams.bulk("failures"), self.N, cfg.duration)
+            streams.bulk("failures"), self.N, duration)
         n_failed = failed_ids.size
         stats = RecoveryStats(disk_failures=n_failed)
         if n_failed == 0:
@@ -335,25 +376,48 @@ class EverySection(BulkLifetime):
                                                       skip_single=False)
         if not any(m.size for m in sections):
             return stats
-        safe = sum(np.bincount(m.ravel(), minlength=n_failed)
-                   for m in sections[:self.tol])
-        window = cfg.detection_latency + cfg.rebuild_seconds_per_block
-        started = fail_at + cfg.detection_latency <= cfg.duration
-        done = started & (fail_at + window <= cfg.duration)
-        stats.rebuilds_started = int(safe[started].sum())
-        stats.rebuilds_completed = int(safe[done].sum())
+        if cfg.use_farm:
+            windows = [np.full(m.shape, latency + rebuild)
+                       for m in sections]
+        else:
+            # A queue position per failed block, uniform over its disk's
+            # failed blocks, drawn section by section.
+            queue = sum(np.bincount(m.ravel(), minlength=n_failed)
+                        for m in sections)
+            rng = streams.bulk("windows")
+            windows = [(np.floor(rng.random(m.shape) * queue[m]) + 1.0)
+                       * rebuild + latency for m in sections]
         first_loss = np.inf
-        for m in sections[self.tol:]:
-            if m.size:
-                fail_k = fail_at[m]
-                lost, first, n_started, completed = self._lossy_section(
-                    fail_k, fail_k + window)
-                stats.groups_lost += lost
-                first_loss = min(first_loss, first)
-                stats.rebuilds_started += n_started
-                stats.rebuilds_completed += int(np.count_nonzero(completed))
-        stats.window_total = window * stats.rebuilds_completed
-        stats.window_max = window if stats.rebuilds_completed else 0.0
+        window_total = 0.0
+        for k, (m, win) in enumerate(zip(sections, windows), start=1):
+            if m.size == 0:
+                continue
+            fail_k = fail_at[m]
+            repair_k = fail_k + win
+            loss_of = np.inf
+            if k > self.tol:
+                lost, when = group_loss_times(fail_k, repair_k, self.tol)
+                if lost.any():
+                    stats.groups_lost += int(lost.sum())
+                    first_loss = min(first_loss, float(when[lost].min()))
+                    loss_of = np.where(lost, when, np.inf)[:, None]
+                self.lost_rows += int(lost.sum())
+                self.late_rows += int((repair_k > duration).any(axis=1)
+                                      .sum())
+            detect_k = fail_k + latency
+            started = (detect_k <= duration) & (detect_k < loss_of)
+            completed = (started & (repair_k < loss_of)
+                         & (repair_k <= duration))
+            stats.rebuilds_started += int(started.sum())
+            done = win[completed]
+            stats.rebuilds_completed += done.size
+            if done.size:
+                window_total += float(done.sum())
+                stats.window_max = max(stats.window_max, float(done.max()))
+        if cfg.use_farm:
+            # One constant window: the engine multiplies instead of adding.
+            window_total = (latency + rebuild) * stats.rebuilds_completed
+        stats.window_total = window_total
         stats.bytes_lost = stats.groups_lost * cfg.group_user_bytes
         if stats.groups_lost:
             stats.first_loss_time = first_loss
@@ -362,7 +426,8 @@ class EverySection(BulkLifetime):
 
 def rebuilds_end_in_horizon(cfg, seed):
     """Whether every failed disk of the lifetime detects and rebuilds its
-    blocks in-horizon: the lifetimes whose one-block section is skipped."""
+    blocks in-horizon: the FARM lifetimes whose one-block section is
+    skipped."""
     _, fail_at = cfg.vintage.failure_model.sample_failed_within(
         RandomStreams(seed).bulk("failures"), cfg.n_disks, cfg.duration)
     window = cfg.detection_latency + cfg.rebuild_seconds_per_block
@@ -370,35 +435,43 @@ def rebuilds_end_in_horizon(cfg, seed):
                 and (fail_at + window <= cfg.duration).all())
 
 
-#: name -> FARM config; each runs 50 seeds.  The 100 TB schemes skip the
-#: section on almost every lifetime; the 30-day horizons put some failed
-#: disks within a window of the end, and farm-loss loses data after a
-#: skipped section, so a stream left out of step changes its losses.
-SKIP_CASES = {
+#: name -> config; each runs 50 seeds.  FARM 1/2, 4/6 and 8/10 with 10
+#: and 50 GB groups at 100 TB skip the one-block section on almost every
+#: lifetime.  The configs of the pinned lifetimes add traditional
+#: recovery and the capped draw; their 30-day horizons put some failed
+#: disks within a window of the end and some lossy groups' repairs past
+#: it, and the loss configs lose data after a skipped section, so a
+#: stream left out of step changes their losses.
+REFERENCE_CASES = {
     **{f"farm-{s.name}-{size / GB:g}GB": BASE.with_(scheme=s,
                                                      group_user_bytes=size)
        for s in (MIRROR_2, ECC_4_6, ECC_8_10) for size in (10 * GB, 50 * GB)},
-    **{name: LIFETIMES[name][0]
-       for name in ("farm-capped", "farm-late-detect",
-                    "farm-rebuild-crosses-horizon", "farm-loss")},
+    **{name: cfg for name, (cfg, _) in LIFETIMES.items()},
 }
 
 
 class TestSkippedSection:
     def test_matches_a_lifetime_that_draws_every_section(self):
+        """Every field of every lifetime equals the reference's, 50 seeds
+        a config: the skipped one-block section, the tallied rebuilds and
+        the closed-form sections with masks on exception rows only."""
         branches = {True: 0, False: 0}
-        skipped_losses = 0
-        for name, cfg in SKIP_CASES.items():
+        skipped_losses = lost_rows = late_rows = 0
+        for name, cfg in REFERENCE_CASES.items():
             engine, reference = BulkLifetime(cfg), EverySection(cfg)
             for seed in seed_schedule(0, 50):
                 stats = engine.run(seed=seed)
                 assert asdict(stats) == asdict(reference.run(seed=seed)), (
                     name, seed)
-                skipped = rebuilds_end_in_horizon(cfg, seed)
-                branches[skipped] += 1
-                skipped_losses += skipped and stats.groups_lost > 0
+                if cfg.use_farm:
+                    skipped = rebuilds_end_in_horizon(cfg, seed)
+                    branches[skipped] += 1
+                    skipped_losses += skipped and stats.groups_lost > 0
+            lost_rows += reference.lost_rows
+            late_rows += reference.late_rows
         assert branches[True] and branches[False], branches
         assert skipped_losses, "no skipped lifetime lost data"
+        assert lost_rows and late_rows, (lost_rows, late_rows)
 
 
 # --------------------------------------------------------------------- #
