@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Literal, Mapping
 
-from .disks.failure import BathtubFailureModel, RatePeriod
+from .disks.failure import ELERATH_TABLE1, BathtubFailureModel, RatePeriod
 from .disks.vintage import PAPER_VINTAGE, DiskVintage
 from .redundancy.schemes import MIRROR_2, RedundancyScheme
 from .units import DAY, GB, PB, YEAR
@@ -249,10 +249,9 @@ def _failure_model_to_dict(fm: BathtubFailureModel) -> dict[str, Any]:
 
 
 def _failure_model_from_dict(data: Mapping[str, Any]) -> BathtubFailureModel:
-    defaults = BathtubFailureModel()
     periods = data.get("periods")
     if periods is None:
-        parsed = defaults.periods
+        parsed = ELERATH_TABLE1
     else:
         parsed = tuple(
             RatePeriod(
@@ -263,8 +262,7 @@ def _failure_model_from_dict(data: Mapping[str, Any]) -> BathtubFailureModel:
             for p in periods)
     return BathtubFailureModel(
         periods=parsed,
-        rate_multiplier=float(data.get("rate_multiplier",
-                                       defaults.rate_multiplier)))
+        rate_multiplier=float(data.get("rate_multiplier", 1.0)))
 
 
 def _vintage_to_dict(v: DiskVintage) -> dict[str, Any]:

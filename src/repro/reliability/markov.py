@@ -18,11 +18,25 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from ..config import SystemConfig
 from ..redundancy.schemes import RedundancyScheme
 from .analytic import mean_hazard, mean_window
+
+
+def _absorbed_by(q: np.ndarray, horizon: float) -> float:
+    """P(a chain with generator ``q`` started in state 0 is in its last
+    state at ``horizon``).
+
+    ``expm`` is imported here, not at module level, so that the many
+    processes that import :mod:`repro` but never solve a chain (sweeps,
+    pool workers, the bulk engine) do not load ``scipy.linalg``.
+    """
+    from scipy.linalg import expm
+    p0 = np.zeros(q.shape[0])
+    p0[0] = 1.0
+    pt = p0 @ expm(q * horizon)
+    return float(pt[-1])
 
 
 def group_generator(scheme: RedundancyScheme, fail_rate: float,
@@ -50,11 +64,9 @@ def p_group_loss(scheme: RedundancyScheme, fail_rate: float,
     """P(one group reaches the absorbing loss state within ``horizon``)."""
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    q = group_generator(scheme, fail_rate, repair_rate, parallel_repair)
-    p0 = np.zeros(q.shape[0])
-    p0[0] = 1.0
-    pt = p0 @ expm(q * horizon)
-    return float(pt[-1])
+    return _absorbed_by(
+        group_generator(scheme, fail_rate, repair_rate, parallel_repair),
+        horizon)
 
 
 def lazy_group_generator(scheme: RedundancyScheme, fail_rate: float,
@@ -89,12 +101,10 @@ def p_group_loss_lazy(scheme: RedundancyScheme, fail_rate: float,
     """P(loss within ``horizon``) for one group under lazy recovery."""
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    q = lazy_group_generator(scheme, fail_rate, repair_rate, threshold,
-                             parallel_repair)
-    p0 = np.zeros(q.shape[0])
-    p0[0] = 1.0
-    pt = p0 @ expm(q * horizon)
-    return float(pt[-1])
+    return _absorbed_by(
+        lazy_group_generator(scheme, fail_rate, repair_rate, threshold,
+                             parallel_repair),
+        horizon)
 
 
 def p_system_loss(scheme: RedundancyScheme, n_groups: int, fail_rate: float,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,7 @@ def wilson_interval(successes: int, trials: int,
         raise ValueError("successes must be in [0, trials]")
     if not 0 < confidence < 1:
         raise ValueError("confidence must be in (0, 1)")
-    # two-sided normal quantile
-    z = math.sqrt(2.0) * _erfinv(confidence)
+    z = _normal_quantile(confidence)
     p = successes / trials
     lo, hi = _wilson_bounds(p, trials, z)
     # Clamp to [0, 1] and to the estimate itself: at k = 0 (or k = n) the
@@ -122,7 +122,7 @@ def wilson_from_rate(rate: float, n_eff: float,
         raise ValueError("rate must be in [0, 1]")
     if not 0 < confidence < 1:
         raise ValueError("confidence must be in (0, 1)")
-    z = math.sqrt(2.0) * _erfinv(confidence)
+    z = _normal_quantile(confidence)
     lo, hi = _wilson_bounds(rate, n_eff, z)
     return Proportion(successes=int(round(rate * n_eff)),
                       trials=int(round(n_eff)), estimate=rate,
@@ -145,10 +145,13 @@ def empty_proportion(confidence: float = 0.95) -> Proportion:
                       lo=0.0, hi=1.0, confidence=confidence)
 
 
-def _erfinv(x: float) -> float:
-    """Inverse error function (scipy wrapped to keep the import local)."""
-    from scipy.special import erfinv
-    return float(erfinv(x))
+def _normal_quantile(confidence: float) -> float:
+    """Two-sided standard-normal quantile z: P(|Z| <= z) = ``confidence``.
+
+    ``sqrt(2) * erfinv(confidence)`` to within 1e-13 relative, from the
+    standard library instead of ``scipy.special``.
+    """
+    return NormalDist().inv_cdf(0.5 + confidence / 2)
 
 
 # --------------------------------------------------------------------- #
@@ -279,7 +282,7 @@ def weighted_clt_interval(agg: WeightedAggregate,
                           lo=0.0, hi=1.0, confidence=confidence)
     n = agg.n
     p = agg.estimate
-    z = math.sqrt(2.0) * _erfinv(confidence)
+    z = _normal_quantile(confidence)
     if n > 1:
         s2 = max(0.0, (agg.wx_sq_sum.value - n * p * p) / (n - 1))
     else:

@@ -18,6 +18,10 @@ HOST = {"nproc": 2, "cpu": "Test CPU @ 2.00GHz", "python": "3.11.7",
 #: Baseline throughput per guarded workload (per second).
 RATES = {"des-fig3a": 150_000.0, "des-lazy": 130_000.0, "bulk-fig5": 3_500.0}
 
+#: Baseline peak resident set per workload (MB).
+RSS = {"des-fig3a": 62.0, "des-lazy": 57.0, "bulk-fig5": 46.0,
+       "service-mix": 90.0}
+
 
 @pytest.fixture(scope="module")
 def guard():
@@ -28,17 +32,19 @@ def guard():
 
 
 def run(workload: str, rate: float, failed: int = 0, seconds: float = 1.0,
-        host: dict = HOST) -> dict:
+        host: dict = HOST, rss: float | None = None) -> dict:
     return {"seed": 0, "seconds": seconds, "quick": False, "trace": 0,
             "host": host,
             "workloads": {workload: {
                 "attempted": 100, "failed": failed,
                 "metrics": {"throughput_per_s": {"value": rate},
-                            "latency_ms": {"value": 1e3 / rate}}}}}
+                            "latency_ms": {"value": 1e3 / rate},
+                            "peak_rss_mb": {"value": rss or RSS[workload]}}}}}
 
 
 def baseline() -> list[dict]:
-    return [run(w, rate * f) for f in (0.97, 0.99, 1.0, 1.01, 1.03)
+    return [run(w, rate * f, rss=RSS[w] * f)
+            for f in (0.97, 0.99, 1.0, 1.01, 1.03)
             for w, rate in RATES.items()]
 
 
@@ -72,6 +78,7 @@ def test_equal_set_passes(check):
     assert status == 0
     for workload in RATES:
         assert verdict(out, workload, "throughput_per_s") == "same"
+        assert verdict(out, workload, "peak_rss_mb") == "same"
         assert verdict(out, workload, "failed_frac") == "same"
 
 
@@ -84,6 +91,18 @@ def test_planted_slowdown_fails(check):
     assert verdict(out, "bulk-fig5", "throughput_per_s") == "regressed"
     assert verdict(out, "des-fig3a", "throughput_per_s") == "same"
     assert "bench_guard: regressed: bulk-fig5 throughput_per_s" in out
+
+
+def test_larger_resident_set_fails(check):
+    """19 MB more on des-fig3a (scipy loaded by every process again) is
+    beyond the 10 % bound; throughput alone would pass."""
+    runs = [run(w, rate) for w, rate in RATES.items()]
+    runs[0] = run("des-fig3a", RATES["des-fig3a"], rss=RSS["des-fig3a"] + 19)
+    status, out = check(runs)
+    assert status == 1
+    assert verdict(out, "des-fig3a", "peak_rss_mb") == "regressed"
+    assert verdict(out, "des-fig3a", "throughput_per_s") == "same"
+    assert "bench_guard: regressed: des-fig3a peak_rss_mb" in out
 
 
 def test_higher_failed_frac_fails(check):

@@ -158,6 +158,19 @@ class TestCanonicalSerialization:
         cfg = config_from_dict({"detection_latency": 600.0})
         assert cfg == SystemConfig(detection_latency=600.0)
 
+    @pytest.mark.parametrize("failure_model, expected", [
+        ({"rate_multiplier": 2.0}, BathtubFailureModel(rate_multiplier=2.0)),
+        ({"periods": [{"start_months": 0.0, "end_months": None,
+                       "pct_per_1000h": 0.5}]},
+         BathtubFailureModel((RatePeriod(0.0, float("inf"), 0.5),))),
+    ], ids=["rate_multiplier", "periods"])
+    def test_partial_failure_model_fills_defaults(self, failure_model,
+                                                  expected):
+        """A failure model given in part takes Table 1's periods and a
+        multiplier of 1 for what it leaves out."""
+        cfg = config_from_dict({"vintage": {"failure_model": failure_model}})
+        assert cfg.vintage.failure_model == expected
+
     def test_scheme_string_accepted(self):
         cfg = config_from_dict({"scheme": "8/10"})
         assert cfg.scheme == ECC_8_10

@@ -1,8 +1,13 @@
 """Tests for the single-group Markov chain (repro.reliability.markov)."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,8 @@ from repro.units import GB, HOUR, TB, YEAR
 
 LAM = 1e-6 / HOUR        # per-disk failure rate
 MU = 1.0 / (655.0)       # per-block repair rate (FARM-like window)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestGenerator:
@@ -235,3 +242,45 @@ class TestConfigMapped:
         cfg = _flat_rate_config()
         assert markov.p_loss_config(cfg) == pytest.approx(
             analytic.p_loss(cfg), rel=0.25)
+
+
+#: Imports every driver, runs a lifetime on each engine and an interval,
+#: lists the scipy modules loaded, then solves one chain.
+_IMPORT_GRAPH = f"""
+import importlib, json, pkgutil, sys
+import repro, repro.__main__, repro.experiments
+for info in pkgutil.iter_modules(repro.experiments.__path__):
+    importlib.import_module("repro.experiments." + info.name)
+from repro.config import SystemConfig
+from repro.reliability import markov, wilson_interval
+from repro.reliability.bulk import run_bulk_batch
+from repro.reliability.simulation import ReliabilitySimulation
+from repro.redundancy import MIRROR_2
+from repro.units import GB, TB
+cfg = SystemConfig(total_user_bytes=10 * TB, group_user_bytes=10 * GB)
+ReliabilitySimulation(cfg, seed=0).run()
+run_bulk_batch(cfg, [0, 1])
+wilson_interval(1, 4)
+eager = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+p = markov.p_group_loss(MIRROR_2, {LAM!r}, {MU!r}, {6 * YEAR!r})
+print(json.dumps({{"eager": eager, "p": p.hex(),
+                   "linalg": "scipy.linalg" in sys.modules}}))
+"""
+
+
+class TestImportGraph:
+    def test_scipy_loads_only_when_a_chain_is_solved(self):
+        """The drivers, both lifetime engines and the intervals run
+        without scipy; the chain's solver loads ``scipy.linalg`` and
+        answers as it does in this process."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_GRAPH],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert out["eager"] == []
+        assert out["linalg"]
+        assert float.fromhex(out["p"]) == \
+            p_group_loss(MIRROR_2, LAM, MU, 6 * YEAR)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.reliability import empty_proportion, wilson_interval
 from repro.reliability.stats import (ExactSum, WeightedAggregate,
-                                     weighted_clt_interval)
+                                     _normal_quantile, weighted_clt_interval)
 
 
 class TestWilson:
@@ -68,6 +68,17 @@ class TestWilson:
 
     def test_str_rendering(self):
         assert "%" in str(wilson_interval(3, 10))
+
+
+def test_normal_quantile_matches_the_inverse_error_function():
+    """The two-sided quantile is sqrt(2) erfinv(c); scipy is its
+    reference in the tests and nowhere in the library."""
+    special = pytest.importorskip("scipy.special")
+    grid = np.linspace(0.5, 0.9999, 2000).tolist() + [0.9, 0.95, 0.99]
+    far = [c for c in grid if not math.isclose(
+        _normal_quantile(c), math.sqrt(2) * float(special.erfinv(c)),
+        rel_tol=1e-13)]
+    assert far == []
 
 
 class TestEmptyProportion:
