@@ -6,8 +6,7 @@ Usage::
     python -m repro run figure3 --scale smoke --jobs 4
     python -m repro run all --scale small --out results/
     python -m repro run figure3 --telemetry results/telemetry.jsonl
-    python -m repro run figure5 --estimator is
-    python -m repro run rare
+    python -m repro run figure5 --estimator bulk
     python -m repro run bulk
     python -m repro estimate --data-pb 2 --scheme 1/2 --runs 20 [--no-farm]
     python -m repro sensitivity --scheme 1/2 [--no-farm]
@@ -25,10 +24,8 @@ snapshots — bit-identical to a serial run) on a small multi-point sweep.
 ``run --telemetry PATH`` enables the in-sim metrics subsystem
 (:mod:`repro.telemetry`) for every Monte-Carlo sweep in the invocation and
 appends one merged JSONL record per sweep point; ``telemetry-summary``
-renders such a file for humans.  ``run --estimator {naive,is,bulk}``
-switches the p_loss figures to importance sampling or the vectorized
-bulk engine, ``run rare`` compares naive Monte Carlo with importance
-sampling at equal budget (:doc:`docs/RARE_EVENTS.md`), and
+renders such a file for humans.  ``run --estimator {naive,bulk}``
+switches the p_loss figures to the vectorized bulk engine, and
 ``run bulk`` benchmarks the bulk engine against the process-pool naive-MC
 baseline and asserts its >= 58x throughput claim at smoke scale
 (:doc:`docs/BULK_ENGINE.md`).  ``serve`` runs the interactive
@@ -49,8 +46,8 @@ from .config import SystemConfig
 from .experiments import SCALES, ablations, base
 from .experiments import (availability_sweep, bulk_sweep, faults_sweep,
                           figure3, figure4, figure5, figure7, figure8,
-                          mttdl_table, perf_table, rare_sweep, redirection,
-                          table1, table3, topology_sweep)
+                          mttdl_table, perf_table, redirection, table1,
+                          table3, topology_sweep)
 from .redundancy.schemes import MIRROR_3, RedundancyScheme
 from .reliability import estimate_p_loss, p_loss_window_model
 from .service.protocol import DEFAULT_PORT
@@ -73,7 +70,6 @@ EXPERIMENTS = {
     "mttdl": lambda s, seed, est: [mttdl_table.run(s, seed)],
     "faults": lambda s, seed, est: [faults_sweep.run(s, seed)],
     "perf": lambda s, seed, est: [perf_table.run(s, seed)],
-    "rare": lambda s, seed, est: [rare_sweep.run(s, seed)],
     "bulk": lambda s, seed, est: [bulk_sweep.run(s, seed)],
     "topology": lambda s, seed, est: [topology_sweep.run(s, seed)],
     "availability": lambda s, seed, est: [availability_sweep.run(s, seed)],
@@ -155,9 +151,8 @@ def result_mismatches(label: str, first, second) -> list[str]:
 
     Compares each :class:`~repro.reliability.runner.StatsAggregate`
     field but host time (``run_seconds_total``) through ``repr`` — float
-    reprs round-trip exactly, and the exact weighted sums compare by
-    value that way — and the merged telemetry snapshots under canonical
-    JSON.  An empty list means the two are equal, bit for bit.
+    reprs round-trip exactly — and the merged telemetry snapshots under
+    canonical JSON.  An empty list means the two are equal, bit for bit.
     """
     from .telemetry import canonical_json
     failures = []
@@ -179,17 +174,14 @@ def cmd_sweep_check(args: argparse.Namespace) -> int:
 
     Runs a small multi-point sweep twice — serially and with worker
     processes — and requires every aggregate field (counts, window
-    sums/max, Welford moments, weighted sums) to be *bit-identical*, and
-    the merged per-point telemetry snapshots to be *byte-identical*
-    under canonical JSON.  Three passes: the DES with telemetry; the
-    DES under importance sampling, whose likelihood-ratio weights must
-    fold through the same reorder buffers; and the bulk engine (no
-    telemetry — it has no event loop to observe), whose tasks carry
-    *chunks* of runs.
+    sums/max, Welford moments) to be *bit-identical*, and the merged
+    per-point telemetry snapshots to be *byte-identical* under
+    canonical JSON.  Two passes: the DES with telemetry, and the bulk
+    engine (no telemetry — it has no event loop to observe), whose
+    tasks carry *chunks* of runs.
     """
     from .reliability import shutdown_pool, sweep
     from .reliability.envelope import BULK, refusals
-    from .reliability.rare import DEFAULT_TILT
     from .units import TB
 
     tiny = SystemConfig(total_user_bytes=args.data_tb * TB,
@@ -215,8 +207,6 @@ def cmd_sweep_check(args: argparse.Namespace) -> int:
     passes = [
         ("", points, dict(sweep_name="sweep-check", telemetry=True,
                           telemetry_path="")),
-        ("tilted.", points, dict(sweep_name="sweep-check-tilted",
-                                 tilt=DEFAULT_TILT)),
         ("bulk.", bulk_points, dict(sweep_name="sweep-check-bulk",
                                     engine="bulk")),
     ]
@@ -238,8 +228,7 @@ def cmd_sweep_check(args: argparse.Namespace) -> int:
         return 1
     print(f"sweep-check OK: {len(points)} points x {args.runs} runs, "
           f"serial == parallel (jobs={args.jobs}) incl. telemetry "
-          f"snapshots, weighted (tilted) aggregates, and bulk-engine "
-          f"chunked folds")
+          f"snapshots and bulk-engine chunked folds")
     return 0
 
 
@@ -415,10 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "'telemetry-summary')")
     run.add_argument("--estimator", choices=list(base.ESTIMATORS),
                      default="naive",
-                     help="p_loss estimator for figure5/7/8: naive MC, "
-                          "importance sampling (is; see "
-                          "docs/RARE_EVENTS.md), or the vectorized bulk "
-                          "engine (docs/BULK_ENGINE.md)")
+                     help="p_loss estimator for figure5/7/8: naive MC "
+                          "or the vectorized bulk engine "
+                          "(docs/BULK_ENGINE.md)")
 
     est = sub.add_parser("estimate",
                          help="P(data loss) for one configuration")

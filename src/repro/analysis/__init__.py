@@ -3,9 +3,9 @@
 Two layers keep the simulator's correctness invariants machine-checked
 instead of convention-checked:
 
-* **Per-file rules** (``RPR001``–``RPR012``, in :data:`RULES`): AST
+* **Per-file rules** (``RPR001``–``RPR011``, in :data:`RULES`): AST
   visitors over one module — determinism, unit hygiene, simulation
-  discipline, robustness, parameterization, weight discipline.
+  discipline, robustness, parameterization.
 * **Whole-program rules** (``RPR101``, ``RPR102`` and ``RPR104``, in
   :data:`PROJECT_RULES`): checks over the aggregated project facts —
   unit flow across calls and fields, RNG stream ownership, and dead or
@@ -32,7 +32,6 @@ from .robustness import GUARDED_DIRS
 from .runner import iter_python_files, lint_file, lint_paths, lint_source
 from .symbols import ModuleFacts, collect_facts, module_name_for
 from .units_rules import DEPRECATED_SUFFIXES, MAGIC_LITERALS
-from .weights import WEIGHT_ATTRS, WEIGHT_GUARDED_DIRS
 
 __all__ = [
     "AnalysisError",
@@ -53,8 +52,6 @@ __all__ = [
     "SIM_DIRS",
     "Violation",
     "WALL_CLOCK_GUARDED_DIRS",
-    "WEIGHT_ATTRS",
-    "WEIGHT_GUARDED_DIRS",
     "analyze_paths",
     "build_graph",
     "collect_facts",

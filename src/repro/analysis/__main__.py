@@ -1,6 +1,6 @@
 """CLI for the analyzer: ``python -m repro.analysis [paths]``.
 
-Default mode runs the per-file rules (RPR001–RPR012), exactly as the
+Default mode runs the per-file rules (RPR001–RPR011), exactly as the
 historical linter did.  ``--strict`` adds the whole-program pass
 (RPR101, RPR102, RPR104: unit flow, stream ownership, dead config).
 Every run analyzes every file.
@@ -29,7 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Static analyzer: per-file invariant rules "
-                    "(RPR001-RPR012) plus, with --strict, whole-program "
+                    "(RPR001-RPR011) plus, with --strict, whole-program "
                     "unit-flow / stream-ownership / dead-config "
                     "checks (RPR101, RPR102, RPR104).")
     parser.add_argument("paths", nargs="*", default=["src"],

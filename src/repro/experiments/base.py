@@ -49,13 +49,12 @@ SCALES: dict[str, Scale] = {
 }
 
 #: Estimators the p_loss figure drivers accept (``--estimator`` on the
-#: CLI).  ``naive`` counts losing lifetimes; ``is`` importance-samples
-#: with the default hazard tilt (see :mod:`repro.reliability.rare` and
-#: ``docs/RARE_EVENTS.md``); ``bulk`` counts losing lifetimes on the
-#: vectorized window-overlap engine (:mod:`repro.reliability.bulk` and
-#: ``docs/BULK_ENGINE.md``) — statistically conformant with ``naive``
-#: and orders of magnitude faster.
-ESTIMATORS: tuple[str, ...] = ("naive", "is", "bulk")
+#: CLI).  ``naive`` counts losing lifetimes on the DES; ``bulk`` counts
+#: them on the vectorized window-overlap engine
+#: (:mod:`repro.reliability.bulk` and ``docs/BULK_ENGINE.md``) —
+#: statistically conformant with ``naive`` and orders of magnitude
+#: faster.
+ESTIMATORS: tuple[str, ...] = ("naive", "bulk")
 
 
 def run_p_loss_sweep(points: dict[str, SystemConfig], estimator: str,
@@ -67,13 +66,11 @@ def run_p_loss_sweep(points: dict[str, SystemConfig], estimator: str,
     identically whichever estimator produced the numbers.
     """
     from ..reliability.montecarlo import sweep
-    from ..reliability.rare import DEFAULT_TILT
     if estimator not in ESTIMATORS:
         raise ValueError(
             f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
     return sweep(points, n_runs=n_runs, base_seed=base_seed, n_jobs=n_jobs,
                  sweep_name=sweep_name,
-                 tilt=DEFAULT_TILT if estimator == "is" else 0.0,
                  engine="bulk" if estimator == "bulk" else "des")
 
 

@@ -4,7 +4,6 @@ from .analytic import (WindowModel, expected_disk_failures, mean_window,
                        p_loss, p_loss_window_model)
 from .markov import group_generator, mttdl, p_group_loss, p_system_loss
 from .montecarlo import MonteCarloResult, estimate_p_loss, sweep
-from .rare import TiltedFailureDraw
 from .runner import (PointSpec, RunningMoments, StatsAggregate, SweepRunner,
                      seed_schedule, shutdown_pool)
 from .scenarios import (Injection, Scenario, ScenarioOutcome,
@@ -12,9 +11,7 @@ from .scenarios import (Injection, Scenario, ScenarioOutcome,
 from .sensitivity import (SensitivityRow, elasticity, render_tornado,
                           tornado)
 from .simulation import PolicyConfig, RecoveryStats, ReliabilitySimulation
-from .stats import (ExactSum, Proportion, WeightedAggregate,
-                    empty_proportion, weighted_clt_interval,
-                    wilson_interval)
+from .stats import Proportion, empty_proportion, wilson_interval
 
 __all__ = [
     "ReliabilitySimulation", "RecoveryStats", "PolicyConfig",
@@ -22,8 +19,6 @@ __all__ = [
     "SweepRunner", "PointSpec", "StatsAggregate",
     "RunningMoments", "seed_schedule", "shutdown_pool",
     "Proportion", "wilson_interval", "empty_proportion",
-    "ExactSum", "WeightedAggregate", "weighted_clt_interval",
-    "TiltedFailureDraw",
     "p_loss", "p_loss_window_model", "WindowModel",
     "mean_window", "expected_disk_failures",
     "p_group_loss", "p_system_loss", "mttdl", "group_generator",

@@ -27,7 +27,6 @@ def estimate_p_loss(config: SystemConfig, n_runs: int = 100,
                     telemetry: TelemetryConfig | bool | None = None,
                     telemetry_path: str | Path | None = None,
                     on_error: str = "raise",
-                    tilt: float = 0.0,
                     engine: str = "des") -> MonteCarloResult:
     """Estimate P(data loss over the configured duration).
 
@@ -49,30 +48,23 @@ def estimate_p_loss(config: SystemConfig, n_runs: int = 100,
     on_error:
         ``"skip"`` drops lifetimes that raise (counted on
         ``result.runs_failed``) instead of propagating.
-    tilt:
-        Importance-sampling hazard log-multiplier: failure rates are
-        scaled by ``exp(tilt)`` and every run carries its likelihood
-        ratio, making loss more frequent under the proposal without
-        biasing the (weighted) estimate.  0.0 is exactly the naive
-        estimator (see :mod:`repro.reliability.rare`).
     engine:
         ``"des"`` (default) runs the flat-array discrete-event engine;
         ``"bulk"`` runs the vectorized window-overlap model
         (:mod:`repro.reliability.bulk`) — orders of magnitude faster,
         statistically conformant on its supported configuration space,
-        incompatible with ``tilt`` and telemetry.
+        incompatible with telemetry.
     """
     return sweep({"point": config}, n_runs=n_runs, base_seed=base_seed,
                  n_jobs=n_jobs, sweep_name="estimate_p_loss",
                  telemetry=telemetry, telemetry_path=telemetry_path,
-                 on_error=on_error, tilt=tilt, engine=engine)["point"]
+                 on_error=on_error, engine=engine)["point"]
 
 
 async def estimate_p_loss_async(config: SystemConfig, n_runs: int = 100,
                                 base_seed: int = 0,
                                 n_jobs: int | None = None,
                                 on_error: str = "raise",
-                                tilt: float = 0.0,
                                 engine: str = "des",
                                 runner: SweepRunner | None = None
                                 ) -> MonteCarloResult:
@@ -86,7 +78,7 @@ async def estimate_p_loss_async(config: SystemConfig, n_runs: int = 100,
     """
     runner = runner or SweepRunner(n_jobs=n_jobs)
     [result] = await runner.run_points_async(
-        [PointSpec("point", config, tilt=tilt, engine=engine)], n_runs,
+        [PointSpec("point", config, engine=engine)], n_runs,
         base_seed=base_seed, sweep_name="estimate_p_loss",
         on_error=on_error)
     return result
@@ -98,7 +90,6 @@ def sweep(configs: dict[str, SystemConfig], n_runs: int = 100,
           telemetry: TelemetryConfig | bool | None = None,
           telemetry_path: str | Path | None = None,
           on_error: str = "raise",
-          tilt: float = 0.0,
           engine: str = "des") -> dict[str, MonteCarloResult]:
     """Estimate P(loss) for a labelled family of configurations.
 
@@ -110,7 +101,7 @@ def sweep(configs: dict[str, SystemConfig], n_runs: int = 100,
     """
     runner = SweepRunner(n_jobs=n_jobs, telemetry=telemetry,
                          telemetry_path=telemetry_path)
-    points = [PointSpec(label, cfg, tilt=tilt, engine=engine)
+    points = [PointSpec(label, cfg, engine=engine)
               for label, cfg in configs.items()]
     results = runner.run_points(points, n_runs, base_seed=base_seed,
                                 sweep_name=sweep_name, on_error=on_error)

@@ -41,7 +41,6 @@ tests can substitute a fake clock.
 from __future__ import annotations
 
 import asyncio
-import math
 import os
 import threading
 import time
@@ -59,8 +58,7 @@ from ..telemetry.export import append_jsonl, default_telemetry_path
 from ..telemetry.handle import Telemetry, TelemetryConfig
 from ..telemetry.metrics import empty_snapshot, merge_into
 from .simulation import RecoveryStats, ReliabilitySimulation
-from .stats import (Proportion, WeightedAggregate, empty_proportion,
-                    weighted_clt_interval, wilson_interval)
+from .stats import Proportion, empty_proportion, wilson_interval
 
 #: Injectable host-performance clock (never simulated time; RPR004 keeps
 #: direct wall-clock *calls* out of simulation logic, and this alias is
@@ -152,18 +150,12 @@ class StatsAggregate:
     run_seconds_total: float = 0.0
     window_moments: RunningMoments = field(default_factory=RunningMoments)
     failure_moments: RunningMoments = field(default_factory=RunningMoments)
-    #: Weighted loss reduction: every run folds its likelihood-ratio
-    #: weight ``exp(stats.log_weight)`` (1.0 for ordinary runs) here, the
-    #: one sanctioned weight-combination point (lint rule RPR012).  Its
-    #: exact sums do not depend on the order runs are added in.
-    weighted: WeightedAggregate = field(default_factory=WeightedAggregate)
 
     def fold(self, stats: RecoveryStats, events_fired: int = 0,
              run_seconds: float = 0.0) -> None:
         """Reduce one lifetime's stats into the aggregate."""
         self.n_runs += 1
         self.losses += 1 if stats.any_loss else 0
-        self.weighted.add(math.exp(stats.log_weight), stats.any_loss)
         self.groups_lost += stats.groups_lost
         self.bytes_lost += stats.bytes_lost
         self.disk_failures += stats.disk_failures
@@ -203,8 +195,8 @@ class StatsAggregate:
 class MonteCarloResult:
     """One sweep point's lifetimes, reduced to what a P(loss) table prints.
 
-    Every count lives on :attr:`aggregate`; :attr:`p_loss`, :attr:`ess`
-    and :attr:`zero_hit` are read from it.
+    Every count lives on :attr:`aggregate`; :attr:`p_loss` and
+    :attr:`zero_hit` are read from it.
     """
 
     label: str
@@ -220,35 +212,19 @@ class MonteCarloResult:
     #: Merged telemetry snapshot over the point's completed runs, folded
     #: in run-index order (``None`` when telemetry is disabled).
     telemetry: dict | None = field(repr=False, default=None)
-    #: importance-sampling tilt the runs used (0.0 = naive MC).
-    tilt: float = 0.0
     #: the lifetime engine the point ran on ("des" or "bulk").
     engine: str = "des"
 
     @property
     def p_loss(self) -> Proportion:
-        """The 95 % interval of P(data loss) over the completed runs.
-
-        Wilson for ordinary runs; the weighted CLT interval of the
-        unbiased likelihood-ratio estimator for tilted ones.  With
-        ``on_error="skip"`` no run may have completed, where the
-        uninformative [0, 1] stands in.
+        """The 95 % Wilson interval of P(data loss) over the completed
+        runs.  With ``on_error="skip"`` no run may have completed, where
+        the uninformative [0, 1] stands in.
         """
         agg = self.aggregate
         if agg.n_runs == 0:
             return empty_proportion()
-        if self.tilt != 0.0:
-            return weighted_clt_interval(agg.weighted)
         return wilson_interval(agg.losses, agg.n_runs)
-
-    @property
-    def ess(self) -> float:
-        """Kish effective sample size of the estimate.
-
-        The completed-run count for unit weights, exactly; below it for
-        tilted runs, whose likelihood-ratio weights are unequal.
-        """
-        return self.aggregate.weighted.ess
 
     @property
     def zero_hit(self) -> bool:
@@ -282,8 +258,6 @@ class _Task:
     engine: str = "des"
     #: telemetry config; ``None`` runs the lifetimes unobserved.
     telemetry: TelemetryConfig | None = None
-    #: hazard log-multiplier for importance sampling (0.0 = untilted).
-    tilt: float = 0.0
 
 
 #: Runs per bulk task (see :class:`_Task`).  At 0.25-0.7 ms a run at
@@ -312,14 +286,8 @@ def _run_task(task: _Task) -> list[_RunResult]:
         t0 = _WALL_CLOCK()
         telemetry = (Telemetry(task.telemetry)
                      if task.telemetry is not None else None)
-        failure_draw = None
-        if task.tilt != 0.0:
-            from .rare import TiltedFailureDraw
-            failure_draw = TiltedFailureDraw(
-                task.config.vintage.failure_model, task.tilt)
         sim = ReliabilitySimulation(task.config, seed=seed,
-                                    telemetry=telemetry,
-                                    failure_draw=failure_draw)
+                                    telemetry=telemetry)
         stats = sim.run()
         snapshot = telemetry.snapshot() if telemetry is not None else None
         runs.append((stats, sim.sim.events_fired, _WALL_CLOCK() - t0,
@@ -411,8 +379,6 @@ class PointSpec:
 
     label: str
     config: SystemConfig
-    #: importance-sampling hazard tilt for this point (0.0 = naive MC).
-    tilt: float = 0.0
     #: lifetime engine for this point ("des" or "bulk").
     engine: str = "des"
 
@@ -496,11 +462,6 @@ class SweepRunner:
             if p.engine not in ("des", "bulk"):
                 raise ValueError(f"unknown engine {p.engine!r} for point "
                                  f"{p.label!r}; expected 'des' or 'bulk'")
-            if p.engine == "bulk" and p.tilt != 0.0:
-                raise ValueError(
-                    f"point {p.label!r}: the bulk engine has no "
-                    f"importance-sampling path (tilt={p.tilt}); use "
-                    f"engine='des' for tilted runs")
             if p.engine == "bulk" and self.telemetry is not None:
                 raise ValueError(
                     f"point {p.label!r}: the bulk engine is event-free "
@@ -509,14 +470,13 @@ class SweepRunner:
         t0 = _WALL_CLOCK()
         seeds = seed_schedule(base_seed, n_runs)
         results = [MonteCarloResult(label=p.label, config=p.config,
-                                    n_runs=n_runs, tilt=p.tilt,
-                                    engine=p.engine)
+                                    n_runs=n_runs, engine=p.engine)
                    for p in points]
         tasks: list[_Task] = []
         for k, p in enumerate(points):
             step = _BULK_CHUNK if p.engine == "bulk" else 1
             tasks += [_Task(k, lo, p.config, tuple(seeds[lo:lo + step]),
-                            p.engine, self.telemetry, p.tilt)
+                            p.engine, self.telemetry)
                       for lo in range(0, n_runs, step)]
         # Per-point reorder buffers: fold strictly in run-index order so
         # float reductions (and telemetry merges) are bit-identical
@@ -616,9 +576,7 @@ class SweepRunner:
                     "label": o.label,
                     "n_runs": o.n_runs,
                     "runs_failed": o.runs_failed,
-                    "tilt": o.tilt,
                     "engine": o.engine,
-                    "ess": o.aggregate.weighted.ess,
                     "losses": o.aggregate.losses,
                     "events_fired": o.aggregate.events_fired,
                     "run_seconds_total": o.aggregate.run_seconds_total,

@@ -41,11 +41,7 @@ class ScriptedFailures:
     consumes no uniforms.
     """
 
-    log_weight = 0.0
-
-    def sample(self, rng: np.random.Generator, size: int,
-               current_age: np.ndarray | float = 0.0,
-               horizon_age: float = float("inf")) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.full(size, np.inf)
 
 

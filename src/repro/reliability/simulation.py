@@ -28,7 +28,6 @@ none at all.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Protocol
@@ -116,17 +115,6 @@ class RecoveryStats:
     #: Rebuilds parked by the lazy-recovery trigger
     #: (``recovery_threshold`` > 1), awaiting further failures.
     rebuilds_held: int = 0
-    #: Log likelihood-ratio weight of this run under an importance-sampled
-    #: estimator (0.0 — i.e. weight 1 — for ordinary runs).  Weights are
-    #: only ever *applied* through
-    #: :class:`repro.reliability.stats.WeightedAggregate`; lint rule
-    #: RPR012 rejects ad-hoc weight arithmetic in experiment code.
-    log_weight: float = 0.0
-
-    @property
-    def weight(self) -> float:
-        """The run's likelihood-ratio weight, exp(log_weight)."""
-        return math.exp(self.log_weight)
 
     @property
     def any_loss(self) -> bool:
@@ -250,23 +238,15 @@ class _Job:
 
 
 class FailureDraw(Protocol):
-    """Replacement sampler for disk failure ages (importance sampling).
+    """Replacement sampler for the failure ages of age-0 drives.
 
-    Implementations draw from a *proposal* distribution while consuming
-    the same uniforms from the caller's stream as the reference model
-    would, and accumulate the run's log likelihood-ratio on
-    :attr:`log_weight`.  ``horizon_age`` is the drive age at which the
-    simulation horizon censors the draw (a failure past it never fires),
-    so the ratio can be taken on the censored statistic — much lower
-    weight variance than the raw density ratio.
+    :class:`~repro.reliability.scenarios.ScriptedFailures` installs one
+    that never fails a drive, so every death in a scripted run is
+    injected.
     """
 
-    log_weight: float
-
-    def sample(self, rng: np.random.Generator, size: int,
-               current_age: np.ndarray | float = 0.0,
-               horizon_age: float = float("inf")) -> np.ndarray:
-        """Draw ``size`` failure ages; account their likelihood ratio."""
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw ``size`` failure ages."""
         ...
 
 
@@ -298,10 +278,8 @@ class ReliabilitySimulation:
         #: benchmark), and per-disk rebuild-load tracking is only
         #: allocated when enabled.
         self.telemetry = telemetry
-        #: Nullable importance-sampling hook: when set, disk failure ages
-        #: come from its proposal distribution (same uniforms, same
-        #: stream) and the run's likelihood ratio lands on
-        #: ``stats.log_weight`` when the run ends.
+        #: Nullable failure-age hook: when set, disk failure ages come
+        #: from it instead of the vintage's failure model.
         self.failure_draw = failure_draw
         #: Lazy-recovery threshold (1 = eager, the bit-identical default).
         self._lazy_r = config.recovery_threshold
@@ -409,8 +387,7 @@ class ReliabilitySimulation:
         self.total_disks = self.N0
 
         rng = self.streams.get("disk-failures")
-        self.fail_time[:self.N0] = self._sample_failure_ages(
-            rng, self.N0, horizon_age=self.duration)
+        self.fail_time[:self.N0] = self._sample_failure_ages(rng, self.N0)
 
         # Bookkeeping for recovery and replacement.
         # Dicts as ordered sets: redirects follow job creation order.
@@ -431,12 +408,11 @@ class ReliabilitySimulation:
         #: deferral is counted as constraint-caused).
         self._domain_blocked = False
 
-    def _sample_failure_ages(self, rng: np.random.Generator, size: int,
-                             horizon_age: float) -> np.ndarray:
+    def _sample_failure_ages(self, rng: np.random.Generator,
+                             size: int) -> np.ndarray:
         """Failure ages for a batch of age-0 drives (hook-aware)."""
         if self.failure_draw is not None:
-            return self.failure_draw.sample(rng, size,
-                                            horizon_age=horizon_age)
+            return self.failure_draw.sample(rng, size)
         return self.cfg.vintage.failure_model.sample_failure_age(rng, size)
 
     # ------------------------------------------------------------------ #
@@ -477,8 +453,7 @@ class ReliabilitySimulation:
         self.alive[lo:lo + count] = [True] * count
         self.deploy_time[ids] = now
         rng = self.streams.get("disk-failures")
-        ages = self._sample_failure_ages(
-            rng, count, horizon_age=self.duration - now)
+        ages = self._sample_failure_ages(rng, count)
         self.fail_time[ids] = now + ages
         for d, t in zip(ids, self.fail_time[ids]):
             if t <= self.duration:
@@ -1422,6 +1397,4 @@ class ReliabilitySimulation:
         self._schedule_initial_failures()
         self.sim.run(until=self.duration)
         self._finalize(self.duration)
-        if self.failure_draw is not None:
-            self.stats.log_weight = self.failure_draw.log_weight
         return self.stats

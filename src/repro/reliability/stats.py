@@ -3,20 +3,12 @@
 Probability of data loss is a Bernoulli proportion over runs; we report it
 with Wilson score intervals (well-behaved near 0 and 1, where reliability
 estimates live).
-
-The weighted half of this module supports the rare-event estimator in
-:mod:`repro.reliability.rare`: importance-sampled runs carry a
-likelihood-ratio weight, and :class:`WeightedAggregate` is the one
-sanctioned place those weights are combined (lint rule RPR012 rejects
-ad-hoc weight arithmetic in experiment code).  Its sums are *exact*
-(Shewchuk partials), so they do not depend on the order the runs are
-added in.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 
@@ -152,143 +144,3 @@ def _normal_quantile(confidence: float) -> float:
     standard library instead of ``scipy.special``.
     """
     return NormalDist().inv_cdf(0.5 + confidence / 2)
-
-
-# --------------------------------------------------------------------- #
-# Weighted (importance-sampled) estimates
-# --------------------------------------------------------------------- #
-class ExactSum:
-    """Error-free float accumulator (Shewchuk partials, as in math.fsum).
-
-    The partials list represents the running sum *exactly*, so adding the
-    same multiset of values in any order yields the same :attr:`value`
-    to the last bit.
-    """
-
-    __slots__ = ("_partials",)
-
-    def __init__(self, value: float = 0.0) -> None:
-        self._partials: list[float] = [float(value)] if value else []
-
-    def add(self, x: float) -> None:
-        """Accumulate ``x`` exactly (two-sum cascade over the partials)."""
-        x = float(x)
-        partials = self._partials
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        partials[i:] = [x]
-
-    @property
-    def value(self) -> float:
-        """The correctly-rounded float value of the exact sum."""
-        return math.fsum(self._partials)
-
-    def __repr__(self) -> str:
-        return f"ExactSum({self.value!r})"
-
-
-@dataclass
-class WeightedAggregate:
-    """Streaming reduction of weighted Bernoulli outcomes.
-
-    One entry per Monte-Carlo run: a strictly positive likelihood-ratio
-    weight ``w`` and a hit indicator ``x`` (data loss).  All four sums are
-    :class:`ExactSum`, so :meth:`add` commutes exactly and any order of
-    the runs reproduces the same aggregate bit for bit (the Hypothesis
-    suite fuzzes this).
-
-    With every weight equal to 1 the unnormalized estimate degenerates to
-    the naive proportion ``hits / n`` exactly and ``ess == n``.
-    """
-
-    n: int = 0
-    hits: int = 0
-    w_sum: ExactSum = field(default_factory=ExactSum)
-    w_sq_sum: ExactSum = field(default_factory=ExactSum)
-    wx_sum: ExactSum = field(default_factory=ExactSum)
-    wx_sq_sum: ExactSum = field(default_factory=ExactSum)
-
-    def add(self, weight: float, hit: bool) -> None:
-        """Fold one run's (weight, loss-indicator) pair in.
-
-        A weight of exactly 0.0 is accepted: under extreme tilt the
-        likelihood ratio ``exp(log_weight)`` underflows, and such a run
-        legitimately carries (vanishingly little) evidence — it counts as
-        a trial but contributes nothing to the weighted sums.  Negative
-        or non-finite weights are still programming errors.
-        """
-        w = float(weight)
-        if not math.isfinite(w) or w < 0.0:
-            raise ValueError(
-                f"likelihood-ratio weights must be finite and "
-                f"non-negative, got {weight!r}")
-        self.n += 1
-        self.w_sum.add(w)
-        self.w_sq_sum.add(w * w)
-        if hit:
-            self.hits += 1
-            self.wx_sum.add(w)
-            self.wx_sq_sum.add(w * w)
-
-    @property
-    def estimate(self) -> float:
-        """Unbiased (unnormalized) IS estimate: (1/n) sum w_i x_i."""
-        if self.n == 0:
-            return 0.0
-        return self.wx_sum.value / self.n
-
-    @property
-    def ess(self) -> float:
-        """Kish effective sample size: (sum w)^2 / sum w^2, in [0, n].
-
-        0.0 both for the empty aggregate and for an all-zero-weight
-        batch — either way the weighted estimate rests on no effective
-        samples, and interval builders degrade to the uninformative
-        whole-line answer instead of dividing by zero.
-        """
-        sw_sq = self.w_sq_sum.value
-        if self.n == 0 or sw_sq == 0.0:
-            return 0.0
-        sw = self.w_sum.value
-        return sw * sw / sw_sq
-
-
-def weighted_clt_interval(agg: WeightedAggregate,
-                          confidence: float = 0.95) -> Proportion:
-    """CLT interval for the unbiased IS estimate (1/n) sum w_i x_i.
-
-    The standard error comes from the sample variance of the per-run
-    products ``y_i = w_i x_i``; with all weights 1 this is the usual
-    normal-approximation binomial interval.  ``successes`` counts *hit
-    runs* (so :attr:`Proportion.zero_hit` keeps its meaning under IS).
-    """
-    if not 0 < confidence < 1:
-        raise ValueError("confidence must be in (0, 1)")
-    if agg.n == 0:
-        return empty_proportion(confidence)
-    if agg.w_sum.value == 0.0:
-        # Every weight underflowed: a zero sample variance here would
-        # claim certainty the data cannot support, so keep the trial
-        # counts but return the uninformative whole-line interval.
-        return Proportion(successes=agg.hits, trials=agg.n, estimate=0.0,
-                          lo=0.0, hi=1.0, confidence=confidence)
-    n = agg.n
-    p = agg.estimate
-    z = _normal_quantile(confidence)
-    if n > 1:
-        s2 = max(0.0, (agg.wx_sq_sum.value - n * p * p) / (n - 1))
-    else:
-        s2 = 0.0
-    half = z * math.sqrt(s2 / n)
-    return Proportion(successes=agg.hits, trials=n, estimate=p,
-                      lo=min(p, max(0.0, p - half)),
-                      hi=max(p, min(1.0, p + half)),
-                      confidence=confidence)

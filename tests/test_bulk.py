@@ -534,10 +534,6 @@ class TestModelGating:
         with pytest.raises(ValueError, match=fragment):
             BulkLifetime(gold_cfg(**kw))
 
-    def test_runner_rejects_bulk_tilt(self):
-        with pytest.raises(ValueError, match="tilt"):
-            estimate_p_loss(gold_cfg(), n_runs=2, engine="bulk", tilt=0.5)
-
     def test_runner_rejects_bulk_telemetry(self):
         with pytest.raises(ValueError, match="telemetry"):
             estimate_p_loss(gold_cfg(), n_runs=2, engine="bulk",

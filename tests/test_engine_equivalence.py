@@ -11,8 +11,6 @@ draw (placement, recovery targets) comes from its own named stream, so
 the two paths agree exactly, not just in distribution.
 """
 
-import math
-
 import pytest
 
 from repro.config import SystemConfig
@@ -27,7 +25,7 @@ def cfg(**kw):
     return SystemConfig(**defaults)
 
 
-def record(c, seed, failure_draw=None):
+def record(c, seed):
     """One stochastic lifetime: its engine, stats and the fired deaths."""
     deaths = []
 
@@ -35,7 +33,7 @@ def record(c, seed, failure_draw=None):
         if ev.name == "disk-failure":
             deaths.append((ev.time, ev.args[0]))
 
-    engine = ReliabilitySimulation(c, seed=seed, failure_draw=failure_draw)
+    engine = ReliabilitySimulation(c, seed=seed)
     engine.sim = Simulator(trace=log)
     return engine, engine.run(), deaths
 
@@ -50,9 +48,9 @@ def replay(c, seed, deaths):
     return engine, engine.run()
 
 
-def both(c, seed, failure_draw=None):
+def both(c, seed):
     """(stochastic engine, its stats, replay engine, its stats)."""
-    stoch, stoch_stats, deaths = record(c, seed, failure_draw)
+    stoch, stoch_stats, deaths = record(c, seed)
     scripted, scripted_stats = replay(c, seed, deaths)
     return stoch, stoch_stats, scripted, scripted_stats
 
@@ -129,25 +127,6 @@ class TestSmartParity:
         _, stoch, _, scripted = both(cfg(use_smart=True), 6)
         assert stoch.disk_failures > 0
         assert scripted.disk_failures == stoch.disk_failures
-
-
-@pytest.mark.parametrize("seed", [0, 123])
-def test_tilted_failure_streams_agree(seed):
-    """An importance-sampled trajectory replays like any other.
-
-    The tilted draw shapes which deaths happen; the replay scripts those
-    deaths and so follows the same trajectory, but it is a plain scripted
-    run and carries no likelihood ratio.
-    """
-    from repro.reliability.rare import TiltedFailureDraw
-
-    c = cfg()
-    draw = TiltedFailureDraw(c.vintage.failure_model, math.log(3.0))
-    _, stoch, _, scripted = both(c, seed, failure_draw=draw)
-    assert scripted.disk_failures == stoch.disk_failures
-    assert scripted.rebuilds_completed == stoch.rebuilds_completed
-    assert stoch.log_weight != 0.0
-    assert scripted.log_weight == 0.0
 
 
 def test_traditional_spare_counts_agree():

@@ -210,7 +210,6 @@ class TestNothingWrittenWithoutOut:
 
     def test_sweep_and_cli_runs_leave_the_cwd_empty(self, tmp_path,
                                                     monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_PATH", raising=False)
         monkeypatch.chdir(tmp_path)
         sweep({"tiny": SystemConfig(total_user_bytes=10 * TB,
                                     group_user_bytes=10 * GB)}, n_runs=2)
@@ -218,7 +217,7 @@ class TestNothingWrittenWithoutOut:
             [str(SRC), os.environ.get("PYTHONPATH", "")]))
         # Seed 1: test_paper_findings already ran figure5 at seed 0.
         for args in (["figure5", "--scale", "smoke", "--seed", "1"],
-                     ["rare"]):
+                     ["bulk", "--scale", "smoke"]):
             proc = subprocess.run(
                 [sys.executable, "-m", "repro", "run", *args], cwd=tmp_path,
                 env=env, capture_output=True, text=True, timeout=300)

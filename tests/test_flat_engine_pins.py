@@ -230,8 +230,7 @@ PINS = {'farm': (557,
            'unavail_group_seconds': 180125.0,
            'unavail_spans': 275,
            'unavail_max': 655.0,
-           'rebuilds_held': 0,
-           'log_weight': 0.0}),
+           'rebuilds_held': 0}),
  'farm-domains-smart-churn': (10170,
                               {'rebuilds_started': 5023,
                                'rebuilds_completed': 5022,
@@ -255,8 +254,7 @@ PINS = {'farm': (557,
                                'unavail_group_seconds': 22304612.676461972,
                                'unavail_spans': 5021,
                                'unavail_max': 22530.0,
-                               'rebuilds_held': 0,
-                               'log_weight': 0.0}),
+                               'rebuilds_held': 0}),
  'farm-ecc-exhausted': (20658,
                         {'rebuilds_started': 2701,
                          'rebuilds_completed': 2701,
@@ -280,8 +278,7 @@ PINS = {'farm': (557,
                          'unavail_group_seconds': 2945791105.206324,
                          'unavail_spans': 3112,
                          'unavail_max': 9170507.706537217,
-                         'rebuilds_held': 0,
-                         'log_weight': 0.0}),
+                         'rebuilds_held': 0}),
  'farm-ecc-no-latency': (1749,
                          {'rebuilds_started': 872,
                           'rebuilds_completed': 872,
@@ -305,8 +302,7 @@ PINS = {'farm': (557,
                           'unavail_group_seconds': 279687.5,
                           'unavail_spans': 872,
                           'unavail_max': 1250.0,
-                          'rebuilds_held': 0,
-                          'log_weight': 0.0}),
+                          'rebuilds_held': 0}),
  'lazy-loss-while-holding': (10713,
                              {'rebuilds_started': 1103,
                               'rebuilds_completed': 1103,
@@ -330,8 +326,7 @@ PINS = {'farm': (557,
                               'unavail_group_seconds': 17536934887.08943,
                               'unavail_spans': 961,
                               'unavail_max': 61372161.49887779,
-                              'rebuilds_held': 988,
-                              'log_weight': 0.0}),
+                              'rebuilds_held': 988}),
  'lazy-r2-bw0.05': (576,
                     {'rebuilds_started': 280,
                      'rebuilds_completed': 280,
@@ -355,8 +350,7 @@ PINS = {'farm': (557,
                      'unavail_group_seconds': 17067251630.189404,
                      'unavail_spans': 570,
                      'unavail_max': 59518220.378860004,
-                     'rebuilds_held': 570,
-                     'log_weight': 0.0}),
+                     'rebuilds_held': 570}),
  'traditional': (13581,
                  {'rebuilds_started': 6716,
                   'rebuilds_completed': 6697,
@@ -380,8 +374,7 @@ PINS = {'farm': (557,
                   'unavail_group_seconds': 352640084.38315415,
                   'unavail_spans': 6697,
                   'unavail_max': 145030.0,
-                  'rebuilds_held': 0,
-                  'log_weight': 0.0}),
+                  'rebuilds_held': 0}),
  'traditional-overflow-spare': ([100, 100],
                                 842,
                                 {'rebuilds_started': 417,
@@ -406,8 +399,7 @@ PINS = {'farm': (557,
                                  'unavail_group_seconds': 5605575.0,
                                  'unavail_spans': 417,
                                  'unavail_max': 31905.0,
-                                 'rebuilds_held': 0,
-                                 'log_weight': 0.0}),
+                                 'rebuilds_held': 0}),
  'farm-racks-uncapped': (16141,
                          {'rebuilds_started': 1400,
                           'rebuilds_completed': 1400,
@@ -431,8 +423,7 @@ PINS = {'farm': (557,
                           'unavail_group_seconds': 7995623878.51716,
                           'unavail_spans': 1805,
                           'unavail_max': 30945691.18168933,
-                          'rebuilds_held': 0,
-                          'log_weight': 0.0}),
+                          'rebuilds_held': 0}),
  'mirrored-parity-loss': (22744,
                           {'rebuilds_started': 1563,
                            'rebuilds_completed': 1563,
@@ -456,8 +447,7 @@ PINS = {'farm': (557,
                            'unavail_group_seconds': 10433372416.059914,
                            'unavail_spans': 1375,
                            'unavail_max': 37348419.88294735,
-                           'rebuilds_held': 0,
-                           'log_weight': 0.0}),
+                           'rebuilds_held': 0}),
  'no-buddy-check': (8,
                     13437,
                     {'rebuilds_started': 336,
@@ -482,8 +472,7 @@ PINS = {'farm': (557,
                      'unavail_group_seconds': 4063915216.3370595,
                      'unavail_spans': 716,
                      'unavail_max': 16052842.8454713,
-                     'rebuilds_held': 0,
-                     'log_weight': 0.0}),
+                     'rebuilds_held': 0}),
  'telemetry-racks-events': 16871,
  'outage-death': (4,
                   2,
@@ -510,8 +499,7 @@ PINS = {'farm': (557,
                    'unavail_group_seconds': 101525.0,
                    'unavail_spans': 155,
                    'unavail_max': 655.0,
-                   'rebuilds_held': 0,
-                   'log_weight': 0.0})}
+                   'rebuilds_held': 0})}
 
 
 @pytest.mark.parametrize("name", sorted(LIFETIMES))

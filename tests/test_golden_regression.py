@@ -9,8 +9,6 @@ If a change is intentional (e.g. a fixed bug changes trajectories),
 re-pin by updating the constants and say so in the commit message.
 """
 
-import math
-
 from repro.config import SystemConfig
 from repro.placement import RandomPlacement, RushPlacement
 from repro.reliability import ReliabilitySimulation
@@ -33,13 +31,6 @@ PIN_DOMAIN_STREAMS = {
     "faults-domain-outages": 0.8985747888281354,
     "faults-domain-stragglers": 0.630501410220294,
 }
-
-# Importance sampling: one tilted trajectory (tilt = ln 3) on the same
-# config/seed as the untilted pins above.  Weighted golden values follow
-# the same re-pin policy (docs/RARE_EVENTS.md): update only for
-# intentional changes.
-PIN_TILTED_FAST = (28, 1290, 1290, 0)
-PIN_TILTED_LOG_WEIGHT = -10.469417395163475
 
 # Bulk-lifetime engine (repro.reliability.bulk): first uniform from each
 # dedicated bulk-* stream, plus one full trajectory per recovery mode on
@@ -84,23 +75,6 @@ class TestPins:
         for name, expected in PIN_DOMAIN_STREAMS.items():
             assert float(RandomStreams(123).get(name).random()) == expected
 
-    def test_tilted_trajectory_pin(self):
-        """One importance-sampled trajectory, pinned with its LR weight.
-
-        The tilted run consumes the same 'disk-failures' uniforms as the
-        untilted pin, inverted through the scaled hazard — so this pin
-        breaks if either the tilting transform or the base stream moves.
-        """
-        from repro.reliability.rare import TiltedFailureDraw
-        draw = TiltedFailureDraw(cfg().vintage.failure_model, math.log(3.0))
-        stats = ReliabilitySimulation(cfg(), seed=123,
-                                      failure_draw=draw).run()
-        snapshot = (stats.disk_failures, stats.rebuilds_started,
-                    stats.rebuilds_completed, stats.groups_lost)
-        assert snapshot == PIN_TILTED_FAST, (
-            f"tilted trajectory changed: {snapshot}")
-        assert stats.log_weight == PIN_TILTED_LOG_WEIGHT
-
     def test_bulk_stream_pins(self):
         """The bulk-* streams are their own pinned RNG family.
 
@@ -136,14 +110,3 @@ class TestPins:
         """bulk-failures is a *different* stream from disk-failures: the
         same seed gives a different (but same-law) failure count."""
         assert PIN_BULK_FARM[0] != PIN_FAST[0]
-
-    def test_zero_tilt_reproduces_untilted_pin(self):
-        """tilt = 0 must be *exactly* the naive run (same golden pin)."""
-        from repro.reliability.rare import TiltedFailureDraw
-        draw = TiltedFailureDraw(cfg().vintage.failure_model, 0.0)
-        stats = ReliabilitySimulation(cfg(), seed=123,
-                                      failure_draw=draw).run()
-        snapshot = (stats.disk_failures, stats.rebuilds_started,
-                    stats.rebuilds_completed, stats.groups_lost)
-        assert snapshot == PIN_FAST
-        assert stats.log_weight == 0.0

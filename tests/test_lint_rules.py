@@ -10,9 +10,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (GUARDED_DIRS, PARAM_GUARDED_DIRS, RULES,
-                            SIM_DIRS, WALL_CLOCK_GUARDED_DIRS,
-                            WEIGHT_GUARDED_DIRS, Violation, lint_file,
-                            lint_paths, lint_source, render_json,
+                            SIM_DIRS, WALL_CLOCK_GUARDED_DIRS, Violation,
+                            lint_file, lint_paths, lint_source, render_json,
                             render_text)
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lint"
@@ -34,15 +33,14 @@ EXPECTED = {
     "disks/rpr010_hardcoded_param.py": ("RPR010", 5),
     "cluster/rpr011_wall_clock.py": ("RPR011", 11),
     "service/rpr011_wall_clock.py": ("RPR011", 13),
-    "experiments/rpr012_weight_math.py": ("RPR012", 5),
 }
 
 
 class TestRegistry:
-    def test_twelve_rules_with_unique_ids(self):
+    def test_eleven_rules_with_unique_ids(self):
         ids = [r.id for r in RULES]
-        assert len(ids) == len(set(ids)) == 12
-        assert sorted(ids) == [f"RPR{n:03d}" for n in range(1, 13)]
+        assert len(ids) == len(set(ids)) == 11
+        assert sorted(ids) == [f"RPR{n:03d}" for n in range(1, 12)]
 
     def test_every_rule_documented(self):
         for rule in RULES:
@@ -51,9 +49,9 @@ class TestRegistry:
 
     @pytest.mark.parametrize("scope", [
         SIM_DIRS, WALL_CLOCK_GUARDED_DIRS, GUARDED_DIRS,
-        PARAM_GUARDED_DIRS, WEIGHT_GUARDED_DIRS], ids=[
+        PARAM_GUARDED_DIRS], ids=[
         "SIM_DIRS", "WALL_CLOCK_GUARDED_DIRS", "GUARDED_DIRS",
-        "PARAM_GUARDED_DIRS", "WEIGHT_GUARDED_DIRS"])
+        "PARAM_GUARDED_DIRS"])
     def test_rule_scopes_name_packages_under_src(self, scope):
         # A scope that names no package guards nothing.
         for directory in scope:
@@ -210,20 +208,6 @@ class TestRuleEdges:
     def test_unrelated_float_not_flagged(self):
         src = "half = 0.5\n"
         assert lint_source(src, "reliability/simulation.py") == []
-
-    def test_weight_attr_outside_experiments_is_fine(self):
-        src = "w = stats.log_weight\n"
-        assert lint_source(src, "reliability/rare.py") == []
-
-    def test_weight_attr_in_experiments_flagged(self):
-        src = "w = stats.log_weight\n"
-        violations = lint_source(src, "experiments/figure7.py")
-        assert [v.rule for v in violations] == ["RPR012"]
-
-    def test_weight_multiplication_in_experiments_flagged(self):
-        src = "p = weights * hits\n"
-        violations = lint_source(src, "experiments/figure7.py")
-        assert [v.rule for v in violations] == ["RPR012"]
 
     def test_unweighted_arithmetic_in_experiments_is_fine(self):
         src = "p = losses / runs\n"

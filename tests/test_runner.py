@@ -150,6 +150,9 @@ class TestBenchRecord:
         assert record["events_fired"] == sum(
             pt["events_fired"] for pt in record["points"])
         for pt in record["points"]:
+            assert set(pt) == {"label", "n_runs", "runs_failed", "engine",
+                               "losses", "events_fired",
+                               "run_seconds_total", "completed_at_s"}
             assert pt["n_runs"] == 2
             assert pt["events_fired"] > 0
             assert pt["run_seconds_total"] > 0

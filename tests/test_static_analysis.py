@@ -2,7 +2,7 @@
 
 This is the enforcement point for the repository's determinism,
 unit-safety, and simulation-discipline invariants (per-file rules
-RPR001–RPR012 and whole-program rules RPR101, RPR102 and RPR104, see
+RPR001–RPR011 and whole-program rules RPR101, RPR102 and RPR104, see
 ``docs/ANALYSIS.md``): any violation in the library tree fails the test
 suite, with the offending ``file:line`` in the assertion message.
 

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.reliability import empty_proportion, wilson_interval
-from repro.reliability.stats import (ExactSum, WeightedAggregate,
-                                     _normal_quantile, weighted_clt_interval)
+from repro.reliability.stats import _normal_quantile
 
 
 class TestWilson:
@@ -126,120 +125,3 @@ class TestZeroHit:
 
     def test_bound_clamped_to_one(self):
         assert wilson_interval(0, 2).rule_of_three_upper == 1.0
-
-
-# Strategies for the weighted-aggregate property suite: weights spanning
-# ~30 orders of magnitude (likelihood ratios do), hits arbitrary.
-_weights = st.floats(min_value=1e-15, max_value=1e15,
-                     allow_nan=False, allow_infinity=False)
-_runs = st.lists(st.tuples(_weights, st.booleans()), min_size=1,
-                 max_size=60)
-
-
-def _fold(runs):
-    agg = WeightedAggregate()
-    for w, x in runs:
-        agg.add(w, x)
-    return agg
-
-
-class TestWeightedAggregate:
-    def test_unit_weights_degenerate_to_naive(self):
-        agg = _fold([(1.0, True)] * 3 + [(1.0, False)] * 7)
-        assert agg.estimate == 3 / 10
-        assert agg.ess == 10.0
-        assert agg.w_sum.value == 10.0
-
-    def test_unit_weight_intervals_match_counts(self):
-        agg = _fold([(1.0, True)] * 5 + [(1.0, False)] * 5)
-        clt = weighted_clt_interval(agg)
-        assert (clt.successes, clt.trials) == (5, 10)
-        assert clt.lo <= clt.estimate == 0.5 <= clt.hi
-
-    def test_rejects_bad_weights(self):
-        agg = WeightedAggregate()
-        for bad in (-1.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                agg.add(bad, True)
-        assert agg.n == 0
-
-    def test_zero_weight_counts_a_trial_without_evidence(self):
-        """An underflowed likelihood ratio (w == 0.0) is legitimate data:
-        it counts as a trial but adds nothing to the weighted sums."""
-        agg = _fold([(1.0, True), (1.0, False)])
-        before = (agg.w_sum.value, agg.wx_sum.value)
-        agg.add(0.0, True)
-        assert agg.n == 3 and agg.hits == 2
-        assert (agg.w_sum.value, agg.wx_sum.value) == before
-        assert agg.ess == pytest.approx(2.0)
-
-    def test_all_zero_weight_batch_degrades_to_uninformative(self):
-        """Every weight underflowed: no effective samples, so the
-        interval is the whole-line answer with the raw trial counts
-        preserved instead of a division by zero."""
-        agg = WeightedAggregate()
-        for hit in (True, False, True):
-            agg.add(0.0, hit)
-        assert agg.ess == 0.0
-        p = weighted_clt_interval(agg)
-        assert (p.lo, p.hi) == (0.0, 1.0)
-        assert p.trials == 3 and p.successes == 2
-
-    def test_empty_aggregate(self):
-        agg = WeightedAggregate()
-        assert agg.estimate == 0.0 and agg.ess == 0.0
-        assert weighted_clt_interval(agg).trials == 0
-
-    @given(_runs, st.randoms(use_true_random=False))
-    @settings(max_examples=100)
-    def test_fold_order_insensitive(self, runs, rnd):
-        """Any shuffle of the runs folds to the same aggregate, bit for
-        bit: ExactSum makes add commute to float *equality*, not
-        approximation."""
-        serial = _fold(runs)
-        shuffled = list(runs)
-        rnd.shuffle(shuffled)
-        folded = _fold(shuffled)
-
-        assert folded.n == serial.n and folded.hits == serial.hits
-        assert folded.w_sum.value == serial.w_sum.value
-        assert folded.w_sq_sum.value == serial.w_sq_sum.value
-        assert folded.wx_sum.value == serial.wx_sum.value
-        assert folded.wx_sq_sum.value == serial.wx_sq_sum.value
-        assert folded.estimate == serial.estimate
-        assert folded.ess == serial.ess
-
-    @given(_runs)
-    @settings(max_examples=100)
-    def test_ess_bounds(self, runs):
-        """Kish ESS lies in [1, n] for any positive weights."""
-        agg = _fold(runs)
-        assert 1.0 <= agg.ess <= agg.n * (1 + 1e-12)
-
-    @given(st.lists(_weights, min_size=1, max_size=40))
-    @settings(max_examples=50)
-    def test_equal_weights_maximize_ess(self, ws):
-        agg = WeightedAggregate()
-        for _ in ws:
-            agg.add(ws[0], False)
-        assert agg.ess == pytest.approx(len(ws))
-
-
-class TestExactSum:
-    def test_cancellation_exact(self):
-        s = ExactSum()
-        for x in (1e16, 1.0, -1e16):
-            s.add(x)
-        assert s.value == 1.0
-
-    @given(st.lists(st.floats(min_value=-1e12, max_value=1e12,
-                              allow_nan=False), min_size=1, max_size=50),
-           st.randoms(use_true_random=False))
-    @settings(max_examples=100)
-    def test_matches_fsum_any_order(self, xs, rnd):
-        shuffled = list(xs)
-        rnd.shuffle(shuffled)
-        s = ExactSum()
-        for x in shuffled:
-            s.add(x)
-        assert s.value == math.fsum(xs)

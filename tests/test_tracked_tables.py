@@ -4,8 +4,8 @@ Each experiment whose tables take under a minute at the scale their
 headers name is rerun in-process; its rendered text must equal the
 tracked file byte for byte, and the reruns must pass the findings
 checks of ``tests/findings.py`` at that scale.  Nothing is written.
-figure3 and figure4 take minutes at small scale, and bulk-sweep and
-rare-sweep print wall-clock seconds, so those four are not rerun.
+figure3 and figure4 take minutes at small scale, and bulk-sweep prints
+wall-clock seconds, so those three are not rerun.
 """
 
 import re
@@ -37,7 +37,7 @@ RERUN = {
 }
 
 #: Tracked tables that are not rerun: too slow, or a wall-clock column.
-NOT_RERUN = {"figure3a", "figure3b", "figure4", "bulk-sweep", "rare-sweep"}
+NOT_RERUN = {"figure3a", "figure3b", "figure4", "bulk-sweep"}
 
 _SCALE = re.compile(r"\[scale=(\w+), runs=\d+\] ==$")
 
