@@ -139,29 +139,18 @@ class BathtubFailureModel:
         idx -= 1
         return self._bounds[idx] + (target - self._cum[idx]) / self._rates[idx]
 
-    def sample_failure_age(self, rng: np.random.Generator, size: int,
-                           current_age: np.ndarray | float = 0.0
+    def sample_failure_age(self, rng: np.random.Generator, size: int
                            ) -> np.ndarray:
-        """Draw failure *ages* for ``size`` drives.
+        """Draw failure *ages* for ``size`` new drives.
 
-        ``current_age`` conditions the draw: a drive that has already
-        survived to age ``a`` fails at an age drawn from the conditional
-        residual-life distribution; i.e. we solve
-        ``H(age) = H(current_age) - ln(U)`` for age.
+        Inverse-CDF sampling: each age solves ``H(age) = -ln(1 - U)``
+        for a uniform ``U`` on ``[0, 1)``.  Every caller deploys age-0
+        drives (the DES's initial fleet, its spares and replacement
+        batches, and Table 1's cohort), so no residual-life draw is
+        needed.
         """
         u = rng.random(size)
-        if np.ndim(current_age) == 0 and float(current_age) == 0.0:
-            # New-drive fast path: H(0) == 0 exactly, so the conditional
-            # draw degenerates to the unconditional one.  Bit-identical
-            # to the general branch (same u, target = 0.0 - log1p(-u)),
-            # just without materializing a zero vector — this sits on the
-            # bulk engine's per-run hot path.
-            target = -np.log1p(-u)
-        else:
-            base = self.cumulative_hazard(np.broadcast_to(
-                np.asarray(current_age, dtype=float), (size,)))
-            target = base - np.log1p(-u)   # -log(1-U), U uniform on [0,1)
-        return self._invert_cumulative(target)
+        return self._invert_cumulative(-np.log1p(-u))
 
     def _failure_uniform_bound(self, horizon: float) -> float:
         """A uniform above which no new drive fails by ``horizon``.

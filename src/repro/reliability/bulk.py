@@ -181,7 +181,9 @@ def _duplicate_rows(m: np.ndarray) -> np.ndarray:
 
 
 def distinct_uniform(rng: np.random.Generator, n_rows: int, k: int,
-                     n_vals: int) -> np.ndarray:
+                     n_vals: int,
+                     out: tuple[np.ndarray, np.ndarray] | None = None
+                     ) -> np.ndarray:
     """``(n_rows, k)`` rows of distinct uniform draws from ``0..n_vals-1``.
 
     Ordered tuples are drawn uniformly (``floor(u * n_vals)`` — exactly
@@ -191,15 +193,24 @@ def distinct_uniform(rng: np.random.Generator, n_rows: int, k: int,
     back to a per-row uniform ``k``-subset via random sort keys; block
     slots are exchangeable everywhere downstream, so the unordered subset
     has the same law.
+
+    ``out`` is a ``(uniforms, result)`` pair of contiguous float64 and
+    int64 arrays of ``n_rows * k`` elements for the tuple draw to write
+    into instead of fresh arrays; the rows returned are then a view of
+    ``result``.  The draw consumes the same stream words either way.
+    The cramped-pool fallback never takes it.
     """
     if k > n_vals:
         raise ValueError(f"cannot draw {k} distinct values from {n_vals}")
     if k > 1 and n_vals <= 4 * k:
         keys = rng.random((n_rows, n_vals))
         return np.argpartition(keys, k - 1, axis=1)[:, :k].astype(np.int64)
-    u = rng.random((n_rows, k))
+    u, m = out if out is not None else (
+        np.empty(n_rows * k), np.empty(n_rows * k, dtype=np.int64))
+    rng.random(out=u)
     u *= n_vals
-    m = u.astype(np.int64)
+    np.copyto(m, u, casting="unsafe")           # truncates, as `astype` does
+    m = m.reshape(n_rows, k)
     if k == 1:
         return m
     bad = np.flatnonzero(_duplicate_rows(m))
@@ -311,21 +322,24 @@ def sample_group_tallies(rng: np.random.Generator, n_groups: int, n: int,
 
 
 def sample_section(rng: np.random.Generator, n_rows: int, k: int,
-                   n_failed: int) -> np.ndarray:
+                   n_failed: int,
+                   out: tuple[np.ndarray, np.ndarray] | None = None
+                   ) -> np.ndarray:
     """Sparse flat placement, per count: the failed disks of ``n_rows``
     groups that hold exactly ``k`` failed blocks each.
 
     Returns a ``(n_rows, k)`` matrix of distinct indices into the
-    caller's failed-id array (:func:`distinct_uniform`).  A one-block
-    section (``k == 1``) is never redrawn, so it consumes exactly
-    ``n_rows`` 64-bit words: a caller that needs only its size may
-    ``rng.bit_generator.advance(n_rows)`` instead and leave the stream
-    where the draw would have.  Larger sections redraw colliding rows, so
-    what they consume depends on the values drawn.
+    caller's failed-id array (:func:`distinct_uniform`, which writes into
+    ``out`` when given).  A one-block section (``k == 1``) is never
+    redrawn, so it consumes exactly ``n_rows`` 64-bit words: a caller
+    that needs only its size may ``rng.bit_generator.advance(n_rows)``
+    instead and leave the stream where the draw would have.  Larger
+    sections redraw colliding rows, so what they consume depends on the
+    values drawn.
     """
     if n_rows == 0:
         return np.empty((0, k), dtype=np.int64)
-    return distinct_uniform(rng, n_rows, k, n_failed)
+    return distinct_uniform(rng, n_rows, k, n_failed, out)
 
 
 class BulkLifetime:
@@ -352,8 +366,34 @@ class BulkLifetime:
         if config.max_chunks_per_domain is not None:
             self._rack_tables = rack_tables(Topology(
                 config.racks, config.machines_per_rack, self.N).rack_array())
+        self._buffers = _work_rows(0)
 
     # ------------------------------------------------------------------ #
+    def _work(self, size: int) -> tuple[np.ndarray, ...]:
+        """Length-``size`` views of the work buffers: float64 uniforms
+        and windows, float64 gathered values, the one-block section's
+        int64 indices and the completion filter's bool mask.
+
+        Every lifetime this instance runs (a pool task's batch) writes its
+        one-block draw and the traditional windows of each section into
+        the same buffers instead of fresh arrays.  A 2 PB section of
+        ~40,000 blocks makes arrays of ~300 KiB; depending on the heap's
+        layout, glibc hands such arrays back to the OS when they are
+        freed, and a lifetime that allocates them afresh re-faults about
+        120 pages.  The four buffers are rows of one allocation (the
+        mask uses an eighth of its row).  Four separate buffers were
+        re-faulted batch after batch, about 5 faults per lifetime against
+        1.5 for one block, which fits glibc raising its dynamic mmap and
+        trim thresholds to the size of the freed block (inferred).
+        They grow when a section outgrows them, with an eighth of
+        headroom so that sections varying by a few percent from lifetime
+        to lifetime do not regrow them.  They belong to the instance, not
+        the module, because a batch may run on a worker thread.
+        """
+        if size > self._buffers[0].size:
+            self._buffers = _work_rows(size + size // 8)
+        return tuple(b[:size] for b in self._buffers)
+
     def _failed_block_sections(self, rng: np.random.Generator,
                                failed_ids: np.ndarray, skip_single: bool
                                ) -> tuple[np.ndarray, list[np.ndarray | None]]:
@@ -378,8 +418,15 @@ class BulkLifetime:
                     rng.bit_generator.advance(rows)
                     sections.append(None)
                 else:
-                    sections.append(
-                        sample_section(rng, rows, k, failed_ids.size))
+                    # The one-block section is drawn into the work
+                    # buffers; the loop over sections leaves the int64
+                    # one alone.
+                    out = None
+                    if k == 1:
+                        uniforms, _, ids, _ = self._work(rows)
+                        out = uniforms, ids
+                    sections.append(sample_section(rng, rows, k,
+                                                   failed_ids.size, out))
             return tallies, sections
         members = sample_members_capped(rng, self.G, self.n,
                                         self._rack_tables,
@@ -399,7 +446,8 @@ class BulkLifetime:
         return np.array([m.shape[0] for m in sections]), sections
 
     def _traditional_windows(self, rng: np.random.Generator,
-                             queue_len: np.ndarray) -> np.ndarray:
+                             queue_len: np.ndarray, out: np.ndarray
+                             ) -> np.ndarray:
         """Windows of vulnerability for *failed* blocks, traditional (s).
 
         Traditional recovery queues all of a dead disk's blocks serially
@@ -411,13 +459,15 @@ class BulkLifetime:
         ``pos ~ Uniform{1..k}`` via ``floor(u * k) + 1``, which is
         exactly uniform for the tiny per-disk block counts and ~5x
         faster than a bounded ``integers`` draw with an array ``high``.
-        The arithmetic runs in place on the drawn array.  (FARM rebuilds
-        in parallel, so its window is the constant
+        The uniforms are drawn into ``out``, a work buffer of
+        ``queue_len``'s length (the same stream words as a fresh array),
+        and the arithmetic runs in place there; ``out`` is returned.
+        (FARM rebuilds in parallel, so its window is the constant
         ``detection_latency + rebuild_seconds_per_block`` and never
         reaches this method — or the ``bulk-windows`` stream.)
         """
         cfg = self.cfg
-        window = rng.random(queue_len.shape)
+        window = rng.random(out=out)
         window *= queue_len
         np.floor(window, out=window)
         window += 1.0
@@ -577,11 +627,18 @@ class BulkLifetime:
             for k, m in enumerate(sections, start=1):
                 if m.size == 0:
                     continue
+                # The gathers and windows go to the work buffers; the
+                # block indices are in range, so `take` need not check.
                 blocks = m.ravel()
-                win = self._traditional_windows(rng, queue[blocks])
+                win, gathered, _, keep = self._work(blocks.size)
+                np.take(queue, blocks, out=gathered, mode="clip")
+                self._traditional_windows(rng, gathered, out=win)
                 if k <= self.tol:
                     if check_safe:
-                        win = win[fail_at[blocks] + win <= duration]
+                        np.take(fail_at, blocks, out=gathered, mode="clip")
+                        gathered += win
+                        np.less_equal(gathered, duration, out=keep)
+                        win = win[keep]
                 else:
                     fail_k = fail_at[m]
                     win_k = win.reshape(m.shape)
@@ -610,14 +667,23 @@ class BulkLifetime:
         return stats
 
 
+def _work_rows(capacity: int) -> tuple[np.ndarray, ...]:
+    """The work buffers of :meth:`BulkLifetime._work`, ``capacity``
+    elements each, as rows of one allocation."""
+    rows = np.empty((4, capacity))
+    return (rows[0], rows[1], rows[2].view(np.int64),
+            rows[3].view(np.bool_)[:capacity])
+
+
 def run_bulk_batch(config: SystemConfig,
                    seeds: list[int]) -> list[RecoveryStats]:
     """A batch of independent bulk lifetimes, one per seed, in order.
 
     One validated :class:`BulkLifetime` serves the whole batch — the
-    per-run state is entirely inside :meth:`BulkLifetime.run`, so this
-    is identical to constructing a fresh instance per seed, minus the
-    repeated validation.
+    per-run state is entirely inside :meth:`BulkLifetime.run` (the work
+    buffers the runs share carry nothing from one run to the next), so
+    this is identical to constructing a fresh instance per seed, minus
+    the repeated validation and allocation.
     """
     lifetime = BulkLifetime(config)
     return [lifetime.run(seed=s) for s in seeds]

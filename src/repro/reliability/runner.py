@@ -240,11 +240,11 @@ class _Task:
     """A contiguous run of one point's lifetimes, shipped as one task.
 
     A DES task holds one seed, which keeps the pool's load balanced.  On
-    the figure-5 grid at 2 PB a bulk lifetime costs about 0.25 ms under
-    FARM and 0.7 ms under traditional recovery, 0.4-0.7 ms over the
-    grid (bulk-fig5's traced ``reliability.bulk.us_per_lifetime``), and
-    0.2-0.35 ms at 100 TB (2-vCPU Xeon host), so per-run dispatch would
-    be dominated by pool overhead; a bulk task holds
+    the figure-5 grid at 2 PB a bulk lifetime costs, in CPU time inside
+    a pool worker, about 0.25 ms under FARM with 10 or 50 GB groups,
+    0.4 ms under traditional recovery with 50 GB groups and 0.8-0.9 ms
+    with 10 GB groups, and 0.2-0.35 ms at 100 TB (2-vCPU Xeon host), so
+    per-run dispatch would be dominated by pool overhead; a bulk task holds
     :data:`_BULK_CHUNK` seeds, and the per-run seeds keep every lifetime
     independent of how the chunk boundaries fall.
     """
@@ -260,8 +260,8 @@ class _Task:
     telemetry: TelemetryConfig | None = None
 
 
-#: Runs per bulk task (see :class:`_Task`).  At 0.25-0.7 ms a run at
-#: 2 PB (a task's median is 10-15 ms), 32 runs keep the workers 87-91 %
+#: Runs per bulk task (see :class:`_Task`).  At 0.25-0.9 ms a run at
+#: 2 PB (8-29 ms a task), 32 runs keep the workers 87-91 %
 #: busy under submission/pickle overhead (bulk-fig5's traced
 #: ``reliability.runner.busy_frac``) while still feeding even a wide
 #: pool promptly.

@@ -14,7 +14,10 @@ Four kinds of guarantee, matching docs/BULK_ENGINE.md:
 * **Determinism and fold invariance** (fast): bulk runs are bit-exact
   functions of (config, seed); any batch split of ``run_bulk_batch``
   folds to the identical aggregate; the serial and process-pool runner
-  paths agree bit-for-bit.
+  paths agree bit-for-bit; a lifetime run on work buffers that earlier
+  lifetimes sized equals a fresh instance's, and a warm 2 PB
+  traditional lifetime allocates under two copies of its one-block
+  section.
 * **Model gating** (fast): every config feature the window-overlap
   model cannot express is rejected at construction, never approximated.
 * **Cross-engine conformance** (FARM fast; traditional slow, run from
@@ -24,6 +27,7 @@ Four kinds of guarantee, matching docs/BULK_ENGINE.md:
   its own pinned ``bulk-*`` streams (see tests/test_golden_regression).
 """
 
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -33,7 +37,9 @@ from hypothesis import strategies as st
 
 from repro.__main__ import result_mismatches
 from repro.config import SystemConfig
-from repro.redundancy import ECC_4_6, ECC_8_10, MIRROR_2
+from repro.experiments import figure5
+from repro.experiments.base import SCALES
+from repro.redundancy import ECC_4_6, ECC_8_10, MIRROR_2, RedundancyScheme
 from repro.redundancy.composite import MirroredParity
 from repro.reliability import (MonteCarloResult, StatsAggregate,
                                seed_schedule, shutdown_pool, sweep)
@@ -47,7 +53,7 @@ from repro.reliability.montecarlo import estimate_p_loss
 from repro.reliability.simulation import RecoveryStats
 from repro.sim.rng import RandomStreams
 from repro.units import DAY, GB, TB
-from tests.test_bulk_pins import BASE, LIFETIMES
+from tests.test_bulk_pins import BASE, LIFETIMES, flat_vintage
 
 
 def gold_cfg(**kw):
@@ -472,6 +478,92 @@ class TestSkippedSection:
         assert branches[True] and branches[False], branches
         assert skipped_losses, "no skipped lifetime lost data"
         assert lost_rows and late_rows, (lost_rows, late_rows)
+
+
+# --------------------------------------------------------------------- #
+# Work buffers shared by the lifetimes of a batch
+# --------------------------------------------------------------------- #
+FIG5 = figure5.grid(SCALES["paper"])
+
+#: name -> config whose one ``BulkLifetime`` reruns seeds in an order that
+#: grows, shrinks and repeats its one-block section.  The 2 PB figure-5
+#: traditional 10 GB points hold ~39,000 blocks in that section; at
+#: 8 MB/s a quarter of their lifetimes filter safe windows by completion.
+#: Under 1/1 the one-block section is the lossy one, and the FARM pin
+#: draws it on the lifetimes whose rebuilds cross the horizon.  At a
+#: 6 %/1000 h hazard nearly every disk fails, so most 4/6 groups lose
+#: several blocks and some lifetimes have no one-block section at all.
+BUFFER_CASES = {
+    "fig5-trad-10GB-8MB": FIG5["False|10|8"],
+    "fig5-trad-10GB-40MB": FIG5["False|10|40"],
+    "trad-1/1": BASE.with_(scheme=RedundancyScheme(1, 1), use_farm=False),
+    "trad-4/6-most-disks-fail": BASE.with_(
+        scheme=ECC_4_6, use_farm=False, vintage=flat_vintage(6.0)),
+    "farm-rebuild-crosses-horizon":
+        LIFETIMES["farm-rebuild-crosses-horizon"][0],
+}
+
+
+def one_block_section(cfg, seed):
+    """``(rows, filtered)``: the lifetime's one-block section size, and
+    whether a traditional lifetime tests its safe windows against the
+    horizon (some failed disk holding a block of a group that cannot be
+    lost finishes its queue past the end)."""
+    streams = RandomStreams(seed)
+    _, fail_at = cfg.vintage.failure_model.sample_failed_within(
+        streams.bulk("failures"), cfg.n_disks, cfg.duration)
+    rng = streams.bulk("placement")
+    tallies = sample_group_tallies(rng, cfg.n_groups, cfg.scheme.n,
+                                   fail_at.size, cfg.n_disks)
+    per_section = [np.bincount(sample_section(rng, int(rows), k,
+                                              fail_at.size).ravel(),
+                               minlength=fail_at.size)
+                   for k, rows in enumerate(tallies[1:], start=1)]
+    tail = (fail_at + cfg.detection_latency
+            + sum(per_section) * cfg.rebuild_seconds_per_block)
+    safe = sum(per_section[:cfg.scheme.tolerance], np.zeros(fail_at.size))
+    return int(tallies[1]), bool(safe[tail > cfg.duration].any())
+
+
+class TestWorkBuffers:
+    @pytest.mark.parametrize("name", BUFFER_CASES)
+    def test_reused_buffers_match_fresh_lifetimes(self, name):
+        """A lifetime run on buffers that earlier lifetimes sized equals
+        a fresh instance's, field for field."""
+        cfg = BUFFER_CASES[name]
+        seeds = seed_schedule(0, 8)
+        sections = {s: one_block_section(cfg, s) for s in seeds}
+        rising = sorted(seeds, key=lambda s: sections[s][0])
+        engine = BulkLifetime(cfg)
+        for seed in rising + rising[::-1] + rising[:2]:
+            assert (asdict(engine.run(seed=seed))
+                    == asdict(BulkLifetime(cfg).run(seed=seed))), (name,
+                                                                   seed)
+        if name == "fig5-trad-10GB-8MB":
+            assert any(filtered for _, filtered in sections.values())
+        if name == "trad-4/6-most-disks-fail":
+            assert min(rows for rows, _ in sections.values()) == 0
+        if cfg.use_farm:
+            assert not all(rebuilds_end_in_horizon(cfg, s) for s in seeds)
+
+    def test_warm_traditional_lifetime_allocates_under_two_sections(self):
+        """Rerun on a warm instance, a 2 PB traditional lifetime's traced
+        peak stays under two float64 copies of its one-block section:
+        the section's draws, gathers and windows live in the buffers.
+        (Drawing them as fresh arrays peaked at ~3.3 sections.)"""
+        cfg = BUFFER_CASES["fig5-trad-10GB-8MB"]
+        engine = BulkLifetime(cfg)
+        for seed in seed_schedule(0, 10):
+            engine.run(seed=seed)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                engine.run(seed=seed)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            rows, _ = one_block_section(cfg, seed)
+            assert peak < 2 * rows * 8, (seed, peak, rows)
 
 
 # --------------------------------------------------------------------- #

@@ -74,26 +74,10 @@ class TestSampling:
             expected = 1.0 - float(model.survival(t))
             assert (ages < t).mean() == pytest.approx(expected, abs=0.01)
 
-    def test_conditional_sampling_respects_memory(self, model):
-        """A drive that survived 1 year draws only ages > 1 year, with the
-        right conditional tail probability."""
-        rng = np.random.default_rng(7)
-        current = 1 * YEAR
-        ages = model.sample_failure_age(rng, 50_000, current_age=current)
-        assert (ages >= current).all()
-        p_cond = float(model.survival(3 * YEAR) / model.survival(current))
-        assert (ages > 3 * YEAR).mean() == pytest.approx(p_cond, abs=0.01)
-
     def test_sampling_deterministic_per_seed(self, model):
         a = model.sample_failure_age(np.random.default_rng(1), 100)
         b = model.sample_failure_age(np.random.default_rng(1), 100)
         assert np.array_equal(a, b)
-
-    def test_vector_current_age(self, model):
-        rng = np.random.default_rng(3)
-        current = np.array([0.0, YEAR, 2 * YEAR])
-        ages = model.sample_failure_age(rng, 3, current_age=current)
-        assert (ages >= current).all()
 
 
 class TestFailedOnlySampler:
