@@ -10,7 +10,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields, replace
+import struct
+from dataclasses import astuple, dataclass, fields, replace
+from functools import lru_cache
 from typing import Any, Callable, Literal, Mapping
 
 from .disks.failure import ELERATH_TABLE1, BathtubFailureModel, RatePeriod
@@ -248,21 +250,35 @@ def _failure_model_to_dict(fm: BathtubFailureModel) -> dict[str, Any]:
     }
 
 
+#: Table 1 as the flat ``(start, end, pct, ...)`` rows of a schedule.
+_ELERATH_ROWS = tuple(x for p in ELERATH_TABLE1 for x in astuple(p))
+
+
 def _failure_model_from_dict(data: Mapping[str, Any]) -> BathtubFailureModel:
     periods = data.get("periods")
-    if periods is None:
-        parsed = ELERATH_TABLE1
-    else:
-        parsed = tuple(
-            RatePeriod(
-                start_months=float(p["start_months"]),
-                end_months=(float("inf") if p.get("end_months") is None
-                            else float(p["end_months"])),
-                pct_per_1000h=float(p["pct_per_1000h"]))
-            for p in periods)
+    rows = _ELERATH_ROWS if periods is None else [
+        x for p in periods for x in (
+            float(p["start_months"]),
+            (float("inf") if p.get("end_months") is None
+             else float(p["end_months"])),
+            float(p["pct_per_1000h"]))]
+    multiplier = float(data.get("rate_multiplier", 1.0))
+    # Keyed by the floats' bytes, not their values: 0.0 == -0.0, but a
+    # config must serialize (and so hash) as it was posted.
+    return _shared_failure_model(
+        struct.pack(f"{len(rows) + 1}d", multiplier, *rows))
+
+
+@lru_cache(maxsize=128)
+def _shared_failure_model(schedule: bytes) -> BathtubFailureModel:
+    """The one model of a packed ``(multiplier, start, end, pct, ...)``
+    schedule: configs parsed with the same rates share it, and with it
+    the hazards it has already evaluated."""
+    multiplier, *rows = struct.unpack(f"{len(schedule) // 8}d", schedule)
     return BathtubFailureModel(
-        periods=parsed,
-        rate_multiplier=float(data.get("rate_multiplier", 1.0)))
+        periods=tuple(RatePeriod(*rows[i:i + 3])
+                      for i in range(0, len(rows), 3)),
+        rate_multiplier=multiplier)
 
 
 def _vintage_to_dict(v: DiskVintage) -> dict[str, Any]:

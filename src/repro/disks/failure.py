@@ -83,8 +83,8 @@ class BathtubFailureModel:
         # Cumulative hazard at each boundary start.
         seg = np.diff(self._bounds[:-1])
         self._cum = np.concatenate([[0.0], np.cumsum(self._rates[:-1] * seg)])
-        # Memo of _failure_uniform_bound, keyed by horizon.
-        self._uniform_bounds: dict[float, float] = {}
+        # Memo of cumulative_hazard_at, keyed by horizon.
+        self._horizon_hazards: dict[float, float] = {}
 
     def scaled(self, multiplier: float) -> "BathtubFailureModel":
         """A copy of this model with all rates multiplied."""
@@ -125,6 +125,22 @@ class BathtubFailureModel:
         idx = np.clip(idx, 0, len(self._rates) - 1)
         return self._cum[idx] + self._rates[idx] * (age - self._bounds[idx])
 
+    def cumulative_hazard_at(self, horizon: float) -> float:
+        """H(horizon) as a float, memoized per horizon.
+
+        The window model, the envelope, the feasibility rail and the
+        bulk engine's uniform bound all read H(duration) of one config;
+        each scalar :meth:`cumulative_hazard` call costs ~20 µs of NumPy
+        overhead, so the model evaluates it once per horizon.  The fill
+        is idempotent, so callers racing on it at worst compute the same
+        value twice.
+        """
+        h = self._horizon_hazards.get(horizon)
+        if h is None:
+            h = float(self.cumulative_hazard(horizon))
+            self._horizon_hazards[horizon] = h
+        return h
+
     def survival(self, age: np.ndarray | float) -> np.ndarray:
         """P(drive survives past ``age``)."""
         return np.exp(-self.cumulative_hazard(age))
@@ -160,17 +176,10 @@ class BathtubFailureModel:
         ``u* = 1 - exp(-H(horizon))`` splits failing from surviving
         drives.  The bound is ``u*`` widened by a relative 1e-6: the
         rounding in the inversion is ~1e-16 relative, so no ``u`` above
-        the bound can round to an age at or below ``horizon``.  Memoized
-        per horizon: computing it costs ~20 µs, a tenth of a small bulk
-        lifetime.  The fill is idempotent, so callers racing on it at
-        worst compute the same value twice.
+        the bound can round to an age at or below ``horizon``.
         """
-        bound = self._uniform_bounds.get(horizon)
-        if bound is None:
-            h = float(self.cumulative_hazard(horizon))
-            bound = -math.expm1(-h) * (1.0 + 1e-6)
-            self._uniform_bounds[horizon] = bound
-        return bound
+        return -math.expm1(-self.cumulative_hazard_at(horizon)) \
+            * (1.0 + 1e-6)
 
     def sample_failed_within(self, rng: np.random.Generator, size: int,
                              horizon: float

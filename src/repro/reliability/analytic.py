@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..config import SystemConfig
 
 
@@ -45,13 +47,14 @@ class WindowModel:
 def mean_hazard(cfg: SystemConfig) -> float:
     """Average per-second failure hazard of a drive over the horizon."""
     fm = cfg.vintage.failure_model
-    return float(fm.cumulative_hazard(cfg.duration)) / cfg.duration
+    return fm.cumulative_hazard_at(cfg.duration) / cfg.duration
 
 
 def expected_disk_failures(cfg: SystemConfig) -> float:
     """Expected number of drive failures over the horizon (no replacement)."""
-    fm = cfg.vintage.failure_model
-    return cfg.n_disks * float(1.0 - fm.survival(cfg.duration))
+    h = cfg.vintage.failure_model.cumulative_hazard_at(cfg.duration)
+    # np.exp, as BathtubFailureModel.survival takes it: same bits.
+    return cfg.n_disks * (1.0 - float(np.exp(-h)))
 
 
 def mean_window(cfg: SystemConfig) -> float:

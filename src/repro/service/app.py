@@ -35,7 +35,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..telemetry.export import to_prometheus
-from ..telemetry.metrics import MetricRegistry, log_bounds
+from ..telemetry.metrics import (Counter, Histogram, MetricRegistry,
+                                 log_bounds)
 from .cascade import ForecastCascade, InfeasibleConfig
 from .protocol import (FORECAST_SCHEMA, ForecastError, MAX_BODY_BYTES,
                        forecast_to_dict, parse_forecast_request)
@@ -46,8 +47,13 @@ _LATENCY_BOUNDS = log_bounds(1e-4, 100.0)
 #: Idle sleep between refinement-queue polls when the queue is empty.
 _REFINE_IDLE_S = 0.05
 
-#: Maximum size of the request head (request line + headers).
+#: Maximum size of the request head (request line + headers): the
+#: stream limit of every connection's reader.
 _MAX_HEAD_BYTES = 16 * 1024
+
+#: Route label of every path no route serves, so client input cannot
+#: add series to ``service_requests_total``.
+_UNROUTED = "<unrouted>"
 
 _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
                 405: "Method Not Allowed", 413: "Payload Too Large",
@@ -71,6 +77,9 @@ class ForecastService:
             "service_client_disconnects_total",
             help="clients gone before their request was read or their "
                  "response written")
+        #: request counters by (route, status), latency histograms by tier
+        self._requests: dict[tuple[str, int], Counter] = {}
+        self._latency: dict[str, Histogram] = {}
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -79,7 +88,7 @@ class ForecastService:
                     port: int = 0) -> tuple[str, int]:
         """Bind and serve; returns the bound (host, port)."""
         self._server = await asyncio.start_server(
-            self._handle_connection, host, port)
+            self._handle_connection, host, port, limit=_MAX_HEAD_BYTES)
         if self.refine_enabled:
             self._refine_task = asyncio.create_task(self._refine_loop())
         sock = self._server.sockets[0]
@@ -145,9 +154,10 @@ class ForecastService:
                                  writer: asyncio.StreamWriter) -> None:
         t0 = time.perf_counter()
         tier = "-"
-        path = "-"
+        route = "-"
         try:
             method, path, body = await self._read_request(reader)
+            route = _route_label(path)
             status, payload, tier = await self._route(method, path, body)
         except ForecastError as exc:
             status, payload = exc.status, {"error": exc.message}
@@ -158,13 +168,14 @@ class ForecastService:
         except Exception as exc:   # a crashed estimator is a 500, not EOF
             status, payload = 500, {"error": f"{type(exc).__name__}: "
                                              f"{exc}"}
-        self._observe(path, status, tier, time.perf_counter() - t0)
+        self._observe(route, status, tier, time.perf_counter() - t0)
         await self._write_response(writer, status, payload)
 
     async def _read_request(self, reader: asyncio.StreamReader
                             ) -> tuple[str, str, bytes]:
-        head = await reader.readuntil(b"\r\n\r\n")
-        if len(head) > _MAX_HEAD_BYTES:
+        try:
+            head = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.LimitOverrunError:
             raise ForecastError(400, "request head too large")
         lines = head.decode("latin-1").split("\r\n")
         parts = lines[0].split()
@@ -257,18 +268,30 @@ class ForecastService:
         return 200, forecast_to_dict(forecast), forecast.tier
 
     # ------------------------------------------------------------------ #
-    def _observe(self, path: str, status: int, tier: str,
+    def _observe(self, route: str, status: int, tier: str,
                  seconds: float) -> None:
-        route = path.split("?")[0]
-        if route.startswith("/forecast/"):
-            route = "/forecast/<key>"
-        self.registry.counter(
-            "service_requests_total", help="HTTP requests served",
-            labels={"route": route, "status": str(status)}).inc()
-        self.registry.histogram(
-            "service_request_seconds", _LATENCY_BOUNDS,
-            help="request latency by answering tier",
-            labels={"tier": tier}).observe(seconds)
+        counter = self._requests.get((route, status))
+        if counter is None:
+            counter = self._requests[route, status] = self.registry.counter(
+                "service_requests_total", help="HTTP requests served",
+                labels={"route": route, "status": str(status)})
+        counter.inc()
+        histogram = self._latency.get(tier)
+        if histogram is None:
+            histogram = self._latency[tier] = self.registry.histogram(
+                "service_request_seconds", _LATENCY_BOUNDS,
+                help="request latency by answering tier",
+                labels={"tier": tier})
+        histogram.observe(seconds)
+
+
+def _route_label(path: str) -> str:
+    """The ``route`` label of a request for ``path``."""
+    if path in ("/healthz", "/metrics", "/forecast"):
+        return path
+    if path.startswith("/forecast/"):
+        return "/forecast/<key>"
+    return _UNROUTED
 
 
 # --------------------------------------------------------------------- #

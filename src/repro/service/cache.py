@@ -105,6 +105,8 @@ class ForecastCache:
         self.skipped_lines = 0
         #: the journal ends mid-line, so the next append starts a new one.
         self._torn_tail = False
+        #: the LRU has dropped an entry, so a miss may be in the journal.
+        self._evicted = False
         for entry in self._read_journal().values():
             self._remember(entry)
 
@@ -115,13 +117,17 @@ class ForecastCache:
     def get(self, digest: str) -> CacheEntry | None:
         """The entry for ``digest`` (LRU-touched), or ``None``.
 
-        An in-memory miss falls back to the journal: eviction bounds the
-        hot set, not the evidence.
+        An in-memory miss falls back to the journal once the LRU has
+        evicted an entry: eviction bounds the hot set, not the evidence.
+        Until then every journaled digest is resident, and a miss reads
+        nothing.
         """
         entry = self._entries.get(digest)
         if entry is not None:
             self._entries.move_to_end(digest)
             return entry
+        if not self._evicted:
+            return None
         entry = self._read_journal(digest).get(digest)
         if entry is not None:
             self._remember(entry)
@@ -142,6 +148,7 @@ class ForecastCache:
         self._entries.move_to_end(entry.digest)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
+            self._evicted = True
 
     def _read_journal(self, digest: str | None = None
                       ) -> dict[str, CacheEntry]:

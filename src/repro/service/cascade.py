@@ -20,6 +20,11 @@ gates the markov, analytic and bulk tiers in one pass:
 Before any tier runs, the Luby-style feasibility rail refuses configs
 whose steady-state repair demand exceeds the recovery bandwidth —
 every estimator downstream would just measure the queue diverging.
+The rail, the envelope and the closed forms all read the failure
+model's memoized H(duration)
+(:meth:`~repro.disks.failure.BathtubFailureModel.cumulative_hazard_at`),
+so a request evaluates the hazard at most once, and not at all when
+its rate schedule was parsed before.
 """
 
 from __future__ import annotations

@@ -171,6 +171,37 @@ class TestCanonicalSerialization:
         cfg = config_from_dict({"vintage": {"failure_model": failure_model}})
         assert cfg.vintage.failure_model == expected
 
+    def test_repeated_rate_schedule_shares_one_model(self):
+        """Configs parsed with the same rates share one failure model
+        (and the hazards it has evaluated); other rates do not."""
+        flat = {"periods": [{"start_months": 0, "end_months": None,
+                             "pct_per_1000h": 0.3}]}
+
+        def model(failure_model):
+            vintage = {"failure_model": failure_model}
+            return config_from_dict({"vintage": vintage}).vintage \
+                .failure_model
+
+        assert model(flat) is model(json.loads(json.dumps(flat)))
+        assert model({}) is model({"rate_multiplier": 1})
+        assert model({}) == PAPER_BASE.vintage.failure_model
+        assert model({"rate_multiplier": 2.0}) is not model({})
+        assert model(flat) is not model({**flat, "rate_multiplier": 2.0})
+
+    def test_shared_model_keeps_a_signed_zero(self):
+        """0.0 == -0.0, but each config serializes as it was posted."""
+        def cfg(start):
+            periods = [{"start_months": start, "end_months": None,
+                        "pct_per_1000h": 0.3}]
+            return config_from_dict(
+                {"vintage": {"failure_model": {"periods": periods}}})
+
+        plus, minus = cfg(0.0), cfg(-0.0)
+        assert plus == minus
+        assert config_digest(plus) != config_digest(minus)
+        assert repr(config_to_dict(minus)["vintage"]["failure_model"][
+            "periods"][0]["start_months"]) == "-0.0"
+
     def test_scheme_string_accepted(self):
         cfg = config_from_dict({"scheme": "8/10"})
         assert cfg.scheme == ECC_8_10

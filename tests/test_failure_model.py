@@ -64,6 +64,19 @@ class TestHazardFunction:
     def test_survival_at_zero_is_one(self, model):
         assert model.survival(0.0) == 1.0
 
+    def test_horizon_hazard_is_memoized(self, monkeypatch):
+        m = BathtubFailureModel()
+        calls = []
+        full = BathtubFailureModel.cumulative_hazard
+        monkeypatch.setattr(BathtubFailureModel, "cumulative_hazard",
+                            lambda self, age: calls.append(age)
+                            or full(self, age))
+        for horizon in (6 * YEAR, YEAR, 6 * YEAR, YEAR, 6 * YEAR):
+            h = m.cumulative_hazard_at(horizon)
+            assert type(h) is float
+            assert h == float(full(m, horizon))
+        assert calls == [6 * YEAR, YEAR]
+
 
 class TestSampling:
     def test_empirical_distribution_matches_survival(self, model):

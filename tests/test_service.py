@@ -18,8 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import (PAPER_BASE, SystemConfig, config_digest,
-                          config_to_dict)
+from repro.config import (PAPER_BASE, SystemConfig, _shared_failure_model,
+                          config_digest, config_to_dict)
 from repro.disks.failure import BathtubFailureModel, RatePeriod
 from repro.reliability import analytic, markov
 from repro.reliability.envelope import hazard_window
@@ -62,6 +62,20 @@ LIVE_CFG = SystemConfig(total_user_bytes=10 * TB, group_user_bytes=10 * GB,
 #: SMART pushes this one all the way down to the DES engine.
 DES_CFG = SystemConfig(total_user_bytes=10 * TB, group_user_bytes=10 * GB,
                        use_smart=True)
+
+
+def _hazard_evaluations(monkeypatch):
+    """The ages ``BathtubFailureModel.cumulative_hazard`` is evaluated
+    at from now on, in call order."""
+    calls = []
+    full = BathtubFailureModel.cumulative_hazard
+
+    def counted(self, age):
+        calls.append(age)
+        return full(self, age)
+
+    monkeypatch.setattr(BathtubFailureModel, "cumulative_hazard", counted)
+    return calls
 
 
 def _runner():
@@ -190,6 +204,22 @@ class TestCache:
             cache.put(entry)
         assert len(cache) == 2          # d0 evicted from memory...
         assert cache.get("d0") == entries[0]   # ...but not from disk
+
+    def test_miss_reads_journal_only_after_eviction(self, tmp_path,
+                                                   monkeypatch):
+        cache = ForecastCache(tmp_path / "cache.jsonl", capacity=2)
+        reads = []
+        read = cache._read_journal
+        monkeypatch.setattr(cache, "_read_journal", lambda digest=None:
+                            reads.append(digest) or read(digest))
+        cache.put(self.ENTRY)
+        # Nothing evicted: every journaled digest is resident.
+        assert cache.get("missing") is None
+        assert reads == []
+        for i in range(2):
+            cache.put(replace(self.ENTRY, digest=f"d{i}"))
+        assert cache.get("abc") == self.ENTRY        # evicted, then read
+        assert reads == ["abc"]
 
     def test_memory_only_cache_loses_evicted(self):
         cache = ForecastCache(capacity=1)
@@ -433,6 +463,53 @@ class TestCascade:
         with pytest.raises(InfeasibleConfig):
             asyncio.run(_cascade().forecast(_infeasible_config()))
 
+    def test_shared_model_evaluates_hazard_once_per_horizon(
+            self, monkeypatch):
+        """Forecasts of configs that share one failure model evaluate
+        its cumulative hazard once per horizon, whatever the tier."""
+        calls = _hazard_evaluations(monkeypatch)
+        elerath = replace(PAPER_BASE.vintage,
+                          failure_model=BathtubFailureModel())
+        flat = _flat_rate_config().vintage.failure_model.scaled(1.0)
+        cascade = _cascade()
+        for duration in (3 * YEAR, 6 * YEAR):
+            for latency in (10.0, 30.0, 120.0):
+                for cfg in (
+                        PAPER_BASE.with_(vintage=elerath),
+                        LIVE_CFG.with_(vintage=elerath),
+                        PAPER_BASE.with_(vintage=replace(
+                            elerath, failure_model=flat))):
+                    asyncio.run(cascade.forecast(cfg.with_(
+                        duration=duration, detection_latency=latency)))
+        assert sorted(calls) == [3 * YEAR, 3 * YEAR, 6 * YEAR, 6 * YEAR]
+
+    @pytest.mark.parametrize("cfg", [_flat_rate_config(), PAPER_BASE,
+                                     LIVE_CFG],
+                             ids=["markov", "analytic", "live-bulk"])
+    def test_fresh_model_evaluates_hazard_once_per_request(
+            self, cfg, monkeypatch):
+        calls = _hazard_evaluations(monkeypatch)
+        cascade = _cascade()
+        for multiplier in (1.0, 1.5, 2.0):
+            model = cfg.vintage.failure_model.scaled(multiplier)
+            asyncio.run(cascade.forecast(cfg.with_(
+                vintage=replace(cfg.vintage, failure_model=model))))
+        assert calls == [cfg.duration] * 3
+
+    def test_repeated_schedule_is_parsed_into_one_model(self, monkeypatch):
+        """Posting a rate schedule again builds no model and evaluates
+        no hazard: the parse returns the model that already has it."""
+        _shared_failure_model.cache_clear()
+        calls = _hazard_evaluations(monkeypatch)
+        cascade = _cascade()
+        bodies = [json.dumps({"config": config_to_dict(
+            _flat_rate_config(detection_latency=latency))}).encode()
+            for latency in (10.0, 20.0, 40.0)]
+        for body in bodies + bodies:
+            asyncio.run(cascade.forecast(*parse_forecast_request(body)))
+        assert calls == [PAPER_BASE.duration]
+        assert _shared_failure_model.cache_info().misses == 1
+
     def test_async_estimator_matches_seed_schedule(self):
         """Two identical async rounds agree bit for bit."""
         async def _run():
@@ -652,6 +729,47 @@ class TestServiceEndToEnd:
         status, text, _ = asyncio.run(serve())
         assert status == 200
         assert "service_client_disconnects_total 2" in text
+
+    def test_unrouted_paths_share_one_route_label(self):
+        """Client-chosen paths cannot add series to /metrics."""
+        service = ForecastService(ForecastCascade(runner=_runner()),
+                                  refine=False)
+
+        class Client:
+            def write(self, data):
+                pass
+
+            async def drain(self):
+                pass
+
+            def close(self):
+                pass
+
+        async def serve():
+            for i in range(50):
+                reader = asyncio.StreamReader()
+                reader.feed_data(f"GET /no/route/{i} HTTP/1.1\r\n\r\n"
+                                 .encode())
+                reader.feed_eof()
+                await service._handle_connection(reader, Client())
+            return await service._route("GET", "/metrics", b"")
+
+        _, text, _ = asyncio.run(serve())
+        series = [line for line in text.splitlines()
+                  if line.startswith("service_requests_total{")]
+        assert series == ['service_requests_total{route="<unrouted>",'
+                          'status="404"} 50']
+
+    @pytest.mark.parametrize("kib", [20, 70])
+    def test_oversized_head_is_400(self, server, kib):
+        """Also past asyncio's default 64 KiB stream limit."""
+        req = urllib.request.Request(server.url + "/healthz",
+                                     headers={"X-Pad": "a" * kib * 1024})
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req)
+        assert err.value.code == 400
+        assert json.loads(err.value.read()) == {
+            "error": "request head too large"}
 
     def test_metrics_expose_requests_and_latency(self, server):
         with urllib.request.urlopen(server.url + "/metrics") as resp:
